@@ -5,11 +5,9 @@ response has a closed form; the leader then picks the fee that maximizes
 its additional profit.
 """
 
-import numpy as np
-
 from edgeminer import GameParams, UniformGame, aggregate_miner_utility, \
     best_response_uniform, grid_argmax, leader_delta_utility_uniform, \
-    optimal_fee_uniform, solve_uniform, uniqueness_certificate_uniform
+    optimal_fee_uniform, uniqueness_certificate_uniform
 
 params = GameParams()
 game = UniformGame(edge_power=50.0, fee=2.0, unit_cost=0.005, params=params)
@@ -38,11 +36,12 @@ for objective in ("full", "simplified"):
     note = "(monotone objective runs to the bracket top)" if objective == "simplified" else ""
     print(f"  {objective:10s}: fee {fee:8.4f}  profit {profit:+.4f} {note}")
 
-print("\n== everything in one result ==")
+print("\n== at the optimal fee ==")
 best_fee, _ = optimal_fee_uniform(50.0, 0.005, params)
-result = solve_uniform(UniformGame(50.0, best_fee, 0.005, params))
-print(f"  fee {best_fee:.4f}: devices supply {result.follower_powers.powers[0]:.2f}, "
-      f"pool utility {result.follower_utilities[0]:+.4f}")
-print(f"  leader full {result.leader_profit_full:+.4f}, "
-      f"simplified {result.leader_profit_simplified:+.4f}, "
-      f"certified {result.uniqueness_certified}")
+best = UniformGame(50.0, best_fee, 0.005, params)
+supplied = best_response_uniform(best)
+print(f"  fee {best_fee:.4f}: devices supply {supplied:.2f}, "
+      f"pool utility {aggregate_miner_utility(best, supplied):+.4f}")
+print(f"  leader full {leader_delta_utility_uniform(best, 'full'):+.4f}, "
+      f"simplified {leader_delta_utility_uniform(best, 'simplified'):+.4f}, "
+      f"certified {uniqueness_certificate_uniform(best).certified}")

@@ -10,7 +10,6 @@ from .core import (
     ConfigError,
     ConvergenceError,
     DegenerateProfileError,
-    EquilibriumResult,
     GameParams,
     InfeasibleEquilibriumError,
     PowerProfile,
@@ -30,7 +29,6 @@ from .discriminatory import (
     miner_utility_i,
     nash_equilibrium_closed_form,
     optimal_fees_discriminatory,
-    solve_discriminatory,
     uniqueness_certificate_discriminatory,
 )
 from .experiments import ExperimentConfig, run_experiment, validate_config
@@ -57,7 +55,6 @@ from .uniform import (
     best_response_uniform,
     leader_delta_utility_uniform,
     optimal_fee_uniform,
-    solve_uniform,
     uniqueness_certificate_uniform,
 )
 

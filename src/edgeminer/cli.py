@@ -2,6 +2,8 @@
 
 Exit codes: 0 success, 2 configuration error, 3 every instance in the run
 was infeasible.  Flags override values from an optional --config file.
+Each setting (see experiments.SETTINGS) is a --kebab-case flag whose value
+goes through the same parser as its config-file key.
 """
 
 from __future__ import annotations
@@ -10,91 +12,64 @@ import argparse
 import sys
 
 from .core import ConfigError, ConvergenceError
-from .experiments import build_config, parse_config_text, run_experiment
+from .experiments import SETTINGS, build_config, parse_config_text, run_experiment
+
+COMMANDS = ("fig", "solve-uniform", "solve-disc", "simulate", "compare-mdg")
 
 
-def _add_common_flags(sub: argparse.ArgumentParser):
-    sub.add_argument("--config", metavar="FILE", help="flat key = value config file")
-    sub.add_argument("--out", help="output path (default: <kind>.<format>)")
-    sub.add_argument("--format", choices=("csv", "json"))
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--objective", choices=("full", "simplified"))
-    # shared economic parameters
-    sub.add_argument("--fixed-reward", type=float, dest="fixed_reward")
-    sub.add_argument("--tx-reward", type=float, dest="tx_reward")
-    sub.add_argument("--poisson-rate", type=float, dest="poisson_rate")
-    sub.add_argument("--delay-factor", type=float, dest="delay_factor")
-    sub.add_argument("--tx-per-block", type=int, dest="tx_per_block")
-    sub.add_argument("--mobile-tx-load", type=int, dest="mobile_tx_load")
-    sub.add_argument("--edge-overhead", type=float, dest="edge_overhead")
-    sub.add_argument("--min-consumption", type=float, dest="min_consumption")
-    # game and sweep fields
-    sub.add_argument("--edge-power", type=float, dest="edge_power")
-    sub.add_argument("--device-power", type=float, dest="device_power")
-    sub.add_argument("--unit-cost", type=float, dest="unit_cost")
-    sub.add_argument("--fee", type=float)
-    sub.add_argument("--fees", help="comma-separated per-miner fees")
-    sub.add_argument("--n-miners", type=int, dest="n_miners")
-    sub.add_argument("--fee-basis", choices=("lump", "per_power"), dest="fee_basis")
-    sub.add_argument("--fee-search", choices=("golden", "hillclimb"), dest="fee_search")
-    sub.add_argument("--grid-start", type=float, dest="grid_start")
-    sub.add_argument("--grid-stop", type=float, dest="grid_stop")
-    sub.add_argument("--grid-steps", type=int, dest="grid_steps")
-    sub.add_argument("--edge-fraction", type=float, dest="edge_fraction")
-    sub.add_argument("--edge-fractions", dest="edge_fractions",
-                     help="comma-separated fractions in (0,1)")
-    sub.add_argument("--mdg-delay-mult", type=float, dest="mdg_delay_mult")
-    sub.add_argument("--n-seeds", type=int, dest="n_seeds")
-    sub.add_argument("--n-blocks", type=int, dest="n_blocks")
-    sub.add_argument("--powers", help="comma-separated miner powers for simulate")
-    sub.add_argument("--initial-fee", type=float, dest="initial_fee")
-    sub.add_argument("--step-factor", type=float, dest="step_factor")
-    sub.add_argument("--tolerance", type=float)
-    sub.add_argument("--max-iters", type=int, dest="max_iters")
+class _Parser(argparse.ArgumentParser):
+    def parse_args(self, args=None, namespace=None):
+        # options may sit between the command and the figure number: fig --seed 3 2
+        return self.parse_intermixed_args(args, namespace)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="edgeminer",
-        description="Stackelberg fee games between an edge server and recruited miners")
-    subs = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("solve-uniform", "solve one uniform-fee instance and its optimal fee"),
-        ("solve-disc", "solve one discriminatory-fee instance (per-miner rows)"),
-        ("simulate", "run the seeded Monte-Carlo mining simulation"),
-        ("compare-mdg", "edge scheme vs delayed baseline over a power grid"),
-    ):
-        _add_common_flags(subs.add_parser(name, help=help_text))
-    fig = subs.add_parser("fig", help="emit the data series behind figure 1..6")
-    fig.add_argument("number", type=int, choices=range(1, 7), metavar="N")
-    _add_common_flags(fig)
+        description="Stackelberg fee games between an edge server and recruited miners",
+        epilog="Flag values are parsed like config-file values; lists are comma-separated.")
+    parser.add_argument("command", choices=COMMANDS,
+                        help="fig N emits the data series behind figure N; solve-uniform "
+                             "and solve-disc solve one instance; simulate runs the seeded "
+                             "mining simulation; compare-mdg compares the edge scheme "
+                             "with the delayed baseline")
+    parser.add_argument("number", nargs="?", type=int, choices=range(1, 7), metavar="N",
+                        help="figure number 1..6, for fig only")
+    parser.add_argument("--config", metavar="FILE", help="flat key = value config file")
+    for key in SETTINGS:
+        if key != "kind":
+            parser.add_argument("--" + key.replace("_", "-"), dest=key)
     return parser
 
 
-_LIST_FLAGS = ("fees", "edge_fractions", "powers")
-
-
 def _settings_from_args(args: argparse.Namespace) -> dict:
-    data = {}
+    data, errors = {}, []
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            data.update(parse_config_text(fh.read()))
-    skip = {"command", "config", "number"}
-    for key, value in vars(args).items():
-        if key in skip or value is None:
+            text = fh.read()
+        try:
+            data.update(parse_config_text(text))
+        except ConfigError as exc:
+            errors.extend(exc.errors)
+    for key, parse in SETTINGS.items():
+        text = getattr(args, key, None)
+        if text is None:
             continue
-        if key in _LIST_FLAGS and isinstance(value, str):
-            value = tuple(float(p) for p in value.split(",") if p.strip())
-        data[key] = value
-    if args.command == "fig":
-        data["kind"] = f"fig{args.number}"
-    else:
-        data["kind"] = args.command
+        try:
+            data[key] = parse(text)
+        except ValueError as exc:
+            errors.append(f"flag --{key.replace('_', '-')}: {exc}")
+    if errors:
+        raise ConfigError(errors)
+    data["kind"] = f"fig{args.number}" if args.command == "fig" else args.command
     return data
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if (args.command == "fig") != (args.number is not None):
+        parser.error("a figure number N goes with 'fig' and only with 'fig'")
     try:
         cfg = build_config(_settings_from_args(args))
         rows, _, n_failed = run_experiment(cfg)

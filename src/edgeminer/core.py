@@ -7,7 +7,7 @@ frozen and safe to share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,17 +15,23 @@ __all__ = [
     "ConfigError",
     "ConvergenceError",
     "DegenerateProfileError",
-    "EquilibriumResult",
     "GameParams",
     "InfeasibleEquilibriumError",
+    "OBJECTIVES",
     "PowerProfile",
     "as_profile",
+    "check_objective",
     "edge_utility",
+    "fee_bracket",
     "leader_reward_scale",
     "miner_utility",
     "mining_success_prob",
     "power_share",
 ]
+
+
+# leader objectives: "full" charges the fee, "simplified" drops the fee term
+OBJECTIVES = ("full", "simplified")
 
 
 class DegenerateProfileError(ValueError):
@@ -190,13 +196,25 @@ def leader_reward_scale(params: GameParams) -> float:
     return params.total_reward * params.delay_discount(params.mobile_tx_load)
 
 
-@dataclass(frozen=True)
-class EquilibriumResult:
-    """Solved stage-II outcome plus the leader-side profit accounting."""
+def check_objective(objective: str):
+    if objective not in OBJECTIVES:
+        raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
 
-    follower_powers: PowerProfile
-    follower_utilities: np.ndarray
-    leader_profit_full: float
-    leader_profit_simplified: float
-    uniqueness_certified: bool
-    certificate_detail: object = field(repr=False, default=None)
+
+def fee_bracket(params: GameParams, bracket=None):
+    """Stage-I fee bracket (lo, hi), floored at the devices' minimum consumption.
+
+    The floor is max(min_consumption, 1e-6): fees below it are refused.  The
+    default bracket is [floor, 100*a], with a the leader reward scale.
+    """
+    floor = max(params.min_consumption, 1e-6)
+    if bracket is None:
+        a = leader_reward_scale(params)
+        lo, hi = floor, (100.0 * a if a > 0 else 10.0 * floor)
+    else:
+        lo, hi = max(float(bracket[0]), floor), float(bracket[1])
+    if not (math.isfinite(lo) and math.isfinite(hi) and 0 < lo < hi):
+        raise ConfigError(
+            f"fee bracket must satisfy 0 < lo < hi after the participation floor "
+            f"{floor:g}; got [{lo:g}, {hi:g}]")
+    return lo, hi

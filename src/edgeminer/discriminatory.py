@@ -13,14 +13,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    ConfigError,
     ConvergenceError,
     DegenerateProfileError,
-    EquilibriumResult,
     GameParams,
     InfeasibleEquilibriumError,
     PowerProfile,
     as_profile,
+    check_objective,
+    fee_bracket,
     leader_reward_scale,
 )
 from .search import golden_section_max
@@ -33,7 +33,6 @@ __all__ = [
     "miner_utility_i",
     "nash_equilibrium_closed_form",
     "optimal_fees_discriminatory",
-    "solve_discriminatory",
     "uniqueness_certificate_discriminatory",
 ]
 
@@ -147,8 +146,7 @@ def leader_delta_utility_discriminatory(game: DiscriminatoryGame, i: int,
     "simplified" is a * equilibrium share of miner i.  "full" subtracts the
     fee: lump basis charges p_i outright, per_power charges p_i * x_i*.
     """
-    if objective not in ("full", "simplified"):
-        raise ValueError(f"objective must be 'full' or 'simplified', got {objective!r}")
+    check_objective(objective)
     if fee_basis not in FEE_BASES:
         raise ValueError(f"fee_basis must be one of {FEE_BASES}, got {fee_basis!r}")
     if not 0 <= i < game.n_miners:
@@ -162,27 +160,6 @@ def leader_delta_utility_discriminatory(game: DiscriminatoryGame, i: int,
     if fee_basis == "per_power":
         fee_cost *= float(allocation.powers[i])
     return a * share - fee_cost
-
-
-def solve_discriminatory(game: DiscriminatoryGame, fee_basis: str = "lump") -> EquilibriumResult:
-    """Closed-form stage-II solution with leader totals summed over miners."""
-    allocation = nash_equilibrium_closed_form(game)
-    utilities = np.array([miner_utility_i(game, allocation, i) for i in range(game.n_miners)])
-    certificate = uniqueness_certificate_discriminatory(game)
-    full = math.fsum(
-        leader_delta_utility_discriminatory(game, i, "full", fee_basis)
-        for i in range(game.n_miners))
-    simplified = math.fsum(
-        leader_delta_utility_discriminatory(game, i, "simplified")
-        for i in range(game.n_miners))
-    return EquilibriumResult(
-        follower_powers=allocation,
-        follower_utilities=utilities,
-        leader_profit_full=full,
-        leader_profit_simplified=simplified,
-        uniqueness_certified=certificate.all_pass,
-        certificate_detail=certificate,
-    )
 
 
 def _per_miner_profit(fees: np.ndarray, i: int, a: float, objective: str) -> float:
@@ -208,21 +185,13 @@ def optimal_fees_discriminatory(n_miners: int, unit_cost: float, params: GamePar
     coordinate to the bracket top.  Fees below min_consumption are excluded
     by the bracket floor.  Returns (fee vector, summed profit).
     """
-    if objective not in ("full", "simplified"):
-        raise ValueError(f"objective must be 'full' or 'simplified', got {objective!r}")
+    check_objective(objective)
     if n_miners < 2:
         raise ValueError("need at least two miners")
     if unit_cost <= 0:
         raise ValueError("unit_cost must be > 0")
     a = leader_reward_scale(params)
-    floor = max(params.min_consumption, 1e-6)
-    if bracket is None:
-        lo, hi = floor, (100.0 * a if a > 0 else 10.0 * floor)
-    else:
-        lo, hi = float(bracket[0]), float(bracket[1])
-        lo = max(lo, floor)
-    if not (math.isfinite(lo) and math.isfinite(hi) and 0 < lo < hi):
-        raise ConfigError(f"fee bracket must satisfy 0 < lo < hi, got [{lo:g}, {hi:g}]")
+    lo, hi = fee_bracket(params, bracket)
 
     fees = np.full(n_miners, 0.5 * (lo + hi))
     updates = 0

@@ -8,15 +8,18 @@ subcommand.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .core import ConfigError, GameParams, InfeasibleEquilibriumError, edge_utility
+from .core import OBJECTIVES, ConfigError, GameParams, InfeasibleEquilibriumError, edge_utility
 from .search import SearchConfig, multiplicative_fee_search
 from .discriminatory import (
+    FEE_BASES,
     DiscriminatoryGame,
     leader_delta_utility_discriminatory,
     miner_utility_i,
@@ -35,8 +38,12 @@ from .uniform import (
 
 __all__ = [
     "ExperimentConfig",
+    "FEE_SEARCHES",
+    "FORMATS",
     "KINDS",
+    "SETTINGS",
     "matched_heterogeneous_fees",
+    "parse_config_text",
     "render_report",
     "run_experiment",
     "validate_config",
@@ -64,8 +71,22 @@ DEFAULT_OBJECTIVES = {
 }
 
 
+FEE_SEARCHES = ("golden", "hillclimb")
+FORMATS = ("csv", "json")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """Everything one run needs: its kind, the game constants, every setting.
+
+    The fields are the only declaration of the settings: each field but
+    ``params`` is a config-file key, and the CLI turns each field but
+    ``kind`` and ``params``, plus each GameParams field, into a
+    ``--kebab-case`` flag (see SETTINGS).  Construction, including through
+    ``dataclasses.replace``, validates every field and raises one
+    ConfigError that lists all violations.
+    """
+
     kind: str = ""
     params: GameParams = field(default_factory=GameParams)
     edge_power: float = 50.0
@@ -94,6 +115,59 @@ class ExperimentConfig:
     out: str | None = None
     format: str = "csv"
 
+    def __post_init__(self):
+        checks = (
+            (self.kind in KINDS, f"kind must be one of {KINDS}, got {self.kind!r}"),
+            (0 < self.step_factor < 1,
+             f"step_factor must lie strictly inside (0, 1), got {self.step_factor!r}"),
+            (self.tolerance > 0, f"tolerance must be > 0, got {self.tolerance!r}"),
+            (self.initial_fee > 0, f"initial_fee must be > 0, got {self.initial_fee!r}"),
+            (self.max_iters >= 1, f"max_iters must be >= 1, got {self.max_iters!r}"),
+            (self.unit_cost > 0, f"unit_cost must be > 0, got {self.unit_cost!r}"),
+            (self.n_miners >= 2, f"n_miners must be >= 2, got {self.n_miners!r}"),
+            (self.n_blocks >= 1, f"n_blocks must be >= 1, got {self.n_blocks!r}"),
+            (self.n_seeds >= 1, f"n_seeds must be >= 1, got {self.n_seeds!r}"),
+            (self.seed >= 0, f"seed must be >= 0, got {self.seed!r}"),
+            (self.fee is None or self.fee > 0, f"fee must be > 0, got {self.fee!r}"),
+            (self.fees is None or all(f > 0 for f in self.fees), "fees must all be > 0"),
+            (0 < self.edge_fraction < 1,
+             f"edge_fraction must lie in (0, 1), got {self.edge_fraction!r}"),
+            (all(0 < f < 1 for f in self.edge_fractions),
+             "edge_fractions must all lie in (0, 1)"),
+            (self.mdg_delay_mult >= 1,
+             f"mdg_delay_mult must be >= 1, got {self.mdg_delay_mult!r}"),
+            (self.objective is None or self.objective in OBJECTIVES,
+             f"objective must be one of {OBJECTIVES}, got {self.objective!r}"),
+            (self.fee_basis in FEE_BASES,
+             f"fee_basis must be one of {FEE_BASES}, got {self.fee_basis!r}"),
+            (self.fee_search in FEE_SEARCHES,
+             f"fee_search must be one of {FEE_SEARCHES}, got {self.fee_search!r}"),
+            (self.format in FORMATS, f"format must be one of {FORMATS}, got {self.format!r}"),
+            (self.edge_power > 0, f"edge_power must be > 0, got {self.edge_power!r}"),
+            (self.device_power > 0, f"device_power must be > 0, got {self.device_power!r}"),
+        )
+        errors = [message for ok, message in checks if not ok]
+
+        start, stop, steps = self.resolved_grid()
+        grid_given = any(v is not None for v in (self.grid_start, self.grid_stop,
+                                                 self.grid_steps))
+        if self.kind in DEFAULT_GRIDS or grid_given:
+            if start is None or stop is None or steps is None:
+                errors.append("grid_start, grid_stop and grid_steps must be given together "
+                              f"for kind {self.kind!r} (no default grid)")
+            else:
+                if not start < stop:
+                    errors.append(f"grid_start must be < grid_stop, got [{start!r}, {stop!r}]")
+                if steps < 2:
+                    errors.append(f"grid_steps must be >= 2, got {steps!r}")
+        if self.kind == "solve-disc" and self.fees is None:
+            errors.append("solve-disc requires a 'fees' list")
+        if self.kind == "simulate":
+            if len(self.powers) < 1 or any(p < 0 for p in self.powers) or sum(self.powers) <= 0:
+                errors.append("powers must be nonnegative with a positive total")
+        if errors:
+            raise ConfigError(errors)
+
     def resolved_grid(self):
         """Grid spec with missing pieces filled from the kind's default."""
         default = DEFAULT_GRIDS.get(self.kind, (None, None, None))
@@ -110,69 +184,25 @@ class ExperimentConfig:
         return self.objective or DEFAULT_OBJECTIVES.get(self.kind, "full")
 
 
-def _parse_float(text: str) -> float:
-    return float(text)
-
-
-def _parse_int(text: str) -> int:
-    return int(text)
-
-
-def _parse_str(text: str) -> str:
-    return text
-
-
-def _parse_float_list(text: str) -> tuple:
+def _float_list(text: str) -> tuple:
     parts = [p.strip() for p in text.split(",") if p.strip()]
     if not parts:
         raise ValueError("expected a comma-separated list of numbers")
     return tuple(float(p) for p in parts)
 
 
-_PARAM_KEYS = {
-    "fixed_reward": _parse_float,
-    "tx_reward": _parse_float,
-    "poisson_rate": _parse_float,
-    "delay_factor": _parse_float,
-    "tx_per_block": _parse_int,
-    "mobile_tx_load": _parse_int,
-    "edge_overhead": _parse_float,
-    "min_consumption": _parse_float,
-}
+# a value's parser follows from its field's annotation: "float | None" -> float
+_PARSERS = {"float": float, "int": int, "str": str, "tuple": _float_list}
 
-_CONFIG_KEYS = {
-    "kind": _parse_str,
-    "edge_power": _parse_float,
-    "device_power": _parse_float,
-    "unit_cost": _parse_float,
-    "fee": _parse_float,
-    "fees": _parse_float_list,
-    "n_miners": _parse_int,
-    "objective": _parse_str,
-    "fee_basis": _parse_str,
-    "fee_search": _parse_str,
-    "grid_start": _parse_float,
-    "grid_stop": _parse_float,
-    "grid_steps": _parse_int,
-    "edge_fraction": _parse_float,
-    "edge_fractions": _parse_float_list,
-    "mdg_delay_mult": _parse_float,
-    "seed": _parse_int,
-    "n_seeds": _parse_int,
-    "n_blocks": _parse_int,
-    "powers": _parse_float_list,
-    "initial_fee": _parse_float,
-    "step_factor": _parse_float,
-    "tolerance": _parse_float,
-    "max_iters": _parse_int,
-    "out": _parse_str,
-    "format": _parse_str,
-    **_PARAM_KEYS,
-}
+# every config key with its value parser; each is a field of one of the two dataclasses
+SETTINGS = {f.name: _PARSERS[f.type.split(" |")[0]]
+            for cls in (GameParams, ExperimentConfig) for f in fields(cls)
+            if f.name != "params"}
+_PARAM_NAMES = frozenset(f.name for f in fields(GameParams))
 
 
 def parse_config_text(text: str) -> dict:
-    """Parse flat ``key = value`` lines into a raw settings dict."""
+    """Parse flat ``key = value`` lines into a settings dict."""
     errors = []
     data = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -184,14 +214,14 @@ def parse_config_text(text: str) -> dict:
             continue
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in SETTINGS:
             errors.append(f"line {lineno}: unknown key {key!r}")
             continue
         if key in data:
             errors.append(f"line {lineno}: duplicate key {key!r}")
             continue
         try:
-            data[key] = _CONFIG_KEYS[key](value)
+            data[key] = SETTINGS[key](value)
         except ValueError as exc:
             errors.append(f"line {lineno}: key {key!r}: {exc}")
     if errors:
@@ -200,85 +230,24 @@ def parse_config_text(text: str) -> dict:
 
 
 def build_config(data: dict) -> ExperimentConfig:
-    """Assemble and validate an ExperimentConfig from raw settings."""
-    errors = []
-    unknown = set(data) - set(_CONFIG_KEYS)
-    if unknown:
-        errors.append(f"unknown keys: {sorted(unknown)}")
-        raise ConfigError(errors)
+    """Assemble GameParams and ExperimentConfig from parsed settings.
 
-    param_kwargs = {k: data[k] for k in _PARAM_KEYS if k in data}
+    Raises one ConfigError that lists every invalid value of both.
+    """
+    unknown = set(data) - set(SETTINGS)
+    if unknown:
+        raise ConfigError(f"unknown keys: {sorted(unknown)}")
+    errors = []
     try:
-        params = GameParams(**param_kwargs)
+        params = GameParams(**{k: v for k, v in data.items() if k in _PARAM_NAMES})
     except ValueError as exc:
         errors.append(str(exc))
         params = GameParams()
-
-    cfg_kwargs = {k: v for k, v in data.items() if k not in _PARAM_KEYS}
-    cfg_field_names = {f.name for f in fields(ExperimentConfig)}
-    cfg = ExperimentConfig(**{k: v for k, v in cfg_kwargs.items() if k in cfg_field_names},
-                           params=params)
-
-    if cfg.kind not in KINDS:
-        errors.append(f"kind must be one of {KINDS}, got {cfg.kind!r}")
-    if not 0 < cfg.step_factor < 1:
-        errors.append(f"step_factor must lie strictly inside (0, 1), got {cfg.step_factor!r}")
-    if cfg.tolerance <= 0:
-        errors.append(f"tolerance must be > 0, got {cfg.tolerance!r}")
-    if cfg.initial_fee <= 0:
-        errors.append(f"initial_fee must be > 0, got {cfg.initial_fee!r}")
-    if cfg.max_iters < 1:
-        errors.append(f"max_iters must be >= 1, got {cfg.max_iters!r}")
-    if cfg.unit_cost <= 0:
-        errors.append(f"unit_cost must be > 0, got {cfg.unit_cost!r}")
-    if cfg.n_miners < 2:
-        errors.append(f"n_miners must be >= 2, got {cfg.n_miners!r}")
-    if cfg.n_blocks < 1:
-        errors.append(f"n_blocks must be >= 1, got {cfg.n_blocks!r}")
-    if cfg.n_seeds < 1:
-        errors.append(f"n_seeds must be >= 1, got {cfg.n_seeds!r}")
-    if cfg.seed < 0:
-        errors.append(f"seed must be >= 0, got {cfg.seed!r}")
-    if cfg.fee is not None and cfg.fee <= 0:
-        errors.append(f"fee must be > 0, got {cfg.fee!r}")
-    if cfg.fees is not None and any(f <= 0 for f in cfg.fees):
-        errors.append("fees must all be > 0")
-    if not 0 < cfg.edge_fraction < 1:
-        errors.append(f"edge_fraction must lie in (0, 1), got {cfg.edge_fraction!r}")
-    if any(not 0 < f < 1 for f in cfg.edge_fractions):
-        errors.append("edge_fractions must all lie in (0, 1)")
-    if cfg.mdg_delay_mult < 1:
-        errors.append(f"mdg_delay_mult must be >= 1, got {cfg.mdg_delay_mult!r}")
-    if cfg.objective is not None and cfg.objective not in ("full", "simplified"):
-        errors.append(f"objective must be 'full' or 'simplified', got {cfg.objective!r}")
-    if cfg.fee_basis not in ("lump", "per_power"):
-        errors.append(f"fee_basis must be 'lump' or 'per_power', got {cfg.fee_basis!r}")
-    if cfg.fee_search not in ("golden", "hillclimb"):
-        errors.append(f"fee_search must be 'golden' or 'hillclimb', got {cfg.fee_search!r}")
-    if cfg.format not in ("csv", "json"):
-        errors.append(f"format must be 'csv' or 'json', got {cfg.format!r}")
-    if cfg.edge_power <= 0:
-        errors.append(f"edge_power must be > 0, got {cfg.edge_power!r}")
-    if cfg.device_power <= 0:
-        errors.append(f"device_power must be > 0, got {cfg.device_power!r}")
-
-    start, stop, steps = cfg.resolved_grid()
-    grid_given = any(v is not None for v in (cfg.grid_start, cfg.grid_stop, cfg.grid_steps))
-    if cfg.kind in DEFAULT_GRIDS or grid_given:
-        if start is None or stop is None or steps is None:
-            errors.append("grid_start, grid_stop and grid_steps must be given together "
-                          f"for kind {cfg.kind!r} (no default grid)")
-        else:
-            if not start < stop:
-                errors.append(f"grid_start must be < grid_stop, got [{start!r}, {stop!r}]")
-            if steps < 2:
-                errors.append(f"grid_steps must be >= 2, got {steps!r}")
-    if cfg.kind == "solve-disc" and cfg.fees is None:
-        errors.append("solve-disc requires a 'fees' list")
-    if cfg.kind == "simulate":
-        if len(cfg.powers) < 1 or any(p < 0 for p in cfg.powers) or sum(cfg.powers) <= 0:
-            errors.append("powers must be nonnegative with a positive total")
-
+    try:
+        cfg = ExperimentConfig(params=params, **{k: v for k, v in data.items()
+                                                 if k not in _PARAM_NAMES})
+    except ConfigError as exc:
+        errors.extend(exc.errors)
     if errors:
         raise ConfigError(errors)
     return cfg
@@ -539,7 +508,10 @@ def _rows_solve_disc(cfg: ExperimentConfig):
     try:
         allocation = nash_equilibrium_closed_form(game)
     except InfeasibleEquilibriumError as exc:
-        return [_failed(template, f"infeasible: miners {list(exc.indices)}")]
+        shown = " ".join(str(i) for i in exc.indices[:5])
+        more = " ..." if len(exc.indices) > 5 else ""
+        return [_failed(template, f"infeasible: miners {shown}{more} "
+                                  f"({len(exc.indices)} of {game.n_miners})")]
     certificate = uniqueness_certificate_discriminatory(game)
     shares = allocation.shares()
     rows = []
@@ -620,10 +592,11 @@ def render_report(rows, fmt: str) -> str:
     if not rows:
         return ""
     header = list(rows[0].keys())
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_format_cell(row[key]) for key in header))
-    return "\n".join(lines) + "\n"
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_format_cell(row[key]) for key in header] for row in rows)
+    return buffer.getvalue()
 
 
 def run_experiment(cfg: ExperimentConfig):

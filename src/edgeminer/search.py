@@ -17,7 +17,6 @@ from .core import ConvergenceError, PowerProfile
 __all__ = [
     "SearchConfig",
     "SearchTrace",
-    "TraceStep",
     "best_response_dynamics",
     "golden_section_max",
     "grid_argmax",

@@ -11,13 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (
-    ConfigError,
-    EquilibriumResult,
-    GameParams,
-    PowerProfile,
-    leader_reward_scale,
-)
+from .core import GameParams, check_objective, fee_bracket, leader_reward_scale
 from .search import golden_section_max
 
 __all__ = [
@@ -27,17 +21,8 @@ __all__ = [
     "best_response_uniform",
     "leader_delta_utility_uniform",
     "optimal_fee_uniform",
-    "solve_uniform",
     "uniqueness_certificate_uniform",
 ]
-
-OBJECTIVES = ("full", "simplified")
-
-
-def _check_objective(objective: str):
-    if objective not in OBJECTIVES:
-        raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
-
 
 @dataclass(frozen=True)
 class UniformGame:
@@ -117,7 +102,7 @@ def leader_delta_utility_uniform(game: UniformGame, objective: str = "full") -> 
     (so a non-participating pool still costs the announced fee).
     "simplified" drops the fee term: a*(1 - sqrt(X*unit_cost/kappa)).
     """
-    _check_objective(objective)
+    check_objective(objective)
     a = leader_reward_scale(game.params)
     if objective == "simplified":
         return a * (1.0 - math.sqrt(game.edge_power * game.unit_cost / game.kappa))
@@ -133,20 +118,10 @@ def optimal_fee_uniform(edge_power: float, unit_cost: float, params: GameParams,
     the devices' minimum consumption are cut away because such offers are
     refused.  Returns (best_fee, profit).
     """
-    _check_objective(objective)
+    check_objective(objective)
     if edge_power <= 0 or unit_cost <= 0:
         raise ValueError("edge_power and unit_cost must be > 0")
-    a = leader_reward_scale(params)
-    floor = max(params.min_consumption, 1e-6)
-    if bracket is None:
-        lo, hi = floor, (100.0 * a if a > 0 else 10.0 * floor)
-    else:
-        lo, hi = float(bracket[0]), float(bracket[1])
-        lo = max(lo, floor)
-    if not (math.isfinite(lo) and math.isfinite(hi) and 0 < lo < hi):
-        raise ConfigError(
-            f"fee bracket must satisfy 0 < lo < hi after the participation floor "
-            f"{floor:g}; got [{lo:g}, {hi:g}]")
+    lo, hi = fee_bracket(params, bracket)
 
     def profit_at(fee: float) -> float:
         game = UniformGame(edge_power, fee, unit_cost, params)
@@ -154,17 +129,3 @@ def optimal_fee_uniform(edge_power: float, unit_cost: float, params: GameParams,
 
     return golden_section_max(profit_at, lo, hi, rel_tol)
 
-
-def solve_uniform(game: UniformGame) -> EquilibriumResult:
-    """Solve Stage II and report both leader-profit accountings."""
-    y_star = best_response_uniform(game)
-    certificate = uniqueness_certificate_uniform(game)
-    utilities = np.array([aggregate_miner_utility(game, y_star)])
-    return EquilibriumResult(
-        follower_powers=PowerProfile(np.array([y_star])),
-        follower_utilities=utilities,
-        leader_profit_full=leader_delta_utility_uniform(game, "full"),
-        leader_profit_simplified=leader_delta_utility_uniform(game, "simplified"),
-        uniqueness_certified=certificate.certified,
-        certificate_detail=certificate,
-    )

@@ -17,7 +17,6 @@ from edgeminer import (
     miner_utility_i,
     nash_equilibrium_closed_form,
     optimal_fees_discriminatory,
-    solve_discriminatory,
     uniqueness_certificate_discriminatory,
 )
 
@@ -193,12 +192,14 @@ class TestLeaderDelta:
 class TestSolveDiscriminatory:
     def test_totals_match_per_miner_sums(self):
         game = _game([4, 8])
-        result = solve_discriminatory(game)
         a = leader_reward_scale(game.params)
-        assert result.leader_profit_full == pytest.approx(a - 12.0)
-        assert result.leader_profit_simplified == pytest.approx(a)
-        assert not result.uniqueness_certified
-        np.testing.assert_allclose(result.follower_powers.powers, [8 / 9, 16 / 9])
+        full = math.fsum(leader_delta_utility_discriminatory(game, i, "full") for i in range(2))
+        simplified = math.fsum(leader_delta_utility_discriminatory(game, i, "simplified")
+                               for i in range(2))
+        assert full == pytest.approx(a - 12.0)
+        assert simplified == pytest.approx(a)
+        assert not uniqueness_certificate_discriminatory(game).all_pass
+        np.testing.assert_allclose(nash_equilibrium_closed_form(game).powers, [8 / 9, 16 / 9])
 
 
 class TestOptimalFees:

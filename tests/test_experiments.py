@@ -1,19 +1,26 @@
 """Config parsing, report writing, CLI behavior, and figure-series trends."""
 
+import csv
+import dataclasses
+import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from edgeminer import ConfigError, validate_config
-from edgeminer.cli import main
+from edgeminer import ConfigError, ExperimentConfig, GameParams, validate_config
+from edgeminer.cli import _settings_from_args, build_parser, main
 from edgeminer.experiments import (
     DEFAULT_GRIDS,
+    SETTINGS,
     build_config,
     render_report,
     run_experiment,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _run(kind, tmp_path, **settings):
@@ -88,6 +95,51 @@ class TestValidateConfig:
             validate_config("kind = solve-uniform\nfee_search = newton\n")
 
 
+# valid non-default raw values for the settings whose default gives no hint
+_RAW_VALUES = {
+    "fee": "2.5", "fees": "4, 8", "objective": "simplified", "fee_basis": "per_power",
+    "fee_search": "hillclimb", "grid_start": "2.5", "grid_stop": "20", "grid_steps": "3",
+    "edge_fractions": "0.2,0.7", "powers": "1,2", "out": "x.json", "format": "json",
+}
+
+
+def _raw_value(f):
+    if f.name in _RAW_VALUES:
+        return _RAW_VALUES[f.name]
+    default = f.default
+    return str(default + 1) if isinstance(default, int) else repr(1.5 * default)
+
+
+class TestSchema:
+    fields = [f for cls in (GameParams, ExperimentConfig) for f in dataclasses.fields(cls)
+              if f.name not in ("kind", "params")]
+
+    def test_settings_are_the_dataclass_fields(self):
+        assert set(SETTINGS) == {f.name for f in self.fields} | {"kind"}
+
+    @pytest.mark.parametrize("f", fields, ids=lambda f: f.name)
+    def test_field_is_a_config_key_and_a_flag(self, f):
+        raw = _raw_value(f)
+        from_file = validate_config(f"kind = fig2\n{f.name} = {raw}\n")
+        args = build_parser().parse_args(["fig", "2", "--" + f.name.replace("_", "-"), raw])
+        from_flag = build_config(_settings_from_args(args))
+        in_params = f.name in GameParams.__dataclass_fields__
+        values = [getattr(cfg.params if in_params else cfg, f.name)
+                  for cfg in (from_file, from_flag)]
+        assert values[0] == values[1] == SETTINGS[f.name](raw) != f.default
+
+    def test_invalid_values_rejected_on_construction_and_replace(self):
+        cfg = ExperimentConfig(kind="fig2")
+        with pytest.raises(ConfigError) as err:
+            dataclasses.replace(cfg, step_factor=1.5)
+        assert "step_factor" in str(err.value)
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(kind="fig2", seed=-1, format="xml", fee_basis="weird")
+        assert len(err.value.errors) == 3
+        with pytest.raises(ConfigError):
+            ExperimentConfig()  # no kind
+
+
 class TestReportFiles:
     def test_csv_round_trip_full_precision(self, tmp_path):
         rows, path, _ = _run("fig2", tmp_path, grid_steps=6)
@@ -124,6 +176,15 @@ class TestReportFiles:
         rows_a, _, _ = _run("simulate", tmp_path, seed=1, out=str(tmp_path / "a.csv"))
         rows_b, _, _ = _run("simulate", tmp_path, seed=2, out=str(tmp_path / "b.csv"))
         assert [r["wins"] for r in rows_a] != [r["wins"] for r in rows_b]
+
+    def test_infeasible_solve_disc_report_parses_as_csv(self, tmp_path):
+        fees = ",".join(str(float(x)) for x in np.linspace(4.0, 8.0, 50))
+        out = tmp_path / "d.csv"
+        code = main(["solve-disc", "--fees", fees, "--unit-cost", "0.005", "--out", str(out)])
+        assert code == 3
+        lines = list(csv.reader(io.StringIO(out.read_text())))
+        assert len(lines) == 2 and all(len(line) == 9 for line in lines)
+        assert lines[1][-1] == "infeasible: miners 0 1 2 3 4 ... (21 of 50)"
 
     def test_render_report_formats_booleans(self):
         text = render_report([{"x": True, "y": 1, "status": "ok"}], "csv")
@@ -199,6 +260,15 @@ class TestTrends:
         assert match[0]["profit_mdg"] == target["profit_mdg"]
 
 
+class TestGolden:
+    # the committed series; the settings match demos/06_figure_series.py
+    @pytest.mark.parametrize("kind", ["fig1", "fig2", "fig3", "fig4", "fig5", "fig6"])
+    def test_series_byte_identical(self, kind, tmp_path):
+        settings = {"grid_steps": 20} if kind == "fig1" else {}
+        _run(kind, tmp_path, **settings)
+        assert (tmp_path / f"{kind}.csv").read_bytes() == (GOLDEN / f"{kind}.csv").read_bytes()
+
+
 class TestCli:
     def test_solve_uniform_writes_file(self, tmp_path, capsys):
         out = tmp_path / "u.csv"
@@ -267,3 +337,35 @@ class TestCli:
                      "--out", str(tmp_path / "u.csv")])
         assert code == 3
         assert "no result" in capsys.readouterr().err
+
+    def test_bad_flag_value_is_a_config_error(self, tmp_path, capsys):
+        code = main(["fig", "2", "--seed", "banana", "--fees", "a,b",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--seed" in err and "--fees" in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_bad_flag_reported_with_bad_config_line(self, tmp_path, capsys):
+        config = tmp_path / "exp.cfg"
+        config.write_text("wat = 3\n")
+        code = main(["fig", "2", "--config", str(config), "--n-blocks", "1e3"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "wat" in err and "--n-blocks" in err
+
+    def test_choice_flag_checked_by_config(self, tmp_path, capsys):
+        code = main(["fig", "2", "--format", "xml", "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "format must be one of" in capsys.readouterr().err
+
+    def test_figure_number_only_with_fig(self):
+        for argv in (["fig"], ["solve-uniform", "3"], ["fig", "7"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+
+    def test_options_before_figure_number(self, tmp_path):
+        out = tmp_path / "f.csv"
+        assert main(["fig", "--grid-steps", "4", "2", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 5

@@ -14,7 +14,6 @@ from edgeminer import (
     grid_argmax,
     leader_delta_utility_uniform,
     optimal_fee_uniform,
-    solve_uniform,
     uniqueness_certificate_uniform,
 )
 
@@ -216,19 +215,19 @@ class TestOptimalFee:
 
 class TestSolveUniform:
     def test_result_fields_consistent(self):
+        # X = 0.5, kappa = 4, unit cost 1, a = 10: interior Y* = sqrt(2) - 1/2
         game = _game(edge_power=0.5)
-        result = solve_uniform(game)
-        assert result.follower_powers.powers[0] == best_response_uniform(game)
-        assert result.uniqueness_certified
-        assert result.leader_profit_full == pytest.approx(
-            leader_delta_utility_uniform(game, "full"))
-        assert result.leader_profit_simplified == pytest.approx(
-            leader_delta_utility_uniform(game, "simplified"))
+        y_star = best_response_uniform(game)
+        assert y_star == pytest.approx(math.sqrt(2.0) - 0.5)
+        assert uniqueness_certificate_uniform(game).certified
+        simplified = leader_delta_utility_uniform(game, "simplified")
+        assert simplified == pytest.approx(10.0 * y_star / (0.5 + y_star))
+        assert leader_delta_utility_uniform(game, "full") == pytest.approx(simplified - 4.0)
 
     def test_repeated_response_is_constant_when_certified(self):
         # aggregate response depends only on the edge power, so re-solving
         # from the equilibrium reproduces it exactly
         game = _game(edge_power=0.5)
-        result = solve_uniform(game)
-        again = best_response_uniform(game)
-        assert again == result.follower_powers.powers[0]
+        assert uniqueness_certificate_uniform(game).certified
+        first = best_response_uniform(game)
+        assert best_response_uniform(game) == first
