@@ -45,6 +45,7 @@ from .simulate import (
     SimOutcome,
     emg_vs_mdg_sweep,
     empirical_success_prob,
+    first_miner_wins,
     mdg_baseline_profit,
     simulate_mining,
 )

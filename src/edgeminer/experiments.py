@@ -16,17 +16,28 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .core import OBJECTIVES, ConfigError, GameParams, InfeasibleEquilibriumError, edge_utility
+from .core import (
+    OBJECTIVES,
+    ConfigError,
+    GameParams,
+    InfeasibleEquilibriumError,
+    edge_utility,
+    leader_reward_scale,
+)
 from .search import SearchConfig, multiplicative_fee_search
 from .discriminatory import (
     FEE_BASES,
     DiscriminatoryGame,
-    leader_delta_utility_discriminatory,
-    miner_utility_i,
     nash_equilibrium_closed_form,
     uniqueness_certificate_discriminatory,
 )
-from .simulate import SimConfig, emg_vs_mdg_sweep, mdg_baseline_profit, simulate_mining
+from .simulate import (
+    SimConfig,
+    emg_vs_mdg_sweep,
+    first_miner_wins,
+    mdg_baseline_profit,
+    simulate_mining,
+)
 from .uniform import (
     UniformGame,
     aggregate_miner_utility,
@@ -73,6 +84,11 @@ DEFAULT_OBJECTIVES = {
 
 FEE_SEARCHES = ("golden", "hillclimb")
 FORMATS = ("csv", "json")
+
+
+def _field_type(f) -> str:
+    """A dataclass field's annotation without "| None": float, int, str or tuple."""
+    return f.type.split(" |")[0]
 
 
 @dataclass(frozen=True)
@@ -147,6 +163,11 @@ class ExperimentConfig:
             (self.device_power > 0, f"device_power must be > 0, got {self.device_power!r}"),
         )
         errors = [message for ok, message in checks if not ok]
+        for f in fields(self):
+            kind, value = _field_type(f), getattr(self, f.name)
+            if kind in ("float", "tuple") and value is not None and not all(
+                    map(math.isfinite, value if kind == "tuple" else (value,))):
+                errors.append(f"{f.name} must be finite, got {value!r}")
 
         start, stop, steps = self.resolved_grid()
         grid_given = any(v is not None for v in (self.grid_start, self.grid_stop,
@@ -195,7 +216,7 @@ def _float_list(text: str) -> tuple:
 _PARSERS = {"float": float, "int": int, "str": str, "tuple": _float_list}
 
 # every config key with its value parser; each is a field of one of the two dataclasses
-SETTINGS = {f.name: _PARSERS[f.type.split(" |")[0]]
+SETTINGS = {f.name: _PARSERS[_field_type(f)]
             for cls in (GameParams, ExperimentConfig) for f in fields(cls)
             if f.name != "params"}
 _PARAM_NAMES = frozenset(f.name for f in fields(GameParams))
@@ -293,25 +314,22 @@ def _rows_fig1(cfg: ExperimentConfig):
     """Edge-miner mining success probability against its computing power."""
     params = cfg.params
     device_power = cfg.device_power
-    rows = []
+    grid = cfg.grid()
+    sim = SimConfig(n_blocks=cfg.n_blocks, tx_per_block=params.tx_per_block,
+                    seed=cfg.seed, params=params)
     # same seeds for every grid point: with common draws the empirical
     # frequency is monotone in the win probability by construction
-    seeds = [cfg.seed + k for k in range(cfg.n_seeds)]
-    for x in cfg.grid():
+    wins = first_miner_wins([[x, device_power] for x in grid], sim, cfg.n_seeds)
+    freqs = wins / cfg.n_blocks
+    rows = []
+    for x, point_freqs in zip(grid, freqs):
         share = x / (x + device_power)
-        model = share * params.delay_discount(params.tx_per_block)
-        freqs = []
-        for seed in seeds:
-            sim = SimConfig(n_blocks=cfg.n_blocks, tx_per_block=params.tx_per_block,
-                            seed=seed, params=params)
-            outcome = simulate_mining([x, device_power], sim)
-            freqs.append(outcome.wins[0] / outcome.n_blocks)
         rows.append({
             "edge_power": float(x),
             "device_power": device_power,
             "edge_share": share,
-            "success_prob_model": model,
-            "success_prob_empirical": float(np.mean(freqs)),
+            "success_prob_model": share * params.delay_discount(params.tx_per_block),
+            "success_prob_empirical": float(np.mean(point_freqs)),
             "status": "ok",
         })
     return rows
@@ -513,23 +531,25 @@ def _rows_solve_disc(cfg: ExperimentConfig):
         return [_failed(template, f"infeasible: miners {shown}{more} "
                                   f"({len(exc.indices)} of {game.n_miners})")]
     certificate = uniqueness_certificate_discriminatory(game)
-    shares = allocation.shares()
-    rows = []
-    for i in range(game.n_miners):
-        rows.append({
-            "miner": i,
-            "fee": float(game.fees[i]),
-            "power": float(allocation.powers[i]),
-            "share": float(shares[i]),
-            "utility": miner_utility_i(game, allocation, i),
-            "certified_unique_i": bool(certificate.per_miner[i]),
-            "leader_delta_full": leader_delta_utility_discriminatory(
-                game, i, "full", cfg.fee_basis),
-            "leader_delta_simplified": leader_delta_utility_discriminatory(
-                game, i, "simplified"),
-            "status": "ok",
-        })
-    return rows
+    # miner_utility_i and leader_delta_utility_discriminatory, elementwise
+    # over every miner from this one solve
+    fees, powers, shares = game.fees, allocation.powers, allocation.shares()
+    discount = game.params.delay_discount(game.params.mobile_tx_load)
+    a = leader_reward_scale(game.params)
+    utility = fees * shares * discount - game.unit_cost * powers
+    delta_full = a * shares - (fees * powers if cfg.fee_basis == "per_power" else fees)
+    delta_simplified = a * (1.0 - (game.n_miners - 1) / (fees * math.fsum(1.0 / fees)))
+    return [{
+        "miner": i,
+        "fee": float(fees[i]),
+        "power": float(powers[i]),
+        "share": float(shares[i]),
+        "utility": float(utility[i]),
+        "certified_unique_i": bool(certificate.per_miner[i]),
+        "leader_delta_full": float(delta_full[i]),
+        "leader_delta_simplified": float(delta_simplified[i]),
+        "status": "ok",
+    } for i in range(game.n_miners)]
 
 
 def _rows_simulate(cfg: ExperimentConfig):

@@ -22,6 +22,7 @@ __all__ = [
     "SimOutcome",
     "emg_vs_mdg_sweep",
     "empirical_success_prob",
+    "first_miner_wins",
     "mdg_baseline_profit",
     "simulate_mining",
 ]
@@ -58,13 +59,17 @@ class SimOutcome:
         return self.wins / self.n_blocks
 
 
+def _block_draws(seed: int, n_blocks: int) -> np.ndarray:
+    """One uniform in [0, 1) per block from the seed's pinned PCG64 stream."""
+    return np.random.Generator(np.random.PCG64(seed)).random(n_blocks)
+
+
 def simulate_mining(profile, cfg: SimConfig) -> SimOutcome:
     """Run cfg.n_blocks categorical mining rounds; deterministic per seed."""
     shares = as_profile(profile).shares()
     win_probs = shares * cfg.params.delay_discount(cfg.tx_per_block)
     cum = np.cumsum(win_probs)
-    rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    draws = rng.random(cfg.n_blocks)
+    draws = _block_draws(cfg.seed, cfg.n_blocks)
     winners = np.searchsorted(cum, draws, side="right")
     counts = np.bincount(winners, minlength=shares.size + 1)
     return SimOutcome(
@@ -72,6 +77,25 @@ def simulate_mining(profile, cfg: SimConfig) -> SimOutcome:
         orphans=int(counts[shares.size:].sum()),
         n_blocks=cfg.n_blocks,
     )
+
+
+def first_miner_wins(profiles, cfg: SimConfig, n_seeds: int) -> np.ndarray:
+    """Miner 0's win counts, one row per profile and one column per seed.
+
+    Entry [j, k] equals ``simulate_mining(profiles[j], cfg).wins[0]`` run
+    with seed cfg.seed + k.  Miner 0 wins a block exactly when its draw lies
+    below share_0 * discount, so each seed's stream is drawn and sorted once
+    and every profile's count is one binary search into it.
+    """
+    if not isinstance(n_seeds, (int, np.integer)) or n_seeds < 1:
+        raise ValueError(f"n_seeds must be an integer >= 1, got {n_seeds!r}")
+    discount = cfg.params.delay_discount(cfg.tx_per_block)
+    thresholds = np.array([as_profile(p).shares()[0] * discount for p in profiles])
+    wins = np.empty((thresholds.size, n_seeds), dtype=np.int64)
+    for k in range(n_seeds):
+        draws = np.sort(_block_draws(cfg.seed + k, cfg.n_blocks))
+        wins[:, k] = np.searchsorted(draws, thresholds, side="left")
+    return wins
 
 
 def empirical_success_prob(outcome: SimOutcome, i: int) -> float:

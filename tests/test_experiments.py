@@ -5,16 +5,32 @@ import dataclasses
 import io
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from edgeminer import ConfigError, ExperimentConfig, GameParams, validate_config
+from edgeminer import (
+    ConfigError,
+    DiscriminatoryGame,
+    ExperimentConfig,
+    GameParams,
+    SimConfig,
+    discriminatory,
+    experiments,
+    leader_delta_utility_discriminatory,
+    miner_utility_i,
+    nash_equilibrium_closed_form,
+    simulate_mining,
+    validate_config,
+)
 from edgeminer.cli import _settings_from_args, build_parser, main
+from edgeminer.discriminatory import FEE_BASES
 from edgeminer.experiments import (
     DEFAULT_GRIDS,
     SETTINGS,
+    _rows_fig1,
     build_config,
     render_report,
     run_experiment,
@@ -138,6 +154,122 @@ class TestSchema:
         assert len(err.value.errors) == 3
         with pytest.raises(ConfigError):
             ExperimentConfig()  # no kind
+
+
+class TestNonFiniteSettings:
+    # every float and float-list field; three run on the figure where an infinite
+    # value used to get through validation
+    fields = [f.name for f in dataclasses.fields(ExperimentConfig)
+              if f.type.split(" |")[0] in ("float", "tuple")]
+    commands = {"grid_stop": ["fig", "2"], "device_power": ["fig", "4"],
+                "mdg_delay_mult": ["fig", "6"]}
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("name", fields)
+    def test_rejected_under_its_own_name(self, name, value, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        if SETTINGS[name] is not float:
+            value = f"1,{value}"
+        argv = self.commands.get(name, ["fig", "2"]) + [
+            f"--{name.replace('_', '-')}={value}", "--out", str(out)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        assert code == 2
+        assert f"config error: {name} must be finite" in capsys.readouterr().err
+        assert not caught
+        assert not out.exists()
+
+
+class TestFig1SharedDraws:
+    @staticmethod
+    def _oracle(cfg):
+        # the per-point loop: one simulate_mining run per grid point and seed
+        params = cfg.params
+        rows = []
+        for x in cfg.grid():
+            freqs = []
+            for seed in range(cfg.seed, cfg.seed + cfg.n_seeds):
+                sim = SimConfig(n_blocks=cfg.n_blocks, tx_per_block=params.tx_per_block,
+                                seed=seed, params=params)
+                outcome = simulate_mining([x, cfg.device_power], sim)
+                freqs.append(outcome.wins[0] / outcome.n_blocks)
+            share = x / (x + cfg.device_power)
+            rows.append({
+                "edge_power": float(x),
+                "device_power": cfg.device_power,
+                "edge_share": share,
+                "success_prob_model": share * params.delay_discount(params.tx_per_block),
+                "success_prob_empirical": float(np.mean(freqs)),
+                "status": "ok",
+            })
+        return rows
+
+    @pytest.mark.parametrize("params", [{}, {"poisson_rate": 0.0}, {"tx_per_block": 3}],
+                             ids=["default", "no-delay", "tx3"])
+    @pytest.mark.parametrize("n_blocks", [1, 137])
+    @pytest.mark.parametrize("n_seeds", [1, 3, 12])
+    def test_rows_equal_per_point_simulation(self, n_seeds, n_blocks, params):
+        cfg = build_config({"kind": "fig1", "grid_start": 0.0, "grid_stop": 60.0,
+                            "grid_steps": 13, "device_power": 20.0, "seed": 77,
+                            "n_seeds": n_seeds, "n_blocks": n_blocks, **params})
+        assert _rows_fig1(cfg) == self._oracle(cfg)
+
+    def test_one_generator_per_seed(self, monkeypatch):
+        seeds = []
+        pcg64 = np.random.PCG64
+
+        def counting(seed):
+            seeds.append(seed)
+            return pcg64(seed)
+
+        monkeypatch.setattr(np.random, "PCG64", counting)
+        _rows_fig1(build_config({"kind": "fig1", "grid_steps": 25, "n_seeds": 4, "seed": 9}))
+        assert seeds == [9, 10, 11, 12]
+
+    def test_negative_grid_point_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["fig", "1", "--grid-start", "-5", "--out", str(out)]) == 2
+        assert "config error: powers must be finite and >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestSolveDiscOneSolve:
+    @staticmethod
+    def _fees(n):
+        rng = np.random.default_rng(n)
+        return tuple(10.0 * (1.0 + (0.4 / n) * rng.uniform(-1.0, 1.0, n)))
+
+    @pytest.mark.parametrize("basis", FEE_BASES)
+    @pytest.mark.parametrize("n", [2, 7, 300])
+    def test_rows_equal_per_miner_functions(self, n, basis, tmp_path):
+        params = GameParams(mobile_tx_load=7, poisson_rate=0.02)
+        rows, _, _ = _run("solve-disc", tmp_path, fees=self._fees(n), fee_basis=basis,
+                          unit_cost=0.004, mobile_tx_load=7, poisson_rate=0.02)
+        game = DiscriminatoryGame(np.asarray(self._fees(n)), 0.004, params)
+        allocation = nash_equilibrium_closed_form(game)
+        assert len(rows) == n
+        for i, row in enumerate(rows):
+            assert row["power"] == allocation.powers[i]
+            assert row["share"] == allocation.shares()[i]
+            assert row["utility"] == miner_utility_i(game, allocation, i)
+            assert row["leader_delta_full"] == leader_delta_utility_discriminatory(
+                game, i, "full", basis)
+            assert row["leader_delta_simplified"] == leader_delta_utility_discriminatory(
+                game, i, "simplified", basis)
+
+    def test_one_nash_solve(self, monkeypatch, tmp_path):
+        sizes = []
+        solve = discriminatory.nash_equilibrium_closed_form
+
+        def counting(game):
+            sizes.append(game.n_miners)
+            return solve(game)
+
+        for module in (discriminatory, experiments):
+            monkeypatch.setattr(module, "nash_equilibrium_closed_form", counting)
+        _run("solve-disc", tmp_path, fees=self._fees(50))
+        assert sizes == [50]
 
 
 class TestReportFiles:

@@ -1,5 +1,6 @@
 """Monte-Carlo mining runs and the delayed-baseline comparison."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from edgeminer import (
     edge_utility,
     emg_vs_mdg_sweep,
     empirical_success_prob,
+    first_miner_wins,
     mdg_baseline_profit,
     simulate_mining,
 )
@@ -69,6 +71,23 @@ class TestSimulateMining:
                    for i in range(2)):
                 passes += 1
         assert passes >= 99
+
+
+class TestFirstMinerWins:
+    def test_equals_one_simulation_per_profile_and_seed(self):
+        profiles = [[0.0, 5.0], [3.0, 1.0, 2.0], [7.5], [1.0, 0.0, 4.0, 2.0]]
+        cfg = _sim(seed=40, n_blocks=250, tx_per_block=4)
+        wins = first_miner_wins(profiles, cfg, 6)
+        assert wins.shape == (4, 6)
+        for j, powers in enumerate(profiles):
+            for k in range(6):
+                outcome = simulate_mining(powers, dataclasses.replace(cfg, seed=40 + k))
+                assert wins[j, k] == outcome.wins[0]
+
+    @pytest.mark.parametrize("n_seeds", [0, -1, 2.0])
+    def test_bad_seed_count_rejected(self, n_seeds):
+        with pytest.raises(ValueError, match="n_seeds"):
+            first_miner_wins([[1.0, 1.0]], _sim(), n_seeds)
 
 
 class TestEmpiricalSuccessProb:
