@@ -37,6 +37,7 @@ from .search import (
     SearchTrace,
     best_response_dynamics,
     golden_section_max,
+    golden_section_max_array,
     grid_argmax,
     multiplicative_fee_search,
 )
@@ -56,6 +57,7 @@ from .uniform import (
     best_response_uniform,
     leader_delta_utility_uniform,
     optimal_fee_uniform,
+    optimal_fees_uniform,
     uniqueness_certificate_uniform,
 )
 

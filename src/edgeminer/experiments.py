@@ -44,6 +44,7 @@ from .uniform import (
     best_response_uniform,
     leader_delta_utility_uniform,
     optimal_fee_uniform,
+    optimal_fees_uniform,
     uniqueness_certificate_uniform,
 )
 
@@ -132,42 +133,50 @@ class ExperimentConfig:
     format: str = "csv"
 
     def __post_init__(self):
-        checks = (
-            (self.kind in KINDS, f"kind must be one of {KINDS}, got {self.kind!r}"),
-            (0 < self.step_factor < 1,
-             f"step_factor must lie strictly inside (0, 1), got {self.step_factor!r}"),
-            (self.tolerance > 0, f"tolerance must be > 0, got {self.tolerance!r}"),
-            (self.initial_fee > 0, f"initial_fee must be > 0, got {self.initial_fee!r}"),
-            (self.max_iters >= 1, f"max_iters must be >= 1, got {self.max_iters!r}"),
-            (self.unit_cost > 0, f"unit_cost must be > 0, got {self.unit_cost!r}"),
-            (self.n_miners >= 2, f"n_miners must be >= 2, got {self.n_miners!r}"),
-            (self.n_blocks >= 1, f"n_blocks must be >= 1, got {self.n_blocks!r}"),
-            (self.n_seeds >= 1, f"n_seeds must be >= 1, got {self.n_seeds!r}"),
-            (self.seed >= 0, f"seed must be >= 0, got {self.seed!r}"),
-            (self.fee is None or self.fee > 0, f"fee must be > 0, got {self.fee!r}"),
-            (self.fees is None or all(f > 0 for f in self.fees), "fees must all be > 0"),
-            (0 < self.edge_fraction < 1,
-             f"edge_fraction must lie in (0, 1), got {self.edge_fraction!r}"),
-            (all(0 < f < 1 for f in self.edge_fractions),
-             "edge_fractions must all lie in (0, 1)"),
-            (self.mdg_delay_mult >= 1,
-             f"mdg_delay_mult must be >= 1, got {self.mdg_delay_mult!r}"),
-            (self.objective is None or self.objective in OBJECTIVES,
-             f"objective must be one of {OBJECTIVES}, got {self.objective!r}"),
-            (self.fee_basis in FEE_BASES,
-             f"fee_basis must be one of {FEE_BASES}, got {self.fee_basis!r}"),
-            (self.fee_search in FEE_SEARCHES,
-             f"fee_search must be one of {FEE_SEARCHES}, got {self.fee_search!r}"),
-            (self.format in FORMATS, f"format must be one of {FORMATS}, got {self.format!r}"),
-            (self.edge_power > 0, f"edge_power must be > 0, got {self.edge_power!r}"),
-            (self.device_power > 0, f"device_power must be > 0, got {self.device_power!r}"),
-        )
-        errors = [message for ok, message in checks if not ok]
+        # a non-finite value is reported once, as such: its range checks are skipped
+        nonfinite = []
         for f in fields(self):
             kind, value = _field_type(f), getattr(self, f.name)
             if kind in ("float", "tuple") and value is not None and not all(
                     map(math.isfinite, value if kind == "tuple" else (value,))):
-                errors.append(f"{f.name} must be finite, got {value!r}")
+                nonfinite.append(f.name)
+        checks = (
+            ("kind", self.kind in KINDS, f"kind must be one of {KINDS}, got {self.kind!r}"),
+            ("step_factor", 0 < self.step_factor < 1,
+             f"step_factor must lie strictly inside (0, 1), got {self.step_factor!r}"),
+            ("tolerance", self.tolerance > 0, f"tolerance must be > 0, got {self.tolerance!r}"),
+            ("initial_fee", self.initial_fee > 0,
+             f"initial_fee must be > 0, got {self.initial_fee!r}"),
+            ("max_iters", self.max_iters >= 1, f"max_iters must be >= 1, got {self.max_iters!r}"),
+            ("unit_cost", self.unit_cost > 0, f"unit_cost must be > 0, got {self.unit_cost!r}"),
+            ("n_miners", self.n_miners >= 2, f"n_miners must be >= 2, got {self.n_miners!r}"),
+            ("n_blocks", self.n_blocks >= 1, f"n_blocks must be >= 1, got {self.n_blocks!r}"),
+            ("n_seeds", self.n_seeds >= 1, f"n_seeds must be >= 1, got {self.n_seeds!r}"),
+            ("seed", self.seed >= 0, f"seed must be >= 0, got {self.seed!r}"),
+            ("fee", self.fee is None or self.fee > 0, f"fee must be > 0, got {self.fee!r}"),
+            ("fees", self.fees is None or all(f > 0 for f in self.fees), "fees must all be > 0"),
+            ("edge_fraction", 0 < self.edge_fraction < 1,
+             f"edge_fraction must lie in (0, 1), got {self.edge_fraction!r}"),
+            ("edge_fractions", all(0 < f < 1 for f in self.edge_fractions),
+             "edge_fractions must all lie in (0, 1)"),
+            ("mdg_delay_mult", self.mdg_delay_mult >= 1,
+             f"mdg_delay_mult must be >= 1, got {self.mdg_delay_mult!r}"),
+            ("objective", self.objective is None or self.objective in OBJECTIVES,
+             f"objective must be one of {OBJECTIVES}, got {self.objective!r}"),
+            ("fee_basis", self.fee_basis in FEE_BASES,
+             f"fee_basis must be one of {FEE_BASES}, got {self.fee_basis!r}"),
+            ("fee_search", self.fee_search in FEE_SEARCHES,
+             f"fee_search must be one of {FEE_SEARCHES}, got {self.fee_search!r}"),
+            ("format", self.format in FORMATS,
+             f"format must be one of {FORMATS}, got {self.format!r}"),
+            ("edge_power", self.edge_power > 0,
+             f"edge_power must be > 0, got {self.edge_power!r}"),
+            ("device_power", self.device_power > 0,
+             f"device_power must be > 0, got {self.device_power!r}"),
+        )
+        errors = [message for name, ok, message in checks
+                  if not ok and name not in nonfinite]
+        errors += [f"{name} must be finite, got {getattr(self, name)!r}" for name in nonfinite]
 
         start, stop, steps = self.resolved_grid()
         grid_given = any(v is not None for v in (self.grid_start, self.grid_stop,
@@ -177,13 +186,13 @@ class ExperimentConfig:
                 errors.append("grid_start, grid_stop and grid_steps must be given together "
                               f"for kind {self.kind!r} (no default grid)")
             else:
-                if not start < stop:
+                if not start < stop and not {"grid_start", "grid_stop"} & set(nonfinite):
                     errors.append(f"grid_start must be < grid_stop, got [{start!r}, {stop!r}]")
                 if steps < 2:
                     errors.append(f"grid_steps must be >= 2, got {steps!r}")
         if self.kind == "solve-disc" and self.fees is None:
             errors.append("solve-disc requires a 'fees' list")
-        if self.kind == "simulate":
+        if self.kind == "simulate" and "powers" not in nonfinite:
             if len(self.powers) < 1 or any(p < 0 for p in self.powers) or sum(self.powers) <= 0:
                 errors.append("powers must be nonnegative with a positive total")
         if errors:
@@ -337,19 +346,12 @@ def _rows_fig1(cfg: ExperimentConfig):
 
 def _rows_fig2(cfg: ExperimentConfig):
     """Stage-I optimal fee against the fixed block reward."""
-    objective = cfg.resolved_objective()
-    rows = []
-    for r in cfg.grid():
-        params = replace(cfg.params, fixed_reward=float(r))
-        fee, profit = optimal_fee_uniform(cfg.edge_power, cfg.unit_cost, params,
-                                          objective=objective)
-        rows.append({
-            "fixed_reward": float(r),
-            "optimal_fee": fee,
-            "leader_profit": profit,
-            "status": "ok",
-        })
-    return rows
+    rewards = cfg.grid().tolist()
+    points = [replace(cfg.params, fixed_reward=r) for r in rewards]
+    fees, profits = optimal_fees_uniform(np.full(len(points), cfg.edge_power), cfg.unit_cost,
+                                         points, objective=cfg.resolved_objective())
+    return [{"fixed_reward": r, "optimal_fee": fee, "leader_profit": profit, "status": "ok"}
+            for r, fee, profit in zip(rewards, fees.tolist(), profits.tolist())]
 
 
 def _profit_rows_power_sweep(cfg: ExperimentConfig, axis: str):
@@ -444,28 +446,22 @@ def _rows_fig5(cfg: ExperimentConfig):
     return rows
 
 
-def _rows_fig6(cfg: ExperimentConfig):
-    """Edge scheme vs delayed baseline; one stage-I optimized uniform fee."""
+def _rows_mdg(cfg: ExperimentConfig):
+    """Edge scheme vs delayed baseline; one stage-I optimized uniform fee.
+
+    fig6 sweeps every edge fraction and leads each row with it; compare-mdg
+    is the one-fraction case without that column.
+    """
+    fig6 = cfg.kind == "fig6"
     rows = []
-    for fraction in cfg.edge_fractions:
+    for fraction in cfg.edge_fractions if fig6 else (cfg.edge_fraction,):
         for sweep_row in emg_vs_mdg_sweep(cfg.grid(), fraction, cfg.params,
                                           cfg.unit_cost, cfg.mdg_delay_mult,
                                           objective=cfg.resolved_objective()):
-            row = {"edge_fraction": fraction}
+            row = {"edge_fraction": fraction} if fig6 else {}
             row.update(sweep_row)
             row["status"] = "ok"
             rows.append(row)
-    return rows
-
-
-def _rows_compare_mdg(cfg: ExperimentConfig):
-    rows = []
-    for sweep_row in emg_vs_mdg_sweep(cfg.grid(), cfg.edge_fraction, cfg.params,
-                                      cfg.unit_cost, cfg.mdg_delay_mult,
-                                      objective=cfg.resolved_objective()):
-        row = dict(sweep_row)
-        row["status"] = "ok"
-        rows.append(row)
     return rows
 
 
@@ -583,7 +579,7 @@ def _rows_simulate(cfg: ExperimentConfig):
 
 _BUILDERS = {
     "fig1": _rows_fig1, "fig2": _rows_fig2, "fig3": _rows_fig3, "fig4": _rows_fig4,
-    "fig5": _rows_fig5, "fig6": _rows_fig6, "compare-mdg": _rows_compare_mdg,
+    "fig5": _rows_fig5, "fig6": _rows_mdg, "compare-mdg": _rows_mdg,
     "solve-uniform": _rows_solve_uniform, "solve-disc": _rows_solve_disc,
     "simulate": _rows_simulate,
 }

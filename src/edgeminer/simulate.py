@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GameParams, as_profile, edge_utility
-from .uniform import optimal_fee_uniform
+from .core import GameParams, as_profile
+from .uniform import optimal_fees_uniform
 
 __all__ = [
     "SimConfig",
@@ -132,29 +132,38 @@ def emg_vs_mdg_sweep(total_power_grid, edge_fraction: float, params: GameParams,
     The edge scheme contributes edge_fraction of the total power itself and
     pays the stage-I optimal fee for the recruited remainder; the baseline
     recruits the full total at the same per-power fee rate, so the edge's
-    own share goes un-fee'd.  Rows are ordered by total power.
+    own share goes un-fee'd.  Rows are ordered by total power.  One batched
+    stage-I search (optimal_fees_uniform) prices the whole grid.
     """
     if not 0 < edge_fraction < 1:
         raise ValueError(f"edge_fraction must lie in (0, 1), got {edge_fraction!r}")
-    rows = []
-    for total in sorted(float(w) for w in np.atleast_1d(np.asarray(total_power_grid, float))):
-        if total <= 0:
-            raise ValueError("total power grid entries must be > 0")
-        edge_power = edge_fraction * total
-        device_power = total - edge_power
-        fee_emg, _ = optimal_fee_uniform(edge_power, unit_cost, params,
-                                         objective=objective, bracket=fee_bracket)
-        fee_mdg = fee_emg * total / device_power
-        profit_emg = edge_utility(params, [fee_emg])
-        profit_mdg = mdg_baseline_profit(total, [fee_mdg], params, mdg_delay_multiplier)
-        rows.append({
-            "total_power": total,
-            "edge_power": edge_power,
-            "device_power": device_power,
-            "fee_emg": fee_emg,
-            "fee_mdg": fee_mdg,
-            "profit_emg": profit_emg,
-            "profit_mdg": profit_mdg,
-            "profit_gap": profit_emg - profit_mdg,
-        })
-    return rows
+    totals = np.sort(np.atleast_1d(np.asarray(total_power_grid, dtype=float)))
+    if not totals.size:
+        return []
+    if np.any(totals <= 0):
+        raise ValueError("total power grid entries must be > 0")
+    if mdg_delay_multiplier < 1:
+        raise ValueError("mdg_delay_multiplier must be >= 1")
+    edge_power = edge_fraction * totals
+    fee_emg, _ = optimal_fees_uniform(edge_power, unit_cost, params,
+                                      objective=objective, bracket=fee_bracket)
+    device_power = totals - edge_power
+    fee_mdg = fee_emg * totals / device_power
+    # edge_utility and mdg_baseline_profit with one fee each, elementwise
+    reward = params.total_reward * params.delay_discount(params.tx_per_block)
+    reward_mdg = params.total_reward * params.delay_discount(
+        params.tx_per_block * mdg_delay_multiplier)
+    profit_emg = reward - fee_emg - params.edge_overhead
+    profit_mdg = reward_mdg - fee_mdg - params.edge_overhead
+    columns = {
+        "total_power": totals,
+        "edge_power": edge_power,
+        "device_power": device_power,
+        "fee_emg": fee_emg,
+        "fee_mdg": fee_mdg,
+        "profit_emg": profit_emg,
+        "profit_mdg": profit_mdg,
+        "profit_gap": profit_emg - profit_mdg,
+    }
+    return [dict(zip(columns, values))
+            for values in zip(*(column.tolist() for column in columns.values()))]

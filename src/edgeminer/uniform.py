@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import GameParams, check_objective, fee_bracket, leader_reward_scale
-from .search import golden_section_max
+from .search import golden_section_max, golden_section_max_array
 
 __all__ = [
     "UniformCertificate",
@@ -21,6 +21,7 @@ __all__ = [
     "best_response_uniform",
     "leader_delta_utility_uniform",
     "optimal_fee_uniform",
+    "optimal_fees_uniform",
     "uniqueness_certificate_uniform",
 ]
 
@@ -129,3 +130,47 @@ def optimal_fee_uniform(edge_power: float, unit_cost: float, params: GameParams,
 
     return golden_section_max(profit_at, lo, hi, rel_tol)
 
+
+def optimal_fees_uniform(edge_powers, unit_cost: float, params, objective: str = "full",
+                         bracket=None, rel_tol: float = 1e-9):
+    """Stage I for many instances at once: optimal_fee_uniform elementwise.
+
+    ``edge_powers`` is a 1-D array, ``params`` one GameParams shared by every
+    instance or a sequence with one per instance.  Each instance keeps its
+    own bracket, and the golden section runs on all of them in lockstep
+    (``golden_section_max_array``) on the elementwise form of
+    ``leader_delta_utility_uniform``, so element k equals
+    ``optimal_fee_uniform(edge_powers[k], unit_cost, params[k], ...)`` bit
+    for bit.  The edge powers and the unit cost are checked once, before
+    the search.  Returns (fees, profits) arrays.
+    """
+    check_objective(objective)
+    edge = np.asarray(edge_powers, dtype=float)
+    if edge.ndim != 1:
+        raise ValueError(f"edge_powers must be 1-D, got shape {edge.shape}")
+    bad = ~(np.isfinite(edge) & (edge > 0))
+    if bad.any():
+        raise ValueError(f"edge_power must be finite and > 0, got {float(edge[bad][0])!r}")
+    if not (math.isfinite(unit_cost) and unit_cost > 0):
+        raise ValueError(f"unit_cost must be finite and > 0, got {unit_cost!r}")
+    if isinstance(params, GameParams):
+        discount = params.delay_discount(params.mobile_tx_load)
+        a = leader_reward_scale(params)
+        lo, hi = (np.full(edge.size, end) for end in fee_bracket(params, bracket))
+    else:
+        if len(params) != edge.size:
+            raise ValueError(f"{len(params)} GameParams for {edge.size} edge powers")
+        discount = np.array([p.delay_discount(p.mobile_tx_load) for p in params])
+        a = np.array([leader_reward_scale(p) for p in params])
+        lo, hi = np.array([fee_bracket(p, bracket) for p in params],
+                          dtype=float).reshape(-1, 2).T
+
+    def profits(fees):
+        # leader_delta_utility_uniform, one game per element
+        kappa = fees * discount
+        if objective == "simplified":
+            return a * (1.0 - np.sqrt(edge * unit_cost / kappa))
+        y_star = np.maximum(0.0, np.sqrt(kappa * edge / unit_cost) - edge)
+        return a * y_star / (edge + y_star) - fees
+
+    return golden_section_max_array(profits, lo, hi, rel_tol)

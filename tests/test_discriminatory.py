@@ -1,6 +1,8 @@
 """Per-miner fee game: closed form, certificates, leader terms, fee ascent."""
 
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from edgeminer import (
     DegenerateProfileError,
     DiscriminatoryGame,
+    GameParams,
     InfeasibleEquilibriumError,
     best_response_i,
     equilibrium_share,
@@ -202,7 +205,33 @@ class TestSolveDiscriminatory:
         np.testing.assert_allclose(nash_equilibrium_closed_form(game).powers, [8 / 9, 16 / 9])
 
 
+# sha256 prefixes of fees.tobytes() + the packed profit of
+# optimal_fees_discriminatory(M, 0.005, GameParams()); the coordinate ascent
+# runs the scalar golden_section_max, and its output must not move by a bit
+ASCENT_DIGESTS = {
+    2: "23997a1929ef6330", 3: "cae96af4152ce7d6", 4: "947bfef2a2fa2622",
+    5: "3383268fc835c4cf", 6: "79e47ea927deb92f", 7: "bbf8061eaad13666",
+    8: "8dd5406ee512086c", 9: "d5d4395d3ea6ab36", 10: "483796e55566d7a0",
+    11: "db8794914ae2ce08", 12: "ffcba9b86c4d01b0", 13: "baa55631ea77a0d7",
+    14: "fc4944c0c52dc31e", 15: "ad87fce28bb5e1a7", 16: "f5183ca95c53bb68",
+    17: "6170238287499e57", 18: "f3aa7a1acd49c4a8", 19: "34933676fe5d510c",
+    20: "4e70f9d9c85c0588", 21: "d60cfc81eec4ff22", 22: "2157e3d3b397a0bb",
+    23: "22c0f53ef1a9c241", 24: "c7a974d7c240cf39", 25: "008cab67dd753934",
+    26: "65acd29d0933491c", 27: "2394f314708aec76", 28: "d9da2ab5cd2803c8",
+    29: "6b7915fa53f45e94", 30: "5f7e1246feaf42a7", 31: "8993c097d0c3e6f6",
+    32: "0acb8106f5f598de", 33: "b339c22d39c635e9", 34: "51f86965d4e8c4fd",
+    35: "8f0968fc20c138f5", 36: "14fa4ecb258d1c6b", 37: "3e1856fff7ed280d",
+    38: "3818d9ff6d0d65f7", 39: "87bc1fccd1928140", 40: "4b601d24fb7c8739",
+}
+
+
 class TestOptimalFees:
+    @pytest.mark.parametrize("m", sorted(ASCENT_DIGESTS))
+    def test_output_bits_pinned(self, m):
+        fees, profit = optimal_fees_discriminatory(m, 0.005, GameParams())
+        digest = hashlib.sha256(fees.tobytes() + struct.pack("<d", profit)).hexdigest()
+        assert digest[:16] == ASCENT_DIGESTS[m]
+
     def test_simplified_runs_to_bracket_top(self):
         fees, _ = optimal_fees_discriminatory(3, 1.0, zero_delay_params(),
                                               objective="simplified", bracket=(0.5, 12.0))

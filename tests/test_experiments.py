@@ -18,13 +18,18 @@ from edgeminer import (
     GameParams,
     SimConfig,
     discriminatory,
+    edge_utility,
     experiments,
     leader_delta_utility_discriminatory,
+    mdg_baseline_profit,
     miner_utility_i,
     nash_equilibrium_closed_form,
+    optimal_fee_uniform,
     simulate_mining,
+    uniform,
     validate_config,
 )
+from edgeminer.core import OBJECTIVES
 from edgeminer.cli import _settings_from_args, build_parser, main
 from edgeminer.discriminatory import FEE_BASES
 from edgeminer.experiments import (
@@ -158,11 +163,11 @@ class TestSchema:
 
 class TestNonFiniteSettings:
     # every float and float-list field; three run on the figure where an infinite
-    # value used to get through validation
-    fields = [f.name for f in dataclasses.fields(ExperimentConfig)
+    # value used to get through validation, powers on the one kind that checks it
+    fields = [f.name for cls in (ExperimentConfig, GameParams) for f in dataclasses.fields(cls)
               if f.type.split(" |")[0] in ("float", "tuple")]
     commands = {"grid_stop": ["fig", "2"], "device_power": ["fig", "4"],
-                "mdg_delay_mult": ["fig", "6"]}
+                "mdg_delay_mult": ["fig", "6"], "powers": ["simulate"]}
 
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     @pytest.mark.parametrize("name", fields)
@@ -176,7 +181,11 @@ class TestNonFiniteSettings:
             warnings.simplefilter("always")
             code = main(argv)
         assert code == 2
-        assert f"config error: {name} must be finite" in capsys.readouterr().err
+        # one line per bad value: its range check is not reported on top
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith((f"config error: {name} must be finite",
+                                    f"config error: {name} must be a finite number"))
         assert not caught
         assert not out.exists()
 
@@ -270,6 +279,75 @@ class TestSolveDiscOneSolve:
             monkeypatch.setattr(module, "nash_equilibrium_closed_form", counting)
         _run("solve-disc", tmp_path, fees=self._fees(50))
         assert sizes == [50]
+
+
+class TestStage1Sweeps:
+    @staticmethod
+    def _oracle(cfg):
+        # the per-point loop: one scalar optimal_fee_uniform search per grid point
+        objective = cfg.resolved_objective()
+        rows = []
+        if cfg.kind == "fig2":
+            for r in cfg.grid():
+                params = dataclasses.replace(cfg.params, fixed_reward=float(r))
+                fee, profit = optimal_fee_uniform(cfg.edge_power, cfg.unit_cost, params,
+                                                  objective=objective)
+                rows.append({"fixed_reward": float(r), "optimal_fee": fee,
+                             "leader_profit": profit, "status": "ok"})
+            return rows
+        params = cfg.params
+        fig6 = cfg.kind == "fig6"
+        for fraction in cfg.edge_fractions if fig6 else (cfg.edge_fraction,):
+            for total in sorted(float(w) for w in cfg.grid()):
+                edge_power = fraction * total
+                device_power = total - edge_power
+                fee_emg, _ = optimal_fee_uniform(edge_power, cfg.unit_cost, params,
+                                                 objective=objective)
+                fee_mdg = fee_emg * total / device_power
+                profit_emg = edge_utility(params, [fee_emg])
+                profit_mdg = mdg_baseline_profit(total, [fee_mdg], params, cfg.mdg_delay_mult)
+                row = {"edge_fraction": fraction} if fig6 else {}
+                row.update(total_power=total, edge_power=edge_power,
+                           device_power=device_power, fee_emg=fee_emg, fee_mdg=fee_mdg,
+                           profit_emg=profit_emg, profit_mdg=profit_mdg,
+                           profit_gap=profit_emg - profit_mdg, status="ok")
+                rows.append(row)
+        return rows
+
+    @pytest.mark.parametrize("settings", [{}, {"min_consumption": 0.0},
+                                          {"min_consumption": 5.0}, {"poisson_rate": 0.0}],
+                             ids=["default", "floor-0", "floor-5", "no-delay"])
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    @pytest.mark.parametrize("steps", [2, 7, 400])
+    @pytest.mark.parametrize("kind", ["fig2", "fig6", "compare-mdg"])
+    def test_rows_equal_per_point_search(self, kind, steps, objective, settings):
+        # min_consumption 5 lies above the interior optimum: the floor endpoint wins
+        cfg = build_config({"kind": kind, "grid_steps": steps, "objective": objective,
+                            "edge_fractions": (0.01, 0.99), "edge_fraction": 0.99,
+                            **settings})
+        rows = experiments._BUILDERS[kind](cfg)
+        # items, in order: the column order is part of the report bytes
+        assert [list(row.items()) for row in rows] == [
+            list(row.items()) for row in self._oracle(cfg)]
+
+    def test_one_search_per_sweep(self, monkeypatch, tmp_path):
+        sizes = []
+        batched = uniform.golden_section_max_array
+
+        def counting(f, lo, hi, rel_tol=1e-9):
+            sizes.append(len(lo))
+            return batched(f, lo, hi, rel_tol)
+
+        def per_point(*args, **kwargs):
+            raise AssertionError("a sweep ran a per-point search")
+
+        monkeypatch.setattr(uniform, "golden_section_max_array", counting)
+        monkeypatch.setattr(uniform, "golden_section_max", per_point)
+        for kind, steps, expected in (("fig6", 400, [400, 400, 400]),
+                                      ("compare-mdg", 200, [200]), ("fig2", 200, [200])):
+            sizes.clear()
+            _run(kind, tmp_path, grid_steps=steps)
+            assert sizes == expected, kind
 
 
 class TestReportFiles:

@@ -15,6 +15,7 @@ from edgeminer import (
     empirical_success_prob,
     first_miner_wins,
     mdg_baseline_profit,
+    simulate,
     simulate_mining,
 )
 
@@ -166,3 +167,16 @@ class TestSweep:
     def test_fraction_bounds_enforced(self):
         with pytest.raises(ValueError):
             emg_vs_mdg_sweep([50.0], 1.0, GameParams(), 0.01)
+
+    @pytest.mark.parametrize("grid", [[0.0], [40.0, -5.0, 80.0], [-0.0, 10.0]])
+    def test_nonpositive_total_rejected_before_any_search(self, grid, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("search ran on a bad grid")
+
+        monkeypatch.setattr(simulate, "optimal_fees_uniform", no_search)
+        with pytest.raises(ValueError, match="total power grid entries must be > 0"):
+            emg_vs_mdg_sweep(grid, 0.5, GameParams(), 0.01)
+
+    def test_nonfinite_total_rejected(self):
+        with pytest.raises(ValueError, match="edge_power must be finite and > 0"):
+            emg_vs_mdg_sweep([50.0, math.inf], 0.5, GameParams(), 0.01)

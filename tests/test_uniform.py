@@ -14,6 +14,8 @@ from edgeminer import (
     grid_argmax,
     leader_delta_utility_uniform,
     optimal_fee_uniform,
+    optimal_fees_uniform,
+    uniform,
     uniqueness_certificate_uniform,
 )
 
@@ -231,3 +233,62 @@ class TestSolveUniform:
         assert uniqueness_certificate_uniform(game).certified
         first = best_response_uniform(game)
         assert best_response_uniform(game) == first
+
+
+class TestOptimalFeesUniform:
+    """The batched stage I against a per-instance optimal_fee_uniform loop."""
+
+    EDGE = np.array([1e-3, 0.7, 5.0, 50.0, 333.3, 1e4])
+
+    @pytest.mark.parametrize("objective", ["full", "simplified"])
+    @pytest.mark.parametrize("settings", [{}, {"min_consumption": 0.0},
+                                          {"min_consumption": 5.0}, {"poisson_rate": 0.0},
+                                          {"fixed_reward": 0.0, "tx_reward": 0.0}],
+                             ids=["default", "floor-0", "floor-5", "no-delay", "no-reward"])
+    def test_shared_params_equal_scalar_loop(self, settings, objective):
+        params = GameParams(**settings)
+        fees, profits = optimal_fees_uniform(self.EDGE, 0.005, params, objective)
+        for k, edge_power in enumerate(self.EDGE):
+            assert (fees[k], profits[k]) == optimal_fee_uniform(edge_power, 0.005, params,
+                                                                objective)
+
+    @pytest.mark.parametrize("objective", ["full", "simplified"])
+    def test_params_per_instance_and_bracket(self, objective):
+        points = [GameParams(fixed_reward=r, mobile_tx_load=3 + k, min_consumption=0.5 * k)
+                  for k, r in enumerate([0.5, 3.0, 10.0, 40.0, 90.0, 200.0])]
+        fees, profits = optimal_fees_uniform(self.EDGE, 0.02, points, objective,
+                                             bracket=(0.05, 600.0))
+        for k, (edge_power, params) in enumerate(zip(self.EDGE, points)):
+            assert (fees[k], profits[k]) == optimal_fee_uniform(
+                edge_power, 0.02, params, objective, bracket=(0.05, 600.0))
+
+    def test_empty(self):
+        fees, profits = optimal_fees_uniform([], 0.005, [])
+        assert fees.size == profits.size == 0
+
+    @pytest.mark.parametrize("edge_power, unit_cost, message", [
+        (math.nan, 0.005, "edge_power must be finite and > 0, got nan"),
+        (math.inf, 0.005, "edge_power must be finite and > 0, got inf"),
+        (0.0, 0.005, "edge_power must be finite and > 0, got 0.0"),
+        (-2.0, 0.005, "edge_power must be finite and > 0, got -2.0"),
+        (50.0, math.nan, "unit_cost must be finite and > 0, got nan"),
+        (50.0, math.inf, "unit_cost must be finite and > 0, got inf"),
+        (50.0, 0.0, "unit_cost must be finite and > 0, got 0.0"),
+        (50.0, -1.0, "unit_cost must be finite and > 0, got -1.0"),
+    ])
+    def test_bad_instance_rejected_before_any_search(self, edge_power, unit_cost, message,
+                                                     monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("search ran on a bad instance")
+
+        monkeypatch.setattr(uniform, "golden_section_max_array", no_search)
+        with pytest.raises(ValueError, match=message):
+            optimal_fees_uniform([10.0, edge_power, 20.0], unit_cost, GameParams())
+
+    def test_scalar_solve_rejects_nonfinite_edge_power(self):
+        with pytest.raises(ValueError, match="edge_power must be finite and > 0"):
+            optimal_fee_uniform(math.nan, 0.005, GameParams())
+
+    def test_params_count_must_match(self):
+        with pytest.raises(ValueError):
+            optimal_fees_uniform([1.0, 2.0], 0.005, [GameParams()])
