@@ -148,7 +148,10 @@ def emg_vs_mdg_sweep(total_power_grid, edge_fraction: float, params: GameParams,
     fee_emg, _ = optimal_fees_uniform(edge_power, unit_cost, params,
                                       objective=objective, bracket=fee_bracket)
     device_power = totals - edge_power
-    fee_mdg = fee_emg * totals / device_power
+    with np.errstate(over="ignore", divide="ignore"):
+        fee_mdg = fee_emg * totals / device_power
+    if not np.all(np.isfinite(fee_mdg)):
+        raise ValueError("fees must be finite and >= 0")
     # edge_utility and mdg_baseline_profit with one fee each, elementwise
     reward = params.total_reward * params.delay_discount(params.tx_per_block)
     reward_mdg = params.total_reward * params.delay_discount(

@@ -123,6 +123,7 @@ def optimal_fee_uniform(edge_power: float, unit_cost: float, params: GameParams,
     if edge_power <= 0 or unit_cost <= 0:
         raise ValueError("edge_power and unit_cost must be > 0")
     lo, hi = fee_bracket(params, bracket)
+    _check_kappa(objective, lo, params.delay_discount(params.mobile_tx_load))
 
     def profit_at(fee: float) -> float:
         game = UniformGame(edge_power, fee, unit_cost, params)
@@ -132,7 +133,7 @@ def optimal_fee_uniform(edge_power: float, unit_cost: float, params: GameParams,
 
 
 def optimal_fees_uniform(edge_powers, unit_cost: float, params, objective: str = "full",
-                         bracket=None, rel_tol: float = 1e-9):
+                         bracket=None):
     """Stage I for many instances at once: optimal_fee_uniform elementwise.
 
     ``edge_powers`` is a 1-D array, ``params`` one GameParams shared by every
@@ -141,8 +142,8 @@ def optimal_fees_uniform(edge_powers, unit_cost: float, params, objective: str =
     (``golden_section_max_array``) on the elementwise form of
     ``leader_delta_utility_uniform``, so element k equals
     ``optimal_fee_uniform(edge_powers[k], unit_cost, params[k], ...)`` bit
-    for bit.  The edge powers and the unit cost are checked once, before
-    the search.  Returns (fees, profits) arrays.
+    for bit.  The edge powers, the unit cost and the discounted fees are
+    checked once, before the search.  Returns (fees, profits) arrays.
     """
     check_objective(objective)
     edge = np.asarray(edge_powers, dtype=float)
@@ -164,13 +165,35 @@ def optimal_fees_uniform(edge_powers, unit_cost: float, params, objective: str =
         a = np.array([leader_reward_scale(p) for p in params])
         lo, hi = np.array([fee_bracket(p, bracket) for p in params],
                           dtype=float).reshape(-1, 2).T
+    _check_kappa(objective, lo, discount)
 
     def profits(fees):
-        # leader_delta_utility_uniform, one game per element
+        # leader_delta_utility_uniform, one game per element; the final
+        # midpoint 0.5*(a+b) can overflow, which UniformGame rejects
+        if not np.all(np.isfinite(fees)):
+            raise ValueError(f"fee must be finite and > 0, "
+                             f"got {float(fees[~np.isfinite(fees)][0])!r}")
         kappa = fees * discount
         if objective == "simplified":
             return a * (1.0 - np.sqrt(edge * unit_cost / kappa))
         y_star = np.maximum(0.0, np.sqrt(kappa * edge / unit_cost) - edge)
         return a * y_star / (edge + y_star) - fees
 
-    return golden_section_max_array(profits, lo, hi, rel_tol)
+    # Python floats overflow to inf and turn inf/inf into nan silently; so
+    # does the array search, to match the scalar path's output and stderr
+    with np.errstate(over="ignore", invalid="ignore"):
+        return golden_section_max_array(profits, lo, hi)
+
+
+def _check_kappa(objective: str, lo, discount) -> None:
+    """Reject a bracket whose lowest fee discounts to kappa == 0.
+
+    The simplified objective divides by kappa = fee * discount, and kappa
+    only grows with the fee, so checking the bracket floor covers every fee
+    the search can probe.  A delay discount that underflows to 0 (a large
+    poisson_rate) lands here.
+    """
+    if objective == "simplified" and np.any(np.multiply(lo, discount) == 0):
+        raise ValueError("the simplified objective needs fee * delay discount > 0, "
+                         "but the device-load delay discount is "
+                         f"{float(np.min(discount)):g}")

@@ -349,6 +349,18 @@ class TestStage1Sweeps:
             _run(kind, tmp_path, grid_steps=steps)
             assert sizes == expected, kind
 
+    @pytest.mark.parametrize("kind", ["fig2", "fig6", "compare-mdg", "solve-uniform"])
+    def test_zero_discount_simplified_is_a_config_error(self, kind, tmp_path, capsys):
+        # exp(-1000) == 0: the sweeps fail as the single solve does, in one line
+        argv = ["fig", kind[3:]] if kind.startswith("fig") else [kind]
+        code = main(argv + ["--objective", "simplified", "--poisson-rate", "100",
+                            "--out", str(tmp_path / "report.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: the simplified objective needs fee * delay discount > 0, "
+            "but the device-load delay discount is 0"]
+        assert not (tmp_path / "report.csv").exists()
+
 
 class TestReportFiles:
     def test_csv_round_trip_full_precision(self, tmp_path):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -180,3 +181,13 @@ class TestSweep:
     def test_nonfinite_total_rejected(self):
         with pytest.raises(ValueError, match="edge_power must be finite and > 0"):
             emg_vs_mdg_sweep([50.0, math.inf], 0.5, GameParams(), 0.01)
+
+    @pytest.mark.parametrize("objective", ["full", "simplified"])
+    def test_overflowing_mdg_fee_rejected(self, objective):
+        # fee_emg * total overflows for a total of 1e306, as mdg_baseline_profit
+        # would reject it on the per-point path
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="fees must be finite and >= 0"):
+                emg_vs_mdg_sweep([50.0, 1e306], 0.5, GameParams(), 0.01,
+                                 objective=objective)

@@ -1,6 +1,7 @@
 """Uniform-fee game: best response, certificates, leader objectives, stage I."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -292,3 +293,54 @@ class TestOptimalFeesUniform:
     def test_params_count_must_match(self):
         with pytest.raises(ValueError):
             optimal_fees_uniform([1.0, 2.0], 0.005, [GameParams()])
+
+    def test_zero_discount_simplified_rejected_by_both_paths(self, monkeypatch):
+        # exp(-1000) underflows: kappa = fee * discount is 0 and the simplified
+        # objective would divide by it
+        params = GameParams(poisson_rate=100.0)
+        assert params.delay_discount(params.mobile_tx_load) == 0.0
+        message = r"simplified objective needs fee \* delay discount > 0"
+        with pytest.raises(ValueError, match=message):
+            optimal_fee_uniform(50.0, 0.005, params, "simplified")
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("search ran with a zero discount")
+
+        monkeypatch.setattr(uniform, "golden_section_max_array", no_search)
+        points = [GameParams()] * (self.EDGE.size - 1) + [params]
+        with pytest.raises(ValueError, match=message):
+            optimal_fees_uniform(self.EDGE, 0.005, points, "simplified")
+        with pytest.raises(ValueError, match=message):
+            optimal_fees_uniform(self.EDGE, 0.005, params, "simplified")
+
+    def test_zero_discount_full_equals_scalar_loop(self):
+        # kappa = 0 only keeps the pool out: profit is -fee, best at the floor
+        params = GameParams(poisson_rate=100.0)
+        fees, profits = optimal_fees_uniform(self.EDGE, 0.005, params, "full")
+        for k, edge_power in enumerate(self.EDGE):
+            assert (fees[k], profits[k]) == optimal_fee_uniform(edge_power, 0.005, params)
+
+    @pytest.mark.parametrize("objective", ["full", "simplified"])
+    def test_overflowing_midpoint_rejected_by_both_paths(self, objective):
+        # the search climbs to hi ~ 9e307, where 0.5*(a + b) overflows to inf
+        params = GameParams(fixed_reward=1e306)
+        message = "fee must be finite and > 0, got inf"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                optimal_fee_uniform(50.0, 0.005, params, objective)
+            with pytest.raises(ValueError, match=message):
+                optimal_fees_uniform(self.EDGE, 0.005, params, objective)
+
+    @pytest.mark.parametrize("objective", ["full", "simplified"])
+    @pytest.mark.parametrize("edge_power, unit_cost", [(1e300, 1e-300), (1e300, 1e300),
+                                                       (1e-300, 1e300), (1e300, 0.005)])
+    def test_overflow_is_silent_and_equals_scalar(self, edge_power, unit_cost, objective):
+        # Python floats overflow to inf (and inf/inf to nan) without a warning;
+        # the arrays must do the same and reach the same, possibly nan, values
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fees, profits = optimal_fees_uniform([edge_power], unit_cost, GameParams(),
+                                                 objective)
+            expected = optimal_fee_uniform(edge_power, unit_cost, GameParams(), objective)
+        assert repr((fees[0].item(), profits[0].item())) == repr(expected)
