@@ -105,7 +105,12 @@ class GameParams:
         return self.fixed_reward + self.tx_reward
 
     def delay_discount(self, tx_count) -> float:
-        """Propagation discount e^(-rate * delay * tx_count), in (0, 1]."""
+        """Propagation discount e^(-rate * delay * tx_count), in [0, 1].
+
+        It underflows to 0 for large exponents (poisson_rate 100 with
+        mobile_tx_load 10).  The simulator then records every block as an
+        orphan, and the simplified objective rejects a zero discount.
+        """
         if tx_count < 0:
             raise ValueError(f"tx_count must be >= 0, got {tx_count!r}")
         return math.exp(-self.poisson_rate * self.delay_factor * tx_count)

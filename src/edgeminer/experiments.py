@@ -42,6 +42,7 @@ from .uniform import (
     UniformGame,
     aggregate_miner_utility,
     best_response_uniform,
+    check_kappa,
     leader_delta_utility_uniform,
     optimal_fee_uniform,
     optimal_fees_uniform,
@@ -471,6 +472,7 @@ def _optimize_fee(cfg: ExperimentConfig, objective: str):
         return optimal_fee_uniform(cfg.edge_power, cfg.unit_cost, params,
                                    objective=objective)
     floor = max(params.min_consumption, 1e-6)
+    check_kappa(objective, floor, params.delay_discount(params.mobile_tx_load))
 
     def profit_fn(fee):
         if fee < floor:
@@ -501,7 +503,9 @@ def _rows_solve_uniform(cfg: ExperimentConfig):
         "best_response_power": response,
         "follower_utility": aggregate_miner_utility(game, response),
         "leader_profit_full": leader_delta_utility_uniform(game, "full"),
-        "leader_profit_simplified": leader_delta_utility_uniform(game, "simplified"),
+        # the simplified objective divides by kappa; undefined at kappa == 0
+        "leader_profit_simplified": (leader_delta_utility_uniform(game, "simplified")
+                                     if game.kappa > 0 else math.nan),
         "certified_unique": certificate.certified,
         "below_quarter_bound": certificate.below_quarter_bound,
         "below_positivity_bound": certificate.below_positivity_bound,
@@ -554,17 +558,17 @@ def _rows_simulate(cfg: ExperimentConfig):
     outcome = simulate_mining(list(cfg.powers), sim)
     shares = np.asarray(cfg.powers, dtype=float) / math.fsum(cfg.powers)
     discount = cfg.params.delay_discount(sim.tx_per_block)
-    rows = []
-    for i, power in enumerate(cfg.powers):
-        rows.append({
-            "miner": i,
-            "power": float(power),
-            "share": float(shares[i]),
-            "win_prob_model": float(shares[i] * discount),
-            "wins": int(outcome.wins[i]),
-            "frequency": float(outcome.frequencies[i]),
-            "status": "ok",
-        })
+    columns = (cfg.powers, shares.tolist(), (shares * discount).tolist(),
+               outcome.wins.tolist(), outcome.frequencies.tolist())
+    rows = [{
+        "miner": i,
+        "power": float(power),
+        "share": share,
+        "win_prob_model": win_prob,
+        "wins": wins,
+        "frequency": frequency,
+        "status": "ok",
+    } for i, (power, share, win_prob, wins, frequency) in enumerate(zip(*columns))]
     rows.append({
         "miner": -1,
         "power": math.nan,

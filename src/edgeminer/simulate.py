@@ -5,6 +5,11 @@ share_i * e^(-rate*delay*tx), and the residual 1 - e^(-rate*delay*tx) is an
 orphaned round with no winner, so per-miner win probabilities match the
 model exactly.  The PRNG is pinned to numpy's PCG64 so seeded runs are
 bit-reproducible.
+
+A block's uniform draw u goes to miner i when cum[i-1] <= u < cum[i], with
+cum the cumulative win probabilities, so the number of blocks won by miners
+0..i is the number of draws below cum[i].  Wins are counted that way
+(``_count_below``), never block by block.
 """
 
 from __future__ import annotations
@@ -64,17 +69,28 @@ def _block_draws(seed: int, n_blocks: int) -> np.ndarray:
     return np.random.Generator(np.random.PCG64(seed)).random(n_blocks)
 
 
+def _count_below(draws: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """Number of draws strictly below each threshold, as int64.
+
+    Up to log2(len(draws)) thresholds cost one comparison pass over the
+    draws each; past that, one sort of the draws and a binary search per
+    threshold is cheaper.  Both give the same exact counts.
+    """
+    if thresholds.size <= math.log2(draws.size):
+        return np.array([np.count_nonzero(draws < t) for t in thresholds], dtype=np.int64)
+    return np.searchsorted(np.sort(draws), thresholds, side="left").astype(np.int64, copy=False)
+
+
 def simulate_mining(profile, cfg: SimConfig) -> SimOutcome:
     """Run cfg.n_blocks categorical mining rounds; deterministic per seed."""
     shares = as_profile(profile).shares()
-    win_probs = shares * cfg.params.delay_discount(cfg.tx_per_block)
-    cum = np.cumsum(win_probs)
-    draws = _block_draws(cfg.seed, cfg.n_blocks)
-    winners = np.searchsorted(cum, draws, side="right")
-    counts = np.bincount(winners, minlength=shares.size + 1)
+    # cumsum of nonnegative terms never decreases, so below[i] counts the
+    # blocks won by miners 0..i
+    cum = np.cumsum(shares * cfg.params.delay_discount(cfg.tx_per_block))
+    below = _count_below(_block_draws(cfg.seed, cfg.n_blocks), cum)
     return SimOutcome(
-        wins=counts[:shares.size].astype(np.int64),
-        orphans=int(counts[shares.size:].sum()),
+        wins=np.diff(below, prepend=0),
+        orphans=int(cfg.n_blocks - below[-1]),
         n_blocks=cfg.n_blocks,
     )
 
@@ -84,8 +100,8 @@ def first_miner_wins(profiles, cfg: SimConfig, n_seeds: int) -> np.ndarray:
 
     Entry [j, k] equals ``simulate_mining(profiles[j], cfg).wins[0]`` run
     with seed cfg.seed + k.  Miner 0 wins a block exactly when its draw lies
-    below share_0 * discount, so each seed's stream is drawn and sorted once
-    and every profile's count is one binary search into it.
+    below share_0 * discount, so each seed's stream is drawn once and every
+    profile's count is one threshold of ``_count_below`` on it.
     """
     if not isinstance(n_seeds, (int, np.integer)) or n_seeds < 1:
         raise ValueError(f"n_seeds must be an integer >= 1, got {n_seeds!r}")
@@ -93,8 +109,7 @@ def first_miner_wins(profiles, cfg: SimConfig, n_seeds: int) -> np.ndarray:
     thresholds = np.array([as_profile(p).shares()[0] * discount for p in profiles])
     wins = np.empty((thresholds.size, n_seeds), dtype=np.int64)
     for k in range(n_seeds):
-        draws = np.sort(_block_draws(cfg.seed + k, cfg.n_blocks))
-        wins[:, k] = np.searchsorted(draws, thresholds, side="left")
+        wins[:, k] = _count_below(_block_draws(cfg.seed + k, cfg.n_blocks), thresholds)
     return wins
 
 

@@ -19,6 +19,7 @@ __all__ = [
     "UniformGame",
     "aggregate_miner_utility",
     "best_response_uniform",
+    "check_kappa",
     "leader_delta_utility_uniform",
     "optimal_fee_uniform",
     "optimal_fees_uniform",
@@ -123,7 +124,7 @@ def optimal_fee_uniform(edge_power: float, unit_cost: float, params: GameParams,
     if edge_power <= 0 or unit_cost <= 0:
         raise ValueError("edge_power and unit_cost must be > 0")
     lo, hi = fee_bracket(params, bracket)
-    _check_kappa(objective, lo, params.delay_discount(params.mobile_tx_load))
+    check_kappa(objective, lo, params.delay_discount(params.mobile_tx_load))
 
     def profit_at(fee: float) -> float:
         game = UniformGame(edge_power, fee, unit_cost, params)
@@ -165,7 +166,7 @@ def optimal_fees_uniform(edge_powers, unit_cost: float, params, objective: str =
         a = np.array([leader_reward_scale(p) for p in params])
         lo, hi = np.array([fee_bracket(p, bracket) for p in params],
                           dtype=float).reshape(-1, 2).T
-    _check_kappa(objective, lo, discount)
+    check_kappa(objective, lo, discount)
 
     def profits(fees):
         # leader_delta_utility_uniform, one game per element; the final
@@ -185,7 +186,7 @@ def optimal_fees_uniform(edge_powers, unit_cost: float, params, objective: str =
         return golden_section_max_array(profits, lo, hi)
 
 
-def _check_kappa(objective: str, lo, discount) -> None:
+def check_kappa(objective: str, lo, discount) -> None:
     """Reject a bracket whose lowest fee discounts to kappa == 0.
 
     The simplified objective divides by kappa = fee * discount, and kappa

@@ -190,6 +190,27 @@ class TestNonFiniteSettings:
         assert not out.exists()
 
 
+class TestSimulateRows:
+    def test_columns_at_a_thousand_miners(self, tmp_path):
+        powers = np.random.default_rng(12).uniform(1.0, 10.0, 1000)
+        powers[::9] = 0.0
+        n_blocks = 200_000
+        rows, _, n_failed = _run("simulate", tmp_path, powers=tuple(powers.tolist()),
+                                 n_blocks=n_blocks, seed=3)
+        assert n_failed == 0
+        discount = GameParams().delay_discount(GameParams().tx_per_block)
+        total = math.fsum(powers)
+        assert [row["miner"] for row in rows] == [*range(1000), -1]
+        for row, power in zip(rows, powers.tolist()):
+            assert type(row["wins"]) is int
+            assert row["power"] == power
+            assert row["share"] == power / total
+            assert row["win_prob_model"] == power / total * discount
+            assert row["frequency"] == row["wins"] / n_blocks
+        assert rows[-1]["frequency"] == rows[-1]["wins"] / n_blocks
+        assert sum(row["wins"] for row in rows) == n_blocks
+
+
 class TestFig1SharedDraws:
     @staticmethod
     def _oracle(cfg):
@@ -360,6 +381,29 @@ class TestStage1Sweeps:
             "config error: the simplified objective needs fee * delay discount > 0, "
             "but the device-load delay discount is 0"]
         assert not (tmp_path / "report.csv").exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("search", ["golden", "hillclimb"])
+    def test_zero_discount_solve_uniform(self, search, fmt, tmp_path, capsys):
+        # exp(-1000) == 0: the full objective is well defined, with no device
+        # joining; only the simplified profit column is undefined
+        out = tmp_path / f"report.{fmt}"
+        argv = ["solve-uniform", "--fee-search", search, "--poisson-rate", "100",
+                "--format", fmt, "--out", str(out)]
+        assert main(argv + ["--objective", "full"]) == 0
+        assert capsys.readouterr().err == ""
+        text = out.read_text()
+        row = json.loads(text)[0] if fmt == "json" else next(csv.DictReader(io.StringIO(text)))
+        assert math.isnan(float(row["leader_profit_simplified"]))
+        assert float(row["best_response_power"]) == 0.0
+        assert float(row["leader_profit_full"]) == -float(row["fee"])
+        assert row["status"] == "ok"
+        out.unlink()
+        assert main(argv + ["--objective", "simplified"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: the simplified objective needs fee * delay discount > 0, "
+            "but the device-load delay discount is 0"]
+        assert not out.exists()
 
 
 class TestReportFiles:

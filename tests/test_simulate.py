@@ -6,9 +6,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgeminer import (
     GameParams,
+    PowerProfile,
     SimConfig,
     SimOutcome,
     edge_utility,
@@ -27,6 +30,95 @@ def _sim(seed=0, n_blocks=1000, **params):
     game_params = GameParams(**params) if params else GameParams()
     return SimConfig(n_blocks=n_blocks, tx_per_block=game_params.tx_per_block,
                      seed=seed, params=game_params)
+
+
+def _per_block(powers, cfg):
+    """Reference simulator: each block's winner by its own binary search.
+
+    Block b goes to the first miner whose cumulative win probability exceeds
+    the block's draw, or to no one past the last; returns (wins, orphans).
+    """
+    shares = PowerProfile(np.asarray(powers, dtype=float)).shares()
+    cum = np.cumsum(shares * cfg.params.delay_discount(cfg.tx_per_block))
+    draws = np.random.Generator(np.random.PCG64(cfg.seed)).random(cfg.n_blocks)
+    counts = np.bincount(np.searchsorted(cum, draws, side="right"),
+                         minlength=shares.size + 1)
+    return counts[:shares.size], int(counts[shares.size:].sum())
+
+
+def _assert_matches_per_block(powers, cfg):
+    outcome = simulate_mining(powers, cfg)
+    wins, orphans = _per_block(powers, cfg)
+    assert outcome.wins.dtype == np.int64
+    assert outcome.wins.tolist() == wins.tolist()
+    assert type(outcome.orphans) is int and outcome.orphans == orphans
+    assert outcome.n_blocks == cfg.n_blocks
+
+
+def _miner_counts(n_blocks):
+    # the kernel makes one comparison pass per threshold up to log2(n_blocks)
+    # thresholds and sorts the draws past that: straddle the switch
+    switch = math.floor(math.log2(n_blocks))
+    return sorted({1, 3, *(m for m in (switch - 1, switch, switch + 1) if m >= 1)})
+
+
+class TestAgainstPerBlockReference:
+    @pytest.mark.parametrize("rate", [0.0, 0.01, 100.0])
+    @pytest.mark.parametrize("n_blocks", [1, 2, 137, 65_536, 200_000])
+    def test_miner_counts_around_the_switch(self, n_blocks, rate):
+        rng = np.random.default_rng(n_blocks)
+        for m in _miner_counts(n_blocks):
+            for seed in (0, 31):
+                cfg = _sim(seed=seed, n_blocks=n_blocks, poisson_rate=rate)
+                _assert_matches_per_block(rng.uniform(0.5, 20.0, m), cfg)
+
+    @pytest.mark.parametrize("n_blocks", [1, 2, 137, 65_536, 200_000])
+    def test_zero_power_miners(self, n_blocks):
+        for m in _miner_counts(n_blocks):
+            powers = np.zeros(m + 2)
+            powers[1::2] = np.arange(1.0, powers[1::2].size + 1)
+            _assert_matches_per_block(powers, _sim(seed=5, n_blocks=n_blocks))
+
+    @pytest.mark.parametrize("rate", [0.0, 100.0])
+    @pytest.mark.parametrize("n_blocks", [1, 137, 200_000])
+    def test_single_miner(self, n_blocks, rate):
+        cfg = _sim(seed=2, n_blocks=n_blocks, poisson_rate=rate)
+        _assert_matches_per_block([4.0], cfg)
+        outcome = simulate_mining([4.0], cfg)
+        # no delay: every block is won; exp(-1000) == 0: every block orphaned
+        assert outcome.orphans == (0 if rate == 0.0 else n_blocks)
+
+    def test_many_miners(self):
+        powers = np.random.default_rng(8).uniform(1.0, 10.0, 1000)
+        powers[::7] = 0.0
+        for n_blocks in (1, 137, 200_000):
+            _assert_matches_per_block(powers, _sim(seed=44, n_blocks=n_blocks))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(powers=st.lists(st.floats(0.0, 100.0), min_size=1, max_size=40)
+           .filter(lambda p: sum(p) > 0),
+           seed=st.integers(0, 2**32 - 1),
+           n_blocks=st.integers(1, 5000),
+           rate=st.sampled_from([0.0, 0.001, 0.01, 0.1, 100.0]))
+    def test_random_profiles(self, powers, seed, n_blocks, rate):
+        _assert_matches_per_block(powers, _sim(seed=seed, n_blocks=n_blocks, poisson_rate=rate))
+
+
+class TestCountBelow:
+    # five draws: up to 2 thresholds by comparison passes, 3 or more by a sort
+    DRAWS = np.array([0.5, 0.0, 0.25, 0.75, 0.25])
+
+    @pytest.mark.parametrize("thresholds, expected", [
+        ([0.25], [1]),
+        ([0.25, 0.5], [1, 3]),
+        ([0.0, 0.25, 0.5], [0, 1, 3]),
+        ([1.0, 0.75, 0.25, 0.0, 0.3], [5, 4, 1, 0, 3]),
+        ([], []),
+    ])
+    def test_ties_count_as_not_below(self, thresholds, expected):
+        counts = simulate._count_below(self.DRAWS, np.array(thresholds, dtype=float))
+        assert counts.dtype == np.int64
+        assert counts.tolist() == expected
 
 
 class TestSimulateMining:
@@ -76,15 +168,27 @@ class TestSimulateMining:
 
 
 class TestFirstMinerWins:
-    def test_equals_one_simulation_per_profile_and_seed(self):
-        profiles = [[0.0, 5.0], [3.0, 1.0, 2.0], [7.5], [1.0, 0.0, 4.0, 2.0]]
+    PROFILES = [[0.0, 5.0], [3.0, 1.0, 2.0], [7.5], [1.0, 0.0, 4.0, 2.0]]
+
+    @staticmethod
+    def _check_against_per_block(profiles):
         cfg = _sim(seed=40, n_blocks=250, tx_per_block=4)
         wins = first_miner_wins(profiles, cfg, 6)
-        assert wins.shape == (4, 6)
+        assert wins.shape == (len(profiles), 6)
         for j, powers in enumerate(profiles):
             for k in range(6):
-                outcome = simulate_mining(powers, dataclasses.replace(cfg, seed=40 + k))
-                assert wins[j, k] == outcome.wins[0]
+                reference, _ = _per_block(powers, dataclasses.replace(cfg, seed=40 + k))
+                assert wins[j, k] == reference[0]
+
+    def test_equals_one_simulation_per_profile_and_seed(self):
+        # 4 thresholds on 250 blocks: one comparison pass each
+        self._check_against_per_block(self.PROFILES)
+
+    def test_many_profiles_sort_the_draws(self):
+        # 20 thresholds on 250 blocks: one sort per seed
+        profiles = [[p * (1 + j // 4) if i == 0 else p for i, p in enumerate(base)]
+                    for j, base in enumerate(self.PROFILES * 5)]
+        self._check_against_per_block(profiles)
 
     @pytest.mark.parametrize("n_seeds", [0, -1, 2.0])
     def test_bad_seed_count_rejected(self, n_seeds):
