@@ -534,6 +534,28 @@ class TestGolden:
         _run(kind, tmp_path, **settings)
         assert (tmp_path / f"{kind}.csv").read_bytes() == (GOLDEN / f"{kind}.csv").read_bytes()
 
+    # every other kind, and the JSON form of the series, in both formats
+    reports = {
+        "fig1": {"kind": "fig1", "grid_steps": 20},
+        **{f"fig{n}": {"kind": f"fig{n}"} for n in range(2, 7)},
+        "compare-mdg": {"kind": "compare-mdg"},
+        "solve-uniform": {"kind": "solve-uniform"},
+        "solve-uniform-hillclimb": {"kind": "solve-uniform", "fee_search": "hillclimb"},
+        "solve-disc": {"kind": "solve-disc", "fees": (4.0, 4.5, 5.0)},
+        "solve-disc-infeasible": {"kind": "solve-disc", "fees": (4.0, 5.0, 6.0, 7.0, 8.0) * 2},
+        "simulate": {"kind": "simulate", "powers": (10.0, 0.0, 30.0, 25.0), "n_blocks": 500,
+                     "seed": 3},
+    }
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.iterdir()
+                                            if not (p.stem.startswith("fig")
+                                                    and p.suffix == ".csv")))
+    def test_report_byte_identical(self, name, tmp_path):
+        stem, fmt = name.rsplit(".", 1)
+        out = tmp_path / name
+        run_experiment(build_config({**self.reports[stem], "format": fmt, "out": str(out)}))
+        assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
 
 class TestCli:
     def test_solve_uniform_writes_file(self, tmp_path, capsys):
