@@ -19,38 +19,37 @@ os.makedirs(out_dir, exist_ok=True)
 def run(kind, **settings):
     settings.setdefault("kind", kind)
     settings.setdefault("out", os.path.join(out_dir, f"{kind}.csv"))
-    rows, path, n_failed = run_experiment(build_config(settings))
-    return rows
+    table, path, n_failed = run_experiment(build_config(settings))
+    print(f"{kind}: wrote {len(table)} rows to {path}")
+    return table
 
 
 print("== fig1: success probability vs edge power (model and 10-seed average) ==")
-rows = run("fig1", grid_steps=20)
-values = [r["success_prob_empirical"] for r in rows]
+table = run("fig1", grid_steps=20)
+values = table["success_prob_empirical"]
 print(f"  empirical monotone nondecreasing: {bool(np.all(np.diff(values) >= 0))}")
 
 print("\n== fig2: optimal fee vs fixed reward ==")
-rows = run("fig2")
-fees = [r["optimal_fee"] for r in rows]
+fees = run("fig2")["optimal_fee"]
 print(f"  fee range {fees[0]:.3f} -> {fees[-1]:.3f}, "
       f"monotone: {bool(np.all(np.diff(fees) >= 0))}")
 
 print("\n== fig3: leader profit vs device power (edge power fixed at 50) ==")
-rows = run("fig3")
-profits = [r["profit_same_fee"] for r in rows]
+profits = run("fig3")["profit_same_fee"]
 print(f"  increasing: {bool(np.all(np.diff(profits) > 0))}, "
       f"diminishing increments: {bool(np.all(np.diff(profits, 2) < 1e-12))}")
 
 print("\n== fig4: leader profit vs edge power (device power fixed at 50) ==")
-rows = run("fig4")
-failed = sum(1 for r in rows if r["status"] != "ok")
-print(f"  rows: {len(rows)} (the edge-power-zero row is marked infeasible: {failed})")
+table = run("fig4")
+failed = sum(1 for status in table["status"] if status != "ok")
+print(f"  rows: {len(table)} (the edge-power-zero row is marked infeasible: {failed})")
 
 print("\n== fig5 and fig6: edge scheme vs delayed baseline ==")
 for kind in ("fig5", "fig6"):
-    rows = run(kind)
+    table = run(kind)
     by_fraction = {}
-    for r in rows:
-        by_fraction.setdefault(r["edge_fraction"], []).append(r["profit_gap"])
+    for fraction, gap in zip(table["edge_fraction"], table["profit_gap"]):
+        by_fraction.setdefault(fraction, []).append(gap)
     print(f"  {kind}: mean profit gap by edge fraction:",
           {f: round(float(np.mean(g)), 3) for f, g in sorted(by_fraction.items())})
 

@@ -21,7 +21,6 @@ from .core import (
     power_share,
 )
 from .discriminatory import (
-    DiscriminatoryCertificate,
     DiscriminatoryGame,
     best_response_i,
     equilibrium_share,

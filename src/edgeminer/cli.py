@@ -72,7 +72,7 @@ def main(argv=None) -> int:
         parser.error("a figure number N goes with 'fig' and only with 'fig'")
     try:
         cfg = build_config(_settings_from_args(args))
-        rows, _, n_failed = run_experiment(cfg)
+        table, path, n_failed = run_experiment(cfg)
     except ConfigError as exc:
         for message in exc.errors:
             print(f"config error: {message}", file=sys.stderr)
@@ -83,7 +83,9 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"no result: {exc}", file=sys.stderr)
         return 3
-    if rows and n_failed == len(rows):
+    print(f"{cfg.kind}: wrote {len(table)} rows to {path}"
+          + (f" ({n_failed} infeasible)" if n_failed else ""))
+    if table and n_failed == len(table):
         print("all instances infeasible", file=sys.stderr)
         return 3
     return 0

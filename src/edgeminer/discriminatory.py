@@ -26,7 +26,6 @@ from .core import (
 from .search import golden_section_max
 
 __all__ = [
-    "DiscriminatoryCertificate",
     "DiscriminatoryGame",
     "best_response_i",
     "leader_delta_utility_discriminatory",
@@ -109,23 +108,14 @@ def nash_equilibrium_closed_form(game: DiscriminatoryGame) -> PowerProfile:
     return PowerProfile(x)
 
 
-@dataclass(frozen=True)
-class DiscriminatoryCertificate:
-    """Literal per-miner uniqueness condition 2(M-1)/p_i < sum_j 1/p_j.
+def uniqueness_certificate_discriminatory(game: DiscriminatoryGame) -> np.ndarray:
+    """Literal per-miner uniqueness condition 2(M-1)/p_i < sum_j 1/p_j, one bool each.
 
     Reported as stated but never used to gate computation: the condition
     cannot hold for every miner at once (summing it over i gives M < 2), so
     the operative uniqueness evidence is the best-response fixed-point test.
     """
-
-    per_miner: np.ndarray
-    all_pass: bool
-
-
-def uniqueness_certificate_discriminatory(game: DiscriminatoryGame) -> DiscriminatoryCertificate:
-    inv_sum = math.fsum(1.0 / game.fees)
-    per_miner = 2.0 * (game.n_miners - 1) / game.fees < inv_sum
-    return DiscriminatoryCertificate(per_miner=per_miner, all_pass=bool(np.all(per_miner)))
+    return 2.0 * (game.n_miners - 1) / game.fees < math.fsum(1.0 / game.fees)
 
 
 def equilibrium_share(game: DiscriminatoryGame, i: int) -> float:

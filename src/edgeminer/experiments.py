@@ -55,15 +55,13 @@ __all__ = [
     "FORMATS",
     "KINDS",
     "SETTINGS",
+    "Table",
     "matched_heterogeneous_fees",
     "parse_config_text",
     "render_report",
     "run_experiment",
     "validate_config",
 ]
-
-KINDS = ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6",
-         "solve-uniform", "solve-disc", "simulate", "compare-mdg")
 
 DEFAULT_GRIDS = {
     "fig1": (1.0, 100.0, 100),
@@ -290,16 +288,16 @@ def validate_config(text: str) -> ExperimentConfig:
 
 
 def matched_heterogeneous_fees(device_power: float, n_miners: int, unit_cost: float,
-                               params: GameParams, spread: float | None = None) -> np.ndarray:
+                               params: GameParams) -> np.ndarray:
     """Per-miner fees whose interior equilibrium total equals device_power.
 
     Fees follow an evenly spaced multiplier pattern around a base level; the
-    spread shrinks with the miner count to keep the allocation interior.
+    spread, min(0.2, 0.5 / n_miners), shrinks with the miner count to keep
+    the allocation interior.
     """
     if device_power <= 0:
         raise ValueError("device_power must be > 0")
-    if spread is None:
-        spread = min(0.2, 0.5 / n_miners)
+    spread = min(0.2, 0.5 / n_miners)
     multipliers = np.linspace(1.0 - spread, 1.0 + spread, n_miners)
     discount = params.delay_discount(params.mobile_tx_load)
     base = device_power * unit_cost * math.fsum(1.0 / multipliers) / ((n_miners - 1) * discount)
@@ -313,36 +311,30 @@ def _inducing_fee(edge_power: float, device_power: float, unit_cost: float,
     return unit_cost * (edge_power + device_power) ** 2 / (edge_power * discount)
 
 
-def _failed(template: dict, status: str) -> dict:
-    # result columns in the template start as nan; only the status changes
-    row = dict(template)
-    row["status"] = status
-    return row
+def _append(columns: dict, *cells) -> None:
+    """Add one row: the cells go to the columns in order."""
+    for column, cell in zip(columns.values(), cells, strict=True):
+        column.append(cell)
 
 
 def _rows_fig1(cfg: ExperimentConfig):
     """Edge-miner mining success probability against its computing power."""
     params = cfg.params
-    device_power = cfg.device_power
     grid = cfg.grid()
     sim = SimConfig(n_blocks=cfg.n_blocks, tx_per_block=params.tx_per_block,
                     seed=cfg.seed, params=params)
     # same seeds for every grid point: with common draws the empirical
     # frequency is monotone in the win probability by construction
-    wins = first_miner_wins([[x, device_power] for x in grid], sim, cfg.n_seeds)
-    freqs = wins / cfg.n_blocks
-    rows = []
-    for x, point_freqs in zip(grid, freqs):
-        share = x / (x + device_power)
-        rows.append({
-            "edge_power": float(x),
-            "device_power": device_power,
-            "edge_share": share,
-            "success_prob_model": share * params.delay_discount(params.tx_per_block),
-            "success_prob_empirical": float(np.mean(point_freqs)),
-            "status": "ok",
-        })
-    return rows
+    wins = first_miner_wins([[x, cfg.device_power] for x in grid], sim, cfg.n_seeds)
+    share = grid / (grid + cfg.device_power)
+    return {
+        "edge_power": grid.tolist(),
+        "device_power": [cfg.device_power] * grid.size,
+        "edge_share": share.tolist(),
+        "success_prob_model": (share * params.delay_discount(params.tx_per_block)).tolist(),
+        "success_prob_empirical": (wins / cfg.n_blocks).mean(axis=1).tolist(),
+        "status": ["ok"] * grid.size,
+    }
 
 
 def _rows_fig2(cfg: ExperimentConfig):
@@ -351,12 +343,12 @@ def _rows_fig2(cfg: ExperimentConfig):
     points = [replace(cfg.params, fixed_reward=r) for r in rewards]
     fees, profits = optimal_fees_uniform(np.full(len(points), cfg.edge_power), cfg.unit_cost,
                                          points, objective=cfg.resolved_objective())
-    return [{"fixed_reward": r, "optimal_fee": fee, "leader_profit": profit, "status": "ok"}
-            for r, fee, profit in zip(rewards, fees.tolist(), profits.tolist())]
+    return {"fixed_reward": rewards, "optimal_fee": fees.tolist(),
+            "leader_profit": profits.tolist(), "status": ["ok"] * len(rewards)}
 
 
-def _profit_rows_power_sweep(cfg: ExperimentConfig, axis: str):
-    """Shared builder for the leader-profit curves (fig3 and fig4).
+def _rows_power_sweep(cfg: ExperimentConfig):
+    """Leader-profit curves: fig3 sweeps the device power, fig4 the edge power.
 
     Same-fee column: the uniform fee inducing the device power as the pool's
     best response.  Diff-fee column: heterogeneous per-miner fees matched to
@@ -365,27 +357,22 @@ def _profit_rows_power_sweep(cfg: ExperimentConfig, axis: str):
     params = cfg.params
     objective = cfg.resolved_objective()
     scale = params.total_reward * params.delay_discount(params.mobile_tx_load)
-    rows = []
-    for value in cfg.grid():
-        if axis == "device_power":
-            edge_power, device_power = cfg.edge_power, float(value)
-            template = {"device_power": device_power, "edge_power": edge_power}
-        else:
-            edge_power, device_power = float(value), cfg.device_power
-            template = {"edge_power": edge_power, "device_power": device_power}
-        template.update(fee_same=math.nan, profit_same_fee=math.nan,
-                        fee_bill_diff=math.nan, profit_diff_fee=math.nan, status="ok")
+    fig3 = cfg.kind == "fig3"
+    names = ("device_power", "edge_power") if fig3 else ("edge_power", "device_power")
+    columns = {name: [] for name in (*names, "fee_same", "profit_same_fee",
+                                     "fee_bill_diff", "profit_diff_fee", "status")}
+    fixed = cfg.edge_power if fig3 else cfg.device_power
+    for value in cfg.grid().tolist():
+        axes = (value, fixed)  # the swept power leads
+        edge_power, device_power = (fixed, value) if fig3 else axes
         if edge_power <= 0:
-            rows.append(_failed(template, "infeasible: edge power must be > 0"))
+            _append(columns, *axes, *[math.nan] * 4, "infeasible: edge power must be > 0")
             continue
-        row = dict(template)
-        row["fee_same"] = _inducing_fee(edge_power, device_power, cfg.unit_cost, params)
-        row["profit_same_fee"] = leader_delta_utility_uniform(
-            UniformGame(edge_power, row["fee_same"], cfg.unit_cost, params), objective)
+        fee_same = _inducing_fee(edge_power, device_power, cfg.unit_cost, params)
+        profit_same = leader_delta_utility_uniform(
+            UniformGame(edge_power, fee_same, cfg.unit_cost, params), objective)
         if device_power == 0:
-            row["fee_bill_diff"] = 0.0
-            row["profit_diff_fee"] = 0.0
-            rows.append(row)
+            _append(columns, *axes, fee_same, profit_same, 0.0, 0.0, "ok")
             continue
         try:
             fees = matched_heterogeneous_fees(device_power, cfg.n_miners,
@@ -393,40 +380,26 @@ def _profit_rows_power_sweep(cfg: ExperimentConfig, axis: str):
             allocation = nash_equilibrium_closed_form(
                 DiscriminatoryGame(fees, cfg.unit_cost, params))
         except (InfeasibleEquilibriumError, ValueError) as exc:
-            rows.append(_failed(template, f"infeasible: {exc}"))
+            _append(columns, *axes, *[math.nan] * 4, f"infeasible: {exc}")
             continue
         reward_diff = scale * math.fsum(allocation.powers) / (edge_power + device_power)
-        row["fee_bill_diff"] = math.fsum(fees)
-        row["profit_diff_fee"] = (reward_diff if objective == "simplified"
-                                  else reward_diff - row["fee_bill_diff"])
-        rows.append(row)
-    return rows
-
-
-def _rows_fig3(cfg: ExperimentConfig):
-    return _profit_rows_power_sweep(cfg, "device_power")
-
-
-def _rows_fig4(cfg: ExperimentConfig):
-    return _profit_rows_power_sweep(cfg, "edge_power")
+        fee_bill = math.fsum(fees)
+        _append(columns, *axes, fee_same, profit_same, fee_bill,
+                reward_diff if objective == "simplified" else reward_diff - fee_bill, "ok")
+    return columns
 
 
 def _rows_fig5(cfg: ExperimentConfig):
     """Edge scheme vs delayed baseline; heterogeneous per-miner fees."""
     params = cfg.params
-    rows = []
+    columns = {name: [] for name in (
+        "edge_fraction", "total_power", "edge_power", "device_power", "fee_bill_emg",
+        "profit_emg", "fee_bill_mdg", "profit_mdg", "profit_gap", "status")}
+    grid = cfg.grid().tolist()
     for fraction in cfg.edge_fractions:
-        for total in cfg.grid():
-            total = float(total)
+        for total in grid:
             edge_power = fraction * total
             device_power = total - edge_power
-            template = {
-                "edge_fraction": fraction, "total_power": total,
-                "edge_power": edge_power, "device_power": device_power,
-                "fee_bill_emg": math.nan, "profit_emg": math.nan,
-                "fee_bill_mdg": math.nan, "profit_mdg": math.nan,
-                "profit_gap": math.nan, "status": "ok",
-            }
             try:
                 fees = matched_heterogeneous_fees(device_power, cfg.n_miners,
                                                   cfg.unit_cost, params)
@@ -437,14 +410,12 @@ def _rows_fig5(cfg: ExperimentConfig):
                 profit_mdg = mdg_baseline_profit(total, [fee_bill_mdg], params,
                                                  cfg.mdg_delay_mult)
             except (InfeasibleEquilibriumError, ValueError) as exc:
-                rows.append(_failed(template, f"infeasible: {exc}"))
+                _append(columns, fraction, total, edge_power, device_power,
+                        *[math.nan] * 5, f"infeasible: {exc}")
                 continue
-            row = dict(template)
-            row.update(fee_bill_emg=fee_bill, profit_emg=profit_emg,
-                       fee_bill_mdg=fee_bill_mdg, profit_mdg=profit_mdg,
-                       profit_gap=profit_emg - profit_mdg)
-            rows.append(row)
-    return rows
+            _append(columns, fraction, total, edge_power, device_power, fee_bill, profit_emg,
+                    fee_bill_mdg, profit_mdg, profit_emg - profit_mdg, "ok")
+    return columns
 
 
 def _rows_mdg(cfg: ExperimentConfig):
@@ -454,16 +425,16 @@ def _rows_mdg(cfg: ExperimentConfig):
     is the one-fraction case without that column.
     """
     fig6 = cfg.kind == "fig6"
-    rows = []
-    for fraction in cfg.edge_fractions if fig6 else (cfg.edge_fraction,):
-        for sweep_row in emg_vs_mdg_sweep(cfg.grid(), fraction, cfg.params,
-                                          cfg.unit_cost, cfg.mdg_delay_mult,
-                                          objective=cfg.resolved_objective()):
-            row = {"edge_fraction": fraction} if fig6 else {}
-            row.update(sweep_row)
-            row["status"] = "ok"
-            rows.append(row)
-    return rows
+    fractions = cfg.edge_fractions if fig6 else (cfg.edge_fraction,)
+    grid = cfg.grid()
+    columns = {"edge_fraction": [f for f in fractions for _ in grid]} if fig6 else {}
+    for fraction in fractions:
+        sweep = emg_vs_mdg_sweep(grid, fraction, cfg.params, cfg.unit_cost,
+                                 cfg.mdg_delay_mult, objective=cfg.resolved_objective())
+        for name, values in sweep.items():
+            columns.setdefault(name, []).extend(values)
+    columns["status"] = ["ok"] * (len(fractions) * grid.size)
+    return columns
 
 
 def _optimize_fee(cfg: ExperimentConfig, objective: str):
@@ -496,41 +467,38 @@ def _rows_solve_uniform(cfg: ExperimentConfig):
     game = UniformGame(cfg.edge_power, fee, cfg.unit_cost, params)
     response = best_response_uniform(game)
     certificate = uniqueness_certificate_uniform(game)
-    return [{
-        "edge_power": cfg.edge_power,
-        "fee": fee,
-        "unit_cost": cfg.unit_cost,
-        "best_response_power": response,
-        "follower_utility": aggregate_miner_utility(game, response),
-        "leader_profit_full": leader_delta_utility_uniform(game, "full"),
+    return {
+        "edge_power": [cfg.edge_power],
+        "fee": [fee],
+        "unit_cost": [cfg.unit_cost],
+        "best_response_power": [response],
+        "follower_utility": [aggregate_miner_utility(game, response)],
+        "leader_profit_full": [leader_delta_utility_uniform(game, "full")],
         # the simplified objective divides by kappa; undefined at kappa == 0
-        "leader_profit_simplified": (leader_delta_utility_uniform(game, "simplified")
-                                     if game.kappa > 0 else math.nan),
-        "certified_unique": certificate.certified,
-        "below_quarter_bound": certificate.below_quarter_bound,
-        "below_positivity_bound": certificate.below_positivity_bound,
-        "optimal_fee": optimal_fee,
-        "optimal_profit": optimal_profit,
-        "status": "ok",
-    }]
+        "leader_profit_simplified": [leader_delta_utility_uniform(game, "simplified")
+                                     if game.kappa > 0 else math.nan],
+        "certified_unique": [certificate.certified],
+        "below_quarter_bound": [certificate.below_quarter_bound],
+        "below_positivity_bound": [certificate.below_positivity_bound],
+        "optimal_fee": [optimal_fee],
+        "optimal_profit": [optimal_profit],
+        "status": ["ok"],
+    }
 
 
 def _rows_solve_disc(cfg: ExperimentConfig):
     game = DiscriminatoryGame(np.asarray(cfg.fees, dtype=float), cfg.unit_cost, cfg.params)
-    template = {
-        "miner": -1, "fee": math.nan, "power": math.nan, "share": math.nan,
-        "utility": math.nan, "certified_unique_i": False,
-        "leader_delta_full": math.nan, "leader_delta_simplified": math.nan,
-        "status": "ok",
-    }
     try:
         allocation = nash_equilibrium_closed_form(game)
     except InfeasibleEquilibriumError as exc:
         shown = " ".join(str(i) for i in exc.indices[:5])
         more = " ..." if len(exc.indices) > 5 else ""
-        return [_failed(template, f"infeasible: miners {shown}{more} "
-                                  f"({len(exc.indices)} of {game.n_miners})")]
-    certificate = uniqueness_certificate_discriminatory(game)
+        nan = [math.nan]
+        return {"miner": [-1], "fee": nan, "power": nan, "share": nan, "utility": nan,
+                "certified_unique_i": [False], "leader_delta_full": nan,
+                "leader_delta_simplified": nan,
+                "status": [f"infeasible: miners {shown}{more} "
+                           f"({len(exc.indices)} of {game.n_miners})"]}
     # miner_utility_i and leader_delta_utility_discriminatory, elementwise
     # over every miner from this one solve
     fees, powers, shares = game.fees, allocation.powers, allocation.shares()
@@ -539,100 +507,88 @@ def _rows_solve_disc(cfg: ExperimentConfig):
     utility = fees * shares * discount - game.unit_cost * powers
     delta_full = a * shares - (fees * powers if cfg.fee_basis == "per_power" else fees)
     delta_simplified = a * (1.0 - (game.n_miners - 1) / (fees * math.fsum(1.0 / fees)))
-    return [{
-        "miner": i,
-        "fee": float(fees[i]),
-        "power": float(powers[i]),
-        "share": float(shares[i]),
-        "utility": float(utility[i]),
-        "certified_unique_i": bool(certificate.per_miner[i]),
-        "leader_delta_full": float(delta_full[i]),
-        "leader_delta_simplified": float(delta_simplified[i]),
-        "status": "ok",
-    } for i in range(game.n_miners)]
+    return {
+        "miner": list(range(game.n_miners)),
+        "fee": fees.tolist(),
+        "power": powers.tolist(),
+        "share": shares.tolist(),
+        "utility": utility.tolist(),
+        "certified_unique_i": uniqueness_certificate_discriminatory(game).tolist(),
+        "leader_delta_full": delta_full.tolist(),
+        "leader_delta_simplified": delta_simplified.tolist(),
+        "status": ["ok"] * game.n_miners,
+    }
 
 
 def _rows_simulate(cfg: ExperimentConfig):
     sim = SimConfig(n_blocks=cfg.n_blocks, tx_per_block=cfg.params.tx_per_block,
                     seed=cfg.seed, params=cfg.params)
     outcome = simulate_mining(list(cfg.powers), sim)
-    shares = np.asarray(cfg.powers, dtype=float) / math.fsum(cfg.powers)
+    powers = np.asarray(cfg.powers, dtype=float)
+    shares = powers / math.fsum(cfg.powers)
     discount = cfg.params.delay_discount(sim.tx_per_block)
-    columns = (cfg.powers, shares.tolist(), (shares * discount).tolist(),
-               outcome.wins.tolist(), outcome.frequencies.tolist())
-    rows = [{
-        "miner": i,
-        "power": float(power),
-        "share": share,
-        "win_prob_model": win_prob,
-        "wins": wins,
-        "frequency": frequency,
-        "status": "ok",
-    } for i, (power, share, win_prob, wins, frequency) in enumerate(zip(*columns))]
-    rows.append({
-        "miner": -1,
-        "power": math.nan,
-        "share": math.nan,
-        "win_prob_model": 1.0 - discount,
-        "wins": outcome.orphans,
-        "frequency": outcome.orphans / outcome.n_blocks,
-        "status": "ok",
-    })
-    return rows
+    # the last row is the orphaned rounds, which no miner won
+    return {
+        "miner": [*range(powers.size), -1],
+        "power": [*powers.tolist(), math.nan],
+        "share": [*shares.tolist(), math.nan],
+        "win_prob_model": [*(shares * discount).tolist(), 1.0 - discount],
+        "wins": [*outcome.wins.tolist(), outcome.orphans],
+        "frequency": [*outcome.frequencies.tolist(), outcome.orphans / outcome.n_blocks],
+        "status": ["ok"] * (powers.size + 1),
+    }
 
 
+# one builder per experiment kind; KINDS is their names, in this order
 _BUILDERS = {
-    "fig1": _rows_fig1, "fig2": _rows_fig2, "fig3": _rows_fig3, "fig4": _rows_fig4,
-    "fig5": _rows_fig5, "fig6": _rows_mdg, "compare-mdg": _rows_mdg,
+    "fig1": _rows_fig1, "fig2": _rows_fig2, "fig3": _rows_power_sweep,
+    "fig4": _rows_power_sweep, "fig5": _rows_fig5, "fig6": _rows_mdg,
     "solve-uniform": _rows_solve_uniform, "solve-disc": _rows_solve_disc,
-    "simulate": _rows_simulate,
+    "simulate": _rows_simulate, "compare-mdg": _rows_mdg,
 }
+KINDS = tuple(_BUILDERS)
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
+class Table(dict):
+    """A report: column name -> list of cells, ``status`` last.
+
+    Cells are plain bool, int, float or str.  ``len()`` counts the rows,
+    not the columns.
+    """
+
+    def __len__(self):
+        return len(self["status"])
 
 
-def render_report(rows, fmt: str) -> str:
-    """Serialize rows to CSV or JSON text with round-trippable floats."""
+# a CSV cell's text follows its Python type; floats round-trip
+_CELL_TEXT = {bool: {True: "true", False: "false"}.__getitem__, int: int.__repr__,
+              float: float.__repr__, str: str}
+
+
+def render_report(columns, fmt: str) -> str:
+    """Serialize report columns to CSV or JSON text with round-trippable floats."""
     if fmt == "json":
-        clean = []
-        for row in rows:
-            clean.append({k: (bool(v) if isinstance(v, np.bool_) else
-                              int(v) if isinstance(v, np.integer) else
-                              float(v) if isinstance(v, np.floating) else v)
-                          for k, v in row.items()})
-        return json.dumps(clean, indent=2) + "\n"
-    if not rows:
-        return ""
-    header = list(rows[0].keys())
+        rows = [dict(zip(columns, cells)) for cells in zip(*columns.values())]
+        return json.dumps(rows, indent=2) + "\n"
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows([_format_cell(row[key]) for key in header] for row in rows)
+    writer.writerow(columns)
+    writer.writerows(zip(*([_CELL_TEXT[type(cell)](cell) for cell in column]
+                           for column in columns.values())))
     return buffer.getvalue()
 
 
 def run_experiment(cfg: ExperimentConfig):
-    """Build the rows for cfg, write the report file, print a summary.
+    """Build the report for cfg and write it to its file.
 
-    Returns (rows, path, n_failed); infeasible instances become row-level
-    markers in the ``status`` column rather than aborting the run.
+    Returns (table, path, n_failed): the Table of columns, whose len() is
+    the row count, the path written, and how many rows are infeasible.
+    Infeasible instances become row-level markers in the ``status`` column
+    rather than aborting the run.
     """
-    if cfg.kind not in _BUILDERS:
-        raise ConfigError(f"unknown experiment kind {cfg.kind!r}")
-    rows = _BUILDERS[cfg.kind](cfg)
+    table = Table(_BUILDERS[cfg.kind](cfg))
     path = cfg.out or f"{cfg.kind}.{cfg.format}"
-    text = render_report(rows, cfg.format)
+    text = render_report(table, cfg.format)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
-    n_failed = sum(1 for row in rows if row.get("status") != "ok")
-    print(f"{cfg.kind}: wrote {len(rows)} rows to {path}"
-          + (f" ({n_failed} infeasible)" if n_failed else ""))
-    return rows, path, n_failed
+    return table, path, len(table) - table["status"].count("ok")

@@ -141,27 +141,26 @@ def mdg_baseline_profit(total_power: float, fee_schedule, params: GameParams,
 
 def emg_vs_mdg_sweep(total_power_grid, edge_fraction: float, params: GameParams,
                      unit_cost: float, mdg_delay_multiplier: float = 1.5,
-                     objective: str = "full", fee_bracket=None):
-    """Profit comparison at equal total power, row per grid point.
+                     objective: str = "full") -> dict:
+    """Profit comparison at equal total power, one column entry per grid point.
 
     The edge scheme contributes edge_fraction of the total power itself and
     pays the stage-I optimal fee for the recruited remainder; the baseline
     recruits the full total at the same per-power fee rate, so the edge's
-    own share goes un-fee'd.  Rows are ordered by total power.  One batched
-    stage-I search (optimal_fees_uniform) prices the whole grid.
+    own share goes un-fee'd.  Entries are ordered by total power.  One
+    batched stage-I search (optimal_fees_uniform) prices the whole grid.
+    Returns column name -> list of floats; an empty grid gives the same
+    names with empty lists.
     """
     if not 0 < edge_fraction < 1:
         raise ValueError(f"edge_fraction must lie in (0, 1), got {edge_fraction!r}")
     totals = np.sort(np.atleast_1d(np.asarray(total_power_grid, dtype=float)))
-    if not totals.size:
-        return []
     if np.any(totals <= 0):
         raise ValueError("total power grid entries must be > 0")
     if mdg_delay_multiplier < 1:
         raise ValueError("mdg_delay_multiplier must be >= 1")
     edge_power = edge_fraction * totals
-    fee_emg, _ = optimal_fees_uniform(edge_power, unit_cost, params,
-                                      objective=objective, bracket=fee_bracket)
+    fee_emg, _ = optimal_fees_uniform(edge_power, unit_cost, params, objective=objective)
     device_power = totals - edge_power
     with np.errstate(over="ignore", divide="ignore"):
         fee_mdg = fee_emg * totals / device_power
@@ -173,15 +172,13 @@ def emg_vs_mdg_sweep(total_power_grid, edge_fraction: float, params: GameParams,
         params.tx_per_block * mdg_delay_multiplier)
     profit_emg = reward - fee_emg - params.edge_overhead
     profit_mdg = reward_mdg - fee_mdg - params.edge_overhead
-    columns = {
-        "total_power": totals,
-        "edge_power": edge_power,
-        "device_power": device_power,
-        "fee_emg": fee_emg,
-        "fee_mdg": fee_mdg,
-        "profit_emg": profit_emg,
-        "profit_mdg": profit_mdg,
-        "profit_gap": profit_emg - profit_mdg,
+    return {
+        "total_power": totals.tolist(),
+        "edge_power": edge_power.tolist(),
+        "device_power": device_power.tolist(),
+        "fee_emg": fee_emg.tolist(),
+        "fee_mdg": fee_mdg.tolist(),
+        "profit_emg": profit_emg.tolist(),
+        "profit_mdg": profit_mdg.tolist(),
+        "profit_gap": (profit_emg - profit_mdg).tolist(),
     }
-    return [dict(zip(columns, values))
-            for values in zip(*(column.tolist() for column in columns.values()))]

@@ -216,30 +216,30 @@ def test_criterion_8_trend_reproduction(tmp_path):
         def run(kind, **settings):
             settings.setdefault("kind", kind)
             settings.setdefault("out", str(tmp_path / f"{kind}.csv"))
-            rows, _, n_failed = run_experiment(build_config(settings))
-            return rows, n_failed
+            table, _, n_failed = run_experiment(build_config(settings))
+            return table, n_failed
 
-        rows, _ = run("fig1")
+        table, _ = run("fig1")
         for column in ("success_prob_model", "success_prob_empirical"):
-            values = [r[column] for r in rows]
+            values = table[column]
             assert np.all(np.diff(values) >= 0.0), f"fig1 {column} not monotone"
 
-        rows, _ = run("fig2")
-        fees = [r["optimal_fee"] for r in rows]
+        table, _ = run("fig2")
+        fees = table["optimal_fee"]
         assert np.all(np.diff(fees) >= 0.0), "fig2 optimal fee not monotone in reward"
 
-        rows, _ = run("fig3")
+        table, _ = run("fig3")
         for column in ("profit_same_fee", "profit_diff_fee"):
-            values = [r[column] for r in rows]
+            values = table[column]
             assert np.all(np.diff(values) > 0.0), f"fig3 {column} not increasing"
             assert np.all(np.diff(values, 2) < 1e-12), f"fig3 {column} not diminishing"
 
         for kind in ("fig5", "fig6"):
-            rows, n_failed = run(kind)
+            table, n_failed = run(kind)
             assert n_failed == 0
             by_fraction = {}
-            for row in rows:
-                by_fraction.setdefault(row["edge_fraction"], []).append(row["profit_gap"])
+            for fraction, gap in zip(table["edge_fraction"], table["profit_gap"]):
+                by_fraction.setdefault(fraction, []).append(gap)
             assert all(g >= 0.0 for gaps in by_fraction.values() for g in gaps), \
                 f"{kind}: edge scheme must dominate at delay multiplier > 1"
             ordered = sorted(by_fraction)

@@ -133,20 +133,19 @@ class TestClosedForm:
 class TestUniquenessCertificate:
     def test_literal_condition_per_miner(self):
         cert = uniqueness_certificate_discriminatory(_game([10, 1, 1]))
-        assert cert.per_miner.tolist() == [True, False, False]
-        assert not cert.all_pass
+        assert cert.tolist() == [True, False, False]
 
     def test_symmetric_fees_never_pass(self):
         cert = uniqueness_certificate_discriminatory(_game([4, 4]))
-        assert cert.per_miner.tolist() == [False, False]
+        assert cert.tolist() == [False, False]
 
     def test_huge_fee_passes_for_that_miner(self):
         cert = uniqueness_certificate_discriminatory(_game([1e9, 1, 1]))
-        assert bool(cert.per_miner[0])
+        assert bool(cert[0])
 
     def test_never_gates_computation(self):
         game = _game([4, 4])
-        assert not uniqueness_certificate_discriminatory(game).all_pass
+        assert not uniqueness_certificate_discriminatory(game).any()
         nash_equilibrium_closed_form(game)  # still solvable
 
 
@@ -201,7 +200,6 @@ class TestSolveDiscriminatory:
                                for i in range(2))
         assert full == pytest.approx(a - 12.0)
         assert simplified == pytest.approx(a)
-        assert not uniqueness_certificate_discriminatory(game).all_pass
         np.testing.assert_allclose(nash_equilibrium_closed_form(game).powers, [8 / 9, 16 / 9])
 
 

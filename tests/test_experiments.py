@@ -34,6 +34,8 @@ from edgeminer.cli import _settings_from_args, build_parser, main
 from edgeminer.discriminatory import FEE_BASES
 from edgeminer.experiments import (
     DEFAULT_GRIDS,
+    FORMATS,
+    KINDS,
     SETTINGS,
     _rows_fig1,
     build_config,
@@ -49,6 +51,11 @@ def _run(kind, tmp_path, **settings):
     settings.setdefault("out", str(tmp_path / f"{kind}.{settings.get('format', 'csv')}"))
     cfg = build_config(settings)
     return run_experiment(cfg)
+
+
+def _rows(columns):
+    """A report's rows as dicts, in column order."""
+    return [dict(zip(columns, cells)) for cells in zip(*columns.values())]
 
 
 class TestValidateConfig:
@@ -190,13 +197,49 @@ class TestNonFiniteSettings:
         assert not out.exists()
 
 
+class TestTable:
+    # a small run of every kind, plus the all-infeasible solve-disc
+    settings = {
+        **{kind: {"grid_steps": 5} for kind in DEFAULT_GRIDS},
+        "solve-uniform": {}, "solve-disc": {"fees": (4.0, 4.5, 5.0)},
+        "simulate": {"powers": (1.0, 0.0, 2.0)},
+    }
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_columns_are_plain_and_aligned(self, kind, tmp_path):
+        table, _, n_failed = _run(kind, tmp_path, **self.settings[kind])
+        assert list(table)[-1] == "status"
+        lengths = {len(column) for column in table.values()}
+        assert lengths == {len(table)} and len(table) > 0
+        for name, column in table.items():
+            assert {type(cell) for cell in column} <= {bool, int, float, str}, name
+        assert n_failed == sum(status != "ok" for status in table["status"])
+
+    def test_len_counts_rows_not_columns(self, tmp_path, capsys):
+        fees = tuple(np.linspace(4.0, 8.0, 50).tolist())
+        table, _, n_failed = _run("solve-disc", tmp_path, fees=fees)
+        assert len(table) == n_failed == 1 and len(table.keys()) == 9
+        # the CLI reads "every row infeasible" from len(table)
+        code = main(["solve-disc", "--fees", ",".join(map(repr, fees)),
+                     "--out", str(tmp_path / "d.csv")])
+        assert code == 3
+        assert capsys.readouterr().out.endswith("wrote 1 rows to "
+                                                f"{tmp_path / 'd.csv'} (1 infeasible)\n")
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_run_experiment_prints_nothing(self, fmt, tmp_path, capsys):
+        _run("fig4", tmp_path, grid_steps=3, format=fmt)
+        assert capsys.readouterr() == ("", "")
+
+
 class TestSimulateRows:
     def test_columns_at_a_thousand_miners(self, tmp_path):
         powers = np.random.default_rng(12).uniform(1.0, 10.0, 1000)
         powers[::9] = 0.0
         n_blocks = 200_000
-        rows, _, n_failed = _run("simulate", tmp_path, powers=tuple(powers.tolist()),
-                                 n_blocks=n_blocks, seed=3)
+        table, _, n_failed = _run("simulate", tmp_path, powers=tuple(powers.tolist()),
+                                  n_blocks=n_blocks, seed=3)
+        rows = _rows(table)
         assert n_failed == 0
         discount = GameParams().delay_discount(GameParams().tx_per_block)
         total = math.fsum(powers)
@@ -243,7 +286,7 @@ class TestFig1SharedDraws:
         cfg = build_config({"kind": "fig1", "grid_start": 0.0, "grid_stop": 60.0,
                             "grid_steps": 13, "device_power": 20.0, "seed": 77,
                             "n_seeds": n_seeds, "n_blocks": n_blocks, **params})
-        assert _rows_fig1(cfg) == self._oracle(cfg)
+        assert _rows(_rows_fig1(cfg)) == self._oracle(cfg)
 
     def test_one_generator_per_seed(self, monkeypatch):
         seeds = []
@@ -274,8 +317,9 @@ class TestSolveDiscOneSolve:
     @pytest.mark.parametrize("n", [2, 7, 300])
     def test_rows_equal_per_miner_functions(self, n, basis, tmp_path):
         params = GameParams(mobile_tx_load=7, poisson_rate=0.02)
-        rows, _, _ = _run("solve-disc", tmp_path, fees=self._fees(n), fee_basis=basis,
-                          unit_cost=0.004, mobile_tx_load=7, poisson_rate=0.02)
+        table, _, _ = _run("solve-disc", tmp_path, fees=self._fees(n), fee_basis=basis,
+                           unit_cost=0.004, mobile_tx_load=7, poisson_rate=0.02)
+        rows = _rows(table)
         game = DiscriminatoryGame(np.asarray(self._fees(n)), 0.004, params)
         allocation = nash_equilibrium_closed_form(game)
         assert len(rows) == n
@@ -346,7 +390,7 @@ class TestStage1Sweeps:
         cfg = build_config({"kind": kind, "grid_steps": steps, "objective": objective,
                             "edge_fractions": (0.01, 0.99), "edge_fraction": 0.99,
                             **settings})
-        rows = experiments._BUILDERS[kind](cfg)
+        rows = _rows(experiments._BUILDERS[kind](cfg))
         # items, in order: the column order is part of the report bytes
         assert [list(row.items()) for row in rows] == [
             list(row.items()) for row in self._oracle(cfg)]
@@ -408,7 +452,8 @@ class TestStage1Sweeps:
 
 class TestReportFiles:
     def test_csv_round_trip_full_precision(self, tmp_path):
-        rows, path, _ = _run("fig2", tmp_path, grid_steps=6)
+        table, path, _ = _run("fig2", tmp_path, grid_steps=6)
+        rows = _rows(table)
         lines = (tmp_path / "fig2.csv").read_text().splitlines()
         header = lines[0].split(",")
         for line, row in zip(lines[1:], rows):
@@ -425,11 +470,9 @@ class TestReportFiles:
         assert raw.endswith(b"\n")
 
     def test_json_round_trip(self, tmp_path):
-        rows, path, _ = _run("fig2", tmp_path, grid_steps=4, format="json")
+        table, path, _ = _run("fig2", tmp_path, grid_steps=4, format="json")
         parsed = json.loads((tmp_path / "fig2.json").read_text())
-        assert len(parsed) == len(rows)
-        for loaded, row in zip(parsed, rows):
-            assert loaded["optimal_fee"] == row["optimal_fee"]
+        assert parsed == _rows(table)
 
     def test_byte_identical_reruns(self, tmp_path):
         _run("fig1", tmp_path, grid_steps=5, n_seeds=3,
@@ -439,9 +482,9 @@ class TestReportFiles:
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_seed_changes_simulation_output(self, tmp_path):
-        rows_a, _, _ = _run("simulate", tmp_path, seed=1, out=str(tmp_path / "a.csv"))
-        rows_b, _, _ = _run("simulate", tmp_path, seed=2, out=str(tmp_path / "b.csv"))
-        assert [r["wins"] for r in rows_a] != [r["wins"] for r in rows_b]
+        table_a, _, _ = _run("simulate", tmp_path, seed=1, out=str(tmp_path / "a.csv"))
+        table_b, _, _ = _run("simulate", tmp_path, seed=2, out=str(tmp_path / "b.csv"))
+        assert table_a["wins"] != table_b["wins"]
 
     def test_infeasible_solve_disc_report_parses_as_csv(self, tmp_path):
         fees = ",".join(str(float(x)) for x in np.linspace(4.0, 8.0, 50))
@@ -453,44 +496,41 @@ class TestReportFiles:
         assert lines[1][-1] == "infeasible: miners 0 1 2 3 4 ... (21 of 50)"
 
     def test_render_report_formats_booleans(self):
-        text = render_report([{"x": True, "y": 1, "status": "ok"}], "csv")
-        assert text == "x,y,status\ntrue,1,ok\n"
+        text = render_report({"x": [True, False], "y": [1, -1], "status": ["ok", "ok"]}, "csv")
+        assert text == "x,y,status\ntrue,1,ok\nfalse,-1,ok\n"
 
 
 class TestTrends:
     def test_fig1_monotone_columns(self, tmp_path):
-        rows, _, _ = _run("fig1", tmp_path, grid_steps=20, n_seeds=5)
-        model = [r["success_prob_model"] for r in rows]
-        empirical = [r["success_prob_empirical"] for r in rows]
-        assert np.all(np.diff(model) >= 0.0)
-        assert np.all(np.diff(empirical) >= 0.0)
+        table, _, _ = _run("fig1", tmp_path, grid_steps=20, n_seeds=5)
+        assert np.all(np.diff(table["success_prob_model"]) >= 0.0)
+        assert np.all(np.diff(table["success_prob_empirical"]) >= 0.0)
 
     def test_fig2_optimal_fee_monotone_in_reward(self, tmp_path):
-        rows, _, _ = _run("fig2", tmp_path, grid_steps=12)
-        fees = [r["optimal_fee"] for r in rows]
-        assert np.all(np.diff(fees) >= 0.0)
+        table, _, _ = _run("fig2", tmp_path, grid_steps=12)
+        assert np.all(np.diff(table["optimal_fee"]) >= 0.0)
 
     def test_fig3_profit_increasing_and_diminishing(self, tmp_path):
-        rows, _, _ = _run("fig3", tmp_path, grid_steps=26)
+        table, _, _ = _run("fig3", tmp_path, grid_steps=26)
         for column in ("profit_same_fee", "profit_diff_fee"):
-            values = [r[column] for r in rows]
+            values = table[column]
             assert np.all(np.diff(values) > 0.0)
             assert np.all(np.diff(values, 2) < 1e-12)
 
     def test_fig4_edge_zero_marked_infeasible(self, tmp_path):
-        rows, _, n_failed = _run("fig4", tmp_path, grid_steps=6)
-        assert rows[0]["edge_power"] == 0.0
-        assert rows[0]["status"].startswith("infeasible")
-        assert math.isnan(rows[0]["profit_same_fee"])
+        table, _, n_failed = _run("fig4", tmp_path, grid_steps=6)
+        assert table["edge_power"][0] == 0.0
+        assert table["status"][0].startswith("infeasible")
+        assert math.isnan(table["profit_same_fee"][0])
         assert n_failed == 1
 
     def test_fig5_fig6_gap_ordering(self, tmp_path):
         for kind in ("fig5", "fig6"):
-            rows, _, n_failed = _run(kind, tmp_path, grid_steps=6)
+            table, _, n_failed = _run(kind, tmp_path, grid_steps=6)
             assert n_failed == 0
             by_fraction = {}
-            for row in rows:
-                by_fraction.setdefault(row["edge_fraction"], []).append(row["profit_gap"])
+            for fraction, gap in zip(table["edge_fraction"], table["profit_gap"]):
+                by_fraction.setdefault(fraction, []).append(gap)
             assert all(g >= 0.0 for gaps in by_fraction.values() for g in gaps)
             ordered = sorted(by_fraction)
             for small, large in zip(ordered, ordered[1:]):
@@ -502,26 +542,26 @@ class TestTrends:
         climbed, _, _ = _run("solve-uniform", tmp_path, fee_search="hillclimb",
                              initial_fee=0.5, step_factor=0.1,
                              out=str(tmp_path / "h.csv"))
-        assert climbed[0]["optimal_fee"] == pytest.approx(
-            golden[0]["optimal_fee"], abs=1e-4)
+        assert climbed["optimal_fee"][0] == pytest.approx(
+            golden["optimal_fee"][0], abs=1e-4)
 
     def test_fig2_row_recomputable_via_solve_uniform(self, tmp_path):
-        rows, _, _ = _run("fig2", tmp_path, grid_steps=5)
-        target = rows[2]
+        table, _, _ = _run("fig2", tmp_path, grid_steps=5)
+        target = _rows(table)[2]
         single, _, _ = _run("solve-uniform", tmp_path,
                             fixed_reward=target["fixed_reward"],
                             out=str(tmp_path / "one.csv"))
-        assert single[0]["optimal_fee"] == target["optimal_fee"]
-        assert single[0]["optimal_profit"] == target["leader_profit"]
+        assert single["optimal_fee"] == [target["optimal_fee"]]
+        assert single["optimal_profit"] == [target["leader_profit"]]
 
     def test_fig6_row_recomputable_via_compare_mdg(self, tmp_path):
-        rows, _, _ = _run("fig6", tmp_path, grid_steps=4)
-        target = [r for r in rows if r["edge_fraction"] == 0.5][1]
+        table, _, _ = _run("fig6", tmp_path, grid_steps=4)
+        target = [r for r in _rows(table) if r["edge_fraction"] == 0.5][1]
         single, _, _ = _run("compare-mdg", tmp_path, edge_fraction=0.5,
                             grid_start=target["total_power"] - 1.0,
                             grid_stop=target["total_power"],
                             grid_steps=2, out=str(tmp_path / "cmp.csv"))
-        match = [r for r in single if r["total_power"] == target["total_power"]]
+        match = [r for r in _rows(single) if r["total_power"] == target["total_power"]]
         assert match and match[0]["profit_emg"] == target["profit_emg"]
         assert match[0]["profit_mdg"] == target["profit_mdg"]
 

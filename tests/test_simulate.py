@@ -236,38 +236,39 @@ class TestMdgBaseline:
 
 class TestSweep:
     def test_empty_grid_gives_empty_table(self):
-        assert emg_vs_mdg_sweep([], 0.5, GameParams(), 0.01) == []
+        columns = emg_vs_mdg_sweep([40.0], 0.5, GameParams(), 0.01)
+        assert emg_vs_mdg_sweep([], 0.5, GameParams(), 0.01) == {name: [] for name in columns}
 
     def test_rows_ordered_by_total_power(self):
-        rows = emg_vs_mdg_sweep([120.0, 40.0, 80.0], 0.5, GameParams(), 0.01)
-        totals = [row["total_power"] for row in rows]
-        assert totals == sorted(totals)
+        columns = emg_vs_mdg_sweep([120.0, 40.0, 80.0], 0.5, GameParams(), 0.01)
+        assert columns["total_power"] == [40.0, 80.0, 120.0]
+        assert {len(column) for column in columns.values()} == {3}
 
     def test_edge_scheme_wins_even_without_extra_delay(self):
         params = GameParams(edge_overhead=0.0)
-        rows = emg_vs_mdg_sweep([100.0], 0.5, params, 0.01, mdg_delay_multiplier=1.0)
+        columns = emg_vs_mdg_sweep([100.0], 0.5, params, 0.01, mdg_delay_multiplier=1.0)
         # same per-power fee rate, but the edge's own half is not paid for
-        assert rows[0]["profit_emg"] >= rows[0]["profit_mdg"]
-        assert rows[0]["fee_mdg"] == pytest.approx(2.0 * rows[0]["fee_emg"])
+        assert columns["profit_emg"][0] >= columns["profit_mdg"][0]
+        assert columns["fee_mdg"][0] == pytest.approx(2.0 * columns["fee_emg"][0])
 
     def test_edge_scheme_dominates_with_delay(self):
-        rows = emg_vs_mdg_sweep(np.linspace(10, 200, 8), 0.5, GameParams(), 0.01,
-                                mdg_delay_multiplier=1.5)
-        assert all(row["profit_gap"] >= 0.0 for row in rows)
+        columns = emg_vs_mdg_sweep(np.linspace(10, 200, 8), 0.5, GameParams(), 0.01,
+                                   mdg_delay_multiplier=1.5)
+        assert all(gap >= 0.0 for gap in columns["profit_gap"])
 
     def test_gap_shrinks_toward_zero_fraction(self):
         params = GameParams()
         gaps = []
         for fraction in (0.1, 0.5, 0.9):
-            rows = emg_vs_mdg_sweep([100.0], fraction, params, 0.01,
-                                    mdg_delay_multiplier=1.5)
-            gaps.append(rows[0]["profit_gap"])
+            columns = emg_vs_mdg_sweep([100.0], fraction, params, 0.01,
+                                       mdg_delay_multiplier=1.5)
+            gaps.append(columns["profit_gap"][0])
         assert gaps[0] <= gaps[1] <= gaps[2]
 
     def test_vanishing_fraction_at_unit_multiplier(self):
         params = GameParams()
-        rows = emg_vs_mdg_sweep([100.0], 1e-4, params, 0.01, mdg_delay_multiplier=1.0)
-        assert rows[0]["profit_gap"] == pytest.approx(0.0, abs=1e-3)
+        columns = emg_vs_mdg_sweep([100.0], 1e-4, params, 0.01, mdg_delay_multiplier=1.0)
+        assert columns["profit_gap"][0] == pytest.approx(0.0, abs=1e-3)
 
     def test_fraction_bounds_enforced(self):
         with pytest.raises(ValueError):
