@@ -198,7 +198,7 @@ class TestNonFiniteSettings:
 
 
 class TestTable:
-    # a small run of every kind, plus the all-infeasible solve-disc
+    # a small run of every kind
     settings = {
         **{kind: {"grid_steps": 5} for kind in DEFAULT_GRIDS},
         "solve-uniform": {}, "solve-disc": {"fees": (4.0, 4.5, 5.0)},
