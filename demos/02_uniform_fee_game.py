@@ -21,7 +21,7 @@ print(f"  grid oracle    = {argmax:.6f} (pool utility {value:.6f})")
 print("\n== uniqueness certificate ==")
 cert = uniqueness_certificate_uniform(game)
 print(f"  edge power {game.edge_power} vs quarter bound {cert.quarter_bound:.2f} "
-      f"-> certified: {cert.certified}")
+      f"-> certified: {cert.below_quarter_bound}")
 print(f"  positivity bound {cert.positivity_bound:.2f} "
       f"(also satisfied: {cert.below_positivity_bound})")
 
@@ -44,4 +44,4 @@ print(f"  fee {best_fee:.4f}: devices supply {supplied:.2f}, "
       f"pool utility {aggregate_miner_utility(best, supplied):+.4f}")
 print(f"  leader full {leader_delta_utility_uniform(best, 'full'):+.4f}, "
       f"simplified {leader_delta_utility_uniform(best, 'simplified'):+.4f}, "
-      f"certified {uniqueness_certificate_uniform(best).certified}")
+      f"certified {uniqueness_certificate_uniform(best).below_quarter_bound}")

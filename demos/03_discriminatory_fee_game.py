@@ -1,15 +1,16 @@
 """Per-miner fees: closed-form equilibrium, its quirky certificate, stage I.
 
-Each recruited miner gets its own expected fee.  The interior equilibrium
-is in closed form; best-response iteration reaches the same point from any
-positive start, which is the operative uniqueness evidence.
+Each recruited miner gets its own expected fee.  The equilibrium is in
+closed form, including the miners that stay out; best-response iteration
+reaches the same point from any positive start, which is the operative
+uniqueness evidence.
 """
 
 import numpy as np
 
-from edgeminer import DiscriminatoryGame, GameParams, InfeasibleEquilibriumError, \
-    best_response_dynamics, best_response_i, leader_delta_utility_discriminatory, \
-    miner_utility_i, nash_equilibrium_closed_form, optimal_fees_discriminatory, \
+from edgeminer import DiscriminatoryGame, GameParams, best_response_dynamics, \
+    best_response_i, leader_delta_utility_discriminatory, miner_utility_i, \
+    nash_equilibrium_closed_form, optimal_fees_discriminatory, \
     uniqueness_certificate_discriminatory
 
 params = GameParams(poisson_rate=0.0, tx_reward=0.0)  # no delay, reward scale 10
@@ -33,11 +34,14 @@ print(f"  per-miner condition: {cert.tolist()}")
 print("  (the condition cannot hold for every miner at once; the fixed-point")
 print("   check above is the operative uniqueness evidence)")
 
-print("\n== dispersed fees have no interior equilibrium ==")
-try:
-    nash_equilibrium_closed_form(DiscriminatoryGame(np.array([1.0, 40.0, 40.0]), 1.0, params))
-except InfeasibleEquilibriumError as err:
-    print(f"  rejected: {err} (miners {err.indices})")
+print("\n== dispersed fees: the cheapest-fee miners stay out ==")
+dispersed = DiscriminatoryGame(np.array([4.0, 5.0, 6.0, 7.0, 8.0] * 2), 1.0, params)
+powers = nash_equilibrium_closed_form(dispersed).powers
+print(f"  fees   {dispersed.fees}")
+print(f"  powers {np.round(powers, 4)}")
+print(f"  miners {np.flatnonzero(powers == 0).tolist()} supply 0; "
+      f"damped dynamics agree: "
+      f"{np.allclose(best_response_dynamics(dispersed, np.ones(10)).powers, powers)}")
 
 print("\n== leader profit per recruited miner ==")
 for i in range(2):
@@ -45,12 +49,10 @@ for i in range(2):
     simple = leader_delta_utility_discriminatory(game, i, "simplified")
     print(f"  miner {i}: full {full:+.4f}  simplified {simple:+.4f}")
 
-print("\n== stage I: per-fee coordinate ascent (full objective) ==")
+print("\n== stage I: symmetric fixed point of the per-fee terms (full objective) ==")
 for m in (2, 3, 5):
     fees, profit = optimal_fees_discriminatory(m, 1.0, params, objective="full",
                                                bracket=(0.1, 20.0))
-    analytic = 10.0 * (m - 1) ** 2 / m ** 2
-    print(f"  M={m}: fees -> {np.round(fees, 4)} (analytic symmetric point {analytic:.4f}), "
-          f"summed profit {profit:+.4f}")
+    print(f"  M={m}: fees {np.round(fees, 4)} = a(M-1)^2/M^2, summed profit {profit:+.4f}")
 print("  (with more miners the per-fee competition bids fees up and the")
 print("   total shrinks; the sum over recruited miners is reported as-is)")

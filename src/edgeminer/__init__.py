@@ -11,7 +11,6 @@ from .core import (
     ConvergenceError,
     DegenerateProfileError,
     GameParams,
-    InfeasibleEquilibriumError,
     PowerProfile,
     as_profile,
     edge_utility,
@@ -23,11 +22,11 @@ from .core import (
 from .discriminatory import (
     DiscriminatoryGame,
     best_response_i,
-    equilibrium_share,
     leader_delta_utility_discriminatory,
     miner_utility_i,
     nash_equilibrium_closed_form,
     optimal_fees_discriminatory,
+    share_identity,
     uniqueness_certificate_discriminatory,
 )
 from .experiments import ExperimentConfig, run_experiment, validate_config

@@ -16,11 +16,11 @@ __all__ = [
     "ConvergenceError",
     "DegenerateProfileError",
     "GameParams",
-    "InfeasibleEquilibriumError",
     "OBJECTIVES",
     "PowerProfile",
     "as_profile",
     "check_objective",
+    "device_discount",
     "edge_utility",
     "fee_bracket",
     "leader_reward_scale",
@@ -36,14 +36,6 @@ OBJECTIVES = ("full", "simplified")
 
 class DegenerateProfileError(ValueError):
     """Power shares were requested for a profile with zero total power."""
-
-
-class InfeasibleEquilibriumError(ValueError):
-    """Closed-form equilibrium left the nonnegative orthant."""
-
-    def __init__(self, message: str, indices=()):
-        super().__init__(message)
-        self.indices = tuple(int(i) for i in indices)
 
 
 class ConvergenceError(RuntimeError):
@@ -135,8 +127,8 @@ class PowerProfile:
 
     @property
     def total(self) -> float:
-        # compensated summation keeps the share sum within 1e-12 of 1
-        return math.fsum(self.powers)
+        # fsum keeps the share sum within 1e-12 of 1 (and iterates a list fastest)
+        return math.fsum(self.powers.tolist())
 
     def shares(self) -> np.ndarray:
         total = self.total
@@ -199,6 +191,14 @@ def miner_utility(fee: float, profile, i: int, unit_cost: float, params: GamePar
 def leader_reward_scale(params: GameParams) -> float:
     """Reward available per unit of pool share on the device-load discount."""
     return params.total_reward * params.delay_discount(params.mobile_tx_load)
+
+
+def device_discount(params: GameParams) -> float:
+    """The device-load delay discount, rejected where it underflows to 0."""
+    discount = params.delay_discount(params.mobile_tx_load)
+    if discount == 0:
+        raise ValueError("the device-load delay discount underflows to 0: no fee buys power")
+    return discount
 
 
 def check_objective(objective: str):

@@ -1,8 +1,8 @@
 """Discriminatory-fee game: every recruited miner gets its own expected fee.
 
-Stage II has a closed-form interior Nash point; Stage I runs a per-fee
-coordinate ascent justified by the per-coordinate concavity of the leader's
-profit term.
+Both stages are in closed form: Stage II is the active-set Nash point of a
+Tullock contest with linear costs, Stage I the symmetric fixed point of the
+per-miner profit terms.  The searches stay on as test oracles.
 """
 
 from __future__ import annotations
@@ -13,17 +13,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    ConvergenceError,
     DegenerateProfileError,
     GameParams,
-    InfeasibleEquilibriumError,
     PowerProfile,
     as_profile,
     check_objective,
+    device_discount,
     fee_bracket,
     leader_reward_scale,
 )
-from .search import golden_section_max
 
 __all__ = [
     "DiscriminatoryGame",
@@ -32,6 +30,7 @@ __all__ = [
     "miner_utility_i",
     "nash_equilibrium_closed_form",
     "optimal_fees_discriminatory",
+    "share_identity",
     "uniqueness_certificate_discriminatory",
 ]
 
@@ -40,11 +39,15 @@ FEE_BASES = ("lump", "per_power")
 
 @dataclass(frozen=True)
 class DiscriminatoryGame:
-    """Per-miner fee vector (length >= 2), shared unit cost, shared params."""
+    """Per-miner fee vector (length >= 2), shared unit cost, shared params.
+
+    cost_coefficients: c_i = unit_cost / (fee_i * device-load discount), finite.
+    """
 
     fees: np.ndarray
     unit_cost: float
     params: GameParams = field(default_factory=GameParams)
+    cost_coefficients: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         fees = np.atleast_1d(np.asarray(self.fees, dtype=float))
@@ -54,16 +57,16 @@ class DiscriminatoryGame:
             raise ValueError("all fees must be finite and > 0")
         if not (math.isfinite(self.unit_cost) and self.unit_cost > 0):
             raise ValueError(f"unit_cost must be finite and > 0, got {self.unit_cost!r}")
+        with np.errstate(divide="ignore", over="ignore"):
+            c = self.unit_cost / (fees * device_discount(self.params))
+        if not np.all(np.isfinite(c)):
+            raise ValueError("cost coefficients unit_cost / (fee * discount) overflow")
         object.__setattr__(self, "fees", fees)
+        object.__setattr__(self, "cost_coefficients", c)
 
     @property
     def n_miners(self) -> int:
         return self.fees.size
-
-    @property
-    def cost_coefficients(self) -> np.ndarray:
-        """c_i = unit_cost / (fee_i * device-load discount); all finite > 0."""
-        return self.unit_cost / (self.fees * self.params.delay_discount(self.params.mobile_tx_load))
 
 
 def miner_utility_i(game: DiscriminatoryGame, profile, i: int) -> float:
@@ -88,24 +91,28 @@ def best_response_i(game: DiscriminatoryGame, others_sum: float, i: int) -> floa
 
 
 def nash_equilibrium_closed_form(game: DiscriminatoryGame) -> PowerProfile:
-    """Interior Nash allocation x_i = total - c_i * total^2.
+    """The Nash allocation of a Tullock contest with linear costs (Hillman & Riley 1989).
 
-    With S the sum of the cost coefficients, the equilibrium total is
-    (M-1)/S and each allocation follows from it.  A negative entry means the
-    fee vector is too dispersed for an interior equilibrium; that raises
-    InfeasibleEquilibriumError (carrying the offending miners) instead of
-    silently clamping, because the derivation assumes interiority.
+    With the cost coefficients c sorted, the active set is the k cheapest
+    miners, k >= 2 the largest count with (k-1) * c_(k) < sum_{j<=k} c_j.
+    Active miners supply T - c_i * T^2 with T = (k-1) / sum_active c, the
+    rest 0; with every miner active these are the interior formula's steps.
     """
     c = game.cost_coefficients
-    total = (game.n_miners - 1) / math.fsum(c)
-    x = total - c * total * total
-    negative = np.flatnonzero(x < 0)
-    if negative.size:
-        raise InfeasibleEquilibriumError(
-            f"closed-form allocation negative for miners {negative.tolist()}; "
-            "fee vector too dispersed for an interior equilibrium",
-            indices=negative)
-    return PowerProfile(x)
+    ordered = np.sort(c)
+    fits = np.arange(c.size) * ordered < np.cumsum(ordered)  # (k-1) c_(k) < S_k
+    active = c <= ordered[np.flatnonzero(fits)[-1]]
+    total = (np.count_nonzero(active) - 1) / math.fsum(c[active].tolist())
+    # a borderline active miner can round to -1e-16; it supplies 0
+    return PowerProfile(np.where(active, np.maximum(total - c * total * total, 0.0), 0.0))
+
+
+def share_identity(game: DiscriminatoryGame, allocation: PowerProfile) -> np.ndarray:
+    """Shares by 1 - (k-1)/(p_i * sum_active 1/p_j), k active miners; 0 if inactive."""
+    active = allocation.powers > 0
+    inv_sum = math.fsum((1.0 / game.fees)[active])
+    share = 1.0 - (np.count_nonzero(active) - 1) / (game.fees * inv_sum)
+    return np.where(active, share, 0.0)
 
 
 def uniqueness_certificate_discriminatory(game: DiscriminatoryGame) -> np.ndarray:
@@ -118,23 +125,14 @@ def uniqueness_certificate_discriminatory(game: DiscriminatoryGame) -> np.ndarra
     return 2.0 * (game.n_miners - 1) / game.fees < math.fsum(1.0 / game.fees)
 
 
-def equilibrium_share(game: DiscriminatoryGame, i: int) -> float:
-    """Miner i's equilibrium power share, 1 - (M-1)/(p_i * sum_j 1/p_j).
-
-    Closed form of x_i*/sum(x*); matches the allocation route to 1e-9 on
-    feasible instances.
-    """
-    inv_sum = math.fsum(1.0 / game.fees)
-    return 1.0 - (game.n_miners - 1) / (float(game.fees[i]) * inv_sum)
-
-
 def leader_delta_utility_discriminatory(game: DiscriminatoryGame, i: int,
                                         objective: str = "full",
                                         fee_basis: str = "lump") -> float:
     """Leader's additional profit from recruiting miner i.
 
-    "simplified" is a * equilibrium share of miner i.  "full" subtracts the
-    fee: lump basis charges p_i outright, per_power charges p_i * x_i*.
+    "simplified" is a * miner i's equilibrium share by the share identity
+    (0 for a miner that stays out).  "full" subtracts the fee: lump basis
+    charges p_i outright, per_power charges p_i * x_i*.
     """
     check_objective(objective)
     if fee_basis not in FEE_BASES:
@@ -142,9 +140,9 @@ def leader_delta_utility_discriminatory(game: DiscriminatoryGame, i: int,
     if not 0 <= i < game.n_miners:
         raise IndexError(f"miner index {i} out of range")
     a = leader_reward_scale(game.params)
-    if objective == "simplified":
-        return a * equilibrium_share(game, i)
     allocation = nash_equilibrium_closed_form(game)
+    if objective == "simplified":
+        return float(a * share_identity(game, allocation)[i])
     share = float(allocation.shares()[i])
     fee_cost = float(game.fees[i])
     if fee_basis == "per_power":
@@ -152,28 +150,15 @@ def leader_delta_utility_discriminatory(game: DiscriminatoryGame, i: int,
     return a * share - fee_cost
 
 
-def _per_miner_profit(fees: np.ndarray, i: int, a: float, objective: str) -> float:
-    # identity-based share keeps this evaluable even off the interior region
-    inv_sum = float(np.sum(1.0 / fees))
-    share = 1.0 - (fees.size - 1) / (fees[i] * inv_sum)
-    if objective == "simplified":
-        return a * share
-    return a * share - fees[i]
-
-
 def optimal_fees_discriminatory(n_miners: int, unit_cost: float, params: GameParams,
-                                objective: str = "full", bracket=None,
-                                rel_step: float = 1e-4, max_iters: int = 10_000):
-    """Stage I: coordinate ascent on the per-miner profit terms.
+                                objective: str = "full", bracket=None):
+    """Stage I: the symmetric fixed point of the per-miner profit terms.
 
-    Each sweep maximizes miner i's profit term in its own fee by bracketed
-    golden-section search with the other fees held fixed (the term is
-    concave in p_i).  Convergence: one full sweep moves no coordinate by
-    more than ``rel_step`` relatively, after which no single-coordinate
-    probe of +-rel_step improves its own term.  Under the simplified
-    objective every term is increasing in its fee, so the ascent runs each
-    coordinate to the bracket top.  Fees below min_consumption are excluded
-    by the bracket floor.  Returns (fee vector, summed profit).
+    Miner i's term a * (1 - (M-1)/(p_i * sum_j 1/p_j)) [- p_i] is concave in
+    p_i.  Under "full", with the other fees at p, it peaks at p_i = p exactly
+    when p = a(M-1)^2/M^2, a point that stays fixed when clipped to the fee
+    bracket; under "simplified" it rises with p_i, so every fee is the
+    bracket top.  Returns (fee vector, summed profit).
     """
     check_objective(objective)
     if n_miners < 2:
@@ -182,40 +167,8 @@ def optimal_fees_discriminatory(n_miners: int, unit_cost: float, params: GamePar
         raise ValueError("unit_cost must be > 0")
     a = leader_reward_scale(params)
     lo, hi = fee_bracket(params, bracket)
-
-    fees = np.full(n_miners, 0.5 * (lo + hi))
-    updates = 0
-    while updates < max_iters:
-        max_move = 0.0
-        for i in range(n_miners):
-            def term(p_i, i=i):
-                trial = fees.copy()
-                trial[i] = p_i
-                return _per_miner_profit(trial, i, a, objective)
-
-            new_fee, _ = golden_section_max(term, lo, hi, rel_tol=1e-10)
-            max_move = max(max_move, abs(new_fee - fees[i]) / max(fees[i], 1e-12))
-            fees[i] = new_fee
-            updates += 1
-        if max_move < rel_step and _is_stationary(fees, a, objective, lo, hi, rel_step):
-            profit = math.fsum(_per_miner_profit(fees, i, a, objective)
-                               for i in range(n_miners))
-            return fees, profit
-
-    raise ConvergenceError(
-        f"fee coordinate ascent did not settle within {max_iters} coordinate updates",
-        last=fees)
-
-
-def _is_stationary(fees: np.ndarray, a: float, objective: str,
-                   lo: float, hi: float, rel_step: float) -> bool:
-    for i in range(fees.size):
-        base = _per_miner_profit(fees, i, a, objective)
-        slack = 1e-9 * (1.0 + abs(base))
-        for direction in (1.0 + rel_step, 1.0 / (1.0 + rel_step)):
-            candidate = min(max(fees[i] * direction, lo), hi)
-            trial = fees.copy()
-            trial[i] = candidate
-            if _per_miner_profit(trial, i, a, objective) > base + slack:
-                return False
-    return True
+    symmetric = min(max(a * (n_miners - 1) ** 2 / n_miners ** 2, lo), hi)
+    fees = np.full(n_miners, hi if objective == "simplified" else symmetric)
+    share = 1.0 - (n_miners - 1) / (fees * np.sum(1.0 / fees))
+    terms = a * share if objective == "simplified" else a * share - fees
+    return fees, math.fsum(terms)

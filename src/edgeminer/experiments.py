@@ -20,7 +20,7 @@ from .core import (
     OBJECTIVES,
     ConfigError,
     GameParams,
-    InfeasibleEquilibriumError,
+    device_discount,
     edge_utility,
     leader_reward_scale,
 )
@@ -29,6 +29,7 @@ from .discriminatory import (
     FEE_BASES,
     DiscriminatoryGame,
     nash_equilibrium_closed_form,
+    share_identity,
     uniqueness_certificate_discriminatory,
 )
 from .simulate import (
@@ -158,6 +159,7 @@ class ExperimentConfig:
              f"edge_fraction must lie in (0, 1), got {self.edge_fraction!r}"),
             ("edge_fractions", all(0 < f < 1 for f in self.edge_fractions),
              "edge_fractions must all lie in (0, 1)"),
+            ("edge_fractions", len(self.edge_fractions) > 0, "edge_fractions must not be empty"),
             ("mdg_delay_mult", self.mdg_delay_mult >= 1,
              f"mdg_delay_mult must be >= 1, got {self.mdg_delay_mult!r}"),
             ("objective", self.objective is None or self.objective in OBJECTIVES,
@@ -289,25 +291,26 @@ def validate_config(text: str) -> ExperimentConfig:
 
 def matched_heterogeneous_fees(device_power: float, n_miners: int, unit_cost: float,
                                params: GameParams) -> np.ndarray:
-    """Per-miner fees whose interior equilibrium total equals device_power.
+    """Per-miner fees whose equilibrium total equals device_power.
 
     Fees follow an evenly spaced multiplier pattern around a base level; the
-    spread, min(0.2, 0.5 / n_miners), shrinks with the miner count to keep
-    the allocation interior.
+    spread, min(0.2, 0.5 / n_miners), is below 1 / (2 n_miners - 3), so
+    every miner stays active and the interior total (M-1)/sum(c) applies.
     """
     if device_power <= 0:
         raise ValueError("device_power must be > 0")
     spread = min(0.2, 0.5 / n_miners)
     multipliers = np.linspace(1.0 - spread, 1.0 + spread, n_miners)
-    discount = params.delay_discount(params.mobile_tx_load)
-    base = device_power * unit_cost * math.fsum(1.0 / multipliers) / ((n_miners - 1) * discount)
+    discount = device_discount(params)
+    inv_sum = math.fsum((1.0 / multipliers).tolist())
+    base = device_power * unit_cost * inv_sum / ((n_miners - 1) * discount)
     return base * multipliers
 
 
 def _inducing_fee(edge_power: float, device_power: float, unit_cost: float,
                   params: GameParams) -> float:
     """Uniform fee whose best response is exactly device_power."""
-    discount = params.delay_discount(params.mobile_tx_load)
+    discount = device_discount(params)
     return unit_cost * (edge_power + device_power) ** 2 / (edge_power * discount)
 
 
@@ -379,11 +382,11 @@ def _rows_power_sweep(cfg: ExperimentConfig):
                                               cfg.unit_cost, params)
             allocation = nash_equilibrium_closed_form(
                 DiscriminatoryGame(fees, cfg.unit_cost, params))
-        except (InfeasibleEquilibriumError, ValueError) as exc:
+        except ValueError as exc:
             _append(columns, *axes, *[math.nan] * 4, f"infeasible: {exc}")
             continue
-        reward_diff = scale * math.fsum(allocation.powers) / (edge_power + device_power)
-        fee_bill = math.fsum(fees)
+        reward_diff = scale * allocation.total / (edge_power + device_power)
+        fee_bill = math.fsum(fees.tolist())
         _append(columns, *axes, fee_same, profit_same, fee_bill,
                 reward_diff if objective == "simplified" else reward_diff - fee_bill, "ok")
     return columns
@@ -396,6 +399,7 @@ def _rows_fig5(cfg: ExperimentConfig):
         "edge_fraction", "total_power", "edge_power", "device_power", "fee_bill_emg",
         "profit_emg", "fee_bill_mdg", "profit_mdg", "profit_gap", "status")}
     grid = cfg.grid().tolist()
+    device_discount(params)  # a zero discount fails the run, not each row
     for fraction in cfg.edge_fractions:
         for total in grid:
             edge_power = fraction * total
@@ -403,13 +407,12 @@ def _rows_fig5(cfg: ExperimentConfig):
             try:
                 fees = matched_heterogeneous_fees(device_power, cfg.n_miners,
                                                   cfg.unit_cost, params)
-                nash_equilibrium_closed_form(DiscriminatoryGame(fees, cfg.unit_cost, params))
-                fee_bill = math.fsum(fees)
+                fee_bill = math.fsum(fees.tolist())
                 fee_bill_mdg = fee_bill / (1.0 - fraction)
                 profit_emg = edge_utility(params, fees)
                 profit_mdg = mdg_baseline_profit(total, [fee_bill_mdg], params,
                                                  cfg.mdg_delay_mult)
-            except (InfeasibleEquilibriumError, ValueError) as exc:
+            except ValueError as exc:
                 _append(columns, fraction, total, edge_power, device_power,
                         *[math.nan] * 5, f"infeasible: {exc}")
                 continue
@@ -477,7 +480,7 @@ def _rows_solve_uniform(cfg: ExperimentConfig):
         # the simplified objective divides by kappa; undefined at kappa == 0
         "leader_profit_simplified": [leader_delta_utility_uniform(game, "simplified")
                                      if game.kappa > 0 else math.nan],
-        "certified_unique": [certificate.certified],
+        "certified_unique": [certificate.below_quarter_bound],
         "below_quarter_bound": [certificate.below_quarter_bound],
         "below_positivity_bound": [certificate.below_positivity_bound],
         "optimal_fee": [optimal_fee],
@@ -488,25 +491,14 @@ def _rows_solve_uniform(cfg: ExperimentConfig):
 
 def _rows_solve_disc(cfg: ExperimentConfig):
     game = DiscriminatoryGame(np.asarray(cfg.fees, dtype=float), cfg.unit_cost, cfg.params)
-    try:
-        allocation = nash_equilibrium_closed_form(game)
-    except InfeasibleEquilibriumError as exc:
-        shown = " ".join(str(i) for i in exc.indices[:5])
-        more = " ..." if len(exc.indices) > 5 else ""
-        nan = [math.nan]
-        return {"miner": [-1], "fee": nan, "power": nan, "share": nan, "utility": nan,
-                "certified_unique_i": [False], "leader_delta_full": nan,
-                "leader_delta_simplified": nan,
-                "status": [f"infeasible: miners {shown}{more} "
-                           f"({len(exc.indices)} of {game.n_miners})"]}
-    # miner_utility_i and leader_delta_utility_discriminatory, elementwise
-    # over every miner from this one solve
+    allocation = nash_equilibrium_closed_form(game)
+    # the per-miner functions, elementwise from this one solve; a miner that
+    # stays out has power, share, utility and leader_delta_simplified 0
     fees, powers, shares = game.fees, allocation.powers, allocation.shares()
     discount = game.params.delay_discount(game.params.mobile_tx_load)
     a = leader_reward_scale(game.params)
     utility = fees * shares * discount - game.unit_cost * powers
     delta_full = a * shares - (fees * powers if cfg.fee_basis == "per_power" else fees)
-    delta_simplified = a * (1.0 - (game.n_miners - 1) / (fees * math.fsum(1.0 / fees)))
     return {
         "miner": list(range(game.n_miners)),
         "fee": fees.tolist(),
@@ -515,7 +507,7 @@ def _rows_solve_disc(cfg: ExperimentConfig):
         "utility": utility.tolist(),
         "certified_unique_i": uniqueness_certificate_discriminatory(game).tolist(),
         "leader_delta_full": delta_full.tolist(),
-        "leader_delta_simplified": delta_simplified.tolist(),
+        "leader_delta_simplified": (a * share_identity(game, allocation)).tolist(),
         "status": ["ok"] * game.n_miners,
     }
 

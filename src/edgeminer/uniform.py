@@ -71,12 +71,11 @@ def best_response_uniform(game: UniformGame) -> float:
 class UniformCertificate:
     """Uniqueness certificate for the aggregate response map.
 
-    ``quarter_bound`` (kappa / 4*unit_cost) is the binding threshold from the
-    monotonicity argument; ``positivity_bound`` (kappa / unit_cost) is the
-    looser positivity threshold, reported alongside.
+    ``below_quarter_bound`` certifies: kappa / 4*unit_cost is the binding
+    threshold of the monotonicity argument; ``positivity_bound`` (kappa /
+    unit_cost) is the looser positivity threshold, reported alongside.
     """
 
-    certified: bool
     quarter_bound: float
     positivity_bound: float
     below_quarter_bound: bool
@@ -87,12 +86,10 @@ def uniqueness_certificate_uniform(game: UniformGame) -> UniformCertificate:
     """Certify uniqueness: edge power below kappa/(4*unit_cost)."""
     quarter = game.kappa / (4.0 * game.unit_cost)
     positivity = game.kappa / game.unit_cost
-    below_quarter = game.edge_power < quarter
     return UniformCertificate(
-        certified=below_quarter,
         quarter_bound=quarter,
         positivity_bound=positivity,
-        below_quarter_bound=below_quarter,
+        below_quarter_bound=game.edge_power < quarter,
         below_positivity_bound=game.edge_power < positivity,
     )
 

@@ -49,7 +49,7 @@ def random_feasible_disc_games(n, seed=0, m_range=(2, 10)):
         fees = rng.uniform(1.0, 8.0, m)
         inv = 1.0 / fees
         if (m - 1) * inv.max() >= inv.sum():
-            continue  # dispersed fees, allocation would leave the orthant
+            continue  # dispersed fees: some miner would stay out
         params = GameParams(
             poisson_rate=float(rng.uniform(0.0, 0.02)),
             delay_factor=float(rng.uniform(0.5, 2.0)),

@@ -21,7 +21,6 @@ from edgeminer import (
     best_response_i,
     best_response_uniform,
     empirical_success_prob,
-    equilibrium_share,
     golden_section_max,
     grid_argmax,
     leader_delta_utility_discriminatory,
@@ -85,8 +84,10 @@ def test_criterion_3_share_identity():
     with _criterion(3, "equilibrium share identity holds to 1e-9"):
         for game in random_feasible_disc_games(100, seed=777, m_range=(2, 10)):
             shares = nash_equilibrium_closed_form(game).shares()
+            inv_sum = math.fsum(1.0 / game.fees)
             for i in range(game.n_miners):
-                assert abs(shares[i] - equilibrium_share(game, i)) <= 1e-9
+                identity = 1.0 - (game.n_miners - 1) / (game.fees[i] * inv_sum)
+                assert abs(shares[i] - identity) <= 1e-9
 
 
 def test_criterion_4_concavity_suites():
@@ -132,20 +133,29 @@ def test_criterion_4_concavity_suites():
             assert leader(fee + h) - leader(fee) > 0.0
             assert leader(fee + h) - 2.0 * leader(fee) + leader(fee - h) < 0.0
 
-        # simplified discriminatory leader term: increasing and concave in own fee
+        # simplified discriminatory leader term: increasing and concave in own
+        # fee while miner 0 is active (a higher own fee keeps it active), 0 below
+        active_points = 0
         for _ in range(1000):
             game = disc_games[rng.integers(len(disc_games))]
             fee = float(rng.uniform(0.5, 30.0))
             h = 0.01 * (1.0 + fee)
 
-            def leader_i(value):
+            def probe(value):
                 fees = game.fees.copy()
                 fees[0] = value
-                probe = DiscriminatoryGame(fees, game.unit_cost, game.params)
-                return leader_delta_utility_discriminatory(probe, 0, "simplified")
+                return DiscriminatoryGame(fees, game.unit_cost, game.params)
 
+            def leader_i(value):
+                return leader_delta_utility_discriminatory(probe(value), 0, "simplified")
+
+            if nash_equilibrium_closed_form(probe(fee - h)).powers[0] == 0.0:
+                assert leader_i(fee - h) == 0.0
+                continue
+            active_points += 1
             assert leader_i(fee + h) - leader_i(fee) > 0.0
             assert leader_i(fee + h) - 2.0 * leader_i(fee) + leader_i(fee - h) < 0.0
+        assert active_points >= 900
 
 
 def test_criterion_5_standard_function_axioms():
@@ -158,7 +168,7 @@ def test_criterion_5_standard_function_axioms():
         checked = 0
         for game in random_uniform_games(80, seed=6):
             cert = uniqueness_certificate_uniform(game)
-            if not cert.certified:
+            if not cert.below_quarter_bound:
                 continue
             checked += 1
             xs = np.sort(rng.uniform(1e-6, cert.quarter_bound * 0.999, 10))

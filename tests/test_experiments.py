@@ -17,6 +17,7 @@ from edgeminer import (
     ExperimentConfig,
     GameParams,
     SimConfig,
+    best_response_dynamics,
     discriminatory,
     edge_utility,
     experiments,
@@ -39,6 +40,7 @@ from edgeminer.experiments import (
     SETTINGS,
     _rows_fig1,
     build_config,
+    matched_heterogeneous_fees,
     render_report,
     run_experiment,
 )
@@ -121,6 +123,15 @@ class TestValidateConfig:
     def test_fee_search_choices(self):
         with pytest.raises(ConfigError):
             validate_config("kind = solve-uniform\nfee_search = newton\n")
+
+    @pytest.mark.parametrize("kind", ["fig5", "fig6"])
+    def test_empty_edge_fractions_rejected(self, kind, tmp_path):
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(kind=kind, edge_fractions=(), out=str(tmp_path / "x.csv"))
+        assert err.value.errors == ["edge_fractions must not be empty"]
+        with pytest.raises(ConfigError):
+            dataclasses.replace(ExperimentConfig(kind=kind), edge_fractions=())
+        assert not (tmp_path / "x.csv").exists()
 
 
 # valid non-default raw values for the settings whose default gives no hint
@@ -216,15 +227,16 @@ class TestTable:
         assert n_failed == sum(status != "ok" for status in table["status"])
 
     def test_len_counts_rows_not_columns(self, tmp_path, capsys):
-        fees = tuple(np.linspace(4.0, 8.0, 50).tolist())
-        table, _, n_failed = _run("solve-disc", tmp_path, fees=fees)
-        assert len(table) == n_failed == 1 and len(table.keys()) == 9
+        # three edge powers <= 0: every row infeasible, seven columns
+        table, _, n_failed = _run("fig4", tmp_path, grid_start=-10.0, grid_stop=-1.0,
+                                  grid_steps=3)
+        assert len(table) == n_failed == 3 and len(table.keys()) == 7
         # the CLI reads "every row infeasible" from len(table)
-        code = main(["solve-disc", "--fees", ",".join(map(repr, fees)),
-                     "--out", str(tmp_path / "d.csv")])
+        code = main(["fig", "4", "--grid-start", "-10", "--grid-stop", "-1",
+                     "--grid-steps", "3", "--out", str(tmp_path / "d.csv")])
         assert code == 3
-        assert capsys.readouterr().out.endswith("wrote 1 rows to "
-                                                f"{tmp_path / 'd.csv'} (1 infeasible)\n")
+        assert capsys.readouterr().out.endswith("wrote 3 rows to "
+                                                f"{tmp_path / 'd.csv'} (3 infeasible)\n")
 
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_run_experiment_prints_nothing(self, fmt, tmp_path, capsys):
@@ -332,6 +344,22 @@ class TestSolveDiscOneSolve:
             assert row["leader_delta_simplified"] == leader_delta_utility_discriminatory(
                 game, i, "simplified", basis)
 
+    @pytest.mark.parametrize("basis", FEE_BASES)
+    def test_dropout_rows_equal_per_miner_functions(self, basis, tmp_path):
+        fees = tuple(np.linspace(4.0, 8.0, 50).tolist())
+        table, _, n_failed = _run("solve-disc", tmp_path, fees=fees, fee_basis=basis)
+        game = DiscriminatoryGame(np.asarray(fees), 0.005, GameParams())
+        allocation = nash_equilibrium_closed_form(game)
+        assert n_failed == 0 and np.count_nonzero(allocation.powers) == 14
+        for i, row in enumerate(_rows(table)):
+            assert row["power"] == allocation.powers[i]
+            assert row["share"] == allocation.shares()[i]
+            assert row["utility"] == miner_utility_i(game, allocation, i)
+            assert row["leader_delta_full"] == leader_delta_utility_discriminatory(
+                game, i, "full", basis)
+            assert row["leader_delta_simplified"] == leader_delta_utility_discriminatory(
+                game, i, "simplified", basis)
+
     def test_one_nash_solve(self, monkeypatch, tmp_path):
         sizes = []
         solve = discriminatory.nash_equilibrium_closed_form
@@ -344,6 +372,23 @@ class TestSolveDiscOneSolve:
             monkeypatch.setattr(module, "nash_equilibrium_closed_form", counting)
         _run("solve-disc", tmp_path, fees=self._fees(50))
         assert sizes == [50]
+
+
+class TestMatchedFees:
+    def test_every_miner_active_up_to_two_thousand(self):
+        # the spread min(0.2, 0.5/M) is below 1/(2M-3), so no miner drops out
+        # and the equilibrium total is the device power asked for
+        params = GameParams()
+        for m in range(2, 2001):
+            fees = matched_heterogeneous_fees(50.0, m, 0.005, params)
+            powers = nash_equilibrium_closed_form(
+                DiscriminatoryGame(fees, 0.005, params)).powers
+            assert np.all(powers > 0.0), m
+            assert math.fsum(powers) == pytest.approx(50.0, rel=1e-9)
+
+    def test_zero_device_discount_rejected(self):
+        with pytest.raises(ValueError, match="device-load delay discount"):
+            matched_heterogeneous_fees(50.0, 5, 0.005, GameParams(poisson_rate=100.0))
 
 
 class TestStage1Sweeps:
@@ -486,14 +531,18 @@ class TestReportFiles:
         table_b, _, _ = _run("simulate", tmp_path, seed=2, out=str(tmp_path / "b.csv"))
         assert table_a["wins"] != table_b["wins"]
 
-    def test_infeasible_solve_disc_report_parses_as_csv(self, tmp_path):
+    def test_dropout_solve_disc_report_parses_as_csv(self, tmp_path):
         fees = ",".join(str(float(x)) for x in np.linspace(4.0, 8.0, 50))
         out = tmp_path / "d.csv"
         code = main(["solve-disc", "--fees", fees, "--unit-cost", "0.005", "--out", str(out)])
-        assert code == 3
+        assert code == 0
         lines = list(csv.reader(io.StringIO(out.read_text())))
-        assert len(lines) == 2 and all(len(line) == 9 for line in lines)
-        assert lines[1][-1] == "infeasible: miners 0 1 2 3 4 ... (21 of 50)"
+        assert len(lines) == 51 and all(len(line) == 9 for line in lines)
+        assert all(line[-1] == "ok" for line in lines[1:])
+        # the 36 cheapest-fee miners stay out, with every per-miner column 0
+        for line in lines[1:37]:
+            assert [line[2], line[3], line[4], line[7]] == ["0.0"] * 4
+        assert all(float(line[2]) > 0 for line in lines[37:])
 
     def test_render_report_formats_booleans(self):
         text = render_report({"x": [True, False], "y": [1, -1], "status": ["ok", "ok"]}, "csv")
@@ -582,7 +631,7 @@ class TestGolden:
         "solve-uniform": {"kind": "solve-uniform"},
         "solve-uniform-hillclimb": {"kind": "solve-uniform", "fee_search": "hillclimb"},
         "solve-disc": {"kind": "solve-disc", "fees": (4.0, 4.5, 5.0)},
-        "solve-disc-infeasible": {"kind": "solve-disc", "fees": (4.0, 5.0, 6.0, 7.0, 8.0) * 2},
+        "solve-disc-dropout": {"kind": "solve-disc", "fees": (4.0, 5.0, 6.0, 7.0, 8.0) * 2},
         "simulate": {"kind": "simulate", "powers": (10.0, 0.0, 30.0, 25.0), "n_blocks": 500,
                      "seed": 3},
     }
@@ -595,6 +644,22 @@ class TestGolden:
         out = tmp_path / name
         run_experiment(build_config({**self.reports[stem], "format": fmt, "out": str(out)}))
         assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+    def test_dropout_golden_is_the_equilibrium(self):
+        # miners 0, 1, 5 and 6 stay out; damped best-response dynamics from a
+        # positive start reach the pinned powers
+        rows = json.loads((GOLDEN / "solve-disc-dropout.json").read_text())
+        fees = np.array([row["fee"] for row in rows])
+        powers = np.array([row["power"] for row in rows])
+        assert np.flatnonzero(powers == 0.0).tolist() == [0, 1, 5, 6]
+        assert all(row["status"] == "ok" for row in rows)
+        for row in rows:
+            if row["power"] == 0.0:
+                assert row["share"] == row["utility"] == row["leader_delta_simplified"] == 0.0
+        game = DiscriminatoryGame(fees, 0.005, GameParams())
+        scale = float(np.max(powers))
+        reached = best_response_dynamics(game, np.ones(fees.size), tol=1e-12 * scale)
+        np.testing.assert_allclose(reached.powers, powers, rtol=0, atol=1e-9 * scale)
 
 
 class TestCli:
@@ -625,11 +690,28 @@ class TestCli:
         assert "poisson_rate" in capsys.readouterr().err
 
     def test_all_infeasible_exit_code(self, tmp_path, capsys):
-        # dispersed fees make the closed form leave the orthant
-        code = main(["solve-disc", "--fees", "1,40,40",
-                     "--out", str(tmp_path / "d.csv")])
+        # every edge power on this grid is <= 0, so every row is infeasible
+        code = main(["fig", "4", "--grid-start", "-10", "--grid-stop", "-1",
+                     "--grid-steps", "3", "--out", str(tmp_path / "d.csv")])
         assert code == 3
-        assert "infeasible" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out.endswith("(3 infeasible)\n")
+        assert "infeasible" in err
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("argv", [["fig", "3"], ["fig", "4"], ["fig", "5"],
+                                      ["fig", "3", "--objective", "full"],
+                                      ["solve-disc", "--fees", "4,5"]])
+    def test_zero_device_discount_is_a_config_error(self, argv, fmt, tmp_path, capsys):
+        # exp(-100 * 1 * 10) underflows to 0; matched, inducing and per-miner
+        # fees all divide by it
+        out = tmp_path / f"r.{fmt}"
+        code = main([*argv, "--poisson-rate", "100", "--format", fmt, "--out", str(out)])
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: ")
+        assert "device-load delay discount" in lines[0]
+        assert not out.exists()
 
     def test_config_file_with_flag_override(self, tmp_path):
         config = tmp_path / "exp.cfg"

@@ -93,16 +93,16 @@ class TestBestResponse:
 class TestUniquenessCertificate:
     def test_certified_instance(self):
         cert = uniqueness_certificate_uniform(_game(edge_power=0.5))
-        assert cert.certified and cert.below_quarter_bound and cert.below_positivity_bound
+        assert cert.below_quarter_bound and cert.below_positivity_bound
         assert cert.quarter_bound == pytest.approx(1.0)
 
     def test_uncertified_instance(self):
         cert = uniqueness_certificate_uniform(_game(edge_power=1.5))
-        assert not cert.certified
+        assert not cert.below_quarter_bound
         assert cert.below_positivity_bound  # 1.5 < 4 still holds
 
     def test_tiny_edge_power_always_certified(self):
-        assert uniqueness_certificate_uniform(_game(edge_power=1e-9)).certified
+        assert uniqueness_certificate_uniform(_game(edge_power=1e-9)).below_quarter_bound
 
     def test_detail_reports_both_bounds(self):
         cert = uniqueness_certificate_uniform(_game(edge_power=5.0))
@@ -222,7 +222,7 @@ class TestSolveUniform:
         game = _game(edge_power=0.5)
         y_star = best_response_uniform(game)
         assert y_star == pytest.approx(math.sqrt(2.0) - 0.5)
-        assert uniqueness_certificate_uniform(game).certified
+        assert uniqueness_certificate_uniform(game).below_quarter_bound
         simplified = leader_delta_utility_uniform(game, "simplified")
         assert simplified == pytest.approx(10.0 * y_star / (0.5 + y_star))
         assert leader_delta_utility_uniform(game, "full") == pytest.approx(simplified - 4.0)
@@ -231,7 +231,7 @@ class TestSolveUniform:
         # aggregate response depends only on the edge power, so re-solving
         # from the equilibrium reproduces it exactly
         game = _game(edge_power=0.5)
-        assert uniqueness_certificate_uniform(game).certified
+        assert uniqueness_certificate_uniform(game).below_quarter_bound
         first = best_response_uniform(game)
         assert best_response_uniform(game) == first
 
