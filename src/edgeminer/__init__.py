@@ -35,7 +35,6 @@ from .search import (
     SearchTrace,
     best_response_dynamics,
     golden_section_max,
-    golden_section_max_array,
     grid_argmax,
     multiplicative_fee_search,
 )

@@ -26,6 +26,7 @@ __all__ = [
     "leader_reward_scale",
     "miner_utility",
     "mining_success_prob",
+    "participation_floor",
     "power_share",
 ]
 
@@ -206,13 +207,18 @@ def check_objective(objective: str):
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
 
 
-def fee_bracket(params: GameParams, bracket=None):
-    """Stage-I fee bracket (lo, hi), floored at the devices' minimum consumption.
+def participation_floor(params: GameParams) -> float:
+    """Lowest fee devices accept: max(min_consumption, 1e-6)."""
+    return max(params.min_consumption, 1e-6)
 
-    The floor is max(min_consumption, 1e-6): fees below it are refused.  The
-    default bracket is [floor, 100*a], with a the leader reward scale.
+
+def fee_bracket(params: GameParams, bracket=None):
+    """Stage-I fee bracket (lo, hi), floored at participation_floor.
+
+    Fees below the floor are refused.  The default bracket is
+    [floor, 100*a], with a the leader reward scale.
     """
-    floor = max(params.min_consumption, 1e-6)
+    floor = participation_floor(params)
     if bracket is None:
         a = leader_reward_scale(params)
         lo, hi = floor, (100.0 * a if a > 0 else 10.0 * floor)

@@ -23,6 +23,7 @@ from .core import (
     device_discount,
     edge_utility,
     leader_reward_scale,
+    participation_floor,
 )
 from .search import SearchConfig, multiplicative_fee_search
 from .discriminatory import (
@@ -359,7 +360,7 @@ def _rows_power_sweep(cfg: ExperimentConfig):
     """
     params = cfg.params
     objective = cfg.resolved_objective()
-    scale = params.total_reward * params.delay_discount(params.mobile_tx_load)
+    scale = leader_reward_scale(params)
     fig3 = cfg.kind == "fig3"
     names = ("device_power", "edge_power") if fig3 else ("edge_power", "device_power")
     columns = {name: [] for name in (*names, "fee_same", "profit_same_fee",
@@ -445,7 +446,7 @@ def _optimize_fee(cfg: ExperimentConfig, objective: str):
     if cfg.fee_search == "golden":
         return optimal_fee_uniform(cfg.edge_power, cfg.unit_cost, params,
                                    objective=objective)
-    floor = max(params.min_consumption, 1e-6)
+    floor = participation_floor(params)
     check_kappa(objective, floor, params.delay_discount(params.mobile_tx_load))
 
     def profit_fn(fee):

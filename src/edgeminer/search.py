@@ -1,10 +1,8 @@
 """Numerical machinery: fee hill-climb, best-response iteration, scalar oracles.
 
 The two scalar maximizers serve as mutual cross-checks: ``grid_argmax`` is
-the exhaustive oracle used by tests, ``golden_section_max`` the fast path
-for concave leader objectives.  ``golden_section_max_array`` runs the same
-golden section over many brackets at once for the stage-I sweeps, and the
-scalar loop is its per-element oracle.
+the exhaustive oracle used by tests, ``golden_section_max`` the test oracle
+for the stage-I closed forms of both fee games.
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ __all__ = [
     "SearchTrace",
     "best_response_dynamics",
     "golden_section_max",
-    "golden_section_max_array",
     "grid_argmax",
     "multiplicative_fee_search",
 ]
@@ -211,52 +208,3 @@ def golden_section_max(f, lo: float, hi: float, rel_tol: float = 1e-9):
         if fx > best_f:
             best_x, best_f = x, fx
     return float(best_x), float(best_f)
-
-
-def golden_section_max_array(f, lo, hi, rel_tol: float = 1e-9):
-    """golden_section_max on many brackets at once, in lockstep.
-
-    ``lo`` and ``hi`` are 1-D arrays of equal length, one bracket per
-    element, and ``f`` maps an array holding one point per bracket to the
-    array of objective values.  Every element takes the floating-point
-    steps of a scalar ``golden_section_max`` run on its own bracket and
-    stops on the step where that run stops, so element k of the result
-    equals ``golden_section_max(f_k, lo[k], hi[k], rel_tol)`` bit for bit.
-    A stopped element still gets evaluated each step, at a point inside its
-    bracket, and the value is discarded.  Returns (best_x, best_f) arrays.
-    """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    if lo.ndim != 1 or lo.shape != hi.shape:
-        raise ValueError(f"lo and hi must be 1-D of one length, got {lo.shape} and {hi.shape}")
-    if not np.all(lo < hi):
-        k = int(np.argmin(lo < hi))
-        raise ValueError(f"need lo < hi, got [{lo[k]}, {hi[k]}] at element {k}")
-    if rel_tol <= 0:
-        raise ValueError("rel_tol must be > 0")
-    a, b = lo, hi
-    tol = rel_tol * (b - a)
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    active = (b - a) > tol
-    while active.any():
-        # where fc > fd the bracket shrinks to [a, d], d takes c and c is probed
-        # anew; elsewhere it shrinks to [c, b], c takes d and d is probed anew.
-        # A stopped bracket keeps its ends; its inner points no longer matter.
-        left = fc > fd
-        a = np.where(active & ~left, c, a)
-        b = np.where(active & left, d, b)
-        step = _INV_PHI * (b - a)
-        probe = np.where(left, b - step, a + step)
-        f_probe = f(probe)
-        c, d, fc, fd = (np.where(left, probe, d), np.where(left, c, probe),
-                        np.where(left, f_probe, fd), np.where(left, fc, f_probe))
-        active = (b - a) > tol
-    best_x = 0.5 * (a + b)
-    best_f = f(best_x)
-    for x in (lo, hi):
-        fx = f(x)
-        better = fx > best_f
-        best_x, best_f = np.where(better, x, best_x), np.where(better, fx, best_f)
-    return best_x, best_f

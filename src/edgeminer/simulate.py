@@ -148,7 +148,7 @@ def emg_vs_mdg_sweep(total_power_grid, edge_fraction: float, params: GameParams,
     pays the stage-I optimal fee for the recruited remainder; the baseline
     recruits the full total at the same per-power fee rate, so the edge's
     own share goes un-fee'd.  Entries are ordered by total power.  One
-    batched stage-I search (optimal_fees_uniform) prices the whole grid.
+    closed-form stage-I call (optimal_fees_uniform) prices the whole grid.
     Returns column name -> list of floats; an empty grid gives the same
     names with empty lists.
     """

@@ -1,7 +1,8 @@
 """Uniform-fee game: one expected fee for the aggregate device pool.
 
 Stage II treats all recruited devices as a single follower supplying total
-power Y against the edge server's own power X.  Stage I picks the fee.
+power Y against the edge server's own power X.  Stage I picks the fee.  Both
+stages are closed forms.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import GameParams, check_objective, fee_bracket, leader_reward_scale
-from .search import golden_section_max, golden_section_max_array
 
 __all__ = [
     "UniformCertificate",
@@ -110,38 +110,29 @@ def leader_delta_utility_uniform(game: UniformGame, objective: str = "full") -> 
 
 
 def optimal_fee_uniform(edge_power: float, unit_cost: float, params: GameParams,
-                        objective: str = "full", bracket=None, rel_tol: float = 1e-9):
-    """Stage I: fee maximizing the leader's additional profit on a bracket.
-
-    The default bracket is [max(min_consumption, 1e-6), 100*a]; fees below
-    the devices' minimum consumption are cut away because such offers are
-    refused.  Returns (best_fee, profit).
-    """
-    check_objective(objective)
-    if edge_power <= 0 or unit_cost <= 0:
-        raise ValueError("edge_power and unit_cost must be > 0")
-    lo, hi = fee_bracket(params, bracket)
-    check_kappa(objective, lo, params.delay_discount(params.mobile_tx_load))
-
-    def profit_at(fee: float) -> float:
-        game = UniformGame(edge_power, fee, unit_cost, params)
-        return leader_delta_utility_uniform(game, objective)
-
-    return golden_section_max(profit_at, lo, hi, rel_tol)
+                        objective: str = "full", bracket=None):
+    """Stage I for one instance: optimal_fees_uniform on [edge_power], as floats."""
+    fees, profits = optimal_fees_uniform([edge_power], unit_cost, params, objective, bracket)
+    return float(fees[0]), float(profits[0])
 
 
 def optimal_fees_uniform(edge_powers, unit_cost: float, params, objective: str = "full",
                          bracket=None):
-    """Stage I for many instances at once: optimal_fee_uniform elementwise.
+    """Stage I in closed form: the fee maximizing the leader's profit, per instance.
+
+    The bracket is fee_bracket's: [participation_floor, 100*a] by default.
+    Under "full" the pool stays out while fee * d <= X * unit_cost (d the
+    device-load discount), and the profit is -fee; above that it is
+    a*(1 - sqrt(X*unit_cost/(fee*d))) - fee, concave with its peak at
+    p* = (a/2 * sqrt(X*unit_cost/d))^(2/3).  So the optimum is p* clipped to
+    the bracket, unless the floor earns strictly more.  Under "simplified"
+    the profit rises with the fee and the optimum is the bracket top.
 
     ``edge_powers`` is a 1-D array, ``params`` one GameParams shared by every
-    instance or a sequence with one per instance.  Each instance keeps its
-    own bracket, and the golden section runs on all of them in lockstep
-    (``golden_section_max_array``) on the elementwise form of
-    ``leader_delta_utility_uniform``, so element k equals
-    ``optimal_fee_uniform(edge_powers[k], unit_cost, params[k], ...)`` bit
-    for bit.  The edge powers, the unit cost and the discounted fees are
-    checked once, before the search.  Returns (fees, profits) arrays.
+    instance or a sequence with one per instance, each with its own bracket.
+    The profit is the elementwise form of ``leader_delta_utility_uniform``.
+    Raises ValueError naming the first instance whose profit at its fee is
+    not finite.  Returns (fees, profits) arrays.
     """
     check_objective(objective)
     edge = np.asarray(edge_powers, dtype=float)
@@ -166,21 +157,34 @@ def optimal_fees_uniform(edge_powers, unit_cost: float, params, objective: str =
     check_kappa(objective, lo, discount)
 
     def profits(fees):
-        # leader_delta_utility_uniform, one game per element; the final
-        # midpoint 0.5*(a+b) can overflow, which UniformGame rejects
-        if not np.all(np.isfinite(fees)):
-            raise ValueError(f"fee must be finite and > 0, "
-                             f"got {float(fees[~np.isfinite(fees)][0])!r}")
+        # leader_delta_utility_uniform, one game per element
         kappa = fees * discount
         if objective == "simplified":
             return a * (1.0 - np.sqrt(edge * unit_cost / kappa))
         y_star = np.maximum(0.0, np.sqrt(kappa * edge / unit_cost) - edge)
         return a * y_star / (edge + y_star) - fees
 
-    # Python floats overflow to inf and turn inf/inf into nan silently; so
-    # does the array search, to match the scalar path's output and stderr
-    with np.errstate(over="ignore", invalid="ignore"):
-        return golden_section_max_array(profits, lo, hi)
+    # overflow gives inf or nan, as Python floats do, and the check below rejects it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if objective == "simplified":
+            fees, profit = hi, profits(hi)
+        else:
+            peak = (a / 2.0 * np.sqrt(edge * unit_cost / discount)) ** (2.0 / 3.0)
+            # a == 0 makes peak 0 or 0*inf = nan, and every fee earns -fee:
+            # fmax takes the floor over nan
+            peak = np.fmin(np.fmax(peak, lo), hi)
+            at_peak, at_floor = profits(peak), profits(lo)
+            # where fee * d <= X * u the pool stays out and the peak earns
+            # -peak <= -lo; saying so also covers a profit that overflows there
+            floor_wins = (peak * discount <= edge * unit_cost) | (at_floor > at_peak)
+            fees = np.where(floor_wins, lo, peak)
+            profit = np.where(floor_wins, at_floor, at_peak)
+    bad = ~np.isfinite(profit)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(f"stage-I profit is not finite at instance {k} (edge power "
+                         f"{float(edge[k])!r}, fee {float(fees[k])!r}): {float(profit[k])!r}")
+    return fees, profit
 
 
 def check_kappa(objective: str, lo, discount) -> None:
@@ -188,7 +192,7 @@ def check_kappa(objective: str, lo, discount) -> None:
 
     The simplified objective divides by kappa = fee * discount, and kappa
     only grows with the fee, so checking the bracket floor covers every fee
-    the search can probe.  A delay discount that underflows to 0 (a large
+    in the bracket.  A delay discount that underflows to 0 (a large
     poisson_rate) lands here.
     """
     if objective == "simplified" and np.any(np.multiply(lo, discount) == 0):

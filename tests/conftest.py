@@ -6,7 +6,14 @@ All randomness is seeded so every run sees the same instances.
 import numpy as np
 import pytest
 
-from edgeminer import DiscriminatoryGame, GameParams, UniformGame
+from edgeminer import (
+    DiscriminatoryGame,
+    GameParams,
+    UniformGame,
+    golden_section_max,
+    leader_delta_utility_uniform,
+)
+from edgeminer.core import fee_bracket
 
 
 def zero_delay_params(**overrides) -> GameParams:
@@ -57,6 +64,30 @@ def random_feasible_disc_games(n, seed=0, m_range=(2, 10)):
         )
         games.append(DiscriminatoryGame(fees, float(rng.uniform(0.2, 2.0)), params))
     return games
+
+
+def assert_stage1_optimum(fee, profit, edge_power, unit_cost, params, objective="full",
+                          bracket=None):
+    """A uniform stage-I (fee, profit) against the scalar golden-section oracle.
+
+    The profit is the leader's profit at the fee, bit for bit (None: not
+    reported), and at least the oracle's (rel_tol 1e-12) less
+    1e-12 * max(1, |oracle|); where the oracle lands on a bracket end, the
+    fee is that end exactly.
+    """
+    def profit_at(p):
+        return leader_delta_utility_uniform(UniformGame(edge_power, p, unit_cost, params),
+                                            objective)
+
+    lo, hi = fee_bracket(params, bracket)
+    oracle_fee, oracle_profit = golden_section_max(profit_at, lo, hi, rel_tol=1e-12)
+    assert lo <= fee <= hi
+    if profit is None:
+        profit = profit_at(fee)
+    assert profit == profit_at(fee)
+    assert profit >= oracle_profit - 1e-12 * max(1.0, abs(oracle_profit))
+    if oracle_fee in (lo, hi):
+        assert fee == oracle_fee
 
 
 @pytest.fixture

@@ -28,6 +28,7 @@ from edgeminer import (
     miner_utility_i,
     multiplicative_fee_search,
     nash_equilibrium_closed_form,
+    optimal_fee_uniform,
     simulate_mining,
     uniqueness_certificate_uniform,
 )
@@ -190,7 +191,8 @@ def test_criterion_5_standard_function_axioms():
 
 
 def test_criterion_6_analytic_fee_optimum_both_searches():
-    with _criterion(6, "hill-climb and golden section both hit the analytic optimum"):
+    with _criterion(6, "hill-climb and golden section hit the analytic optimum, "
+                       "the library's closed form to 1e-12"):
         def profit(fee):
             return 10.0 * (1.0 - fee ** -0.5) - fee
 
@@ -199,6 +201,10 @@ def test_criterion_6_analytic_fee_optimum_both_searches():
         assert abs(climbed - P_OPT_ANALYTIC) <= 1e-3
         golden, _ = golden_section_max(profit, 0.1, 50.0, rel_tol=1e-9)
         assert abs(golden - P_OPT_ANALYTIC) <= 1e-3
+        # the same profit in the library: a = 10, X = u = 1, no delay
+        params = GameParams(fixed_reward=8.0, tx_reward=2.0, poisson_rate=0.0)
+        library, _ = optimal_fee_uniform(1.0, 1.0, params)
+        assert abs(library - P_OPT_ANALYTIC) <= 1e-12
 
 
 def test_criterion_7_monte_carlo_fidelity():

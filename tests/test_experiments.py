@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import math
+import sys
 import warnings
 from pathlib import Path
 
@@ -25,9 +26,8 @@ from edgeminer import (
     mdg_baseline_profit,
     miner_utility_i,
     nash_equilibrium_closed_form,
-    optimal_fee_uniform,
+    search,
     simulate_mining,
-    uniform,
     validate_config,
 )
 from edgeminer.core import OBJECTIVES
@@ -44,6 +44,8 @@ from edgeminer.experiments import (
     render_report,
     run_experiment,
 )
+
+from conftest import assert_stage1_optimum
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -393,36 +395,39 @@ class TestMatchedFees:
 
 class TestStage1Sweeps:
     @staticmethod
-    def _oracle(cfg):
-        # the per-point loop: one scalar optimal_fee_uniform search per grid point
+    def _check_rows(cfg, rows):
+        # per grid point: the fee against the scalar golden-section oracle, and
+        # every other cell from that fee through the per-point functions
         objective = cfg.resolved_objective()
-        rows = []
+        expected = []
         if cfg.kind == "fig2":
-            for r in cfg.grid():
+            for r, row in zip(cfg.grid(), rows):
                 params = dataclasses.replace(cfg.params, fixed_reward=float(r))
-                fee, profit = optimal_fee_uniform(cfg.edge_power, cfg.unit_cost, params,
-                                                  objective=objective)
-                rows.append({"fixed_reward": float(r), "optimal_fee": fee,
-                             "leader_profit": profit, "status": "ok"})
-            return rows
+                assert_stage1_optimum(row["optimal_fee"], row["leader_profit"],
+                                      cfg.edge_power, cfg.unit_cost, params, objective)
+                expected.append({"fixed_reward": float(r), "optimal_fee": row["optimal_fee"],
+                                 "leader_profit": row["leader_profit"], "status": "ok"})
+            return expected
         params = cfg.params
         fig6 = cfg.kind == "fig6"
-        for fraction in cfg.edge_fractions if fig6 else (cfg.edge_fraction,):
-            for total in sorted(float(w) for w in cfg.grid()):
-                edge_power = fraction * total
-                device_power = total - edge_power
-                fee_emg, _ = optimal_fee_uniform(edge_power, cfg.unit_cost, params,
-                                                 objective=objective)
-                fee_mdg = fee_emg * total / device_power
-                profit_emg = edge_utility(params, [fee_emg])
-                profit_mdg = mdg_baseline_profit(total, [fee_mdg], params, cfg.mdg_delay_mult)
-                row = {"edge_fraction": fraction} if fig6 else {}
-                row.update(total_power=total, edge_power=edge_power,
-                           device_power=device_power, fee_emg=fee_emg, fee_mdg=fee_mdg,
-                           profit_emg=profit_emg, profit_mdg=profit_mdg,
-                           profit_gap=profit_emg - profit_mdg, status="ok")
-                rows.append(row)
-        return rows
+        points = [(fraction, total) for fraction in
+                  (cfg.edge_fractions if fig6 else (cfg.edge_fraction,))
+                  for total in sorted(float(w) for w in cfg.grid())]
+        for (fraction, total), row in zip(points, rows):
+            edge_power = fraction * total
+            device_power = total - edge_power
+            fee_emg = row["fee_emg"]
+            assert_stage1_optimum(fee_emg, None, edge_power, cfg.unit_cost, params, objective)
+            fee_mdg = fee_emg * total / device_power
+            profit_emg = edge_utility(params, [fee_emg])
+            profit_mdg = mdg_baseline_profit(total, [fee_mdg], params, cfg.mdg_delay_mult)
+            point = {"edge_fraction": fraction} if fig6 else {}
+            point.update(total_power=total, edge_power=edge_power,
+                         device_power=device_power, fee_emg=fee_emg, fee_mdg=fee_mdg,
+                         profit_emg=profit_emg, profit_mdg=profit_mdg,
+                         profit_gap=profit_emg - profit_mdg, status="ok")
+            expected.append(point)
+        return expected
 
     @pytest.mark.parametrize("settings", [{}, {"min_consumption": 0.0},
                                           {"min_consumption": 5.0}, {"poisson_rate": 0.0}],
@@ -437,27 +442,25 @@ class TestStage1Sweeps:
                             **settings})
         rows = _rows(experiments._BUILDERS[kind](cfg))
         # items, in order: the column order is part of the report bytes
-        assert [list(row.items()) for row in rows] == [
-            list(row.items()) for row in self._oracle(cfg)]
+        expected = self._check_rows(cfg, rows)
+        assert len(rows) == len(expected) == steps * (2 if kind == "fig6" else 1)
+        assert [list(row.items()) for row in rows] == [list(row.items()) for row in expected]
 
     def test_one_search_per_sweep(self, monkeypatch, tmp_path):
-        sizes = []
-        batched = uniform.golden_section_max_array
+        # stage I is a closed form: no sweep and no solve-uniform runs a golden section
+        def no_search(*args, **kwargs):
+            raise AssertionError("a stage-I run called the golden section")
 
-        def counting(f, lo, hi, rel_tol=1e-9):
-            sizes.append(len(lo))
-            return batched(f, lo, hi, rel_tol)
-
-        def per_point(*args, **kwargs):
-            raise AssertionError("a sweep ran a per-point search")
-
-        monkeypatch.setattr(uniform, "golden_section_max_array", counting)
-        monkeypatch.setattr(uniform, "golden_section_max", per_point)
-        for kind, steps, expected in (("fig6", 400, [400, 400, 400]),
-                                      ("compare-mdg", 200, [200]), ("fig2", 200, [200])):
-            sizes.clear()
-            _run(kind, tmp_path, grid_steps=steps)
-            assert sizes == expected, kind
+        original = search.golden_section_max
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "edgeminer" and getattr(
+                    module, "golden_section_max", None) is original:
+                monkeypatch.setattr(module, "golden_section_max", no_search)
+        for objective in OBJECTIVES:
+            for kind, steps in (("fig6", 400), ("compare-mdg", 200), ("fig2", 200)):
+                table, _, _ = _run(kind, tmp_path, grid_steps=steps, objective=objective)
+                assert len(table) == steps * (3 if kind == "fig6" else 1)
+            _run("solve-uniform", tmp_path, fee_search="golden", objective=objective)
 
     @pytest.mark.parametrize("kind", ["fig2", "fig6", "compare-mdg", "solve-uniform"])
     def test_zero_discount_simplified_is_a_config_error(self, kind, tmp_path, capsys):
@@ -492,6 +495,24 @@ class TestStage1Sweeps:
         assert capsys.readouterr().err.splitlines() == [
             "config error: the simplified objective needs fee * delay discount > 0, "
             "but the device-load delay discount is 0"]
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("argv, instance", [
+        (["fig", "2", "--grid-stop", "1e306"], 1),
+        (["fig", "2", "--grid-stop", "1e300"], 1),
+        (["solve-uniform", "--edge-power", "1e300", "--unit-cost", "1e-300"], 0),
+    ], ids=["fig2-1e306", "fig2-1e300", "solve-uniform-1e300"])
+    def test_nonfinite_stage1_profit_is_a_config_error(self, argv, instance, tmp_path,
+                                                        capsys):
+        # a * Y* overflows in the profit at the optimal fee: no ok row with
+        # an inf or nan profit, one error line and no report
+        out = tmp_path / "report.csv"
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(
+            f"config error: stage-I profit is not finite at instance {instance} ")
         assert not out.exists()
 
 

@@ -1,4 +1,4 @@
-"""Fee hill-climb, best-response dynamics, the search oracles, the lockstep golden section."""
+"""Fee hill-climb, best-response dynamics and the search oracles."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from edgeminer import (
     SearchConfig,
     best_response_dynamics,
     golden_section_max,
-    golden_section_max_array,
     grid_argmax,
     multiplicative_fee_search,
     nash_equilibrium_closed_form,
@@ -18,7 +17,6 @@ from edgeminer import (
 from conftest import random_feasible_disc_games, zero_delay_params
 
 P_OPT_ANALYTIC = 2.924017738212866
-INV_PHI = (5.0 ** 0.5 - 1.0) / 2.0
 
 
 def leader_profit(fee):
@@ -187,78 +185,3 @@ class TestGoldenSectionMax:
     def test_invalid_interval_rejected(self):
         with pytest.raises(ValueError):
             golden_section_max(lambda x: x, 1.0, 1.0)
-
-
-class TestGoldenSectionMaxArray:
-    """Element k must equal a scalar golden_section_max run on bracket k, bit for bit."""
-
-    @staticmethod
-    def _scalar(make_f, lo, hi, rel_tol):
-        # per-element oracle; also returns how many evaluations each run made
-        results, evals = [], []
-        for k in range(lo.size):
-            calls = [0]
-
-            def f(x, k=k):
-                calls[0] += 1
-                return make_f(k)(x)
-
-            results.append(golden_section_max(f, lo[k], hi[k], rel_tol))
-            evals.append(calls[0])
-        return results, evals
-
-    @staticmethod
-    def _assert_equal(array_result, scalar_results):
-        best_x, best_f = array_result
-        assert best_x.shape == best_f.shape == (len(scalar_results),)
-        for k, (x, fx) in enumerate(scalar_results):
-            assert (best_x[k], best_f[k]) == (x, fx), k
-
-    # tolerances at a power of 1/phi put each bracket's stop on a rounding
-    # edge, so elements stop on different steps
-    @pytest.mark.parametrize("rel_tol", [1e-9, INV_PHI ** 20, INV_PHI ** 30])
-    def test_random_mixed_width_brackets(self, rel_tol):
-        rng = np.random.default_rng(5)
-        n = 200
-        lo = rng.uniform(-10.0, 10.0, n)
-        width = 10.0 ** rng.uniform(-3.0, 3.0, n)
-        hi = lo + width
-        # peaks inside, below and above the brackets
-        peak = lo + rng.uniform(-0.2, 1.2, n) * width
-        scale = rng.uniform(0.5, 3.0, n)
-        expected, evals = self._scalar(
-            lambda k: lambda x: -scale[k] * (x - peak[k]) * (x - peak[k]), lo, hi, rel_tol)
-        result = golden_section_max_array(lambda x: -scale * (x - peak) * (x - peak),
-                                          lo, hi, rel_tol)
-        self._assert_equal(result, expected)
-        if rel_tol != 1e-9:
-            assert len(set(evals)) > 1
-
-    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["increasing", "decreasing"])
-    def test_monotone_objectives_land_on_an_endpoint(self, sign):
-        lo = np.array([0.0, -3.0, 0.5, 1e-6])
-        hi = np.array([1.0, 2.0, 20.0, 1e3])
-        slope = np.array([1.0, 0.25, 7.0, 2.0]) * sign
-        expected, _ = self._scalar(lambda k: lambda x: slope[k] * x, lo, hi, 1e-9)
-        result = golden_section_max_array(lambda x: slope * x, lo, hi)
-        self._assert_equal(result, expected)
-        assert np.array_equal(result[0], hi if sign > 0 else lo)
-
-    def test_one_element(self):
-        expected, _ = self._scalar(lambda k: leader_profit, np.array([0.1]), np.array([50.0]),
-                                   1e-9)
-        result = golden_section_max_array(leader_profit, [0.1], [50.0])
-        self._assert_equal(result, expected)
-        assert abs(result[0][0] - P_OPT_ANALYTIC) <= 1e-6
-
-    def test_empty(self):
-        best_x, best_f = golden_section_max_array(lambda x: -x * x, [], [])
-        assert best_x.shape == best_f.shape == (0,)
-
-    def test_invalid_brackets_rejected(self):
-        with pytest.raises(ValueError, match="at element 1"):
-            golden_section_max_array(lambda x: x, [0.0, 1.0], [1.0, 1.0])
-        with pytest.raises(ValueError):
-            golden_section_max_array(lambda x: x, [0.0, 1.0], [1.0])
-        with pytest.raises(ValueError):
-            golden_section_max_array(lambda x: x, [0.0], [1.0], rel_tol=0.0)

@@ -289,10 +289,18 @@ class TestSweep:
 
     @pytest.mark.parametrize("objective", ["full", "simplified"])
     def test_overflowing_mdg_fee_rejected(self, objective):
-        # fee_emg * total overflows for a total of 1e306, as mdg_baseline_profit
-        # would reject it on the per-point path
+        # at a total of 1e306, X*u/d is far above the bracket top: under "full"
+        # no fee recruits the pool, the fee is the floor and the row is finite;
+        # under "simplified" the fee is 100a and fee_emg * total overflows, as
+        # mdg_baseline_profit would reject it on the per-point path
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            if objective == "full":
+                columns = emg_vs_mdg_sweep([50.0, 1e306], 0.5, GameParams(), 0.01,
+                                           objective=objective)
+                assert columns["fee_emg"][1] == 0.1
+                assert all(math.isfinite(v) for values in columns.values() for v in values)
+                return
             with pytest.raises(ValueError, match="fees must be finite and >= 0"):
                 emg_vs_mdg_sweep([50.0, 1e306], 0.5, GameParams(), 0.01,
                                  objective=objective)

@@ -1,10 +1,13 @@
 """Uniform-fee game: best response, certificates, leader objectives, stage I."""
 
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgeminer import (
     ConfigError,
@@ -14,13 +17,16 @@ from edgeminer import (
     best_response_uniform,
     grid_argmax,
     leader_delta_utility_uniform,
+    leader_reward_scale,
     optimal_fee_uniform,
     optimal_fees_uniform,
     uniform,
     uniqueness_certificate_uniform,
 )
 
-from conftest import random_uniform_games, zero_delay_params
+from edgeminer.core import fee_bracket
+
+from conftest import assert_stage1_optimum, random_uniform_games, zero_delay_params
 
 # analytic stage-I optimum of 10*(1 - P^-1/2) - P, frozen via 30-digit eval
 P_OPT_ANALYTIC = 2.924017738212866
@@ -236,8 +242,86 @@ class TestSolveUniform:
         assert best_response_uniform(game) == first
 
 
+def _p_star(edge_power, unit_cost, params):
+    """The interior stage-I fee, cube-root form: (a^2 X u / (4 d))^(1/3)."""
+    a, d = leader_reward_scale(params), params.delay_discount(params.mobile_tx_load)
+    return (a * a * edge_power * unit_cost / (4.0 * d)) ** (1.0 / 3.0)
+
+
+_log_uniform = lambda lo, hi: st.floats(lo, hi).map(lambda e: 10.0 ** e)  # noqa: E731
+
+
+@st.composite
+def _stage1_instances(draw):
+    """(regime, edge power, unit cost, params, objective, bracket), one regime each.
+
+    large-reward puts p* in a bracket 100a wide, with a up to 1e22; floor
+    and top clamp p* with a custom bracket; pool-out has X*u/d >= a/2,
+    where p* <= X*u/d and no fee recruits the pool.
+    """
+    regime = draw(st.sampled_from(["interior", "large-reward", "floor", "top", "pool-out",
+                                   "no-reward", "zero-discount", "simplified"]))
+    edge, cost = draw(_log_uniform(-3.0, 2.0)), draw(_log_uniform(-3.0, 0.0))
+    values = {"fixed_reward": draw(st.floats(0.5, 100.0)),
+              "tx_reward": draw(st.floats(0.0, 5.0)),
+              "poisson_rate": draw(st.floats(0.0, 0.05)),
+              "min_consumption": draw(st.floats(0.0, 0.1))}
+    if regime == "large-reward":
+        values.update(fixed_reward=draw(_log_uniform(6.0, 22.0)))
+    elif regime == "no-reward":
+        values.update(fixed_reward=0.0, tx_reward=0.0)
+    elif regime == "zero-discount":
+        values.update(poisson_rate=100.0)
+    elif regime in ("floor", "top"):
+        values.update(min_consumption=0.0)
+    elif regime == "pool-out":
+        cost = draw(st.floats(1.0, 10.0))
+        edge = 200.0 * draw(st.floats(1.0, 100.0)) / cost
+    params = GameParams(**values)
+    bracket = None
+    if regime in ("floor", "top"):
+        star, factor = _p_star(edge, cost, params), draw(st.floats(1.5, 10.0))
+        bracket = ((star * factor, star * factor ** 2) if regime == "floor"
+                   else (star / factor ** 2, star / factor))
+    objective = "simplified" if regime == "simplified" else "full"
+    return regime, edge, cost, params, objective, bracket
+
+
+class TestClosedFormStage1:
+    """The closed-form stage I against the scalar golden section and the formula."""
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(_stage1_instances())
+    def test_no_fee_beats_the_closed_form(self, instance):
+        regime, edge, cost, params, objective, bracket = instance
+        fee, profit = optimal_fee_uniform(edge, cost, params, objective, bracket)
+        assert_stage1_optimum(fee, profit, edge, cost, params, objective, bracket)
+        lo, hi = fee_bracket(params, bracket)
+        if regime in ("pool-out", "no-reward", "zero-discount"):
+            assert (fee, profit) == (lo, -lo)
+        elif regime == "floor":
+            assert fee == lo
+        elif regime == "simplified":
+            assert fee == hi
+        elif regime == "top":
+            assert fee in (lo, hi)
+
+    def test_large_reward_to_1e_12(self):
+        # the search stopped at 1e-9 of a 100a-wide bracket, 4e-4 off p* here
+        params = GameParams(fixed_reward=1e12)
+        fee, _ = optimal_fee_uniform(50.0, 0.005, params)
+        assert fee == pytest.approx(_p_star(50.0, 0.005, params), rel=1e-12)
+        # first-order condition: (a/2) sqrt(X u / d) fee^(-3/2) == 1
+        a, d = leader_reward_scale(params), params.delay_discount(params.mobile_tx_load)
+        assert 0.5 * a * math.sqrt(50.0 * 0.005 / d) * fee ** -1.5 == pytest.approx(
+            1.0, rel=1e-12)
+
+    def test_no_search_in_uniform(self):
+        assert not any(name.startswith("golden_section") for name in vars(uniform))
+
+
 class TestOptimalFeesUniform:
-    """The batched stage I against a per-instance optimal_fee_uniform loop."""
+    """The many-instance stage I against the scalar golden-section oracle."""
 
     EDGE = np.array([1e-3, 0.7, 5.0, 50.0, 333.3, 1e4])
 
@@ -250,8 +334,7 @@ class TestOptimalFeesUniform:
         params = GameParams(**settings)
         fees, profits = optimal_fees_uniform(self.EDGE, 0.005, params, objective)
         for k, edge_power in enumerate(self.EDGE):
-            assert (fees[k], profits[k]) == optimal_fee_uniform(edge_power, 0.005, params,
-                                                                objective)
+            assert_stage1_optimum(fees[k], profits[k], edge_power, 0.005, params, objective)
 
     @pytest.mark.parametrize("objective", ["full", "simplified"])
     def test_params_per_instance_and_bracket(self, objective):
@@ -260,6 +343,8 @@ class TestOptimalFeesUniform:
         fees, profits = optimal_fees_uniform(self.EDGE, 0.02, points, objective,
                                              bracket=(0.05, 600.0))
         for k, (edge_power, params) in enumerate(zip(self.EDGE, points)):
+            assert_stage1_optimum(fees[k], profits[k], edge_power, 0.02, params, objective,
+                                  bracket=(0.05, 600.0))
             assert (fees[k], profits[k]) == optimal_fee_uniform(
                 edge_power, 0.02, params, objective, bracket=(0.05, 600.0))
 
@@ -277,12 +362,7 @@ class TestOptimalFeesUniform:
         (50.0, 0.0, "unit_cost must be finite and > 0, got 0.0"),
         (50.0, -1.0, "unit_cost must be finite and > 0, got -1.0"),
     ])
-    def test_bad_instance_rejected_before_any_search(self, edge_power, unit_cost, message,
-                                                     monkeypatch):
-        def no_search(*args, **kwargs):
-            raise AssertionError("search ran on a bad instance")
-
-        monkeypatch.setattr(uniform, "golden_section_max_array", no_search)
+    def test_bad_instance_rejected_before_any_search(self, edge_power, unit_cost, message):
         with pytest.raises(ValueError, match=message):
             optimal_fees_uniform([10.0, edge_power, 20.0], unit_cost, GameParams())
 
@@ -294,7 +374,7 @@ class TestOptimalFeesUniform:
         with pytest.raises(ValueError):
             optimal_fees_uniform([1.0, 2.0], 0.005, [GameParams()])
 
-    def test_zero_discount_simplified_rejected_by_both_paths(self, monkeypatch):
+    def test_zero_discount_simplified_rejected_by_both_paths(self):
         # exp(-1000) underflows: kappa = fee * discount is 0 and the simplified
         # objective would divide by it
         params = GameParams(poisson_rate=100.0)
@@ -302,11 +382,6 @@ class TestOptimalFeesUniform:
         message = r"simplified objective needs fee \* delay discount > 0"
         with pytest.raises(ValueError, match=message):
             optimal_fee_uniform(50.0, 0.005, params, "simplified")
-
-        def no_search(*args, **kwargs):
-            raise AssertionError("search ran with a zero discount")
-
-        monkeypatch.setattr(uniform, "golden_section_max_array", no_search)
         points = [GameParams()] * (self.EDGE.size - 1) + [params]
         with pytest.raises(ValueError, match=message):
             optimal_fees_uniform(self.EDGE, 0.005, points, "simplified")
@@ -318,29 +393,47 @@ class TestOptimalFeesUniform:
         params = GameParams(poisson_rate=100.0)
         fees, profits = optimal_fees_uniform(self.EDGE, 0.005, params, "full")
         for k, edge_power in enumerate(self.EDGE):
-            assert (fees[k], profits[k]) == optimal_fee_uniform(edge_power, 0.005, params)
+            assert_stage1_optimum(fees[k], profits[k], edge_power, 0.005, params)
+        assert np.all(fees == 0.1) and np.all(profits == -0.1)
 
     @pytest.mark.parametrize("objective", ["full", "simplified"])
     def test_overflowing_midpoint_rejected_by_both_paths(self, objective):
-        # the search climbs to hi ~ 9e307, where 0.5*(a + b) overflows to inf
+        # a reward of 1e306: the full fee p* ~ 1e204 is right, but a * Y* in the
+        # profit overflows and is rejected; the simplified fee, 100a, stays finite
         params = GameParams(fixed_reward=1e306)
-        message = "fee must be finite and > 0, got inf"
+        a, d = leader_reward_scale(params), params.delay_discount(params.mobile_tx_load)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=message):
+            if objective == "simplified":
+                fees, profits = optimal_fees_uniform(self.EDGE, 0.005, params, objective)
+                assert np.all(fees == 100.0 * a) and np.all(np.isfinite(profits))
+                assert optimal_fee_uniform(50.0, 0.005, params, objective) == (
+                    fees[3], profits[3])
+                return
+            with pytest.raises(ValueError, match=r"instance 0 \(edge power 50.0, fee "
+                                                 r"\S+\): inf") as error:
                 optimal_fee_uniform(50.0, 0.005, params, objective)
-            with pytest.raises(ValueError, match=message):
+            with pytest.raises(ValueError, match="not finite at instance 0 "):
                 optimal_fees_uniform(self.EDGE, 0.005, params, objective)
+        fee = float(re.search(r"fee (\S+)\)", str(error.value)).group(1))
+        assert 0.5 * a * math.sqrt(50.0 * 0.005 / d) * fee ** -1.5 == pytest.approx(
+            1.0, rel=1e-12)
 
     @pytest.mark.parametrize("objective", ["full", "simplified"])
     @pytest.mark.parametrize("edge_power, unit_cost", [(1e300, 1e-300), (1e300, 1e300),
                                                        (1e-300, 1e300), (1e300, 0.005)])
     def test_overflow_is_silent_and_equals_scalar(self, edge_power, unit_cost, objective):
-        # Python floats overflow to inf (and inf/inf to nan) without a warning;
-        # the arrays must do the same and reach the same, possibly nan, values
+        # Python floats overflow to inf (and inf/inf to nan) without a warning,
+        # and so do the arrays; a profit that ends up not finite is rejected
+        params = GameParams()
+        nonfinite = {("full", 1e300, 1e-300): "nan", ("simplified", 1e300, 1e300): "-inf"}
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fees, profits = optimal_fees_uniform([edge_power], unit_cost, GameParams(),
-                                                 objective)
-            expected = optimal_fee_uniform(edge_power, unit_cost, GameParams(), objective)
-        assert repr((fees[0].item(), profits[0].item())) == repr(expected)
+            reason = nonfinite.get((objective, edge_power, unit_cost))
+            if reason is not None:
+                with pytest.raises(ValueError, match=f"not finite at instance 0 .*: {reason}$"):
+                    optimal_fees_uniform([edge_power], unit_cost, params, objective)
+                return
+            fees, profits = optimal_fees_uniform([edge_power], unit_cost, params, objective)
+            assert_stage1_optimum(fees[0], profits[0], edge_power, unit_cost, params,
+                                  objective)
