@@ -497,7 +497,6 @@ class TestStage1Sweeps:
             "but the device-load delay discount is 0"]
         assert not out.exists()
 
-
     @pytest.mark.parametrize("argv, instance", [
         (["fig", "2", "--grid-stop", "1e306"], 1),
         (["fig", "2", "--grid-stop", "1e300"], 1),
