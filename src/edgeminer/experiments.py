@@ -21,7 +21,6 @@ from .core import (
     ConfigError,
     GameParams,
     device_discount,
-    edge_utility,
     leader_reward_scale,
     participation_floor,
 )
@@ -35,9 +34,9 @@ from .discriminatory import (
 )
 from .simulate import (
     SimConfig,
+    emg_mdg_profits,
     emg_vs_mdg_sweep,
     first_miner_wins,
-    mdg_baseline_profit,
     simulate_mining,
 )
 from .uniform import (
@@ -46,6 +45,7 @@ from .uniform import (
     best_response_uniform,
     check_kappa,
     leader_delta_utility_uniform,
+    leader_profits_uniform,
     optimal_fee_uniform,
     optimal_fees_uniform,
     uniqueness_certificate_uniform,
@@ -290,6 +290,15 @@ def validate_config(text: str) -> ExperimentConfig:
     return build_config(parse_config_text(text))
 
 
+def _matched_base(device_power, n_miners: int, unit_cost: float, params: GameParams):
+    """matched_heterogeneous_fees' base level, elementwise in device_power, and multipliers."""
+    spread = min(0.2, 0.5 / n_miners)
+    multipliers = np.linspace(1.0 - spread, 1.0 + spread, n_miners)
+    discount = device_discount(params)
+    inv_sum = math.fsum((1.0 / multipliers).tolist())
+    return device_power * unit_cost * inv_sum / ((n_miners - 1) * discount), multipliers
+
+
 def matched_heterogeneous_fees(device_power: float, n_miners: int, unit_cost: float,
                                params: GameParams) -> np.ndarray:
     """Per-miner fees whose equilibrium total equals device_power.
@@ -300,25 +309,8 @@ def matched_heterogeneous_fees(device_power: float, n_miners: int, unit_cost: fl
     """
     if device_power <= 0:
         raise ValueError("device_power must be > 0")
-    spread = min(0.2, 0.5 / n_miners)
-    multipliers = np.linspace(1.0 - spread, 1.0 + spread, n_miners)
-    discount = device_discount(params)
-    inv_sum = math.fsum((1.0 / multipliers).tolist())
-    base = device_power * unit_cost * inv_sum / ((n_miners - 1) * discount)
+    base, multipliers = _matched_base(device_power, n_miners, unit_cost, params)
     return base * multipliers
-
-
-def _inducing_fee(edge_power: float, device_power: float, unit_cost: float,
-                  params: GameParams) -> float:
-    """Uniform fee whose best response is exactly device_power."""
-    discount = device_discount(params)
-    return unit_cost * (edge_power + device_power) ** 2 / (edge_power * discount)
-
-
-def _append(columns: dict, *cells) -> None:
-    """Add one row: the cells go to the columns in order."""
-    for column, cell in zip(columns.values(), cells, strict=True):
-        column.append(cell)
 
 
 def _rows_fig1(cfg: ExperimentConfig):
@@ -352,74 +344,70 @@ def _rows_fig2(cfg: ExperimentConfig):
 
 
 def _rows_power_sweep(cfg: ExperimentConfig):
-    """Leader-profit curves: fig3 sweeps the device power, fig4 the edge power.
+    """Leader-profit curves: fig3 sweeps the device power D, fig4 the edge power X.
 
-    Same-fee column: the uniform fee inducing the device power as the pool's
-    best response.  Diff-fee column: heterogeneous per-miner fees matched to
-    the same device total, reward credited on the edge-inclusive pool share.
+    Same fee: u(X+D)^2/(X d), whose pool best response is D.  Different
+    fees: matched_heterogeneous_fees, whose Nash total is D, so the leader
+    earns a*D/(X+D) for their sum.  Rows with X <= 0, D < 0 or a bill that
+    overflows are infeasible; any other fee_same must be finite and > 0.
     """
-    params = cfg.params
     objective = cfg.resolved_objective()
-    scale = leader_reward_scale(params)
     fig3 = cfg.kind == "fig3"
+    grid = cfg.grid()
+    fixed = np.full(grid.size, cfg.edge_power if fig3 else cfg.device_power)
+    edge, device = (fixed, grid) if fig3 else (grid, fixed)
+    discount, a = device_discount(cfg.params), leader_reward_scale(cfg.params)
+    # overflow gives inf, rejected below; infeasible rows are masked to nan
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        fee_same = cfg.unit_cost * (edge + device) ** 2 / (edge * discount)
+        bad = (edge > 0) & (device >= 0) & ~(np.isfinite(fee_same) & (fee_same > 0))
+        if bad.any():
+            raise ValueError(f"fee must be finite and > 0, got {float(fee_same[bad][0])!r}")
+        profit_same = leader_profits_uniform(fee_same, edge, cfg.unit_cost, discount, a,
+                                             objective)
+        base, multipliers = _matched_base(device, cfg.n_miners, cfg.unit_cost, cfg.params)
+        bill = base * math.fsum(multipliers.tolist())  # the matched fees' sum
+        reward = a * device / (edge + device)
+    status = np.select([edge <= 0, device < 0, ~np.isfinite(bill)],
+                       ["infeasible: edge power must be > 0",
+                        "infeasible: device_power must be > 0",
+                        "infeasible: all fees must be finite and > 0"], "ok")
     names = ("device_power", "edge_power") if fig3 else ("edge_power", "device_power")
-    columns = {name: [] for name in (*names, "fee_same", "profit_same_fee",
-                                     "fee_bill_diff", "profit_diff_fee", "status")}
-    fixed = cfg.edge_power if fig3 else cfg.device_power
-    for value in cfg.grid().tolist():
-        axes = (value, fixed)  # the swept power leads
-        edge_power, device_power = (fixed, value) if fig3 else axes
-        if edge_power <= 0:
-            _append(columns, *axes, *[math.nan] * 4, "infeasible: edge power must be > 0")
-            continue
-        fee_same = _inducing_fee(edge_power, device_power, cfg.unit_cost, params)
-        profit_same = leader_delta_utility_uniform(
-            UniformGame(edge_power, fee_same, cfg.unit_cost, params), objective)
-        if device_power == 0:
-            _append(columns, *axes, fee_same, profit_same, 0.0, 0.0, "ok")
-            continue
-        try:
-            fees = matched_heterogeneous_fees(device_power, cfg.n_miners,
-                                              cfg.unit_cost, params)
-            allocation = nash_equilibrium_closed_form(
-                DiscriminatoryGame(fees, cfg.unit_cost, params))
-        except ValueError as exc:
-            _append(columns, *axes, *[math.nan] * 4, f"infeasible: {exc}")
-            continue
-        reward_diff = scale * allocation.total / (edge_power + device_power)
-        fee_bill = math.fsum(fees.tolist())
-        _append(columns, *axes, fee_same, profit_same, fee_bill,
-                reward_diff if objective == "simplified" else reward_diff - fee_bill, "ok")
-    return columns
+    money = {"fee_same": fee_same, "profit_same_fee": profit_same, "fee_bill_diff": bill,
+             "profit_diff_fee": reward if objective == "simplified" else reward - bill}
+    return {names[0]: grid.tolist(), names[1]: fixed.tolist(),
+            **{name: np.where(status == "ok", column, math.nan).tolist()
+               for name, column in money.items()},
+            "status": status.tolist()}
 
 
 def _rows_fig5(cfg: ExperimentConfig):
-    """Edge scheme vs delayed baseline; heterogeneous per-miner fees."""
-    params = cfg.params
-    columns = {name: [] for name in (
-        "edge_fraction", "total_power", "edge_power", "device_power", "fee_bill_emg",
-        "profit_emg", "fee_bill_mdg", "profit_mdg", "profit_gap", "status")}
-    grid = cfg.grid().tolist()
-    device_discount(params)  # a zero discount fails the run, not each row
-    for fraction in cfg.edge_fractions:
-        for total in grid:
-            edge_power = fraction * total
-            device_power = total - edge_power
-            try:
-                fees = matched_heterogeneous_fees(device_power, cfg.n_miners,
-                                                  cfg.unit_cost, params)
-                fee_bill = math.fsum(fees.tolist())
-                fee_bill_mdg = fee_bill / (1.0 - fraction)
-                profit_emg = edge_utility(params, fees)
-                profit_mdg = mdg_baseline_profit(total, [fee_bill_mdg], params,
+    """Edge scheme vs delayed baseline; heterogeneous per-miner fees.
+
+    The edge scheme pays the sum of matched_heterogeneous_fees, the baseline
+    the same rate on the whole total: that sum / (1 - edge_fraction).
+    """
+    grid = cfg.grid()
+    fraction = np.repeat(cfg.edge_fractions, grid.size)
+    total = np.tile(grid, len(cfg.edge_fractions))
+    edge = fraction * total
+    device = total - edge
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        base, multipliers = _matched_base(device, cfg.n_miners, cfg.unit_cost, cfg.params)
+        bill = base * math.fsum(multipliers.tolist())  # the matched fees' sum
+        bill_mdg = bill / (1.0 - fraction)
+        profit_emg, profit_mdg = emg_mdg_profits(bill, bill_mdg, cfg.params,
                                                  cfg.mdg_delay_mult)
-            except ValueError as exc:
-                _append(columns, fraction, total, edge_power, device_power,
-                        *[math.nan] * 5, f"infeasible: {exc}")
-                continue
-            _append(columns, fraction, total, edge_power, device_power, fee_bill, profit_emg,
-                    fee_bill_mdg, profit_mdg, profit_emg - profit_mdg, "ok")
-    return columns
+        money = {"fee_bill_emg": bill, "profit_emg": profit_emg, "fee_bill_mdg": bill_mdg,
+                 "profit_mdg": profit_mdg, "profit_gap": profit_emg - profit_mdg}
+    status = np.select([device <= 0, ~np.isfinite(bill_mdg)],
+                       ["infeasible: device_power must be > 0",
+                        "infeasible: fees must be finite and >= 0"], "ok")
+    return {"edge_fraction": fraction.tolist(), "total_power": total.tolist(),
+            "edge_power": edge.tolist(), "device_power": device.tolist(),
+            **{name: np.where(status == "ok", column, math.nan).tolist()
+               for name, column in money.items()},
+            "status": status.tolist()}
 
 
 def _rows_mdg(cfg: ExperimentConfig):

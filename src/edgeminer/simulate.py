@@ -25,6 +25,7 @@ from .uniform import optimal_fees_uniform
 __all__ = [
     "SimConfig",
     "SimOutcome",
+    "emg_mdg_profits",
     "emg_vs_mdg_sweep",
     "empirical_success_prob",
     "first_miner_wins",
@@ -139,6 +140,15 @@ def mdg_baseline_profit(total_power: float, fee_schedule, params: GameParams,
     return params.total_reward * discount - math.fsum(fees) - params.edge_overhead
 
 
+def emg_mdg_profits(fee_emg, fee_mdg, params: GameParams, mdg_delay_multiplier: float):
+    """(edge_utility, mdg_baseline_profit), each with one fee, elementwise."""
+    reward = params.total_reward * params.delay_discount(params.tx_per_block)
+    reward_mdg = params.total_reward * params.delay_discount(
+        params.tx_per_block * mdg_delay_multiplier)
+    return (reward - fee_emg - params.edge_overhead,
+            reward_mdg - fee_mdg - params.edge_overhead)
+
+
 def emg_vs_mdg_sweep(total_power_grid, edge_fraction: float, params: GameParams,
                      unit_cost: float, mdg_delay_multiplier: float = 1.5,
                      objective: str = "full") -> dict:
@@ -166,12 +176,7 @@ def emg_vs_mdg_sweep(total_power_grid, edge_fraction: float, params: GameParams,
         fee_mdg = fee_emg * totals / device_power
     if not np.all(np.isfinite(fee_mdg)):
         raise ValueError("fees must be finite and >= 0")
-    # edge_utility and mdg_baseline_profit with one fee each, elementwise
-    reward = params.total_reward * params.delay_discount(params.tx_per_block)
-    reward_mdg = params.total_reward * params.delay_discount(
-        params.tx_per_block * mdg_delay_multiplier)
-    profit_emg = reward - fee_emg - params.edge_overhead
-    profit_mdg = reward_mdg - fee_mdg - params.edge_overhead
+    profit_emg, profit_mdg = emg_mdg_profits(fee_emg, fee_mdg, params, mdg_delay_multiplier)
     return {
         "total_power": totals.tolist(),
         "edge_power": edge_power.tolist(),

@@ -21,6 +21,7 @@ __all__ = [
     "best_response_uniform",
     "check_kappa",
     "leader_delta_utility_uniform",
+    "leader_profits_uniform",
     "optimal_fee_uniform",
     "optimal_fees_uniform",
     "uniqueness_certificate_uniform",
@@ -109,6 +110,15 @@ def leader_delta_utility_uniform(game: UniformGame, objective: str = "full") -> 
     return a * y_star / (game.edge_power + y_star) - game.fee
 
 
+def leader_profits_uniform(fees, edge_powers, unit_cost, discount, a, objective: str):
+    """leader_delta_utility_uniform, one game per element; d and a may be arrays too."""
+    kappa = fees * discount
+    if objective == "simplified":
+        return a * (1.0 - np.sqrt(edge_powers * unit_cost / kappa))
+    y_star = np.maximum(0.0, np.sqrt(kappa * edge_powers / unit_cost) - edge_powers)
+    return a * y_star / (edge_powers + y_star) - fees
+
+
 def optimal_fee_uniform(edge_power: float, unit_cost: float, params: GameParams,
                         objective: str = "full", bracket=None):
     """Stage I for one instance: optimal_fees_uniform on [edge_power], as floats."""
@@ -157,12 +167,7 @@ def optimal_fees_uniform(edge_powers, unit_cost: float, params, objective: str =
     check_kappa(objective, lo, discount)
 
     def profits(fees):
-        # leader_delta_utility_uniform, one game per element
-        kappa = fees * discount
-        if objective == "simplified":
-            return a * (1.0 - np.sqrt(edge * unit_cost / kappa))
-        y_star = np.maximum(0.0, np.sqrt(kappa * edge / unit_cost) - edge)
-        return a * y_star / (edge + y_star) - fees
+        return leader_profits_uniform(fees, edge, unit_cost, discount, a, objective)
 
     # overflow gives inf or nan, as Python floats do, and the check below rejects it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

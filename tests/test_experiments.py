@@ -18,11 +18,13 @@ from edgeminer import (
     ExperimentConfig,
     GameParams,
     SimConfig,
+    UniformGame,
     best_response_dynamics,
     discriminatory,
     edge_utility,
     experiments,
     leader_delta_utility_discriminatory,
+    leader_delta_utility_uniform,
     mdg_baseline_profit,
     miner_utility_i,
     nash_equilibrium_closed_form,
@@ -391,6 +393,190 @@ class TestMatchedFees:
     def test_zero_device_discount_rejected(self):
         with pytest.raises(ValueError, match="device-load delay discount"):
             matched_heterogeneous_fees(50.0, 5, 0.005, GameParams(poisson_rate=100.0))
+
+
+def _assert_money_close(rows, expected, money, rel):
+    """Equal rows but for the money columns, nan where infeasible.
+
+    A money cell agrees to rel times the row's largest money cell: profits
+    are differences of the others, exact only to the size of their terms.
+    """
+    assert len(rows) == len(expected)
+    for row, want in zip(rows, expected):
+        assert list(row) == list(want)
+        assert {k: v for k, v in row.items() if k not in money} == {
+            k: v for k, v in want.items() if k not in money}
+        if want["status"] != "ok":
+            assert all(math.isnan(row[name]) for name in money), row
+            continue
+        scale = max(abs(want[name]) for name in money)
+        for name in money:
+            assert row[name] == pytest.approx(want[name], rel=rel, abs=rel * scale), (name, row)
+
+
+class TestPowerSweepClosedForms:
+    """fig3-fig5 against the per-point route: matched fees, one Nash solve, fsum."""
+
+    POWER_MONEY = ("fee_same", "profit_same_fee", "fee_bill_diff", "profit_diff_fee")
+    FIG5_MONEY = ("fee_bill_emg", "profit_emg", "fee_bill_mdg", "profit_mdg", "profit_gap")
+
+    @staticmethod
+    def _power_sweep_oracle(cfg):
+        params, objective = cfg.params, cfg.resolved_objective()
+        discount = params.delay_discount(params.mobile_tx_load)
+        a = params.total_reward * discount
+        fig3 = cfg.kind == "fig3"
+        names = ("device_power", "edge_power") if fig3 else ("edge_power", "device_power")
+        rows = []
+        for value in cfg.grid().tolist():
+            fixed = cfg.edge_power if fig3 else cfg.device_power
+            edge, device = (fixed, value) if fig3 else (value, fixed)
+            row = {names[0]: value, names[1]: fixed}
+            if edge <= 0 or device < 0:
+                what = "edge power" if edge <= 0 else "device_power"
+                rows.append({**row, **dict.fromkeys(TestPowerSweepClosedForms.POWER_MONEY,
+                                                    math.nan),
+                             "status": f"infeasible: {what} must be > 0"})
+                continue
+            fee_same = cfg.unit_cost * (edge + device) ** 2 / (edge * discount)
+            profit_same = leader_delta_utility_uniform(
+                UniformGame(edge, fee_same, cfg.unit_cost, params), objective)
+            bill = reward = 0.0
+            if device > 0:
+                fees = matched_heterogeneous_fees(device, cfg.n_miners, cfg.unit_cost, params)
+                allocation = nash_equilibrium_closed_form(
+                    DiscriminatoryGame(fees, cfg.unit_cost, params))
+                bill = math.fsum(fees.tolist())
+                reward = a * allocation.total / (edge + device)
+            rows.append({**row, "fee_same": fee_same, "profit_same_fee": profit_same,
+                         "fee_bill_diff": bill,
+                         "profit_diff_fee": reward if objective == "simplified"
+                         else reward - bill, "status": "ok"})
+        return rows
+
+    @staticmethod
+    def _fig5_oracle(cfg):
+        params, rows = cfg.params, []
+        for fraction in cfg.edge_fractions:
+            for total in cfg.grid().tolist():
+                edge = fraction * total
+                device = total - edge
+                row = {"edge_fraction": fraction, "total_power": total, "edge_power": edge,
+                       "device_power": device}
+                if device <= 0:
+                    rows.append({**row, **dict.fromkeys(TestPowerSweepClosedForms.FIG5_MONEY,
+                                                        math.nan),
+                                 "status": "infeasible: device_power must be > 0"})
+                    continue
+                fees = matched_heterogeneous_fees(device, cfg.n_miners, cfg.unit_cost, params)
+                powers = nash_equilibrium_closed_form(
+                    DiscriminatoryGame(fees, cfg.unit_cost, params)).powers
+                assert math.fsum(powers.tolist()) == pytest.approx(device, rel=1e-12)
+                bill = math.fsum(fees.tolist())
+                profit_emg = edge_utility(params, fees)
+                profit_mdg = mdg_baseline_profit(total, [bill / (1.0 - fraction)], params,
+                                                 cfg.mdg_delay_mult)
+                rows.append({**row, "fee_bill_emg": bill, "profit_emg": profit_emg,
+                             "fee_bill_mdg": bill / (1.0 - fraction), "profit_mdg": profit_mdg,
+                             "profit_gap": profit_emg - profit_mdg, "status": "ok"})
+        return rows
+
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    @pytest.mark.parametrize("n_miners", [2, 3, 50, 1000])
+    @pytest.mark.parametrize("kind, grid", [("fig3", (-100.0, 100.0, 21)),
+                                            ("fig3", (0.0, 100.0, 101)),
+                                            ("fig4", (-10.0, 10.0, 21)),
+                                            ("fig4", (0.0, 100.0, 101))])
+    def test_power_sweep_equals_per_point_route(self, kind, grid, n_miners, objective):
+        # the fig3 grid holds D = -X = -50, whose same fee is 0: infeasible like every D < 0
+        cfg = build_config({"kind": kind, "n_miners": n_miners, "objective": objective,
+                            "grid_start": grid[0], "grid_stop": grid[1], "grid_steps": grid[2],
+                            "mobile_tx_load": 7, "unit_cost": 0.004})
+        rows = _rows(experiments._BUILDERS[kind](cfg))
+        expected = self._power_sweep_oracle(cfg)
+        _assert_money_close(rows, expected, self.POWER_MONEY, rel=1e-12)
+        # the same-fee columns keep the per-point arithmetic exactly
+        for row, want in zip(rows, expected):
+            for name in ("fee_same", "profit_same_fee"):
+                assert row[name] == want[name] or math.isnan(want[name])
+
+    @pytest.mark.parametrize("n_miners", [2, 3, 50, 1000])
+    @pytest.mark.parametrize("grid", [(-100.0, 100.0, 21), (10.0, 200.0, 20)])
+    def test_fig5_equals_per_point_route(self, grid, n_miners):
+        cfg = build_config({"kind": "fig5", "n_miners": n_miners, "grid_start": grid[0],
+                            "grid_stop": grid[1], "grid_steps": grid[2],
+                            "edge_fractions": (0.1, 0.37, 0.9), "mdg_delay_mult": 1.7})
+        _assert_money_close(_rows(experiments._BUILDERS["fig5"](cfg)), self._fig5_oracle(cfg),
+                            self.FIG5_MONEY, rel=1e-12)
+
+    @pytest.mark.parametrize("n_miners", [2, 5, 1000])
+    @pytest.mark.parametrize("kind", ["fig3", "fig4"])
+    def test_curves_coincide_under_simplified(self, kind, n_miners, tmp_path):
+        # both schemes induce the same D: a(1 - sqrt(X u/(fee d))) = a D/(X+D)
+        table, _, _ = _run(kind, tmp_path, n_miners=n_miners)
+        for row in _rows(table):
+            if row["status"] == "ok":
+                assert row["profit_diff_fee"] == pytest.approx(row["profit_same_fee"],
+                                                               rel=1e-14, abs=0.0)
+
+    def test_no_nash_solve(self, monkeypatch, tmp_path):
+        sizes = []
+
+        def counting(game):
+            sizes.append(game.n_miners)
+            raise AssertionError("a figure sweep solved a per-miner game")
+
+        for module in (discriminatory, experiments):
+            monkeypatch.setattr(module, "nash_equilibrium_closed_form", counting)
+        for kind in ("fig3", "fig4", "fig5"):
+            for objective in OBJECTIVES:
+                _run(kind, tmp_path, n_miners=1000, objective=objective)
+        assert sizes == []
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("argv", [["fig", "3", "--grid-stop", "1e300"],
+                                      ["fig", "4", "--grid-stop", "1e300"],
+                                      ["fig", "4", "--grid-start", "1e-310",
+                                       "--grid-stop", "2e-310"]])
+    def test_overflowing_same_fee_is_a_config_error(self, argv, fmt, tmp_path, capsys):
+        out = tmp_path / f"r.{fmt}"
+        assert main([*argv, "--format", fmt, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: fee must be finite and > 0, got inf"]
+        assert not out.exists()
+
+    def test_every_negative_device_power_is_infeasible(self, tmp_path, capsys):
+        # D = -X makes the same fee 0; it is an infeasible row like any D < 0
+        out = tmp_path / "r.csv"
+        for start in ("-50", "-120"):
+            assert main(["fig", "3", "--grid-start", start, "--grid-stop", "0",
+                         "--grid-steps", "2", "--out", str(out)]) == 0
+            rows = list(csv.DictReader(io.StringIO(out.read_text())))
+            assert rows[0]["status"] == "infeasible: device_power must be > 0"
+            assert all(math.isnan(float(rows[0][name])) for name in self.POWER_MONEY)
+            assert rows[1]["status"] == "ok" and float(rows[1]["fee_bill_diff"]) == 0.0
+        assert capsys.readouterr().err == ""
+
+    def test_subnormal_device_powers_are_ok(self, tmp_path):
+        # no cost coefficient u / (fee d) is formed, so nothing overflows
+        table, _, n_failed = _run("fig3", tmp_path, grid_start=1e-310, grid_stop=2e-310)
+        assert n_failed == 0
+        assert all(0.0 < bill < 1e-300 for bill in table["fee_bill_diff"])
+
+    @pytest.mark.parametrize("kind, settings", [
+        ("fig3", {"unit_cost": 1e305, "n_miners": 1000, "edge_power": 10.0,
+                  "grid_stop": 20.0, "grid_steps": 21, "objective": "full"}),
+        ("fig5", {"unit_cost": 1e306})])
+    def test_overflowing_bill_is_infeasible(self, kind, settings, tmp_path):
+        table, _, n_failed = _run(kind, tmp_path, **settings)
+        assert 0 < n_failed < len(table)
+        for row in _rows(table):
+            cells = [v for v in row.values() if isinstance(v, float)]
+            if row["status"] == "ok":
+                assert all(map(math.isfinite, cells)), row
+            else:
+                assert row["status"] in ("infeasible: all fees must be finite and > 0",
+                                         "infeasible: fees must be finite and >= 0")
 
 
 class TestStage1Sweeps:
