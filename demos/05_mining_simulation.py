@@ -13,12 +13,12 @@ from edgeminer import GameParams, SimConfig, empirical_success_prob, \
     mdg_baseline_profit, simulate_mining
 
 params = GameParams()
-cfg = SimConfig(n_blocks=1000, tx_per_block=10, seed=42, params=params)
+cfg = SimConfig(n_blocks=1000, seed=42, params=params)
 powers = [30.0, 50.0, 20.0]
 
 print("== one seeded run, 1000 blocks of 10 transactions ==")
 outcome = simulate_mining(powers, cfg)
-discount = params.delay_discount(10)
+discount = params.delay_discount(params.tx_per_block)
 shares = np.asarray(powers) / sum(powers)
 print(f"  {'miner':>5} {'share':>7} {'model p':>9} {'wins':>5} {'freq':>7}")
 for i, power in enumerate(powers):

@@ -22,7 +22,6 @@ from .core import (
     GameParams,
     device_discount,
     leader_reward_scale,
-    participation_floor,
 )
 from .search import SearchConfig, multiplicative_fee_search
 from .discriminatory import (
@@ -43,11 +42,12 @@ from .uniform import (
     UniformGame,
     aggregate_miner_utility,
     best_response_uniform,
-    check_kappa,
     leader_delta_utility_uniform,
     leader_profits_uniform,
     optimal_fee_uniform,
     optimal_fees_uniform,
+    reject_nonfinite_profits,
+    stage1_setup,
     uniqueness_certificate_uniform,
 )
 
@@ -317,8 +317,7 @@ def _rows_fig1(cfg: ExperimentConfig):
     """Edge-miner mining success probability against its computing power."""
     params = cfg.params
     grid = cfg.grid()
-    sim = SimConfig(n_blocks=cfg.n_blocks, tx_per_block=params.tx_per_block,
-                    seed=cfg.seed, params=params)
+    sim = SimConfig(n_blocks=cfg.n_blocks, seed=cfg.seed, params=params)
     # same seeds for every grid point: with common draws the empirical
     # frequency is monotone in the win probability by construction
     wins = first_miner_wins([[x, cfg.device_power] for x in grid], sim, cfg.n_seeds)
@@ -430,25 +429,25 @@ def _rows_mdg(cfg: ExperimentConfig):
 
 
 def _optimize_fee(cfg: ExperimentConfig, objective: str):
-    params = cfg.params
+    """Stage I in closed form ("golden"), or hill-climbed over the same objective and bracket."""
     if cfg.fee_search == "golden":
-        return optimal_fee_uniform(cfg.edge_power, cfg.unit_cost, params,
-                                   objective=objective)
-    floor = participation_floor(params)
-    check_kappa(objective, floor, params.delay_discount(params.mobile_tx_load))
+        return optimal_fee_uniform(cfg.edge_power, cfg.unit_cost, cfg.params, objective)
+    discount, a, lo, hi = stage1_setup(cfg.params, objective)
 
     def profit_fn(fee):
-        if fee < floor:
-            return -math.inf  # devices refuse fees below their consumption
-        game = UniformGame(cfg.edge_power, fee, cfg.unit_cost, params)
-        return (leader_delta_utility_uniform(game, objective),
-                best_response_uniform(game))
+        if not lo <= fee <= hi:
+            return -math.inf
+        return float(leader_profits_uniform(fee, cfg.edge_power, cfg.unit_cost, discount, a,
+                                            objective))
 
-    search = SearchConfig(initial_fee=max(cfg.initial_fee, floor),
-                          step_factor=cfg.step_factor,
-                          tolerance=cfg.tolerance, max_iters=cfg.max_iters)
-    best_fee, _ = multiplicative_fee_search(profit_fn, search)
-    return best_fee, profit_fn(best_fee)[0]
+    search = SearchConfig(min(max(cfg.initial_fee, lo), hi), cfg.step_factor, cfg.tolerance,
+                          cfg.max_iters)
+    # overflow gives inf or nan, as Python floats do, and is rejected below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        best_fee, _ = multiplicative_fee_search(profit_fn, search)
+        profit = profit_fn(best_fee)
+    reject_nonfinite_profits([cfg.edge_power], [best_fee], [profit])
+    return best_fee, profit
 
 
 def _rows_solve_uniform(cfg: ExperimentConfig):
@@ -502,12 +501,11 @@ def _rows_solve_disc(cfg: ExperimentConfig):
 
 
 def _rows_simulate(cfg: ExperimentConfig):
-    sim = SimConfig(n_blocks=cfg.n_blocks, tx_per_block=cfg.params.tx_per_block,
-                    seed=cfg.seed, params=cfg.params)
+    sim = SimConfig(n_blocks=cfg.n_blocks, seed=cfg.seed, params=cfg.params)
     outcome = simulate_mining(list(cfg.powers), sim)
     powers = np.asarray(cfg.powers, dtype=float)
     shares = powers / math.fsum(cfg.powers)
-    discount = cfg.params.delay_discount(sim.tx_per_block)
+    discount = cfg.params.delay_discount(cfg.params.tx_per_block)
     # the last row is the orphaned rounds, which no miner won
     return {
         "miner": [*range(powers.size), -1],

@@ -49,7 +49,6 @@ class SearchConfig:
 @dataclass(frozen=True)
 class TraceStep:
     fee: float
-    follower_power_total: float
     leader_profit: float
     improved: bool
 
@@ -68,28 +67,21 @@ class SearchTrace:
         return np.array([s.leader_profit for s in self.steps if s.improved])
 
 
-def _eval_profit(profit_fn, fee: float):
-    out = profit_fn(fee)
-    if isinstance(out, tuple):
-        return float(out[0]), float(out[1])
-    return float(out), float("nan")
-
-
 def multiplicative_fee_search(profit_fn, cfg: SearchConfig):
     """Hill-climb the leader profit with multiplicative fee probes.
 
     The fee grows by (1 + step_factor) while profit strictly improves.  At
     the first non-improvement the downward direction is probed as well, and
     the step factor is halved until the relative fee change drops below
-    ``cfg.tolerance``.  ``profit_fn`` may return either a profit or a
-    (profit, follower_power) pair; the follower power only feeds the trace.
+    ``cfg.tolerance``.  ``profit_fn`` maps a fee to the leader's profit, a
+    float; returning -inf outside a bracket keeps the climb inside it.
 
     Returns (best_fee, SearchTrace).  Raises ConvergenceError with the trace
     attached if the budget runs out (e.g. on a monotone objective).
     """
     best_fee = cfg.initial_fee
-    best_profit, power = _eval_profit(profit_fn, best_fee)
-    steps = [TraceStep(best_fee, power, best_profit, True)]
+    best_profit = profit_fn(best_fee)
+    steps = [TraceStep(best_fee, best_profit, True)]
     evals = 1
     theta = cfg.step_factor
 
@@ -102,10 +94,10 @@ def multiplicative_fee_search(profit_fn, cfg: SearchConfig):
                     f"fee search did not terminate within {cfg.max_iters} evaluations "
                     f"(last fee {best_fee:.6g}); objective may be unbounded",
                     last=best_fee, trace=trace)
-            profit, power = _eval_profit(profit_fn, candidate)
+            profit = profit_fn(candidate)
             evals += 1
             improved = profit > best_profit
-            steps.append(TraceStep(candidate, power, profit, improved))
+            steps.append(TraceStep(candidate, profit, improved))
             if improved:
                 best_fee, best_profit = candidate, profit
                 moved = True

@@ -36,18 +36,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation setup; defaults are 1000 blocks of 10 transactions."""
+    """Simulation setup: 1000 blocks by default, of params.tx_per_block transactions."""
 
     n_blocks: int = 1000
-    tx_per_block: int = 10
     seed: int = 0
     params: GameParams = field(default_factory=GameParams)
 
     def __post_init__(self):
         if not isinstance(self.n_blocks, (int, np.integer)) or self.n_blocks < 1:
             raise ValueError(f"n_blocks must be an integer >= 1, got {self.n_blocks!r}")
-        if not isinstance(self.tx_per_block, (int, np.integer)) or self.tx_per_block < 1:
-            raise ValueError(f"tx_per_block must be an integer >= 1, got {self.tx_per_block!r}")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
@@ -87,7 +84,7 @@ def simulate_mining(profile, cfg: SimConfig) -> SimOutcome:
     shares = as_profile(profile).shares()
     # cumsum of nonnegative terms never decreases, so below[i] counts the
     # blocks won by miners 0..i
-    cum = np.cumsum(shares * cfg.params.delay_discount(cfg.tx_per_block))
+    cum = np.cumsum(shares * cfg.params.delay_discount(cfg.params.tx_per_block))
     below = _count_below(_block_draws(cfg.seed, cfg.n_blocks), cum)
     return SimOutcome(
         wins=np.diff(below, prepend=0),
@@ -106,7 +103,7 @@ def first_miner_wins(profiles, cfg: SimConfig, n_seeds: int) -> np.ndarray:
     """
     if not isinstance(n_seeds, (int, np.integer)) or n_seeds < 1:
         raise ValueError(f"n_seeds must be an integer >= 1, got {n_seeds!r}")
-    discount = cfg.params.delay_discount(cfg.tx_per_block)
+    discount = cfg.params.delay_discount(cfg.params.tx_per_block)
     thresholds = np.array([as_profile(p).shares()[0] * discount for p in profiles])
     wins = np.empty((thresholds.size, n_seeds), dtype=np.int64)
     for k in range(n_seeds):

@@ -19,11 +19,12 @@ __all__ = [
     "UniformGame",
     "aggregate_miner_utility",
     "best_response_uniform",
-    "check_kappa",
     "leader_delta_utility_uniform",
     "leader_profits_uniform",
     "optimal_fee_uniform",
     "optimal_fees_uniform",
+    "reject_nonfinite_profits",
+    "stage1_setup",
     "uniqueness_certificate_uniform",
 ]
 
@@ -58,14 +59,19 @@ def aggregate_miner_utility(game: UniformGame, total_power) -> float:
     return float(out) if out.ndim == 0 else out
 
 
+def _pool_response(kappa, edge_powers, unit_cost):
+    """The pool's best response, elementwise: sqrt(kappa*X/unit_cost) - X, clamped at 0."""
+    return np.maximum(0.0, np.sqrt(kappa * edge_powers / unit_cost) - edge_powers)
+
+
 def best_response_uniform(game: UniformGame) -> float:
     """Device-pool power maximizing the aggregate utility, clamped at 0.
 
     The interior stationary point sqrt(kappa*X/unit_cost) - X is the unique
     maximizer by concavity; a negative value means staying out is optimal.
     """
-    interior = math.sqrt(game.kappa * game.edge_power / game.unit_cost) - game.edge_power
-    return max(0.0, interior)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan, as with Python floats
+        return float(_pool_response(game.kappa, game.edge_power, game.unit_cost))
 
 
 @dataclass(frozen=True)
@@ -101,21 +107,21 @@ def leader_delta_utility_uniform(game: UniformGame, objective: str = "full") -> 
     "full" charges the fee: a*Y*/(X+Y*) - fee, with Y* the best response
     (so a non-participating pool still costs the announced fee).
     "simplified" drops the fee term: a*(1 - sqrt(X*unit_cost/kappa)).
+    The one-game float view of leader_profits_uniform.
     """
     check_objective(objective)
-    a = leader_reward_scale(game.params)
-    if objective == "simplified":
-        return a * (1.0 - math.sqrt(game.edge_power * game.unit_cost / game.kappa))
-    y_star = best_response_uniform(game)
-    return a * y_star / (game.edge_power + y_star) - game.fee
+    d = game.params.delay_discount(game.params.mobile_tx_load)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return float(leader_profits_uniform(game.fee, game.edge_power, game.unit_cost, d,
+                                            leader_reward_scale(game.params), objective))
 
 
 def leader_profits_uniform(fees, edge_powers, unit_cost, discount, a, objective: str):
-    """leader_delta_utility_uniform, one game per element; d and a may be arrays too."""
+    """leader_delta_utility_uniform, one game per element: the only implementation of it."""
     kappa = fees * discount
     if objective == "simplified":
         return a * (1.0 - np.sqrt(edge_powers * unit_cost / kappa))
-    y_star = np.maximum(0.0, np.sqrt(kappa * edge_powers / unit_cost) - edge_powers)
+    y_star = _pool_response(kappa, edge_powers, unit_cost)
     return a * y_star / (edge_powers + y_star) - fees
 
 
@@ -124,6 +130,30 @@ def optimal_fee_uniform(edge_power: float, unit_cost: float, params: GameParams,
     """Stage I for one instance: optimal_fees_uniform on [edge_power], as floats."""
     fees, profits = optimal_fees_uniform([edge_power], unit_cost, params, objective, bracket)
     return float(fees[0]), float(profits[0])
+
+
+def stage1_setup(params: GameParams, objective: str, bracket=None):
+    """(d, a, lo, hi): device discount, reward scale and fee_bracket of one instance.
+
+    The simplified objective divides by kappa = fee * d, which grows with
+    the fee, so a floor with kappa == 0 (d underflows at a large
+    poisson_rate) is rejected for the whole bracket.
+    """
+    d = params.delay_discount(params.mobile_tx_load)
+    lo, hi = fee_bracket(params, bracket)
+    if objective == "simplified" and lo * d == 0:
+        raise ValueError("the simplified objective needs fee * delay discount > 0, "
+                         f"but the device-load delay discount is {d:g}")
+    return d, leader_reward_scale(params), lo, hi
+
+
+def reject_nonfinite_profits(edge, fees, profits) -> None:
+    """Raise ValueError naming the first instance whose stage-I profit is not finite."""
+    bad = ~np.isfinite(profits)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(f"stage-I profit is not finite at instance {k} (edge power "
+                         f"{float(edge[k])!r}, fee {float(fees[k])!r}): {float(profits[k])!r}")
 
 
 def optimal_fees_uniform(edge_powers, unit_cost: float, params, objective: str = "full",
@@ -140,9 +170,9 @@ def optimal_fees_uniform(edge_powers, unit_cost: float, params, objective: str =
 
     ``edge_powers`` is a 1-D array, ``params`` one GameParams shared by every
     instance or a sequence with one per instance, each with its own bracket.
-    The profit is the elementwise form of ``leader_delta_utility_uniform``.
-    Raises ValueError naming the first instance whose profit at its fee is
-    not finite.  Returns (fees, profits) arrays.
+    The profit is ``leader_profits_uniform``, and a profit that is not
+    finite raises ValueError (reject_nonfinite_profits).  Returns (fees,
+    profits) arrays.
     """
     check_objective(objective)
     edge = np.asarray(edge_powers, dtype=float)
@@ -154,17 +184,13 @@ def optimal_fees_uniform(edge_powers, unit_cost: float, params, objective: str =
     if not (math.isfinite(unit_cost) and unit_cost > 0):
         raise ValueError(f"unit_cost must be finite and > 0, got {unit_cost!r}")
     if isinstance(params, GameParams):
-        discount = params.delay_discount(params.mobile_tx_load)
-        a = leader_reward_scale(params)
-        lo, hi = (np.full(edge.size, end) for end in fee_bracket(params, bracket))
+        discount, a, lo, hi = stage1_setup(params, objective, bracket)
+        lo, hi = np.full(edge.size, lo), np.full(edge.size, hi)
     else:
         if len(params) != edge.size:
             raise ValueError(f"{len(params)} GameParams for {edge.size} edge powers")
-        discount = np.array([p.delay_discount(p.mobile_tx_load) for p in params])
-        a = np.array([leader_reward_scale(p) for p in params])
-        lo, hi = np.array([fee_bracket(p, bracket) for p in params],
-                          dtype=float).reshape(-1, 2).T
-    check_kappa(objective, lo, discount)
+        discount, a, lo, hi = np.array([stage1_setup(p, objective, bracket) for p in params],
+                                       dtype=float).reshape(-1, 4).T
 
     def profits(fees):
         return leader_profits_uniform(fees, edge, unit_cost, discount, a, objective)
@@ -184,23 +210,5 @@ def optimal_fees_uniform(edge_powers, unit_cost: float, params, objective: str =
             floor_wins = (peak * discount <= edge * unit_cost) | (at_floor > at_peak)
             fees = np.where(floor_wins, lo, peak)
             profit = np.where(floor_wins, at_floor, at_peak)
-    bad = ~np.isfinite(profit)
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise ValueError(f"stage-I profit is not finite at instance {k} (edge power "
-                         f"{float(edge[k])!r}, fee {float(fees[k])!r}): {float(profit[k])!r}")
+    reject_nonfinite_profits(edge, fees, profit)
     return fees, profit
-
-
-def check_kappa(objective: str, lo, discount) -> None:
-    """Reject a bracket whose lowest fee discounts to kappa == 0.
-
-    The simplified objective divides by kappa = fee * discount, and kappa
-    only grows with the fee, so checking the bracket floor covers every fee
-    in the bracket.  A delay discount that underflows to 0 (a large
-    poisson_rate) lands here.
-    """
-    if objective == "simplified" and np.any(np.multiply(lo, discount) == 0):
-        raise ValueError("the simplified objective needs fee * delay discount > 0, "
-                         "but the device-load delay discount is "
-                         f"{float(np.min(discount)):g}")

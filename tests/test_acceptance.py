@@ -216,7 +216,7 @@ def test_criterion_7_monte_carlo_fidelity():
         sigma = np.sqrt(expected * (1.0 - expected) / 1000)
         passes = 0
         for seed in range(100):
-            cfg = SimConfig(n_blocks=1000, tx_per_block=10, seed=seed, params=params)
+            cfg = SimConfig(n_blocks=1000, seed=seed, params=params)
             outcome = simulate_mining([3.0, 7.0], cfg)
             deviations = [abs(empirical_success_prob(outcome, i) - expected[i])
                           for i in range(2)]

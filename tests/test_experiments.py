@@ -279,8 +279,7 @@ class TestFig1SharedDraws:
         for x in cfg.grid():
             freqs = []
             for seed in range(cfg.seed, cfg.seed + cfg.n_seeds):
-                sim = SimConfig(n_blocks=cfg.n_blocks, tx_per_block=params.tx_per_block,
-                                seed=seed, params=params)
+                sim = SimConfig(n_blocks=cfg.n_blocks, seed=seed, params=params)
                 outcome = simulate_mining([x, cfg.device_power], sim)
                 freqs.append(outcome.wins[0] / outcome.n_blocks)
             share = x / (x + cfg.device_power)
@@ -687,7 +686,9 @@ class TestStage1Sweeps:
         (["fig", "2", "--grid-stop", "1e306"], 1),
         (["fig", "2", "--grid-stop", "1e300"], 1),
         (["solve-uniform", "--edge-power", "1e300", "--unit-cost", "1e-300"], 0),
-    ], ids=["fig2-1e306", "fig2-1e300", "solve-uniform-1e300"])
+        (["solve-uniform", "--fee-search", "hillclimb", "--edge-power", "1e300",
+          "--unit-cost", "1e-300"], 0),
+    ], ids=["fig2-1e306", "fig2-1e300", "solve-uniform-1e300", "hillclimb-1e300"])
     def test_nonfinite_stage1_profit_is_a_config_error(self, argv, instance, tmp_path,
                                                         capsys):
         # a * Y* overflows in the profit at the optimal fee: no ok row with
@@ -799,6 +800,19 @@ class TestTrends:
                              out=str(tmp_path / "h.csv"))
         assert climbed["optimal_fee"][0] == pytest.approx(
             golden["optimal_fee"][0], abs=1e-4)
+
+    @pytest.mark.parametrize("initial_fee", [1.0, 1e6])
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    def test_hillclimb_lands_on_the_closed_form(self, objective, initial_fee, tmp_path):
+        # both routes maximize one objective over one bracket; under
+        # simplified that is the bracket top, which the climb must not pass
+        closed, _, _ = _run("solve-uniform", tmp_path, objective=objective,
+                            out=str(tmp_path / "g.csv"))
+        climbed, _, _ = _run("solve-uniform", tmp_path, fee_search="hillclimb",
+                             objective=objective, initial_fee=initial_fee,
+                             out=str(tmp_path / "h.csv"))
+        assert climbed["optimal_fee"][0] == pytest.approx(closed["optimal_fee"][0], rel=1e-5)
+        assert climbed["optimal_profit"][0] <= closed["optimal_profit"][0]
 
     def test_fig2_row_recomputable_via_solve_uniform(self, tmp_path):
         table, _, _ = _run("fig2", tmp_path, grid_steps=5)
@@ -947,9 +961,9 @@ class TestCli:
         assert code == 2
 
     def test_unbounded_hillclimb_reports_no_result(self, tmp_path, capsys):
-        # the simplified objective grows with the fee, so the climb cannot stop
+        # a budget of one evaluation runs out at the first probe
         code = main(["solve-uniform", "--fee-search", "hillclimb",
-                     "--objective", "simplified", "--max-iters", "300",
+                     "--objective", "simplified", "--max-iters", "1",
                      "--out", str(tmp_path / "u.csv")])
         assert code == 3
         assert "no result" in capsys.readouterr().err

@@ -80,12 +80,6 @@ class TestMultiplicativeFeeSearch:
         assert fee_a == fee_b
         assert trace_a.fees.tolist() == trace_b.fees.tolist()
 
-    def test_tuple_profit_fn_fills_trace(self):
-        cfg = SearchConfig(initial_fee=0.5, step_factor=0.2)
-        _, trace = multiplicative_fee_search(
-            lambda fee: (leader_profit(fee), 3.0 * fee), cfg)
-        assert trace.steps[0].follower_power_total == pytest.approx(1.5)
-
 
 class TestBestResponseDynamics:
     def _game(self, fees):

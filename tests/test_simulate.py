@@ -28,8 +28,7 @@ from conftest import zero_delay_params
 
 def _sim(seed=0, n_blocks=1000, **params):
     game_params = GameParams(**params) if params else GameParams()
-    return SimConfig(n_blocks=n_blocks, tx_per_block=game_params.tx_per_block,
-                     seed=seed, params=game_params)
+    return SimConfig(n_blocks=n_blocks, seed=seed, params=game_params)
 
 
 def _per_block(powers, cfg):
@@ -39,7 +38,7 @@ def _per_block(powers, cfg):
     the block's draw, or to no one past the last; returns (wins, orphans).
     """
     shares = PowerProfile(np.asarray(powers, dtype=float)).shares()
-    cum = np.cumsum(shares * cfg.params.delay_discount(cfg.tx_per_block))
+    cum = np.cumsum(shares * cfg.params.delay_discount(cfg.params.tx_per_block))
     draws = np.random.Generator(np.random.PCG64(cfg.seed)).random(cfg.n_blocks)
     counts = np.bincount(np.searchsorted(cum, draws, side="right"),
                          minlength=shares.size + 1)
@@ -123,7 +122,7 @@ class TestCountBelow:
 
 class TestSimulateMining:
     def test_certain_success_single_miner(self):
-        cfg = SimConfig(n_blocks=500, tx_per_block=10, seed=1, params=zero_delay_params())
+        cfg = SimConfig(n_blocks=500, seed=1, params=zero_delay_params())
         outcome = simulate_mining([3.0], cfg)
         assert outcome.wins[0] == 500
         assert outcome.orphans == 0

@@ -222,6 +222,56 @@ class TestOptimalFee:
         assert fee >= 2.0
 
 
+class TestScalarViews:
+    """The scalar calls are float views of the elementwise forms, bit for bit."""
+
+    @staticmethod
+    def _instances():
+        """(edge power, fee, unit cost, params) covering every region of the formulas.
+
+        Random instances at random, bracket-floor, bracket-top and pool-out
+        fees (fee * d <= X * u), then a few at 1e+-150.
+        """
+        rng = np.random.default_rng(2024)
+        out = []
+        for _ in range(60):
+            params = GameParams(fixed_reward=float(rng.uniform(0.5, 50.0)),
+                                poisson_rate=float(rng.uniform(0.0, 0.05)),
+                                mobile_tx_load=int(rng.integers(1, 20)),
+                                min_consumption=float(rng.uniform(0.0, 1.0)))
+            edge, cost = 10.0 ** rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-3.0, 0.0)
+            d, _, lo, hi = uniform.stage1_setup(params, "simplified")
+            pool_out = edge * cost / d * float(rng.uniform(0.1, 1.0))
+            for fee in (float(rng.uniform(lo, hi)), lo, hi, pool_out):
+                out.append((edge, fee, cost, params))
+        for edge, fee, cost in ((1e150, 1.0, 1e-150), (1e-150, 1.0, 1e150), (1.0, 1e150, 1.0),
+                                (1e-150, 1e-150, 1.0), (1e150, 1e150, 1e150)):
+            out.append((edge, fee, cost, GameParams()))
+        return out
+
+    @pytest.mark.parametrize("objective", ["full", "simplified"])
+    def test_scalar_calls_equal_the_elementwise_forms(self, objective):
+        instances = self._instances()
+        games = [UniformGame(*instance) for instance in instances]
+        edge, fee, cost = (np.array(column) for column in list(zip(*instances))[:3])
+        d = np.array([g.params.delay_discount(g.params.mobile_tx_load) for g in games])
+        a = np.array([leader_reward_scale(g.params) for g in games])
+        assert any(p * dd <= x * u for x, p, u, dd in zip(edge, fee, cost, d))  # pool out
+        profits = uniform.leader_profits_uniform(fee, edge, cost, d, a, objective)
+        responses = uniform._pool_response(fee * d, edge, cost)
+        assert np.all(np.isfinite(profits)) and np.all(np.isfinite(responses))
+        assert [leader_delta_utility_uniform(g, objective) for g in games] == profits.tolist()
+        assert [best_response_uniform(g) for g in games] == responses.tolist()
+
+    def test_overflow_gives_inf_or_nan_without_a_warning(self):
+        # sqrt(kappa*X/u) overflows, as a Python float would: no RuntimeWarning
+        game = UniformGame(1e300, 1.0, 1e-300, GameParams())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert best_response_uniform(game) == math.inf
+            assert math.isnan(leader_delta_utility_uniform(game, "full"))
+
+
 class TestSolveUniform:
     def test_result_fields_consistent(self):
         # X = 0.5, kappa = 4, unit cost 1, a = 10: interior Y* = sqrt(2) - 1/2
