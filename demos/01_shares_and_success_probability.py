@@ -7,22 +7,22 @@ verification latency.
 
 import numpy as np
 
-from edgeminer import GameParams, PowerProfile, edge_utility, miner_utility, \
-    mining_success_prob, power_share
+from edgeminer import DiscriminatoryGame, GameParams, PowerProfile, edge_utility, \
+    miner_utilities, mining_success_prob
 
 params = GameParams()  # rate 0.01, delay 1.0, 10 tx per block
 
 print("== shares ==")
 profile = PowerProfile(np.array([30.0, 50.0, 20.0]))
+shares = profile.shares()
 for i in range(3):
-    print(f"  miner {i}: power {profile.powers[i]:5.1f}  share {power_share(profile, i):.3f}")
-print(f"  share total: {profile.shares().sum():.15f}")
+    print(f"  miner {i}: power {profile.powers[i]:5.1f}  share {shares[i]:.3f}")
+print(f"  share total: {shares.sum():.15f}")
 
 print("\n== success probability vs transaction load ==")
-share = power_share(profile, 1)
 for tx in (0, 5, 10, 20, 40):
-    prob = mining_success_prob(share, params, tx)
-    print(f"  tx = {tx:2d}: win probability {prob:.4f} (share {share:.3f})")
+    probs = mining_success_prob(shares, params, tx)  # elementwise over the miners
+    print(f"  tx = {tx:2d}: win probabilities {np.round(probs, 4)} (orphan {1 - probs.sum():.4f})")
 
 print("\n== scaling leaves shares untouched ==")
 doubled = profile.scaled(2.0)
@@ -32,6 +32,7 @@ print("\n== utilities ==")
 fee = 2.0
 print(f"  edge server, fee bill {fee}: utility {edge_utility(params, [fee]):+.4f}")
 for unit_cost in (0.005, 0.02, 0.05):
-    value = miner_utility(fee, profile, 1, unit_cost, params)
-    print(f"  miner 1 at unit cost {unit_cost}: utility {value:+.4f}")
+    # every miner offered the same fee
+    values = miner_utilities(DiscriminatoryGame(np.full(3, fee), unit_cost, params), profile)
+    print(f"  unit cost {unit_cost}: miner utilities {np.round(values, 4)}")
 print("  (negative values are real losses; participation is a stage-I concern)")

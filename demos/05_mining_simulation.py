@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from edgeminer import GameParams, SimConfig, empirical_success_prob, \
-    mdg_baseline_profit, simulate_mining
+    mdg_baseline_profit, mining_success_prob, simulate_mining
 
 params = GameParams()
 cfg = SimConfig(n_blocks=1000, seed=42, params=params)
@@ -20,9 +20,10 @@ print("== one seeded run, 1000 blocks of 10 transactions ==")
 outcome = simulate_mining(powers, cfg)
 discount = params.delay_discount(params.tx_per_block)
 shares = np.asarray(powers) / sum(powers)
+model = mining_success_prob(shares, params, params.tx_per_block)
 print(f"  {'miner':>5} {'share':>7} {'model p':>9} {'wins':>5} {'freq':>7}")
 for i, power in enumerate(powers):
-    print(f"  {i:>5} {shares[i]:>7.3f} {shares[i] * discount:>9.4f} "
+    print(f"  {i:>5} {shares[i]:>7.3f} {model[i]:>9.4f} "
           f"{outcome.wins[i]:>5d} {empirical_success_prob(outcome, i):>7.3f}")
 print(f"  orphaned rounds: {outcome.orphans} "
       f"(model {1 - discount:.4f}, observed {outcome.orphans / cfg.n_blocks:.4f})")
@@ -30,7 +31,7 @@ print(f"  conservation: {int(outcome.wins.sum()) + outcome.orphans} == {cfg.n_bl
 
 print("\n== three-sigma check against the model ==")
 for i in range(3):
-    p = shares[i] * discount
+    p = model[i]
     sigma = math.sqrt(p * (1 - p) / cfg.n_blocks)
     deviation = abs(empirical_success_prob(outcome, i) - p)
     print(f"  miner {i}: |freq - p| = {deviation:.4f} <= 3 sigma = {3 * sigma:.4f}")
@@ -42,6 +43,6 @@ print(f"  identical wins: {np.array_equal(outcome.wins, again.wins)}")
 print("\n== the delayed baseline for comparison ==")
 fees = [2.0]
 for mult in (1.0, 1.5, 2.0, 4.0):
-    profit = mdg_baseline_profit(100.0, fees, params, mult)
+    profit = mdg_baseline_profit(fees, params, mult)
     print(f"  delay multiplier {mult:3.1f}: baseline profit {profit:+.4f}")
 print("  (multiplier 1.0 reproduces the edge utility with the same fees)")

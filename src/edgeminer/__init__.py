@@ -15,14 +15,15 @@ from .core import (
     as_profile,
     edge_utility,
     leader_reward_scale,
-    miner_utility,
     mining_success_prob,
-    power_share,
 )
 from .discriminatory import (
     DiscriminatoryGame,
     best_response_i,
+    best_responses,
     leader_delta_utility_discriminatory,
+    leader_deltas,
+    miner_utilities,
     miner_utility_i,
     nash_equilibrium_closed_form,
     optimal_fees_discriminatory,

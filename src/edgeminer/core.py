@@ -24,10 +24,8 @@ __all__ = [
     "edge_utility",
     "fee_bracket",
     "leader_reward_scale",
-    "miner_utility",
     "mining_success_prob",
     "participation_floor",
-    "power_share",
 ]
 
 
@@ -150,43 +148,34 @@ def as_profile(profile) -> PowerProfile:
     return PowerProfile(np.asarray(profile, dtype=float))
 
 
-def power_share(profile, i: int) -> float:
-    """Fraction of total computing power held by miner i."""
-    prof = as_profile(profile)
-    if not 0 <= i < len(prof):
-        raise IndexError(f"miner index {i} out of range for {len(prof)} miners")
-    return float(prof.shares()[i])
-
-
-def mining_success_prob(share: float, params: GameParams, tx_count) -> float:
+def mining_success_prob(share, params: GameParams, tx_count):
     """Probability that a miner with the given power share mines the block.
 
-    share * e^(-rate * delay * tx_count); never exceeds the share itself.
+    share * e^(-rate * delay * tx_count), elementwise; shares outside [0, 1] are rejected.
     """
-    if not 0 <= share <= 1:
+    shares = np.asarray(share, dtype=float)
+    if not np.all((shares >= 0) & (shares <= 1)):
         raise ValueError(f"share must lie in [0, 1], got {share!r}")
-    return share * params.delay_discount(tx_count)
+    return shares * params.delay_discount(tx_count)
+
+
+def net_profit(params: GameParams, bill, delay_multiplier=1):
+    """Leader's net profit, elementwise: total_reward * e^(-rate*delay*tx*m) - bill - overhead."""
+    reward = params.total_reward * params.delay_discount(params.tx_per_block * delay_multiplier)
+    return reward - bill - params.edge_overhead
+
+
+def fee_bill(fees) -> float:
+    """Sum of a fee schedule; negative or non-finite fees are rejected."""
+    fees = np.atleast_1d(np.asarray(fees, dtype=float))
+    if not np.all(np.isfinite(fees)) or np.any(fees < 0):
+        raise ValueError("fees must be finite and >= 0")
+    return math.fsum(fees)
 
 
 def edge_utility(params: GameParams, fees) -> float:
     """Edge-server utility: discounted block reward minus fees and overhead."""
-    fees = np.atleast_1d(np.asarray(fees, dtype=float))
-    if fees.size and (not np.all(np.isfinite(fees)) or np.any(fees < 0)):
-        raise ValueError("fees must be finite and >= 0")
-    reward = params.total_reward * params.delay_discount(params.tx_per_block)
-    return reward - math.fsum(fees) - params.edge_overhead
-
-
-def miner_utility(fee: float, profile, i: int, unit_cost: float, params: GameParams) -> float:
-    """Device utility: discounted share-weighted fee minus the power cost."""
-    if fee < 0:
-        raise ValueError("fee must be >= 0")
-    if unit_cost <= 0:
-        raise ValueError("unit_cost must be > 0")
-    prof = as_profile(profile)
-    share = power_share(prof, i)
-    reward = fee * share * params.delay_discount(params.mobile_tx_load)
-    return reward - unit_cost * float(prof.powers[i])
+    return net_profit(params, fee_bill(fees))
 
 
 def leader_reward_scale(params: GameParams) -> float:

@@ -26,7 +26,10 @@ from .core import (
 __all__ = [
     "DiscriminatoryGame",
     "best_response_i",
+    "best_responses",
     "leader_delta_utility_discriminatory",
+    "leader_deltas",
+    "miner_utilities",
     "miner_utility_i",
     "nash_equilibrium_closed_form",
     "optimal_fees_discriminatory",
@@ -69,14 +72,23 @@ class DiscriminatoryGame:
         return self.fees.size
 
 
-def miner_utility_i(game: DiscriminatoryGame, profile, i: int) -> float:
-    """Utility of miner i: fee_i * share_i * discount - unit_cost * x_i."""
+def miner_utilities(game: DiscriminatoryGame, profile) -> np.ndarray:
+    """Every miner's utility, elementwise: fee_i * share_i * discount - unit_cost * x_i."""
     prof = as_profile(profile)
     if len(prof) != game.n_miners:
         raise ValueError(f"profile has {len(prof)} entries, game has {game.n_miners} miners")
-    share = prof.shares()[i]
     discount = game.params.delay_discount(game.params.mobile_tx_load)
-    return float(game.fees[i] * share * discount - game.unit_cost * prof.powers[i])
+    return game.fees * prof.shares() * discount - game.unit_cost * prof.powers
+
+
+def miner_utility_i(game: DiscriminatoryGame, profile, i: int) -> float:
+    """Utility of miner i: entry i of miner_utilities."""
+    return float(miner_utilities(game, profile)[i])
+
+
+def best_responses(others, c) -> np.ndarray:
+    """Best responses to the others' totals, elementwise: sqrt(others/c) - others, clamped at 0."""
+    return np.maximum(np.sqrt(others / c) - others, 0.0)
 
 
 def best_response_i(game: DiscriminatoryGame, others_sum: float, i: int) -> float:
@@ -86,8 +98,7 @@ def best_response_i(game: DiscriminatoryGame, others_sum: float, i: int) -> floa
     if others_sum <= 0:
         raise DegenerateProfileError(
             "best response undefined when all other miners supply zero power")
-    c_i = float(game.cost_coefficients[i])
-    return max(0.0, math.sqrt(others_sum / c_i) - others_sum)
+    return float(best_responses(others_sum, game.cost_coefficients[i]))
 
 
 def nash_equilibrium_closed_form(game: DiscriminatoryGame) -> PowerProfile:
@@ -125,29 +136,31 @@ def uniqueness_certificate_discriminatory(game: DiscriminatoryGame) -> np.ndarra
     return 2.0 * (game.n_miners - 1) / game.fees < math.fsum(1.0 / game.fees)
 
 
-def leader_delta_utility_discriminatory(game: DiscriminatoryGame, i: int,
-                                        objective: str = "full",
-                                        fee_basis: str = "lump") -> float:
-    """Leader's additional profit from recruiting miner i.
+def leader_deltas(game: DiscriminatoryGame, allocation: PowerProfile,
+                  objective: str = "full", fee_basis: str = "lump") -> np.ndarray:
+    """Leader's additional profit from recruiting each miner, elementwise.
 
-    "simplified" is a * miner i's equilibrium share by the share identity
-    (0 for a miner that stays out).  "full" subtracts the fee: lump basis
-    charges p_i outright, per_power charges p_i * x_i*.
+    "simplified" is a * the share identity (0 for a miner that stays out).
+    "full" is a * share - fee: lump basis charges p_i, per_power p_i * x_i.
     """
     check_objective(objective)
     if fee_basis not in FEE_BASES:
         raise ValueError(f"fee_basis must be one of {FEE_BASES}, got {fee_basis!r}")
+    a = leader_reward_scale(game.params)
+    if objective == "simplified":
+        return a * share_identity(game, allocation)
+    fee_cost = game.fees * allocation.powers if fee_basis == "per_power" else game.fees
+    return a * allocation.shares() - fee_cost
+
+
+def leader_delta_utility_discriminatory(game: DiscriminatoryGame, i: int,
+                                        objective: str = "full",
+                                        fee_basis: str = "lump") -> float:
+    """Leader's additional profit from recruiting miner i: leader_deltas at the Nash point."""
     if not 0 <= i < game.n_miners:
         raise IndexError(f"miner index {i} out of range")
-    a = leader_reward_scale(game.params)
     allocation = nash_equilibrium_closed_form(game)
-    if objective == "simplified":
-        return float(a * share_identity(game, allocation)[i])
-    share = float(allocation.shares()[i])
-    fee_cost = float(game.fees[i])
-    if fee_basis == "per_power":
-        fee_cost *= float(allocation.powers[i])
-    return a * share - fee_cost
+    return float(leader_deltas(game, allocation, objective, fee_basis)[i])
 
 
 def optimal_fees_discriminatory(n_miners: int, unit_cost: float, params: GameParams,

@@ -20,20 +20,23 @@ from .core import (
     OBJECTIVES,
     ConfigError,
     GameParams,
+    PowerProfile,
     device_discount,
     leader_reward_scale,
+    mining_success_prob,
+    net_profit,
 )
 from .search import SearchConfig, multiplicative_fee_search
 from .discriminatory import (
     FEE_BASES,
     DiscriminatoryGame,
+    leader_deltas,
+    miner_utilities,
     nash_equilibrium_closed_form,
-    share_identity,
     uniqueness_certificate_discriminatory,
 )
 from .simulate import (
     SimConfig,
-    emg_mdg_profits,
     emg_vs_mdg_sweep,
     first_miner_wins,
     simulate_mining,
@@ -299,6 +302,12 @@ def _matched_base(device_power, n_miners: int, unit_cost: float, params: GamePar
     return device_power * unit_cost * inv_sum / ((n_miners - 1) * discount), multipliers
 
 
+def _matched_bill(device_power, n_miners: int, unit_cost: float, params: GameParams):
+    """The sum of matched_heterogeneous_fees, elementwise in device_power."""
+    base, multipliers = _matched_base(device_power, n_miners, unit_cost, params)
+    return base * math.fsum(multipliers.tolist())
+
+
 def matched_heterogeneous_fees(device_power: float, n_miners: int, unit_cost: float,
                                params: GameParams) -> np.ndarray:
     """Per-miner fees whose equilibrium total equals device_power.
@@ -316,17 +325,19 @@ def matched_heterogeneous_fees(device_power: float, n_miners: int, unit_cost: fl
 def _rows_fig1(cfg: ExperimentConfig):
     """Edge-miner mining success probability against its computing power."""
     params = cfg.params
-    grid = cfg.grid()
+    grid = PowerProfile(cfg.grid()).powers  # a negative edge power is rejected before dividing
+    with np.errstate(over="raise"):  # a total power past the float range is not a share of 0
+        share = grid / (grid + cfg.device_power)
+    model = mining_success_prob(share, params, params.tx_per_block)
     sim = SimConfig(n_blocks=cfg.n_blocks, seed=cfg.seed, params=params)
     # same seeds for every grid point: with common draws the empirical
     # frequency is monotone in the win probability by construction
-    wins = first_miner_wins([[x, cfg.device_power] for x in grid], sim, cfg.n_seeds)
-    share = grid / (grid + cfg.device_power)
+    wins = first_miner_wins(model, sim, cfg.n_seeds)
     return {
         "edge_power": grid.tolist(),
         "device_power": [cfg.device_power] * grid.size,
         "edge_share": share.tolist(),
-        "success_prob_model": (share * params.delay_discount(params.tx_per_block)).tolist(),
+        "success_prob_model": model.tolist(),
         "success_prob_empirical": (wins / cfg.n_blocks).mean(axis=1).tolist(),
         "status": ["ok"] * grid.size,
     }
@@ -364,8 +375,7 @@ def _rows_power_sweep(cfg: ExperimentConfig):
             raise ValueError(f"fee must be finite and > 0, got {float(fee_same[bad][0])!r}")
         profit_same = leader_profits_uniform(fee_same, edge, cfg.unit_cost, discount, a,
                                              objective)
-        base, multipliers = _matched_base(device, cfg.n_miners, cfg.unit_cost, cfg.params)
-        bill = base * math.fsum(multipliers.tolist())  # the matched fees' sum
+        bill = _matched_bill(device, cfg.n_miners, cfg.unit_cost, cfg.params)
         reward = a * device / (edge + device)
     status = np.select([edge <= 0, device < 0, ~np.isfinite(bill)],
                        ["infeasible: edge power must be > 0",
@@ -392,11 +402,10 @@ def _rows_fig5(cfg: ExperimentConfig):
     edge = fraction * total
     device = total - edge
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        base, multipliers = _matched_base(device, cfg.n_miners, cfg.unit_cost, cfg.params)
-        bill = base * math.fsum(multipliers.tolist())  # the matched fees' sum
+        bill = _matched_bill(device, cfg.n_miners, cfg.unit_cost, cfg.params)
         bill_mdg = bill / (1.0 - fraction)
-        profit_emg, profit_mdg = emg_mdg_profits(bill, bill_mdg, cfg.params,
-                                                 cfg.mdg_delay_mult)
+        profit_emg = net_profit(cfg.params, bill)
+        profit_mdg = net_profit(cfg.params, bill_mdg, cfg.mdg_delay_mult)
         money = {"fee_bill_emg": bill, "profit_emg": profit_emg, "fee_bill_mdg": bill_mdg,
                  "profit_mdg": profit_mdg, "profit_gap": profit_emg - profit_mdg}
     status = np.select([device <= 0, ~np.isfinite(bill_mdg)],
@@ -440,12 +449,16 @@ def _optimize_fee(cfg: ExperimentConfig, objective: str):
         return float(leader_profits_uniform(fee, cfg.edge_power, cfg.unit_cost, discount, a,
                                             objective))
 
-    search = SearchConfig(min(max(cfg.initial_fee, lo), hi), cfg.step_factor, cfg.tolerance,
-                          cfg.max_iters)
+    # below X*u/d (inf at d == 0) the pool stays out and the profit -fee falls with the fee
+    threshold = cfg.edge_power * cfg.unit_cost / discount if discount > 0 else math.inf
+    search = SearchConfig(min(max(cfg.initial_fee, lo, threshold), hi), cfg.step_factor,
+                          cfg.tolerance, cfg.max_iters)
     # overflow gives inf or nan, as Python floats do, and is rejected below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         best_fee, _ = multiplicative_fee_search(profit_fn, search)
-        profit = profit_fn(best_fee)
+        profit, at_floor = profit_fn(best_fee), profit_fn(lo)
+    if at_floor > profit:
+        best_fee, profit = lo, at_floor
     reject_nonfinite_profits([cfg.edge_power], [best_fee], [profit])
     return best_fee, profit
 
@@ -457,14 +470,19 @@ def _rows_solve_uniform(cfg: ExperimentConfig):
     fee = cfg.fee if cfg.fee is not None else optimal_fee
     game = UniformGame(cfg.edge_power, fee, cfg.unit_cost, params)
     response = best_response_uniform(game)
+    # an explicit fee can overflow the response; inf and nan are rejected
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = {"best_response_power": response,
+                  "follower_utility": aggregate_miner_utility(game, response),
+                  "leader_profit_full": leader_delta_utility_uniform(game, "full")}
+    for name, value in values.items():
+        reject_nonfinite_profits([cfg.edge_power], [fee], [value], name)
     certificate = uniqueness_certificate_uniform(game)
     return {
         "edge_power": [cfg.edge_power],
         "fee": [fee],
         "unit_cost": [cfg.unit_cost],
-        "best_response_power": [response],
-        "follower_utility": [aggregate_miner_utility(game, response)],
-        "leader_profit_full": [leader_delta_utility_uniform(game, "full")],
+        **{name: [value] for name, value in values.items()},
         # the simplified objective divides by kappa; undefined at kappa == 0
         "leader_profit_simplified": [leader_delta_utility_uniform(game, "simplified")
                                      if game.kappa > 0 else math.nan],
@@ -479,23 +497,18 @@ def _rows_solve_uniform(cfg: ExperimentConfig):
 
 def _rows_solve_disc(cfg: ExperimentConfig):
     game = DiscriminatoryGame(np.asarray(cfg.fees, dtype=float), cfg.unit_cost, cfg.params)
-    allocation = nash_equilibrium_closed_form(game)
     # the per-miner functions, elementwise from this one solve; a miner that
     # stays out has power, share, utility and leader_delta_simplified 0
-    fees, powers, shares = game.fees, allocation.powers, allocation.shares()
-    discount = game.params.delay_discount(game.params.mobile_tx_load)
-    a = leader_reward_scale(game.params)
-    utility = fees * shares * discount - game.unit_cost * powers
-    delta_full = a * shares - (fees * powers if cfg.fee_basis == "per_power" else fees)
+    allocation = nash_equilibrium_closed_form(game)
     return {
         "miner": list(range(game.n_miners)),
-        "fee": fees.tolist(),
-        "power": powers.tolist(),
-        "share": shares.tolist(),
-        "utility": utility.tolist(),
+        "fee": game.fees.tolist(),
+        "power": allocation.powers.tolist(),
+        "share": allocation.shares().tolist(),
+        "utility": miner_utilities(game, allocation).tolist(),
         "certified_unique_i": uniqueness_certificate_discriminatory(game).tolist(),
-        "leader_delta_full": delta_full.tolist(),
-        "leader_delta_simplified": (a * share_identity(game, allocation)).tolist(),
+        "leader_delta_full": leader_deltas(game, allocation, "full", cfg.fee_basis).tolist(),
+        "leader_delta_simplified": leader_deltas(game, allocation, "simplified").tolist(),
         "status": ["ok"] * game.n_miners,
     }
 
@@ -505,13 +518,14 @@ def _rows_simulate(cfg: ExperimentConfig):
     outcome = simulate_mining(list(cfg.powers), sim)
     powers = np.asarray(cfg.powers, dtype=float)
     shares = powers / math.fsum(cfg.powers)
-    discount = cfg.params.delay_discount(cfg.params.tx_per_block)
+    tx = cfg.params.tx_per_block
     # the last row is the orphaned rounds, which no miner won
     return {
         "miner": [*range(powers.size), -1],
         "power": [*powers.tolist(), math.nan],
         "share": [*shares.tolist(), math.nan],
-        "win_prob_model": [*(shares * discount).tolist(), 1.0 - discount],
+        "win_prob_model": [*mining_success_prob(shares, cfg.params, tx).tolist(),
+                           1.0 - cfg.params.delay_discount(tx)],
         "wins": [*outcome.wins.tolist(), outcome.orphans],
         "frequency": [*outcome.frequencies.tolist(), outcome.orphans / outcome.n_blocks],
         "status": ["ok"] * (powers.size + 1),

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ConvergenceError, PowerProfile
+from .discriminatory import best_responses
 
 __all__ = [
     "SearchConfig",
@@ -134,8 +135,7 @@ def best_response_dynamics(game, start, tol: float = 1e-9, max_iters: int = 10_0
 
     prev = x.copy()
     for _ in range(max_iters):
-        others = x.sum() - x
-        response = np.maximum(np.sqrt(np.maximum(others, 0.0) / c) - others, 0.0)
+        response = best_responses(x.sum() - x, c)
         if np.max(np.abs(response - x)) < tol:
             return PowerProfile(x)
         prev = x

@@ -19,13 +19,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GameParams, as_profile
+from .core import GameParams, as_profile, fee_bill, mining_success_prob, net_profit
 from .uniform import optimal_fees_uniform
 
 __all__ = [
     "SimConfig",
     "SimOutcome",
-    "emg_mdg_profits",
     "emg_vs_mdg_sweep",
     "empirical_success_prob",
     "first_miner_wins",
@@ -84,7 +83,7 @@ def simulate_mining(profile, cfg: SimConfig) -> SimOutcome:
     shares = as_profile(profile).shares()
     # cumsum of nonnegative terms never decreases, so below[i] counts the
     # blocks won by miners 0..i
-    cum = np.cumsum(shares * cfg.params.delay_discount(cfg.params.tx_per_block))
+    cum = np.cumsum(mining_success_prob(shares, cfg.params, cfg.params.tx_per_block))
     below = _count_below(_block_draws(cfg.seed, cfg.n_blocks), cum)
     return SimOutcome(
         wins=np.diff(below, prepend=0),
@@ -93,18 +92,16 @@ def simulate_mining(profile, cfg: SimConfig) -> SimOutcome:
     )
 
 
-def first_miner_wins(profiles, cfg: SimConfig, n_seeds: int) -> np.ndarray:
-    """Miner 0's win counts, one row per profile and one column per seed.
+def first_miner_wins(win_probs, cfg: SimConfig, n_seeds: int) -> np.ndarray:
+    """Miner 0's win counts, one row per win probability and one column per seed.
 
-    Entry [j, k] equals ``simulate_mining(profiles[j], cfg).wins[0]`` run
-    with seed cfg.seed + k.  Miner 0 wins a block exactly when its draw lies
-    below share_0 * discount, so each seed's stream is drawn once and every
-    profile's count is one threshold of ``_count_below`` on it.
+    Entry [j, k] is ``simulate_mining(profile, cfg).wins[0]`` with seed
+    cfg.seed + k when miner 0 of the profile wins with probability
+    win_probs[j], i.e. the number of that seed's draws below win_probs[j].
     """
     if not isinstance(n_seeds, (int, np.integer)) or n_seeds < 1:
         raise ValueError(f"n_seeds must be an integer >= 1, got {n_seeds!r}")
-    discount = cfg.params.delay_discount(cfg.params.tx_per_block)
-    thresholds = np.array([as_profile(p).shares()[0] * discount for p in profiles])
+    thresholds = np.asarray(win_probs, dtype=float)
     wins = np.empty((thresholds.size, n_seeds), dtype=np.int64)
     for k in range(n_seeds):
         wins[:, k] = _count_below(_block_draws(cfg.seed + k, cfg.n_blocks), thresholds)
@@ -118,32 +115,16 @@ def empirical_success_prob(outcome: SimOutcome, i: int) -> float:
     return float(outcome.wins[i]) / outcome.n_blocks
 
 
-def mdg_baseline_profit(total_power: float, fee_schedule, params: GameParams,
-                        mdg_delay_multiplier: float = 1.5) -> float:
+def mdg_baseline_profit(fee_schedule, params: GameParams, mdg_delay_multiplier: float = 1.5):
     """Leader profit when devices do all mining under an inflated delay.
 
     With no edge power of its own the leader still collects the pool reward,
     but every transaction now pays the multiplied propagation penalty.  At
     multiplier 1 this equals edge_utility with the same fees.
     """
-    if total_power <= 0:
-        raise ValueError("total_power must be > 0")
     if mdg_delay_multiplier < 1:
         raise ValueError("mdg_delay_multiplier must be >= 1")
-    fees = np.atleast_1d(np.asarray(fee_schedule, dtype=float))
-    if fees.size and (not np.all(np.isfinite(fees)) or np.any(fees < 0)):
-        raise ValueError("fees must be finite and >= 0")
-    discount = params.delay_discount(params.tx_per_block * mdg_delay_multiplier)
-    return params.total_reward * discount - math.fsum(fees) - params.edge_overhead
-
-
-def emg_mdg_profits(fee_emg, fee_mdg, params: GameParams, mdg_delay_multiplier: float):
-    """(edge_utility, mdg_baseline_profit), each with one fee, elementwise."""
-    reward = params.total_reward * params.delay_discount(params.tx_per_block)
-    reward_mdg = params.total_reward * params.delay_discount(
-        params.tx_per_block * mdg_delay_multiplier)
-    return (reward - fee_emg - params.edge_overhead,
-            reward_mdg - fee_mdg - params.edge_overhead)
+    return net_profit(params, fee_bill(fee_schedule), mdg_delay_multiplier)
 
 
 def emg_vs_mdg_sweep(total_power_grid, edge_fraction: float, params: GameParams,
@@ -173,7 +154,8 @@ def emg_vs_mdg_sweep(total_power_grid, edge_fraction: float, params: GameParams,
         fee_mdg = fee_emg * totals / device_power
     if not np.all(np.isfinite(fee_mdg)):
         raise ValueError("fees must be finite and >= 0")
-    profit_emg, profit_mdg = emg_mdg_profits(fee_emg, fee_mdg, params, mdg_delay_multiplier)
+    profit_emg = net_profit(params, fee_emg)
+    profit_mdg = net_profit(params, fee_mdg, mdg_delay_multiplier)
     return {
         "total_power": totals.tolist(),
         "edge_power": edge_power.tolist(),

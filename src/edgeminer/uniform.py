@@ -147,12 +147,12 @@ def stage1_setup(params: GameParams, objective: str, bracket=None):
     return d, leader_reward_scale(params), lo, hi
 
 
-def reject_nonfinite_profits(edge, fees, profits) -> None:
-    """Raise ValueError naming the first instance whose stage-I profit is not finite."""
+def reject_nonfinite_profits(edge, fees, profits, quantity: str = "stage-I profit") -> None:
+    """Raise ValueError naming the first instance whose profit (or quantity) is not finite."""
     bad = ~np.isfinite(profits)
     if bad.any():
         k = int(np.argmax(bad))
-        raise ValueError(f"stage-I profit is not finite at instance {k} (edge power "
+        raise ValueError(f"{quantity} is not finite at instance {k} (edge power "
                          f"{float(edge[k])!r}, fee {float(fees[k])!r}): {float(profits[k])!r}")
 
 

@@ -7,34 +7,44 @@ import pytest
 
 from edgeminer import (
     DegenerateProfileError,
+    DiscriminatoryGame,
     GameParams,
     PowerProfile,
     edge_utility,
-    miner_utility,
+    miner_utilities,
     mining_success_prob,
-    power_share,
 )
 
 from conftest import zero_delay_params
 
 
+def _share(powers, i):
+    return PowerProfile(np.asarray(powers, dtype=float)).shares()[i]
+
+
+def _utility(fee, powers, i, unit_cost, params):
+    """Miner i's utility when every miner is offered the same fee."""
+    game = DiscriminatoryGame(np.full(len(powers), fee), unit_cost, params)
+    return miner_utilities(game, powers)[i]
+
+
 class TestPowerShare:
     def test_symmetric(self):
-        assert power_share([1, 1, 1, 1], 0) == 0.25
+        assert _share([1, 1, 1, 1], 0) == 0.25
 
     def test_sole_contributor(self):
-        assert power_share([2, 0, 0], 0) == 1.0
+        assert _share([2, 0, 0], 0) == 1.0
 
     def test_direct_arithmetic(self):
-        assert power_share([3, 1], 0) == 0.75
+        assert _share([3, 1], 0) == 0.75
 
     def test_all_zero_profile_rejected(self):
         with pytest.raises(DegenerateProfileError):
-            power_share([0.0, 0.0, 0.0], 0)
+            _share([0.0, 0.0, 0.0], 0)
 
     def test_index_checked(self):
         with pytest.raises(IndexError):
-            power_share([1.0, 2.0], 5)
+            _share([1.0, 2.0], 5)
 
     def test_shares_sum_to_one(self):
         rng = np.random.default_rng(3)
@@ -93,6 +103,14 @@ class TestMiningSuccessProb:
     def test_share_out_of_range(self):
         with pytest.raises(ValueError):
             mining_success_prob(1.2, GameParams(), 3)
+        with pytest.raises(ValueError):
+            mining_success_prob(np.array([0.5, -0.1]), GameParams(), 3)
+
+    def test_elementwise_equals_scalar_calls(self):
+        params = GameParams(poisson_rate=0.03)
+        shares = np.random.default_rng(5).uniform(0.0, 1.0, 50)
+        probs = mining_success_prob(shares, params, 10)
+        assert probs.tolist() == [float(mining_success_prob(s, params, 10)) for s in shares]
 
 
 class TestEdgeUtility:
@@ -117,27 +135,27 @@ class TestEdgeUtility:
 
 class TestMinerUtility:
     def test_zero_power_zero_utility(self):
-        assert miner_utility(4.0, [0.0, 2.0], 0, 1.0, GameParams()) == 0.0
+        assert _utility(4.0, [0.0, 2.0], 0, 1.0, GameParams()) == 0.0
 
     def test_symmetric_split(self):
-        assert miner_utility(4.0, [1.0, 1.0], 0, 1.0, zero_delay_params()) == 1.0
+        assert _utility(4.0, [1.0, 1.0], 0, 1.0, zero_delay_params()) == 1.0
 
     def test_discounted_quarter_share(self):
         params = GameParams(poisson_rate=0.01, delay_factor=1.0, mobile_tx_load=10)
         # 4*0.25*e^(-0.1) - 0.5 = e^(-0.1) - 0.5, frozen
-        assert miner_utility(4.0, [1.0, 3.0], 0, 0.5, params) == pytest.approx(
+        assert _utility(4.0, [1.0, 3.0], 0, 0.5, params) == pytest.approx(
             0.4048374180359596, rel=1e-12)
 
     def test_degenerate_profile_rejected(self):
         with pytest.raises(DegenerateProfileError):
-            miner_utility(4.0, [0.0, 0.0], 0, 1.0, GameParams())
+            _utility(4.0, [0.0, 0.0], 0, 1.0, GameParams())
 
     def test_reward_term_scale_invariant(self):
         params = zero_delay_params()
         base_cost = 0.0  # compare reward terms via zero-cost games
         for lam in (2.0, 8.0):
-            u1 = miner_utility(6.0, [1.0, 3.0], 1, 1e-12, params)
-            u2 = miner_utility(6.0, [lam, 3.0 * lam], 1, 1e-12, params)
+            u1 = _utility(6.0, [1.0, 3.0], 1, 1e-12, params)
+            u2 = _utility(6.0, [lam, 3.0 * lam], 1, 1e-12, params)
             assert u1 - base_cost == pytest.approx(u2, rel=1e-9)
 
 

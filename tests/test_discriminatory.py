@@ -14,17 +14,21 @@ from edgeminer import (
     GameParams,
     best_response_dynamics,
     best_response_i,
+    best_responses,
     golden_section_max,
     grid_argmax,
     leader_delta_utility_discriminatory,
+    leader_deltas,
     leader_reward_scale,
+    miner_utilities,
     miner_utility_i,
     nash_equilibrium_closed_form,
     optimal_fees_discriminatory,
     share_identity,
     uniqueness_certificate_discriminatory,
 )
-from edgeminer.core import fee_bracket
+from edgeminer.core import OBJECTIVES, fee_bracket
+from edgeminer.discriminatory import FEE_BASES
 
 from conftest import random_feasible_disc_games, zero_delay_params
 
@@ -299,6 +303,38 @@ class TestSolveDiscriminatory:
         assert full == pytest.approx(a - 12.0)
         assert simplified == pytest.approx(a)
         np.testing.assert_allclose(nash_equilibrium_closed_form(game).powers, [8 / 9, 16 / 9])
+
+
+class TestPerMinerViews:
+    """Each per-miner scalar function is entry i of its elementwise form, bit for bit."""
+
+    FEES = {f"seeded-M{m}": np.random.default_rng(m).uniform(4.0, 8.0, m)
+            for m in (2, 10, 1000)}
+    FEES["dropout"] = np.array([4.0, 5.0, 6.0, 7.0, 8.0, 4.0, 5.0, 6.0, 7.0, 8.0])
+
+    @staticmethod
+    def _same_bits(views, elementwise):
+        assert np.array(views).tobytes() == np.asarray(elementwise).tobytes()
+
+    @pytest.mark.parametrize("name", FEES)
+    def test_views_equal_elementwise_forms(self, name):
+        fees = self.FEES[name]
+        game = DiscriminatoryGame(fees, 0.005, GameParams())
+        allocation = nash_equilibrium_closed_form(game)
+        profile = np.random.default_rng(7).uniform(0.5, 2.0, fees.size)
+        miners = range(fees.size)
+        for powers in (allocation, profile):
+            self._same_bits([miner_utility_i(game, powers, i) for i in miners],
+                            miner_utilities(game, powers))
+        others = profile.sum() - profile
+        self._same_bits([best_response_i(game, float(others[i]), i) for i in miners],
+                        best_responses(others, game.cost_coefficients))
+        for objective in OBJECTIVES:
+            for basis in FEE_BASES:
+                self._same_bits(
+                    [leader_delta_utility_discriminatory(game, i, objective, basis)
+                     for i in miners],
+                    leader_deltas(game, allocation, objective, basis))
 
 
 def _per_miner_terms(fees, a, objective):

@@ -21,12 +21,8 @@ from edgeminer import (
     UniformGame,
     best_response_dynamics,
     discriminatory,
-    edge_utility,
     experiments,
-    leader_delta_utility_discriminatory,
     leader_delta_utility_uniform,
-    mdg_baseline_profit,
-    miner_utility_i,
     nash_equilibrium_closed_form,
     search,
     simulate_mining,
@@ -50,6 +46,13 @@ from edgeminer.experiments import (
 from conftest import assert_stage1_optimum
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+def _net_profit(params, bill, delay_multiplier=1):
+    """The leader's net profit written out: discounted block reward - bill - overhead."""
+    exponent = -params.poisson_rate * params.delay_factor * (params.tx_per_block
+                                                            * delay_multiplier)
+    return params.total_reward * math.exp(exponent) - bill - params.edge_overhead
 
 
 def _run(kind, tmp_path, **settings):
@@ -328,6 +331,25 @@ class TestSolveDiscOneSolve:
         rng = np.random.default_rng(n)
         return tuple(10.0 * (1.0 + (0.4 / n) * rng.uniform(-1.0, 1.0, n)))
 
+    @staticmethod
+    def _check_rows(rows, game, allocation, basis):
+        # each cell against the model's formula written out at the Nash allocation
+        params, fees, powers = game.params, game.fees, allocation.powers
+        shares = allocation.shares()
+        discount = math.exp(-params.poisson_rate * params.delay_factor * params.mobile_tx_load)
+        a = params.total_reward * discount
+        active = powers > 0
+        inv_sum = math.fsum((1.0 / fees)[active])
+        assert len(rows) == game.n_miners
+        for i, row in enumerate(rows):
+            fee_cost = fees[i] * powers[i] if basis == "per_power" else fees[i]
+            identity = 1.0 - (np.count_nonzero(active) - 1) / (fees[i] * inv_sum)
+            assert row["power"] == powers[i]
+            assert row["share"] == shares[i]
+            assert row["utility"] == fees[i] * shares[i] * discount - game.unit_cost * powers[i]
+            assert row["leader_delta_full"] == a * shares[i] - fee_cost
+            assert row["leader_delta_simplified"] == (a * identity if active[i] else 0.0)
+
     @pytest.mark.parametrize("basis", FEE_BASES)
     @pytest.mark.parametrize("n", [2, 7, 300])
     def test_rows_equal_per_miner_functions(self, n, basis, tmp_path):
@@ -338,14 +360,7 @@ class TestSolveDiscOneSolve:
         game = DiscriminatoryGame(np.asarray(self._fees(n)), 0.004, params)
         allocation = nash_equilibrium_closed_form(game)
         assert len(rows) == n
-        for i, row in enumerate(rows):
-            assert row["power"] == allocation.powers[i]
-            assert row["share"] == allocation.shares()[i]
-            assert row["utility"] == miner_utility_i(game, allocation, i)
-            assert row["leader_delta_full"] == leader_delta_utility_discriminatory(
-                game, i, "full", basis)
-            assert row["leader_delta_simplified"] == leader_delta_utility_discriminatory(
-                game, i, "simplified", basis)
+        self._check_rows(rows, game, allocation, basis)
 
     @pytest.mark.parametrize("basis", FEE_BASES)
     def test_dropout_rows_equal_per_miner_functions(self, basis, tmp_path):
@@ -354,14 +369,7 @@ class TestSolveDiscOneSolve:
         game = DiscriminatoryGame(np.asarray(fees), 0.005, GameParams())
         allocation = nash_equilibrium_closed_form(game)
         assert n_failed == 0 and np.count_nonzero(allocation.powers) == 14
-        for i, row in enumerate(_rows(table)):
-            assert row["power"] == allocation.powers[i]
-            assert row["share"] == allocation.shares()[i]
-            assert row["utility"] == miner_utility_i(game, allocation, i)
-            assert row["leader_delta_full"] == leader_delta_utility_discriminatory(
-                game, i, "full", basis)
-            assert row["leader_delta_simplified"] == leader_delta_utility_discriminatory(
-                game, i, "simplified", basis)
+        self._check_rows(_rows(table), game, allocation, basis)
 
     def test_one_nash_solve(self, monkeypatch, tmp_path):
         sizes = []
@@ -472,9 +480,8 @@ class TestPowerSweepClosedForms:
                     DiscriminatoryGame(fees, cfg.unit_cost, params)).powers
                 assert math.fsum(powers.tolist()) == pytest.approx(device, rel=1e-12)
                 bill = math.fsum(fees.tolist())
-                profit_emg = edge_utility(params, fees)
-                profit_mdg = mdg_baseline_profit(total, [bill / (1.0 - fraction)], params,
-                                                 cfg.mdg_delay_mult)
+                profit_emg = _net_profit(params, bill)
+                profit_mdg = _net_profit(params, bill / (1.0 - fraction), cfg.mdg_delay_mult)
                 rows.append({**row, "fee_bill_emg": bill, "profit_emg": profit_emg,
                              "fee_bill_mdg": bill / (1.0 - fraction), "profit_mdg": profit_mdg,
                              "profit_gap": profit_emg - profit_mdg, "status": "ok"})
@@ -604,8 +611,8 @@ class TestStage1Sweeps:
             fee_emg = row["fee_emg"]
             assert_stage1_optimum(fee_emg, None, edge_power, cfg.unit_cost, params, objective)
             fee_mdg = fee_emg * total / device_power
-            profit_emg = edge_utility(params, [fee_emg])
-            profit_mdg = mdg_baseline_profit(total, [fee_mdg], params, cfg.mdg_delay_mult)
+            profit_emg = _net_profit(params, fee_emg)
+            profit_mdg = _net_profit(params, fee_mdg, cfg.mdg_delay_mult)
             point = {"edge_fraction": fraction} if fig6 else {}
             point.update(total_power=total, edge_power=edge_power,
                          device_power=device_power, fee_emg=fee_emg, fee_mdg=fee_mdg,
@@ -699,6 +706,20 @@ class TestStage1Sweeps:
         assert len(err) == 1
         assert err[0].startswith(
             f"config error: stage-I profit is not finite at instance {instance} ")
+        assert not out.exists()
+
+    def test_nonfinite_explicit_fee_solve_is_a_config_error(self, tmp_path, capsys):
+        # sqrt(kappa X / u) overflows at this fee: no ok row with an inf
+        # response or a nan profit, one error line, no warning and no report
+        out = tmp_path / "report.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["solve-uniform", "--fee", "1e308", "--edge-power", "1e10",
+                         "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: best_response_power is not finite at instance 0 "
+            "(edge power 10000000000.0, fee 1e+308): inf"]
         assert not out.exists()
 
 
@@ -801,11 +822,12 @@ class TestTrends:
         assert climbed["optimal_fee"][0] == pytest.approx(
             golden["optimal_fee"][0], abs=1e-4)
 
-    @pytest.mark.parametrize("initial_fee", [1.0, 1e6])
+    @pytest.mark.parametrize("initial_fee", [0.25, 1.0, 1e6])
     @pytest.mark.parametrize("objective", OBJECTIVES)
     def test_hillclimb_lands_on_the_closed_form(self, objective, initial_fee, tmp_path):
         # both routes maximize one objective over one bracket; under
-        # simplified that is the bracket top, which the climb must not pass
+        # simplified that is the bracket top, which the climb must not pass;
+        # at 0.25 the pool stays out (fee * d <= X * u) and the profit is -fee
         closed, _, _ = _run("solve-uniform", tmp_path, objective=objective,
                             out=str(tmp_path / "g.csv"))
         climbed, _, _ = _run("solve-uniform", tmp_path, fee_search="hillclimb",

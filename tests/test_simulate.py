@@ -19,6 +19,7 @@ from edgeminer import (
     empirical_success_prob,
     first_miner_wins,
     mdg_baseline_profit,
+    mining_success_prob,
     simulate,
     simulate_mining,
 )
@@ -172,7 +173,9 @@ class TestFirstMinerWins:
     @staticmethod
     def _check_against_per_block(profiles):
         cfg = _sim(seed=40, n_blocks=250, tx_per_block=4)
-        wins = first_miner_wins(profiles, cfg, 6)
+        win_probs = [mining_success_prob(PowerProfile(np.asarray(p, dtype=float)).shares()[0],
+                                         cfg.params, 4) for p in profiles]
+        wins = first_miner_wins(win_probs, cfg, 6)
         assert wins.shape == (len(profiles), 6)
         for j, powers in enumerate(profiles):
             for k in range(6):
@@ -192,7 +195,7 @@ class TestFirstMinerWins:
     @pytest.mark.parametrize("n_seeds", [0, -1, 2.0])
     def test_bad_seed_count_rejected(self, n_seeds):
         with pytest.raises(ValueError, match="n_seeds"):
-            first_miner_wins([[1.0, 1.0]], _sim(), n_seeds)
+            first_miner_wins([0.5], _sim(), n_seeds)
 
 
 class TestEmpiricalSuccessProb:
@@ -213,24 +216,24 @@ class TestMdgBaseline:
     def test_matches_edge_utility_at_unit_multiplier(self):
         params = GameParams()
         fees = [1.5, 0.7]
-        assert mdg_baseline_profit(80.0, fees, params, 1.0) == pytest.approx(
+        assert mdg_baseline_profit(fees, params, 1.0) == pytest.approx(
             edge_utility(params, fees))
 
     def test_doubled_delay_value(self):
         params = GameParams(fixed_reward=8.0, tx_reward=2.0, poisson_rate=0.01,
                             delay_factor=1.0, tx_per_block=10, edge_overhead=0.0)
         # 10*e^(-0.2) - 2, frozen from a 30-digit evaluation
-        assert mdg_baseline_profit(50.0, [2.0], params, 2.0) == pytest.approx(
+        assert mdg_baseline_profit([2.0], params, 2.0) == pytest.approx(
             6.187307530779819, rel=1e-12)
 
     def test_limit_of_huge_delay(self):
         params = GameParams(edge_overhead=0.25)
-        profit = mdg_baseline_profit(50.0, [2.0], params, 1e9)
+        profit = mdg_baseline_profit([2.0], params, 1e9)
         assert profit == pytest.approx(-2.25)
 
     def test_multiplier_below_one_rejected(self):
         with pytest.raises(ValueError):
-            mdg_baseline_profit(50.0, [1.0], GameParams(), 0.5)
+            mdg_baseline_profit([1.0], GameParams(), 0.5)
 
 
 class TestSweep:
