@@ -1,7 +1,8 @@
 """Command-line front end for the solvers, sweeps and the mining simulator.
 
-Exit codes: 0 success, 2 configuration error, 3 every instance in the run
-was infeasible.  Flags override values from an optional --config file.
+Exit codes: 0 success, 2 configuration error (an arithmetic overflow too),
+3 no result: every instance infeasible or the fee search out of budget.
+Flags override values from an optional --config file.
 Each setting (see experiments.SETTINGS) is a --kebab-case flag whose value
 goes through the same parser as its config-file key.
 """
@@ -77,7 +78,7 @@ def main(argv=None) -> int:
         for message in exc.errors:
             print(f"config error: {message}", file=sys.stderr)
         return 2
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, OverflowError, FloatingPointError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:

@@ -48,7 +48,7 @@ class ConvergenceError(RuntimeError):
 
 
 class ConfigError(ValueError):
-    """Invalid search bracket or experiment configuration."""
+    """Invalid search bracket, game constants or settings; ``errors`` lists each one."""
 
     def __init__(self, errors):
         if isinstance(errors, str):
@@ -65,7 +65,7 @@ class GameParams:
     ``mobile_tx_load`` the verification load seen by recruited devices.
     The model keeps them independent; by default they are equal.
     Zero ``poisson_rate`` or ``delay_factor`` is allowed and means no
-    propagation penalty (discount factor 1).
+    propagation penalty (discount factor 1).  Invalid fields raise one ConfigError.
     """
 
     fixed_reward: float = 10.0
@@ -78,17 +78,20 @@ class GameParams:
     min_consumption: float = 0.1
 
     def __post_init__(self):
+        errors = []
         for name in ("fixed_reward", "tx_reward", "poisson_rate", "delay_factor",
                      "edge_overhead", "min_consumption"):
             value = getattr(self, name)
             if not (isinstance(value, (int, float, np.floating)) and math.isfinite(value)):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
-            if value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value!r}")
+                errors.append(f"{name} must be finite, got {value!r}")
+            elif value < 0:
+                errors.append(f"{name} must be >= 0, got {value!r}")
         for name in ("tx_per_block", "mobile_tx_load"):
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+                errors.append(f"{name} must be an integer >= 1, got {value!r}")
+        if errors:
+            raise ConfigError(errors)
 
     @property
     def total_reward(self) -> float:

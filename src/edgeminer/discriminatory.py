@@ -44,7 +44,7 @@ FEE_BASES = ("lump", "per_power")
 class DiscriminatoryGame:
     """Per-miner fee vector (length >= 2), shared unit cost, shared params.
 
-    cost_coefficients: c_i = unit_cost / (fee_i * device-load discount), finite.
+    cost_coefficients: c_i = unit_cost / (fee_i * device-load discount), finite and > 0.
     """
 
     fees: np.ndarray
@@ -62,8 +62,8 @@ class DiscriminatoryGame:
             raise ValueError(f"unit_cost must be finite and > 0, got {self.unit_cost!r}")
         with np.errstate(divide="ignore", over="ignore"):
             c = self.unit_cost / (fees * device_discount(self.params))
-        if not np.all(np.isfinite(c)):
-            raise ValueError("cost coefficients unit_cost / (fee * discount) overflow")
+        if not np.all(np.isfinite(c) & (c > 0)):
+            raise ValueError("cost coefficients u / (fee * discount) overflow or round to 0")
         object.__setattr__(self, "fees", fees)
         object.__setattr__(self, "cost_coefficients", c)
 
@@ -113,7 +113,9 @@ def nash_equilibrium_closed_form(game: DiscriminatoryGame) -> PowerProfile:
     ordered = np.sort(c)
     fits = np.arange(c.size) * ordered < np.cumsum(ordered)  # (k-1) c_(k) < S_k
     active = c <= ordered[np.flatnonzero(fits)[-1]]
-    total = (np.count_nonzero(active) - 1) / math.fsum(c[active].tolist())
+    total = int(np.count_nonzero(active) - 1) / math.fsum(c[active].tolist())
+    if not math.isfinite(total):
+        raise ValueError("the equilibrium total power (k-1) / sum(c) overflows")
     # a borderline active miner can round to -1e-16; it supplies 0
     return PowerProfile(np.where(active, np.maximum(total - c * total * total, 0.0), 0.0))
 
@@ -176,8 +178,8 @@ def optimal_fees_discriminatory(n_miners: int, unit_cost: float, params: GamePar
     check_objective(objective)
     if n_miners < 2:
         raise ValueError("need at least two miners")
-    if unit_cost <= 0:
-        raise ValueError("unit_cost must be > 0")
+    if not (math.isfinite(unit_cost) and unit_cost > 0):
+        raise ValueError(f"unit_cost must be finite and > 0, got {unit_cost!r}")
     a = leader_reward_scale(params)
     lo, hi = fee_bracket(params, bracket)
     symmetric = min(max(a * (n_miners - 1) ** 2 / n_miners ** 2, lo), hi)

@@ -125,14 +125,10 @@ class ExperimentConfig:
     edge_fraction: float = 0.5
     edge_fractions: tuple = (0.1, 0.5, 0.9)
     mdg_delay_mult: float = 1.5
-    seed: int = 0
+    seed: int = SimConfig.seed
     n_seeds: int = 10
-    n_blocks: int = 1000
+    n_blocks: int = SimConfig.n_blocks
     powers: tuple = (50.0, 50.0)
-    initial_fee: float = 1.0
-    step_factor: float = 0.05
-    tolerance: float = 1e-6
-    max_iters: int = 10_000
     out: str | None = None
     format: str = "csv"
 
@@ -146,12 +142,6 @@ class ExperimentConfig:
                 nonfinite.append(f.name)
         checks = (
             ("kind", self.kind in KINDS, f"kind must be one of {KINDS}, got {self.kind!r}"),
-            ("step_factor", 0 < self.step_factor < 1,
-             f"step_factor must lie strictly inside (0, 1), got {self.step_factor!r}"),
-            ("tolerance", self.tolerance > 0, f"tolerance must be > 0, got {self.tolerance!r}"),
-            ("initial_fee", self.initial_fee > 0,
-             f"initial_fee must be > 0, got {self.initial_fee!r}"),
-            ("max_iters", self.max_iters >= 1, f"max_iters must be >= 1, got {self.max_iters!r}"),
             ("unit_cost", self.unit_cost > 0, f"unit_cost must be > 0, got {self.unit_cost!r}"),
             ("n_miners", self.n_miners >= 2, f"n_miners must be >= 2, got {self.n_miners!r}"),
             ("n_blocks", self.n_blocks >= 1, f"n_blocks must be >= 1, got {self.n_blocks!r}"),
@@ -275,8 +265,8 @@ def build_config(data: dict) -> ExperimentConfig:
     errors = []
     try:
         params = GameParams(**{k: v for k, v in data.items() if k in _PARAM_NAMES})
-    except ValueError as exc:
-        errors.append(str(exc))
+    except ConfigError as exc:
+        errors.extend(exc.errors)
         params = GameParams()
     try:
         cfg = ExperimentConfig(params=params, **{k: v for k, v in data.items()
@@ -451,8 +441,7 @@ def _optimize_fee(cfg: ExperimentConfig, objective: str):
 
     # below X*u/d (inf at d == 0) the pool stays out and the profit -fee falls with the fee
     threshold = cfg.edge_power * cfg.unit_cost / discount if discount > 0 else math.inf
-    search = SearchConfig(min(max(cfg.initial_fee, lo, threshold), hi), cfg.step_factor,
-                          cfg.tolerance, cfg.max_iters)
+    search = SearchConfig(min(max(SearchConfig.initial_fee, lo, threshold), hi))
     # overflow gives inf or nan, as Python floats do, and is rejected below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         best_fee, _ = multiplicative_fee_search(profit_fn, search)

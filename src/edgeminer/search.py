@@ -29,9 +29,9 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Settings for the multiplicative fee hill-climb."""
+    """Settings for the multiplicative fee hill-climb; solve-uniform's climb uses the defaults."""
 
-    initial_fee: float
+    initial_fee: float = 1.0
     step_factor: float = 0.05
     tolerance: float = 1e-6
     max_iters: int = 10_000

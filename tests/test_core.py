@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from edgeminer import (
+    ConfigError,
     DegenerateProfileError,
     DiscriminatoryGame,
     GameParams,
@@ -175,5 +176,12 @@ class TestGameParams:
             GameParams(mobile_tx_load=2.5)
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="fixed_reward must be finite"):
             GameParams(fixed_reward=float("inf"))
+
+    def test_every_violation_listed(self):
+        with pytest.raises(ConfigError) as err:
+            GameParams(fixed_reward=-1.0, poisson_rate=math.nan, tx_per_block=0)
+        assert err.value.errors == ["fixed_reward must be >= 0, got -1.0",
+                                    "poisson_rate must be finite, got nan",
+                                    "tx_per_block must be an integer >= 1, got 0"]

@@ -125,6 +125,14 @@ class TestClosedForm:
         # exp(-740) is subnormal: the discount is positive but c overflows
         with pytest.raises(ValueError, match="overflow"):
             DiscriminatoryGame(np.array([4.0, 5.0]), 0.005, GameParams(poisson_rate=74.0))
+        # the smallest subnormal unit cost makes c 0, which no active set fits
+        with pytest.raises(ValueError, match="round to 0"):
+            DiscriminatoryGame(np.array([4.0, 5.0]), 5e-324, GameParams())
+
+    def test_overflowing_total_rejected(self):
+        # c is subnormal, so (k-1)/sum(c) passes the float range
+        with pytest.raises(ValueError, match="equilibrium total power .* overflows"):
+            nash_equilibrium_closed_form(DiscriminatoryGame(np.array([4.0, 5.0]), 1e-320))
 
     def test_borderline_active_miner_rounds_to_zero_not_below(self):
         # the last miner passes (k-1) c_(k) < sum c by rounding; T - c T^2
@@ -425,8 +433,9 @@ class TestOptimalFees:
             optimal_fees_discriminatory(3, 0.005, params, objective="nope")
         with pytest.raises(ValueError, match="two miners"):
             optimal_fees_discriminatory(1, 0.005, params)
-        with pytest.raises(ValueError, match="unit_cost"):
-            optimal_fees_discriminatory(3, 0.0, params)
+        for unit_cost in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="unit_cost must be finite and > 0"):
+                optimal_fees_discriminatory(3, unit_cost, params)
         with pytest.raises(ValueError, match="bracket"):
             optimal_fees_discriminatory(3, 0.005, params, bracket=(5.0, 1.0))
 

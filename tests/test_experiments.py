@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import math
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -83,11 +84,6 @@ class TestValidateConfig:
         with pytest.raises(ConfigError) as err:
             validate_config("kind = fig1\npoisson_rate = -0.5\n")
         assert "poisson_rate" in str(err.value)
-
-    def test_step_factor_outside_unit_interval(self):
-        with pytest.raises(ConfigError) as err:
-            validate_config("kind = solve-uniform\nstep_factor = 1.5\n")
-        assert "step_factor" in str(err.value)
 
     def test_unknown_key_carries_line_number(self):
         with pytest.raises(ConfigError) as err:
@@ -177,8 +173,8 @@ class TestSchema:
     def test_invalid_values_rejected_on_construction_and_replace(self):
         cfg = ExperimentConfig(kind="fig2")
         with pytest.raises(ConfigError) as err:
-            dataclasses.replace(cfg, step_factor=1.5)
-        assert "step_factor" in str(err.value)
+            dataclasses.replace(cfg, mdg_delay_mult=0.5)
+        assert "mdg_delay_mult" in str(err.value)
         with pytest.raises(ConfigError) as err:
             ExperimentConfig(kind="fig2", seed=-1, format="xml", fee_basis="weird")
         assert len(err.value.errors) == 3
@@ -209,8 +205,7 @@ class TestNonFiniteSettings:
         # one line per bad value: its range check is not reported on top
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1, lines
-        assert lines[0].startswith((f"config error: {name} must be finite",
-                                    f"config error: {name} must be a finite number"))
+        assert lines[0].startswith(f"config error: {name} must be finite")
         assert not caught
         assert not out.exists()
 
@@ -814,25 +809,22 @@ class TestTrends:
                 pairs = zip(by_fraction[small], by_fraction[large])
                 assert all(a <= b for a, b in pairs)
 
-    def test_hillclimb_agrees_with_golden_section(self, tmp_path):
-        golden, _, _ = _run("solve-uniform", tmp_path, out=str(tmp_path / "g.csv"))
-        climbed, _, _ = _run("solve-uniform", tmp_path, fee_search="hillclimb",
-                             initial_fee=0.5, step_factor=0.1,
-                             out=str(tmp_path / "h.csv"))
-        assert climbed["optimal_fee"][0] == pytest.approx(
-            golden["optimal_fee"][0], abs=1e-4)
-
-    @pytest.mark.parametrize("initial_fee", [0.25, 1.0, 1e6])
+    # the climb starts at SearchConfig's 1.0, raised to the participation
+    # threshold X*u/d (1.105 at edge power 200: below it the pool stays out
+    # and the profit -fee falls with the fee, so under full a start at 1.0
+    # walks down to the floor) and clamped into the bracket (top 0.452 at
+    # reward 0.005: under simplified a start at 1.0 scores -inf and stays)
+    @pytest.mark.parametrize("settings", [{}, {"edge_power": 200.0},
+                                          {"fixed_reward": 0.005, "tx_reward": 0.0}],
+                             ids=["default", "raised-to-threshold", "clamped-to-top"])
     @pytest.mark.parametrize("objective", OBJECTIVES)
-    def test_hillclimb_lands_on_the_closed_form(self, objective, initial_fee, tmp_path):
+    def test_hillclimb_lands_on_the_closed_form(self, objective, settings, tmp_path):
         # both routes maximize one objective over one bracket; under
-        # simplified that is the bracket top, which the climb must not pass;
-        # at 0.25 the pool stays out (fee * d <= X * u) and the profit is -fee
+        # simplified that is the bracket top, which the climb must not pass
         closed, _, _ = _run("solve-uniform", tmp_path, objective=objective,
-                            out=str(tmp_path / "g.csv"))
+                            out=str(tmp_path / "g.csv"), **settings)
         climbed, _, _ = _run("solve-uniform", tmp_path, fee_search="hillclimb",
-                             objective=objective, initial_fee=initial_fee,
-                             out=str(tmp_path / "h.csv"))
+                             objective=objective, out=str(tmp_path / "h.csv"), **settings)
         assert climbed["optimal_fee"][0] == pytest.approx(closed["optimal_fee"][0], rel=1e-5)
         assert climbed["optimal_profit"][0] <= closed["optimal_profit"][0]
 
@@ -982,13 +974,66 @@ class TestCli:
         code = main(["fig", "1", "--config", str(tmp_path / "nope.cfg")])
         assert code == 2
 
-    def test_unbounded_hillclimb_reports_no_result(self, tmp_path, capsys):
-        # a budget of one evaluation runs out at the first probe
-        code = main(["solve-uniform", "--fee-search", "hillclimb",
-                     "--objective", "simplified", "--max-iters", "1",
-                     "--out", str(tmp_path / "u.csv")])
+    def test_exhausted_hillclimb_reports_no_result(self, tmp_path, capsys):
+        # X*u/d passes the bracket top 100*a = 9e301, so the pool stays out at
+        # every fee and the profit -fee rises at each 5% step down from the
+        # top: about 14,300 steps to the floor, past the 10,000-evaluation budget
+        out = tmp_path / "u.csv"
+        code = main(["solve-uniform", "--fee-search", "hillclimb", "--fixed-reward", "1e300",
+                     "--unit-cost", "1e303", "--out", str(out)])
         assert code == 3
-        assert "no result" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("no result: fee search did not terminate "
+                                                  "within 10000 evaluations")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["initial_fee", "step_factor", "tolerance", "max_iters"])
+    def test_hillclimb_tuning_is_no_setting(self, name, tmp_path, capsys):
+        # the climb runs on SearchConfig's defaults
+        config = tmp_path / "exp.cfg"
+        config.write_text(f"{name} = 1\n")
+        assert main(["solve-uniform", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == f"config error: line 1: unknown key {name!r}\n"
+        with pytest.raises(SystemExit) as exc:
+            main(["solve-uniform", "--" + name.replace("_", "-"), "1"])
+        assert exc.value.code == 2
+
+    def test_help_lists_one_flag_per_setting(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        flags = re.findall(r"^ +(--[a-z-]+)", text.split("\noptions:\n", 1)[1], flags=re.M)
+        # kind is the command itself
+        assert flags == ["--config"] + ["--" + key.replace("_", "-") for key in SETTINGS
+                                        if key != "kind"]
+        for removed in ("--initial-fee", "--step-factor", "--tolerance", "--max-iters"):
+            assert removed not in text
+
+    def test_every_bad_game_constant_reported(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = main(["fig", "2", "--fixed-reward", "-1", "--tx-reward", "-2",
+                     "--unit-cost", "-1", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: fixed_reward must be >= 0, got -1.0",
+            "config error: tx_reward must be >= 0, got -2.0",
+            "config error: unit_cost must be > 0, got -1.0"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--powers", "1e308,1e308"],
+        ["fig", "1", "--grid-start", "1e308", "--grid-stop", "1.7e308",
+         "--device-power", "1e308"],
+        ["solve-disc", "--fees", "4,5", "--unit-cost", "1e-320"],
+    ])
+    def test_overflow_is_a_config_error(self, argv, tmp_path, capsys):
+        # the total power passes the float range: in fsum, in X + D, in (k-1)/sum(c)
+        out = tmp_path / "o.csv"
+        assert main([*argv, "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: ")
+        assert "overflow" in lines[0]
+        assert not out.exists()
 
     def test_bad_flag_value_is_a_config_error(self, tmp_path, capsys):
         code = main(["fig", "2", "--seed", "banana", "--fees", "a,b",
