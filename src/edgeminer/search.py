@@ -41,8 +41,8 @@ class SearchConfig:
             raise ValueError("initial_fee must be a finite positive number")
         if not 0 < self.step_factor < 1:
             raise ValueError("step_factor must lie strictly inside (0, 1)")
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be > 0")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError("tolerance must be a finite number > 0")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 

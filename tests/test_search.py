@@ -35,6 +35,15 @@ class TestSearchConfig:
         with pytest.raises(ValueError):
             SearchConfig(initial_fee=-1.0)
 
+    # SearchConfig is the one declaration of the climb's settings, so it alone
+    # keeps a non-finite start, step or tolerance out of the climb
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")],
+                             ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("name", ["initial_fee", "step_factor", "tolerance"])
+    def test_nonfinite_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            SearchConfig(**{name: value})
+
 
 class TestMultiplicativeFeeSearch:
     def test_converges_to_analytic_optimum(self):
