@@ -5,10 +5,12 @@ computing power, shrunk by e^(-rate * delay * tx) for propagation and
 verification latency.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
-from edgeminer import DiscriminatoryGame, GameParams, PowerProfile, edge_utility, \
-    miner_utilities, mining_success_prob
+from edgeminer import DiscriminatoryGame, GameParams, PowerProfile, miner_utilities, \
+    mining_success_prob, net_profit
 
 params = GameParams()  # rate 0.01, delay 1.0, 10 tx per block
 
@@ -19,18 +21,19 @@ for i in range(3):
     print(f"  miner {i}: power {profile.powers[i]:5.1f}  share {shares[i]:.3f}")
 print(f"  share total: {shares.sum():.15f}")
 
-print("\n== success probability vs transaction load ==")
-for tx in (0, 5, 10, 20, 40):
-    probs = mining_success_prob(shares, params, tx)  # elementwise over the miners
+print("\n== success probability vs transactions per block ==")
+for tx in (1, 5, 10, 20, 40):
+    # elementwise over the miners, at the block load params.tx_per_block
+    probs = mining_success_prob(shares, replace(params, tx_per_block=tx))
     print(f"  tx = {tx:2d}: win probabilities {np.round(probs, 4)} (orphan {1 - probs.sum():.4f})")
 
 print("\n== scaling leaves shares untouched ==")
-doubled = profile.scaled(2.0)
+doubled = PowerProfile(profile.powers * 2.0)
 print("  doubled powers ->", doubled.shares(), "(same shares)")
 
 print("\n== utilities ==")
 fee = 2.0
-print(f"  edge server, fee bill {fee}: utility {edge_utility(params, [fee]):+.4f}")
+print(f"  edge server, fee bill {fee}: net profit {net_profit(params, fee):+.4f}")
 for unit_cost in (0.005, 0.02, 0.05):
     # every miner offered the same fee
     values = miner_utilities(DiscriminatoryGame(np.full(3, fee), unit_cost, params), profile)

@@ -31,8 +31,7 @@ print(f"  simplified (no fee):  {leader_delta_utility_uniform(game, 'simplified'
 
 print("\n== stage I: optimal fee ==")
 for objective in ("full", "simplified"):
-    fee, profit = optimal_fee_uniform(50.0, 0.005, params, objective=objective,
-                                      bracket=(0.1, 40.0))
+    fee, profit = optimal_fee_uniform(50.0, 0.005, params, objective=objective)
     note = "(monotone objective runs to the bracket top)" if objective == "simplified" else ""
     print(f"  {objective:10s}: fee {fee:8.4f}  profit {profit:+.4f} {note}")
 

@@ -9,8 +9,7 @@ import math
 
 import numpy as np
 
-from edgeminer import GameParams, SimConfig, empirical_success_prob, \
-    mdg_baseline_profit, mining_success_prob, simulate_mining
+from edgeminer import GameParams, SimConfig, mining_success_prob, net_profit, simulate_mining
 
 params = GameParams()
 cfg = SimConfig(n_blocks=1000, seed=42, params=params)
@@ -20,11 +19,11 @@ print("== one seeded run, 1000 blocks of 10 transactions ==")
 outcome = simulate_mining(powers, cfg)
 discount = params.delay_discount(params.tx_per_block)
 shares = np.asarray(powers) / sum(powers)
-model = mining_success_prob(shares, params, params.tx_per_block)
+model = mining_success_prob(shares, params)
 print(f"  {'miner':>5} {'share':>7} {'model p':>9} {'wins':>5} {'freq':>7}")
 for i, power in enumerate(powers):
     print(f"  {i:>5} {shares[i]:>7.3f} {model[i]:>9.4f} "
-          f"{outcome.wins[i]:>5d} {empirical_success_prob(outcome, i):>7.3f}")
+          f"{outcome.wins[i]:>5d} {outcome.frequencies[i]:>7.3f}")
 print(f"  orphaned rounds: {outcome.orphans} "
       f"(model {1 - discount:.4f}, observed {outcome.orphans / cfg.n_blocks:.4f})")
 print(f"  conservation: {int(outcome.wins.sum()) + outcome.orphans} == {cfg.n_blocks}")
@@ -33,7 +32,7 @@ print("\n== three-sigma check against the model ==")
 for i in range(3):
     p = model[i]
     sigma = math.sqrt(p * (1 - p) / cfg.n_blocks)
-    deviation = abs(empirical_success_prob(outcome, i) - p)
+    deviation = abs(outcome.frequencies[i] - p)
     print(f"  miner {i}: |freq - p| = {deviation:.4f} <= 3 sigma = {3 * sigma:.4f}")
 
 print("\n== same seed, same outcome ==")
@@ -41,8 +40,9 @@ again = simulate_mining(powers, cfg)
 print(f"  identical wins: {np.array_equal(outcome.wins, again.wins)}")
 
 print("\n== the delayed baseline for comparison ==")
-fees = [2.0]
+bill = 2.0
 for mult in (1.0, 1.5, 2.0, 4.0):
-    profit = mdg_baseline_profit(fees, params, mult)
+    # the net profit with every transaction's delay penalty multiplied by mult
+    profit = net_profit(params, bill, mult)
     print(f"  delay multiplier {mult:3.1f}: baseline profit {profit:+.4f}")
-print("  (multiplier 1.0 reproduces the edge utility with the same fees)")
+print("  (multiplier 1.0 reproduces the edge scheme's net profit on the same bill)")

@@ -13,9 +13,9 @@ from .core import (
     GameParams,
     PowerProfile,
     as_profile,
-    edge_utility,
     leader_reward_scale,
     mining_success_prob,
+    net_profit,
 )
 from .discriminatory import (
     DiscriminatoryGame,
@@ -43,9 +43,7 @@ from .simulate import (
     SimConfig,
     SimOutcome,
     emg_vs_mdg_sweep,
-    empirical_success_prob,
     first_miner_wins,
-    mdg_baseline_profit,
     simulate_mining,
 )
 from .uniform import (

@@ -21,10 +21,10 @@ __all__ = [
     "as_profile",
     "check_objective",
     "device_discount",
-    "edge_utility",
     "fee_bracket",
     "leader_reward_scale",
     "mining_success_prob",
+    "net_profit",
     "participation_floor",
 ]
 
@@ -98,16 +98,16 @@ class GameParams:
         """Fixed plus transaction reward for a mined block."""
         return self.fixed_reward + self.tx_reward
 
-    def delay_discount(self, tx_count) -> float:
-        """Propagation discount e^(-rate * delay * tx_count), in [0, 1].
+    def delay_discount(self, tx_load) -> float:
+        """Propagation discount e^(-rate * delay * tx_load), in [0, 1].
 
         It underflows to 0 for large exponents (poisson_rate 100 with
         mobile_tx_load 10).  The simulator then records every block as an
         orphan, and the simplified objective rejects a zero discount.
         """
-        if tx_count < 0:
-            raise ValueError(f"tx_count must be >= 0, got {tx_count!r}")
-        return math.exp(-self.poisson_rate * self.delay_factor * tx_count)
+        if tx_load < 0:
+            raise ValueError(f"tx_load must be >= 0, got {tx_load!r}")
+        return math.exp(-self.poisson_rate * self.delay_factor * tx_load)
 
 
 @dataclass(frozen=True)
@@ -138,11 +138,6 @@ class PowerProfile:
             raise DegenerateProfileError("all miners have zero power; shares undefined")
         return self.powers / total
 
-    def scaled(self, factor: float) -> "PowerProfile":
-        if factor <= 0:
-            raise ValueError("scale factor must be > 0")
-        return PowerProfile(self.powers * factor)
-
 
 def as_profile(profile) -> PowerProfile:
     """Coerce an array-like of powers into a PowerProfile."""
@@ -151,34 +146,22 @@ def as_profile(profile) -> PowerProfile:
     return PowerProfile(np.asarray(profile, dtype=float))
 
 
-def mining_success_prob(share, params: GameParams, tx_count):
-    """Probability that a miner with the given power share mines the block.
+def mining_success_prob(share, params: GameParams):
+    """Probability that a miner with the given power share mines a block.
 
-    share * e^(-rate * delay * tx_count), elementwise; shares outside [0, 1] are rejected.
+    share * e^(-rate * delay * tx_per_block), elementwise; shares outside
+    [0, 1] are rejected.
     """
     shares = np.asarray(share, dtype=float)
     if not np.all((shares >= 0) & (shares <= 1)):
         raise ValueError(f"share must lie in [0, 1], got {share!r}")
-    return shares * params.delay_discount(tx_count)
+    return shares * params.delay_discount(params.tx_per_block)
 
 
 def net_profit(params: GameParams, bill, delay_multiplier=1):
     """Leader's net profit, elementwise: total_reward * e^(-rate*delay*tx*m) - bill - overhead."""
     reward = params.total_reward * params.delay_discount(params.tx_per_block * delay_multiplier)
     return reward - bill - params.edge_overhead
-
-
-def fee_bill(fees) -> float:
-    """Sum of a fee schedule; negative or non-finite fees are rejected."""
-    fees = np.atleast_1d(np.asarray(fees, dtype=float))
-    if not np.all(np.isfinite(fees)) or np.any(fees < 0):
-        raise ValueError("fees must be finite and >= 0")
-    return math.fsum(fees)
-
-
-def edge_utility(params: GameParams, fees) -> float:
-    """Edge-server utility: discounted block reward minus fees and overhead."""
-    return net_profit(params, fee_bill(fees))
 
 
 def leader_reward_scale(params: GameParams) -> float:
@@ -204,20 +187,17 @@ def participation_floor(params: GameParams) -> float:
     return max(params.min_consumption, 1e-6)
 
 
-def fee_bracket(params: GameParams, bracket=None):
-    """Stage-I fee bracket (lo, hi), floored at participation_floor.
+def fee_bracket(params: GameParams):
+    """Stage-I fee bracket (lo, hi): [participation_floor, 100*a].
 
-    Fees below the floor are refused.  The default bracket is
-    [floor, 100*a], with a the leader reward scale.
+    a is the leader reward scale; with no reward (a == 0) the top is
+    10 * floor.  Fees below the floor are refused.
     """
-    floor = participation_floor(params)
-    if bracket is None:
-        a = leader_reward_scale(params)
-        lo, hi = floor, (100.0 * a if a > 0 else 10.0 * floor)
-    else:
-        lo, hi = max(float(bracket[0]), floor), float(bracket[1])
+    lo = participation_floor(params)
+    a = leader_reward_scale(params)
+    hi = 100.0 * a if a > 0 else 10.0 * lo
     if not (math.isfinite(lo) and math.isfinite(hi) and 0 < lo < hi):
         raise ConfigError(
             f"fee bracket must satisfy 0 < lo < hi after the participation floor "
-            f"{floor:g}; got [{lo:g}, {hi:g}]")
+            f"{lo:g}; got [{lo:g}, {hi:g}]")
     return lo, hi

@@ -166,14 +166,14 @@ def leader_delta_utility_discriminatory(game: DiscriminatoryGame, i: int,
 
 
 def optimal_fees_discriminatory(n_miners: int, unit_cost: float, params: GameParams,
-                                objective: str = "full", bracket=None):
+                                objective: str = "full"):
     """Stage I: the symmetric fixed point of the per-miner profit terms.
 
     Miner i's term a * (1 - (M-1)/(p_i * sum_j 1/p_j)) [- p_i] is concave in
     p_i.  Under "full", with the other fees at p, it peaks at p_i = p exactly
-    when p = a(M-1)^2/M^2, a point that stays fixed when clipped to the fee
-    bracket; under "simplified" it rises with p_i, so every fee is the
-    bracket top.  Returns (fee vector, summed profit).
+    when p = a(M-1)^2/M^2, a point that stays fixed when clipped to
+    fee_bracket(params); under "simplified" it rises with p_i, so every
+    fee is the bracket top.  Returns (fee vector, summed profit).
     """
     check_objective(objective)
     if n_miners < 2:
@@ -181,7 +181,7 @@ def optimal_fees_discriminatory(n_miners: int, unit_cost: float, params: GamePar
     if not (math.isfinite(unit_cost) and unit_cost > 0):
         raise ValueError(f"unit_cost must be finite and > 0, got {unit_cost!r}")
     a = leader_reward_scale(params)
-    lo, hi = fee_bracket(params, bracket)
+    lo, hi = fee_bracket(params)
     symmetric = min(max(a * (n_miners - 1) ** 2 / n_miners ** 2, lo), hi)
     fees = np.full(n_miners, hi if objective == "simplified" else symmetric)
     share = 1.0 - (n_miners - 1) / (fees * np.sum(1.0 / fees))

@@ -318,7 +318,7 @@ def _rows_fig1(cfg: ExperimentConfig):
     grid = PowerProfile(cfg.grid()).powers  # a negative edge power is rejected before dividing
     with np.errstate(over="raise"):  # a total power past the float range is not a share of 0
         share = grid / (grid + cfg.device_power)
-    model = mining_success_prob(share, params, params.tx_per_block)
+    model = mining_success_prob(share, params)
     sim = SimConfig(n_blocks=cfg.n_blocks, seed=cfg.seed, params=params)
     # same seeds for every grid point: with common draws the empirical
     # frequency is monotone in the win probability by construction
@@ -459,22 +459,24 @@ def _rows_solve_uniform(cfg: ExperimentConfig):
     fee = cfg.fee if cfg.fee is not None else optimal_fee
     game = UniformGame(cfg.edge_power, fee, cfg.unit_cost, params)
     response = best_response_uniform(game)
-    # an explicit fee can overflow the response; inf and nan are rejected
+    # an explicit fee can overflow the response, a large reward the simplified
+    # profit; inf and nan are rejected
     with np.errstate(over="ignore", invalid="ignore"):
         values = {"best_response_power": response,
                   "follower_utility": aggregate_miner_utility(game, response),
                   "leader_profit_full": leader_delta_utility_uniform(game, "full")}
+        if game.kappa > 0:
+            values["leader_profit_simplified"] = leader_delta_utility_uniform(game, "simplified")
     for name, value in values.items():
         reject_nonfinite_profits([cfg.edge_power], [fee], [value], name)
+    # the simplified objective divides by kappa; undefined at kappa == 0
+    values.setdefault("leader_profit_simplified", math.nan)
     certificate = uniqueness_certificate_uniform(game)
     return {
         "edge_power": [cfg.edge_power],
         "fee": [fee],
         "unit_cost": [cfg.unit_cost],
         **{name: [value] for name, value in values.items()},
-        # the simplified objective divides by kappa; undefined at kappa == 0
-        "leader_profit_simplified": [leader_delta_utility_uniform(game, "simplified")
-                                     if game.kappa > 0 else math.nan],
         "certified_unique": [certificate.below_quarter_bound],
         "below_quarter_bound": [certificate.below_quarter_bound],
         "below_positivity_bound": [certificate.below_positivity_bound],
@@ -507,14 +509,13 @@ def _rows_simulate(cfg: ExperimentConfig):
     outcome = simulate_mining(list(cfg.powers), sim)
     powers = np.asarray(cfg.powers, dtype=float)
     shares = powers / math.fsum(cfg.powers)
-    tx = cfg.params.tx_per_block
     # the last row is the orphaned rounds, which no miner won
     return {
         "miner": [*range(powers.size), -1],
         "power": [*powers.tolist(), math.nan],
         "share": [*shares.tolist(), math.nan],
-        "win_prob_model": [*mining_success_prob(shares, cfg.params, tx).tolist(),
-                           1.0 - cfg.params.delay_discount(tx)],
+        "win_prob_model": [*mining_success_prob(shares, cfg.params).tolist(),
+                           1.0 - cfg.params.delay_discount(cfg.params.tx_per_block)],
         "wins": [*outcome.wins.tolist(), outcome.orphans],
         "frequency": [*outcome.frequencies.tolist(), outcome.orphans / outcome.n_blocks],
         "status": ["ok"] * (powers.size + 1),

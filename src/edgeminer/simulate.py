@@ -19,16 +19,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GameParams, as_profile, fee_bill, mining_success_prob, net_profit
+from .core import GameParams, as_profile, mining_success_prob, net_profit
 from .uniform import optimal_fees_uniform
 
 __all__ = [
     "SimConfig",
     "SimOutcome",
     "emg_vs_mdg_sweep",
-    "empirical_success_prob",
     "first_miner_wins",
-    "mdg_baseline_profit",
     "simulate_mining",
 ]
 
@@ -83,7 +81,7 @@ def simulate_mining(profile, cfg: SimConfig) -> SimOutcome:
     shares = as_profile(profile).shares()
     # cumsum of nonnegative terms never decreases, so below[i] counts the
     # blocks won by miners 0..i
-    cum = np.cumsum(mining_success_prob(shares, cfg.params, cfg.params.tx_per_block))
+    cum = np.cumsum(mining_success_prob(shares, cfg.params))
     below = _count_below(_block_draws(cfg.seed, cfg.n_blocks), cum)
     return SimOutcome(
         wins=np.diff(below, prepend=0),
@@ -106,25 +104,6 @@ def first_miner_wins(win_probs, cfg: SimConfig, n_seeds: int) -> np.ndarray:
     for k in range(n_seeds):
         wins[:, k] = _count_below(_block_draws(cfg.seed + k, cfg.n_blocks), thresholds)
     return wins
-
-
-def empirical_success_prob(outcome: SimOutcome, i: int) -> float:
-    """Observed win frequency of miner i."""
-    if not 0 <= i < outcome.wins.size:
-        raise IndexError(f"miner index {i} out of range")
-    return float(outcome.wins[i]) / outcome.n_blocks
-
-
-def mdg_baseline_profit(fee_schedule, params: GameParams, mdg_delay_multiplier: float = 1.5):
-    """Leader profit when devices do all mining under an inflated delay.
-
-    With no edge power of its own the leader still collects the pool reward,
-    but every transaction now pays the multiplied propagation penalty.  At
-    multiplier 1 this equals edge_utility with the same fees.
-    """
-    if mdg_delay_multiplier < 1:
-        raise ValueError("mdg_delay_multiplier must be >= 1")
-    return net_profit(params, fee_bill(fee_schedule), mdg_delay_multiplier)
 
 
 def emg_vs_mdg_sweep(total_power_grid, edge_fraction: float, params: GameParams,

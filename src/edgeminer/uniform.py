@@ -126,13 +126,13 @@ def leader_profits_uniform(fees, edge_powers, unit_cost, discount, a, objective:
 
 
 def optimal_fee_uniform(edge_power: float, unit_cost: float, params: GameParams,
-                        objective: str = "full", bracket=None):
+                        objective: str = "full"):
     """Stage I for one instance: optimal_fees_uniform on [edge_power], as floats."""
-    fees, profits = optimal_fees_uniform([edge_power], unit_cost, params, objective, bracket)
+    fees, profits = optimal_fees_uniform([edge_power], unit_cost, params, objective)
     return float(fees[0]), float(profits[0])
 
 
-def stage1_setup(params: GameParams, objective: str, bracket=None):
+def stage1_setup(params: GameParams, objective: str):
     """(d, a, lo, hi): device discount, reward scale and fee_bracket of one instance.
 
     The simplified objective divides by kappa = fee * d, which grows with
@@ -140,7 +140,7 @@ def stage1_setup(params: GameParams, objective: str, bracket=None):
     poisson_rate) is rejected for the whole bracket.
     """
     d = params.delay_discount(params.mobile_tx_load)
-    lo, hi = fee_bracket(params, bracket)
+    lo, hi = fee_bracket(params)
     if objective == "simplified" and lo * d == 0:
         raise ValueError("the simplified objective needs fee * delay discount > 0, "
                          f"but the device-load delay discount is {d:g}")
@@ -156,11 +156,10 @@ def reject_nonfinite_profits(edge, fees, profits, quantity: str = "stage-I profi
                          f"{float(edge[k])!r}, fee {float(fees[k])!r}): {float(profits[k])!r}")
 
 
-def optimal_fees_uniform(edge_powers, unit_cost: float, params, objective: str = "full",
-                         bracket=None):
+def optimal_fees_uniform(edge_powers, unit_cost: float, params, objective: str = "full"):
     """Stage I in closed form: the fee maximizing the leader's profit, per instance.
 
-    The bracket is fee_bracket's: [participation_floor, 100*a] by default.
+    The bracket is fee_bracket(params): [participation_floor, 100*a].
     Under "full" the pool stays out while fee * d <= X * unit_cost (d the
     device-load discount), and the profit is -fee; above that it is
     a*(1 - sqrt(X*unit_cost/(fee*d))) - fee, concave with its peak at
@@ -169,7 +168,7 @@ def optimal_fees_uniform(edge_powers, unit_cost: float, params, objective: str =
     the profit rises with the fee and the optimum is the bracket top.
 
     ``edge_powers`` is a 1-D array, ``params`` one GameParams shared by every
-    instance or a sequence with one per instance, each with its own bracket.
+    instance or a sequence with one per instance.
     The profit is ``leader_profits_uniform``, and a profit that is not
     finite raises ValueError (reject_nonfinite_profits).  Returns (fees,
     profits) arrays.
@@ -184,12 +183,12 @@ def optimal_fees_uniform(edge_powers, unit_cost: float, params, objective: str =
     if not (math.isfinite(unit_cost) and unit_cost > 0):
         raise ValueError(f"unit_cost must be finite and > 0, got {unit_cost!r}")
     if isinstance(params, GameParams):
-        discount, a, lo, hi = stage1_setup(params, objective, bracket)
+        discount, a, lo, hi = stage1_setup(params, objective)
         lo, hi = np.full(edge.size, lo), np.full(edge.size, hi)
     else:
         if len(params) != edge.size:
             raise ValueError(f"{len(params)} GameParams for {edge.size} edge powers")
-        discount, a, lo, hi = np.array([stage1_setup(p, objective, bracket) for p in params],
+        discount, a, lo, hi = np.array([stage1_setup(p, objective) for p in params],
                                        dtype=float).reshape(-1, 4).T
 
     def profits(fees):

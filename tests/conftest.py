@@ -66,8 +66,7 @@ def random_feasible_disc_games(n, seed=0, m_range=(2, 10)):
     return games
 
 
-def assert_stage1_optimum(fee, profit, edge_power, unit_cost, params, objective="full",
-                          bracket=None):
+def assert_stage1_optimum(fee, profit, edge_power, unit_cost, params, objective="full"):
     """A uniform stage-I (fee, profit) against the scalar golden-section oracle.
 
     The profit is the leader's profit at the fee, bit for bit (None: not
@@ -79,7 +78,7 @@ def assert_stage1_optimum(fee, profit, edge_power, unit_cost, params, objective=
         return leader_delta_utility_uniform(UniformGame(edge_power, p, unit_cost, params),
                                             objective)
 
-    lo, hi = fee_bracket(params, bracket)
+    lo, hi = fee_bracket(params)
     oracle_fee, oracle_profit = golden_section_max(profit_at, lo, hi, rel_tol=1e-12)
     assert lo <= fee <= hi
     if profit is None:

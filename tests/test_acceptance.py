@@ -20,7 +20,6 @@ from edgeminer import (
     best_response_dynamics,
     best_response_i,
     best_response_uniform,
-    empirical_success_prob,
     golden_section_max,
     grid_argmax,
     leader_delta_utility_discriminatory,
@@ -218,8 +217,7 @@ def test_criterion_7_monte_carlo_fidelity():
         for seed in range(100):
             cfg = SimConfig(n_blocks=1000, seed=seed, params=params)
             outcome = simulate_mining([3.0, 7.0], cfg)
-            deviations = [abs(empirical_success_prob(outcome, i) - expected[i])
-                          for i in range(2)]
+            deviations = np.abs(outcome.frequencies - expected)
             if all(d <= 3.0 * s for d, s in zip(deviations, sigma)):
                 passes += 1
         assert passes >= 99

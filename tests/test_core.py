@@ -1,6 +1,7 @@
 """Primitive formulas: shares, success probability, raw utilities."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,9 +12,9 @@ from edgeminer import (
     DiscriminatoryGame,
     GameParams,
     PowerProfile,
-    edge_utility,
     miner_utilities,
     mining_success_prob,
+    net_profit,
 )
 
 from conftest import zero_delay_params
@@ -61,9 +62,9 @@ class TestPowerShare:
         base = profile.shares()
         for lam in (2.0, 0.5, 4.0, 1024.0):
             # dyadic scaling is exact in binary floating point
-            assert np.array_equal(profile.scaled(lam).shares(), base)
+            assert np.array_equal(PowerProfile(profile.powers * lam).shares(), base)
         for lam in (1.7, 3.3, 0.9):
-            np.testing.assert_allclose(profile.scaled(lam).shares(), base,
+            np.testing.assert_allclose(PowerProfile(profile.powers * lam).shares(), base,
                                        rtol=1e-13, atol=0.0)
 
     def test_negative_power_rejected(self):
@@ -73,65 +74,60 @@ class TestPowerShare:
 
 class TestMiningSuccessProb:
     def test_zero_delay_full_share(self):
-        assert mining_success_prob(1.0, zero_delay_params(), 0) == 1.0
+        assert mining_success_prob(1.0, zero_delay_params()) == 1.0
 
     def test_zero_share(self):
-        assert mining_success_prob(0.0, GameParams(), 7) == 0.0
+        assert mining_success_prob(0.0, GameParams(tx_per_block=7)) == 0.0
 
     def test_discounted_half_share(self):
-        params = GameParams(poisson_rate=0.01, delay_factor=1.0)
+        params = GameParams(poisson_rate=0.01, delay_factor=1.0, tx_per_block=10)
         # 0.5 * e^(-0.1), frozen from a 30-digit evaluation
-        assert mining_success_prob(0.5, params, 10) == pytest.approx(
+        assert mining_success_prob(0.5, params) == pytest.approx(
             0.4524187090179798, rel=1e-12)
 
     def test_bounded_by_share(self):
         rng = np.random.default_rng(11)
-        params = GameParams(poisson_rate=0.05)
         for _ in range(100):
             share = float(rng.uniform(0.0, 1.0))
-            tx = int(rng.integers(0, 40))
-            prob = mining_success_prob(share, params, tx)
+            params = GameParams(poisson_rate=0.05, tx_per_block=int(rng.integers(1, 40)))
+            prob = mining_success_prob(share, params)
             assert 0.0 <= prob <= share <= 1.0
 
     def test_monotone_in_share_and_tx(self):
         params = GameParams(poisson_rate=0.03)
         shares = np.linspace(0.0, 1.0, 21)
-        probs = [mining_success_prob(s, params, 10) for s in shares]
+        probs = [mining_success_prob(s, params) for s in shares]
         assert np.all(np.diff(probs) >= 0.0)
-        by_tx = [mining_success_prob(0.7, params, t) for t in range(15)]
-        assert np.all(np.diff(by_tx) <= 0.0)
+        by_tx = [mining_success_prob(0.7, replace(params, tx_per_block=t)) for t in range(1, 15)]
+        assert np.all(np.diff(by_tx) < 0.0)
 
     def test_share_out_of_range(self):
         with pytest.raises(ValueError):
-            mining_success_prob(1.2, GameParams(), 3)
+            mining_success_prob(1.2, GameParams())
         with pytest.raises(ValueError):
-            mining_success_prob(np.array([0.5, -0.1]), GameParams(), 3)
+            mining_success_prob(np.array([0.5, -0.1]), GameParams())
 
     def test_elementwise_equals_scalar_calls(self):
         params = GameParams(poisson_rate=0.03)
         shares = np.random.default_rng(5).uniform(0.0, 1.0, 50)
-        probs = mining_success_prob(shares, params, 10)
-        assert probs.tolist() == [float(mining_success_prob(s, params, 10)) for s in shares]
+        probs = mining_success_prob(shares, params)
+        assert probs.tolist() == [float(mining_success_prob(s, params)) for s in shares]
 
 
 class TestEdgeUtility:
     def test_no_costs(self):
         params = zero_delay_params(tx_reward=0.0, edge_overhead=0.0)
-        assert edge_utility(params, []) == 10.0
+        assert net_profit(params, 0.0) == 10.0
 
     def test_losses_representable(self):
         params = zero_delay_params(edge_overhead=5.0)
-        assert edge_utility(params, [3.0, 3.0]) == -1.0
+        assert net_profit(params, 3.0 + 3.0) == -1.0
 
     def test_discounted_case(self):
         params = GameParams(fixed_reward=5.0, tx_reward=5.0, poisson_rate=0.1,
                             delay_factor=0.5, tx_per_block=10, edge_overhead=1.0)
         # 10*e^(-0.5) - 2, frozen from a 30-digit evaluation
-        assert edge_utility(params, [1.0]) == pytest.approx(4.065306597126334, rel=1e-12)
-
-    def test_negative_fee_rejected(self):
-        with pytest.raises(ValueError):
-            edge_utility(GameParams(), [-1.0])
+        assert net_profit(params, 1.0) == pytest.approx(4.065306597126334, rel=1e-12)
 
 
 class TestMinerUtility:
@@ -169,7 +165,7 @@ class TestGameParams:
         assert GameParams(poisson_rate=0.0).delay_discount(10) == 1.0
         assert 0.0 < GameParams().delay_discount(10) <= 1.0
 
-    def test_tx_counts_integral(self):
+    def test_tx_loads_integral(self):
         with pytest.raises(ValueError):
             GameParams(tx_per_block=0)
         with pytest.raises(ValueError):

@@ -386,22 +386,22 @@ class TestOptimalFees:
         assert profit == math.fsum(_per_miner_terms(fees, a, "full"))
         _no_coordinate_moves(fees, a, "full", *fee_bracket(params))
 
-    # (params, bracket, objective, which end or None for the interior point)
+    # (params, objective, which end or None for the interior point); the
+    # symmetric point a(M-1)^2/M^2 stays below the top 100a
     cases = {
-        "floor-clamp": (zero_delay_params(min_consumption=25.0), None, "full", "lo"),
-        "top-clamp": (zero_delay_params(), (0.1, 1.25), "full", "hi"),
-        "simplified": (zero_delay_params(), None, "simplified", "hi"),
-        "no-reward": (zero_delay_params(fixed_reward=0.0), None, "full", "lo"),
-        "interior": (zero_delay_params(min_consumption=1e-3), (1e-3, 50.0), "full", None),
+        "floor-clamp": (zero_delay_params(min_consumption=25.0), "full", "lo"),
+        "simplified": (zero_delay_params(), "simplified", "hi"),
+        "no-reward": (zero_delay_params(fixed_reward=0.0), "full", "lo"),
+        "interior": (zero_delay_params(min_consumption=1e-3), "full", None),
     }
 
     @pytest.mark.parametrize("case", sorted(cases))
     def test_no_coordinate_moves_from_closed_form(self, case):
-        params, bracket, objective, end = self.cases[case]
+        params, objective, end = self.cases[case]
         a = leader_reward_scale(params)
-        lo, hi = fee_bracket(params, bracket)
+        lo, hi = fee_bracket(params)
         for m in range(2, 41):
-            fees, profit = optimal_fees_discriminatory(m, 1.0, params, objective, bracket)
+            fees, profit = optimal_fees_discriminatory(m, 1.0, params, objective)
             expected = {"lo": lo, "hi": hi, None: a * (m - 1) ** 2 / m ** 2}[end]
             np.testing.assert_array_equal(fees, np.full(m, expected))
             assert profit == math.fsum(_per_miner_terms(fees, a, objective))
@@ -410,13 +410,11 @@ class TestOptimalFees:
     def test_first_order_condition(self):
         # d/dp_i of miner i's term with the others at p: a(M-1)s/(1+p s)^2 - 1,
         # s = (M-1)/p; zero inside the bracket, <= 0 on the floor, >= 0 on top
-        for params, bracket in ((zero_delay_params(), (0.1, 20.0)),
-                                (zero_delay_params(min_consumption=9.0), (0.1, 20.0)),
-                                (zero_delay_params(), (0.1, 3.0))):
+        for params in (zero_delay_params(), zero_delay_params(min_consumption=9.0)):
             a = leader_reward_scale(params)
-            lo, hi = fee_bracket(params, bracket)
+            lo, hi = fee_bracket(params)
             for m in range(2, 41):
-                fees, _ = optimal_fees_discriminatory(m, 1.0, params, bracket=bracket)
+                fees, _ = optimal_fees_discriminatory(m, 1.0, params)
                 p = float(fees[0])
                 s = (m - 1) / p
                 slope = a * (m - 1) * s / (1.0 + p * s) ** 2 - 1.0
@@ -437,25 +435,26 @@ class TestOptimalFees:
             with pytest.raises(ValueError, match="unit_cost must be finite and > 0"):
                 optimal_fees_discriminatory(3, unit_cost, params)
         with pytest.raises(ValueError, match="bracket"):
-            optimal_fees_discriminatory(3, 0.005, params, bracket=(5.0, 1.0))
+            # a participation floor above the top 100a = 1086
+            optimal_fees_discriminatory(3, 0.005, GameParams(min_consumption=1e4))
 
     def test_simplified_runs_to_bracket_top(self):
+        # the default top, 100a with a = 10
         fees, _ = optimal_fees_discriminatory(3, 1.0, zero_delay_params(),
-                                              objective="simplified", bracket=(0.5, 12.0))
-        np.testing.assert_allclose(fees, 12.0)
+                                              objective="simplified")
+        np.testing.assert_allclose(fees, 1000.0)
 
     def test_full_symmetric_fixed_point(self):
         # analytic per-miner stationary fee is a*(M-1)^2/M^2
         fees, profit = optimal_fees_discriminatory(2, 1.0, zero_delay_params(),
-                                                   objective="full", bracket=(0.1, 20.0))
+                                                   objective="full")
         np.testing.assert_allclose(fees, 2.5, atol=1e-6)
         a = 10.0
         assert profit == pytest.approx(a - 5.0, abs=1e-6)
 
     def test_full_matches_grid_nash_oracle(self):
         params = zero_delay_params()
-        fees, _ = optimal_fees_discriminatory(2, 1.0, params,
-                                              objective="full", bracket=(0.1, 10.0))
+        fees, _ = optimal_fees_discriminatory(2, 1.0, params, objective="full")
         a = leader_reward_scale(params)
         grid = np.arange(0.1, 10.0 + 1e-9, 1e-2)
 
@@ -473,18 +472,17 @@ class TestOptimalFees:
     def test_larger_symmetric_cases(self):
         for m in (3, 5, 10):
             fees, _ = optimal_fees_discriminatory(m, 1.0, zero_delay_params(),
-                                                  objective="full", bracket=(0.1, 20.0))
+                                                  objective="full")
             expected = 10.0 * (m - 1) ** 2 / m ** 2
             np.testing.assert_allclose(fees, expected, atol=1e-5)
 
     def test_no_reward_prefers_minimal_fees(self):
-        params = zero_delay_params(fixed_reward=0.0, tx_reward=0.0)
-        fees, _ = optimal_fees_discriminatory(2, 1.0, params,
-                                              objective="full", bracket=(0.3, 5.0))
+        params = zero_delay_params(fixed_reward=0.0, tx_reward=0.0, min_consumption=0.3)
+        fees, _ = optimal_fees_discriminatory(2, 1.0, params, objective="full")
         np.testing.assert_allclose(fees, 0.3, atol=1e-9)
 
     def test_participation_floor(self):
-        params = zero_delay_params(min_consumption=1.5)
-        fees, _ = optimal_fees_discriminatory(2, 1.0, params,
-                                              objective="full", bracket=(0.1, 20.0))
-        assert np.all(fees >= 1.5)
+        # a floor above the symmetric point a(M-1)^2/M^2 = 2.5 binds
+        params = zero_delay_params(min_consumption=5.0)
+        fees, _ = optimal_fees_discriminatory(2, 1.0, params, objective="full")
+        np.testing.assert_array_equal(fees, [5.0, 5.0])

@@ -717,6 +717,21 @@ class TestStage1Sweeps:
             "(edge power 10000000000.0, fee 1e+308): inf"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_nonfinite_simplified_profit_is_a_config_error(self, fmt, tmp_path, capsys):
+        # the pool stays out and the fee is the floor 0.1, so the full profit
+        # is -0.1, but a * (1 - sqrt(X u / kappa)) overflows to -inf
+        out = tmp_path / f"report.{fmt}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["solve-uniform", "--fixed-reward", "1e300", "--unit-cost", "1e303",
+                         "--format", fmt, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: leader_profit_simplified is not finite at instance 0 "
+            "(edge power 50.0, fee 0.1): -inf"]
+        assert not out.exists()
+
 
 class TestReportFiles:
     def test_csv_round_trip_full_precision(self, tmp_path):

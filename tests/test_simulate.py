@@ -14,12 +14,10 @@ from edgeminer import (
     PowerProfile,
     SimConfig,
     SimOutcome,
-    edge_utility,
     emg_vs_mdg_sweep,
-    empirical_success_prob,
     first_miner_wins,
-    mdg_baseline_profit,
     mining_success_prob,
+    net_profit,
     simulate,
     simulate_mining,
 )
@@ -153,7 +151,7 @@ class TestSimulateMining:
         expected = 0.5 * math.exp(-0.1)
         sigma = math.sqrt(expected * (1 - expected) / cfg.n_blocks)
         for i in range(2):
-            assert abs(empirical_success_prob(outcome, i) - expected) <= 3 * sigma
+            assert abs(outcome.frequencies[i] - expected) <= 3 * sigma
 
     def test_statistical_fidelity_over_seeds(self):
         expected = 0.5 * math.exp(-0.1)
@@ -161,7 +159,7 @@ class TestSimulateMining:
         passes = 0
         for seed in range(100):
             outcome = simulate_mining([0.5, 0.5], _sim(seed=seed))
-            if all(abs(empirical_success_prob(outcome, i) - expected) <= 3 * sigma
+            if all(abs(outcome.frequencies[i] - expected) <= 3 * sigma
                    for i in range(2)):
                 passes += 1
         assert passes >= 99
@@ -174,7 +172,7 @@ class TestFirstMinerWins:
     def _check_against_per_block(profiles):
         cfg = _sim(seed=40, n_blocks=250, tx_per_block=4)
         win_probs = [mining_success_prob(PowerProfile(np.asarray(p, dtype=float)).shares()[0],
-                                         cfg.params, 4) for p in profiles]
+                                         cfg.params) for p in profiles]
         wins = first_miner_wins(win_probs, cfg, 6)
         assert wins.shape == (len(profiles), 6)
         for j, powers in enumerate(profiles):
@@ -201,39 +199,39 @@ class TestFirstMinerWins:
 class TestEmpiricalSuccessProb:
     def test_direct_ratio(self):
         outcome = SimOutcome(wins=np.array([450]), orphans=550, n_blocks=1000)
-        assert empirical_success_prob(outcome, 0) == 0.45
+        assert outcome.frequencies[0] == 0.45
 
     def test_zero_wins(self):
         outcome = SimOutcome(wins=np.array([0, 10]), orphans=990, n_blocks=1000)
-        assert empirical_success_prob(outcome, 0) == 0.0
+        assert outcome.frequencies[0] == 0.0
 
     def test_symmetric_counts(self):
         outcome = SimOutcome(wins=np.array([250, 250, 250, 250]), orphans=0, n_blocks=1000)
-        assert [empirical_success_prob(outcome, i) for i in range(4)] == [0.25] * 4
+        assert outcome.frequencies.tolist() == [0.25] * 4
 
 
 class TestMdgBaseline:
-    def test_matches_edge_utility_at_unit_multiplier(self):
-        params = GameParams()
-        fees = [1.5, 0.7]
-        assert mdg_baseline_profit(fees, params, 1.0) == pytest.approx(
-            edge_utility(params, fees))
+    def test_unit_multiplier_is_the_edge_profit(self):
+        params, bill = GameParams(), 1.5 + 0.7
+        # 12*e^(-0.1) - bill - 0.5: the edge scheme's profit on the same bill
+        assert net_profit(params, bill, 1.0) == net_profit(params, bill) == pytest.approx(
+            12.0 * math.exp(-0.1) - bill - 0.5, rel=1e-12)
 
     def test_doubled_delay_value(self):
         params = GameParams(fixed_reward=8.0, tx_reward=2.0, poisson_rate=0.01,
                             delay_factor=1.0, tx_per_block=10, edge_overhead=0.0)
         # 10*e^(-0.2) - 2, frozen from a 30-digit evaluation
-        assert mdg_baseline_profit([2.0], params, 2.0) == pytest.approx(
+        assert net_profit(params, 2.0, 2.0) == pytest.approx(
             6.187307530779819, rel=1e-12)
 
     def test_limit_of_huge_delay(self):
         params = GameParams(edge_overhead=0.25)
-        profit = mdg_baseline_profit([2.0], params, 1e9)
+        profit = net_profit(params, 2.0, 1e9)
         assert profit == pytest.approx(-2.25)
 
     def test_multiplier_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            mdg_baseline_profit([1.0], GameParams(), 0.5)
+        with pytest.raises(ValueError, match="mdg_delay_multiplier must be >= 1"):
+            emg_vs_mdg_sweep([100.0], 0.5, GameParams(), 0.01, mdg_delay_multiplier=0.5)
 
 
 class TestSweep:
@@ -293,8 +291,7 @@ class TestSweep:
     def test_overflowing_mdg_fee_rejected(self, objective):
         # at a total of 1e306, X*u/d is far above the bracket top: under "full"
         # no fee recruits the pool, the fee is the floor and the row is finite;
-        # under "simplified" the fee is 100a and fee_emg * total overflows, as
-        # mdg_baseline_profit would reject it on the per-point path
+        # under "simplified" the fee is 100a and fee_emg * total overflows
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             if objective == "full":

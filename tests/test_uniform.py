@@ -3,6 +3,7 @@
 import math
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -176,8 +177,7 @@ class TestLeaderObjective:
 
 class TestOptimalFee:
     def test_analytic_optimum(self):
-        fee, profit = optimal_fee_uniform(1.0, 1.0, zero_delay_params(),
-                                          objective="full", bracket=(0.1, 50.0))
+        fee, profit = optimal_fee_uniform(1.0, 1.0, zero_delay_params(), objective="full")
         assert fee == pytest.approx(P_OPT_ANALYTIC, abs=1e-6)
         assert profit == pytest.approx(PROFIT_AT_OPT, abs=1e-9)
 
@@ -200,26 +200,26 @@ class TestOptimalFee:
         assert residual == pytest.approx(1.0, abs=1e-6)
 
     def test_simplified_runs_to_bracket_top(self):
-        fee, _ = optimal_fee_uniform(1.0, 1.0, zero_delay_params(),
-                                     objective="simplified", bracket=(0.5, 20.0))
-        assert fee == 20.0
+        # the default top, 100a with a = 10
+        fee, _ = optimal_fee_uniform(1.0, 1.0, zero_delay_params(), objective="simplified")
+        assert fee == 1000.0
 
     def test_no_reward_prefers_cheapest_fee(self):
-        params = zero_delay_params(fixed_reward=0.0, tx_reward=0.0)
-        fee, profit = optimal_fee_uniform(1.0, 1.0, params,
-                                          objective="full", bracket=(0.5, 5.0))
+        params = zero_delay_params(fixed_reward=0.0, tx_reward=0.0, min_consumption=0.5)
+        fee, profit = optimal_fee_uniform(1.0, 1.0, params, objective="full")
         assert fee == 0.5
         assert profit <= 0.0
 
     def test_inverted_bracket_rejected(self):
-        with pytest.raises(ConfigError):
-            optimal_fee_uniform(1.0, 1.0, zero_delay_params(), bracket=(5.0, 1.0))
+        # a participation floor of 5000 above the top 100a = 1000
+        with pytest.raises(ConfigError, match="fee bracket must satisfy 0 < lo < hi"):
+            optimal_fee_uniform(1.0, 1.0, zero_delay_params(min_consumption=5000.0))
 
     def test_participation_floor_applies(self):
-        params = zero_delay_params(min_consumption=2.0)
-        fee, _ = optimal_fee_uniform(1.0, 1.0, params, objective="full",
-                                     bracket=(0.01, 50.0))
-        assert fee >= 2.0
+        # a floor above p* = 2.924 binds
+        params = zero_delay_params(min_consumption=5.0)
+        fee, _ = optimal_fee_uniform(1.0, 1.0, params, objective="full")
+        assert fee == 5.0
 
 
 class TestScalarViews:
@@ -303,13 +303,13 @@ _log_uniform = lambda lo, hi: st.floats(lo, hi).map(lambda e: 10.0 ** e)  # noqa
 
 @st.composite
 def _stage1_instances(draw):
-    """(regime, edge power, unit cost, params, objective, bracket), one regime each.
+    """(regime, edge power, unit cost, params, objective), one regime each.
 
     large-reward puts p* in a bracket 100a wide, with a up to 1e22; floor
-    and top clamp p* with a custom bracket; pool-out has X*u/d >= a/2,
-    where p* <= X*u/d and no fee recruits the pool.
+    puts min_consumption above p*; pool-out has X*u/d >= a/2, where
+    p* <= X*u/d and no fee recruits the pool.
     """
-    regime = draw(st.sampled_from(["interior", "large-reward", "floor", "top", "pool-out",
+    regime = draw(st.sampled_from(["interior", "large-reward", "floor", "pool-out",
                                    "no-reward", "zero-discount", "simplified"]))
     edge, cost = draw(_log_uniform(-3.0, 2.0)), draw(_log_uniform(-3.0, 0.0))
     values = {"fixed_reward": draw(st.floats(0.5, 100.0)),
@@ -322,19 +322,15 @@ def _stage1_instances(draw):
         values.update(fixed_reward=0.0, tx_reward=0.0)
     elif regime == "zero-discount":
         values.update(poisson_rate=100.0)
-    elif regime in ("floor", "top"):
-        values.update(min_consumption=0.0)
     elif regime == "pool-out":
         cost = draw(st.floats(1.0, 10.0))
         edge = 200.0 * draw(st.floats(1.0, 100.0)) / cost
     params = GameParams(**values)
-    bracket = None
-    if regime in ("floor", "top"):
+    if regime == "floor":
         star, factor = _p_star(edge, cost, params), draw(st.floats(1.5, 10.0))
-        bracket = ((star * factor, star * factor ** 2) if regime == "floor"
-                   else (star / factor ** 2, star / factor))
+        params = replace(params, min_consumption=star * factor)
     objective = "simplified" if regime == "simplified" else "full"
-    return regime, edge, cost, params, objective, bracket
+    return regime, edge, cost, params, objective
 
 
 class TestClosedFormStage1:
@@ -343,18 +339,16 @@ class TestClosedFormStage1:
     @settings(max_examples=400, derandomize=True, deadline=None)
     @given(_stage1_instances())
     def test_no_fee_beats_the_closed_form(self, instance):
-        regime, edge, cost, params, objective, bracket = instance
-        fee, profit = optimal_fee_uniform(edge, cost, params, objective, bracket)
-        assert_stage1_optimum(fee, profit, edge, cost, params, objective, bracket)
-        lo, hi = fee_bracket(params, bracket)
+        regime, edge, cost, params, objective = instance
+        fee, profit = optimal_fee_uniform(edge, cost, params, objective)
+        assert_stage1_optimum(fee, profit, edge, cost, params, objective)
+        lo, hi = fee_bracket(params)
         if regime in ("pool-out", "no-reward", "zero-discount"):
             assert (fee, profit) == (lo, -lo)
         elif regime == "floor":
             assert fee == lo
         elif regime == "simplified":
             assert fee == hi
-        elif regime == "top":
-            assert fee in (lo, hi)
 
     def test_large_reward_to_1e_12(self):
         # the search stopped at 1e-9 of a 100a-wide bracket, 4e-4 off p* here
@@ -388,15 +382,14 @@ class TestOptimalFeesUniform:
 
     @pytest.mark.parametrize("objective", ["full", "simplified"])
     def test_params_per_instance_and_bracket(self, objective):
+        # each instance's bracket is its own params' [floor, 100a]
         points = [GameParams(fixed_reward=r, mobile_tx_load=3 + k, min_consumption=0.5 * k)
                   for k, r in enumerate([0.5, 3.0, 10.0, 40.0, 90.0, 200.0])]
-        fees, profits = optimal_fees_uniform(self.EDGE, 0.02, points, objective,
-                                             bracket=(0.05, 600.0))
+        fees, profits = optimal_fees_uniform(self.EDGE, 0.02, points, objective)
         for k, (edge_power, params) in enumerate(zip(self.EDGE, points)):
-            assert_stage1_optimum(fees[k], profits[k], edge_power, 0.02, params, objective,
-                                  bracket=(0.05, 600.0))
-            assert (fees[k], profits[k]) == optimal_fee_uniform(
-                edge_power, 0.02, params, objective, bracket=(0.05, 600.0))
+            assert_stage1_optimum(fees[k], profits[k], edge_power, 0.02, params, objective)
+            assert (fees[k], profits[k]) == optimal_fee_uniform(edge_power, 0.02, params,
+                                                                objective)
 
     def test_empty(self):
         fees, profits = optimal_fees_uniform([], 0.005, [])
