@@ -9,7 +9,10 @@ bit-reproducible.
 A block's uniform draw u goes to miner i when cum[i-1] <= u < cum[i], with
 cum the cumulative win probabilities, so the number of blocks won by miners
 0..i is the number of draws below cum[i].  Wins are counted that way
-(``_count_below``), never block by block.
+(``_count_below``), never block by block, over draws streamed 65,536 at a
+time (``_count_stream_below``): chunked PCG64 gives the same doubles as one
+call and the counts are exact integers, so results do not depend on the
+chunk size, and memory does not depend on n_blocks.
 """
 
 from __future__ import annotations
@@ -31,6 +34,11 @@ __all__ = [
 ]
 
 
+def _is_integer(value) -> bool:
+    # bool is an int subclass, but True blocks or seeds are a caller's mistake
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Simulation setup: 1000 blocks by default, of params.tx_per_block transactions."""
@@ -40,9 +48,9 @@ class SimConfig:
     params: GameParams = field(default_factory=GameParams)
 
     def __post_init__(self):
-        if not isinstance(self.n_blocks, (int, np.integer)) or self.n_blocks < 1:
+        if not _is_integer(self.n_blocks) or self.n_blocks < 1:
             raise ValueError(f"n_blocks must be an integer >= 1, got {self.n_blocks!r}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if not _is_integer(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
 
@@ -59,9 +67,7 @@ class SimOutcome:
         return self.wins / self.n_blocks
 
 
-def _block_draws(seed: int, n_blocks: int) -> np.ndarray:
-    """One uniform in [0, 1) per block from the seed's pinned PCG64 stream."""
-    return np.random.Generator(np.random.PCG64(seed)).random(n_blocks)
+_CHUNK = 1 << 16
 
 
 def _count_below(draws: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
@@ -76,13 +82,29 @@ def _count_below(draws: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     return np.searchsorted(np.sort(draws), thresholds, side="left").astype(np.int64, copy=False)
 
 
+def _count_stream_below(seed: int, n_blocks: int, thresholds: np.ndarray) -> np.ndarray:
+    """``_count_below`` over the seed's n_blocks draws, one uniform in [0, 1) per block.
+
+    The draws come from the seed's pinned PCG64 stream ``_CHUNK`` at a time
+    into one reused buffer, so the kernel's log2 rule applies per chunk.
+    """
+    rng = np.random.Generator(np.random.PCG64(seed))
+    buffer = np.empty(min(n_blocks, _CHUNK))
+    counts = np.zeros(thresholds.size, dtype=np.int64)
+    for start in range(0, n_blocks, _CHUNK):
+        draws = buffer[:min(_CHUNK, n_blocks - start)]
+        rng.random(out=draws)
+        counts += _count_below(draws, thresholds)
+    return counts
+
+
 def simulate_mining(profile, cfg: SimConfig) -> SimOutcome:
     """Run cfg.n_blocks categorical mining rounds; deterministic per seed."""
     shares = as_profile(profile).shares()
     # cumsum of nonnegative terms never decreases, so below[i] counts the
     # blocks won by miners 0..i
     cum = np.cumsum(mining_success_prob(shares, cfg.params))
-    below = _count_below(_block_draws(cfg.seed, cfg.n_blocks), cum)
+    below = _count_stream_below(cfg.seed, cfg.n_blocks, cum)
     return SimOutcome(
         wins=np.diff(below, prepend=0),
         orphans=int(cfg.n_blocks - below[-1]),
@@ -97,12 +119,12 @@ def first_miner_wins(win_probs, cfg: SimConfig, n_seeds: int) -> np.ndarray:
     cfg.seed + k when miner 0 of the profile wins with probability
     win_probs[j], i.e. the number of that seed's draws below win_probs[j].
     """
-    if not isinstance(n_seeds, (int, np.integer)) or n_seeds < 1:
+    if not _is_integer(n_seeds) or n_seeds < 1:
         raise ValueError(f"n_seeds must be an integer >= 1, got {n_seeds!r}")
     thresholds = np.asarray(win_probs, dtype=float)
     wins = np.empty((thresholds.size, n_seeds), dtype=np.int64)
     for k in range(n_seeds):
-        wins[:, k] = _count_below(_block_draws(cfg.seed + k, cfg.n_blocks), thresholds)
+        wins[:, k] = _count_stream_below(cfg.seed + k, cfg.n_blocks, thresholds)
     return wins
 
 

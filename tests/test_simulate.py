@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -54,9 +55,10 @@ def _assert_matches_per_block(powers, cfg):
 
 
 def _miner_counts(n_blocks):
-    # the kernel makes one comparison pass per threshold up to log2(n_blocks)
-    # thresholds and sorts the draws past that: straddle the switch
-    switch = math.floor(math.log2(n_blocks))
+    # the kernel makes one comparison pass per threshold up to log2 of a
+    # chunk's length, min(n_blocks, _CHUNK), and sorts the chunk past that:
+    # straddle the switch
+    switch = math.floor(math.log2(min(n_blocks, simulate._CHUNK)))
     return sorted({1, 3, *(m for m in (switch - 1, switch, switch + 1) if m >= 1)})
 
 
@@ -100,6 +102,55 @@ class TestAgainstPerBlockReference:
            rate=st.sampled_from([0.0, 0.001, 0.01, 0.1, 100.0]))
     def test_random_profiles(self, powers, seed, n_blocks, rate):
         _assert_matches_per_block(powers, _sim(seed=seed, n_blocks=n_blocks, poisson_rate=rate))
+
+
+def _one_shot_below(seed, n_blocks, thresholds):
+    """Oracle: the kernel over all of a seed's draws, drawn in one call."""
+    draws = np.random.Generator(np.random.PCG64(seed)).random(n_blocks)
+    return simulate._count_below(draws, np.asarray(thresholds, dtype=float))
+
+
+CHUNK_EDGES = [1, simulate._CHUNK - 1, simulate._CHUNK, simulate._CHUNK + 1,
+               2 * simulate._CHUNK + 1, 1_000_003]
+
+
+class TestChunkedStream:
+    # up to 16 thresholds: comparison passes over each full chunk; 17 or more: a sort
+    @pytest.mark.parametrize("n_blocks", CHUNK_EDGES)
+    @pytest.mark.parametrize("n_miners", [1, 3, 16, 17, 40])
+    def test_simulate_mining_equals_one_shot(self, n_blocks, n_miners):
+        powers = np.random.default_rng(n_miners).uniform(0.5, 20.0, n_miners)
+        cfg = _sim(seed=n_blocks % 1009, n_blocks=n_blocks)
+        cum = np.cumsum(mining_success_prob(PowerProfile(powers).shares(), cfg.params))
+        below = _one_shot_below(cfg.seed, n_blocks, cum)
+        outcome = simulate_mining(powers, cfg)
+        assert outcome.wins.tolist() == np.diff(below, prepend=0).tolist()
+        assert outcome.orphans == n_blocks - below[-1]
+
+    @pytest.mark.parametrize("n_blocks", CHUNK_EDGES)
+    @pytest.mark.parametrize("n_thresholds", [1, 16, 17, 50])
+    def test_first_miner_wins_equals_one_shot(self, n_blocks, n_thresholds):
+        # unsorted, with a tie and both ends of [0, 1]
+        thresholds = np.concatenate(([0.5, 1.0, 0.0, 0.5],
+                                     np.random.default_rng(n_thresholds).uniform(0.0, 1.0, 46)))
+        thresholds = thresholds[:n_thresholds]
+        wins = first_miner_wins(thresholds, _sim(seed=9, n_blocks=n_blocks), 2)
+        for k in range(2):
+            assert wins[:, k].tolist() == _one_shot_below(9 + k, n_blocks, thresholds).tolist()
+
+    @pytest.mark.parametrize("run", [
+        lambda: simulate_mining([1.0, 2.0, 3.0], _sim(seed=3, n_blocks=3_000_000)),
+        lambda: first_miner_wins(np.linspace(0.01, 0.99, 50), _sim(seed=3, n_blocks=3_000_000), 2),
+    ], ids=["simulate_mining", "first_miner_wins"])
+    def test_memory_does_not_grow_with_blocks(self, run):
+        # all 3e6 draws at once would take 22.9 MiB
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestCountBelow:
@@ -190,10 +241,26 @@ class TestFirstMinerWins:
                     for j, base in enumerate(self.PROFILES * 5)]
         self._check_against_per_block(profiles)
 
-    @pytest.mark.parametrize("n_seeds", [0, -1, 2.0])
+    @pytest.mark.parametrize("n_seeds", [0, -1, 2.0, True])
     def test_bad_seed_count_rejected(self, n_seeds):
         with pytest.raises(ValueError, match="n_seeds"):
             first_miner_wins([0.5], _sim(), n_seeds)
+
+
+class TestSimConfig:
+    @pytest.mark.parametrize("n_blocks", [0, -3, 2.0, True, False])
+    def test_bad_block_count_rejected(self, n_blocks):
+        with pytest.raises(ValueError, match="n_blocks must be an integer >= 1"):
+            SimConfig(n_blocks=n_blocks)
+
+    @pytest.mark.parametrize("seed", [-1, 0.0, True, False])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            SimConfig(seed=seed)
+
+    def test_numpy_integers_accepted(self):
+        cfg = SimConfig(n_blocks=np.int64(5), seed=np.uint32(7))
+        assert simulate_mining([1.0], cfg).n_blocks == 5
 
 
 class TestEmpiricalSuccessProb:
