@@ -66,8 +66,18 @@ def _settings_from_args(args: argparse.Namespace) -> dict:
     return data
 
 
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        # one parser per process; parse_intermixed_args sets this usage (the
+        # generated one without "usage: ") on every call, so setting it once
+        # leaves --help and error texts as they are
+        _parser = build_parser()
+        _parser.usage = _parser.format_usage()[7:]
+    parser = _parser
     args = parser.parse_args(argv)
     if (args.command == "fig") != (args.number is not None):
         parser.error("a figure number N goes with 'fig' and only with 'fig'")

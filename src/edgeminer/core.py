@@ -33,6 +33,11 @@ __all__ = [
 OBJECTIVES = ("full", "simplified")
 
 
+def is_integer(value) -> bool:
+    # bool is an int subclass, but True blocks or seeds are a caller's mistake
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 class DegenerateProfileError(ValueError):
     """Power shares were requested for a profile with zero total power."""
 
@@ -88,7 +93,7 @@ class GameParams:
                 errors.append(f"{name} must be >= 0, got {value!r}")
         for name in ("tx_per_block", "mobile_tx_load"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
+            if not is_integer(value) or value < 1:
                 errors.append(f"{name} must be an integer >= 1, got {value!r}")
         if errors:
             raise ConfigError(errors)

@@ -8,11 +8,10 @@ subcommand.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
+import re
 from dataclasses import dataclass, field, fields, replace
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -22,6 +21,7 @@ from .core import (
     GameParams,
     PowerProfile,
     device_discount,
+    is_integer,
     leader_reward_scale,
     mining_success_prob,
     net_profit,
@@ -133,20 +133,27 @@ class ExperimentConfig:
     format: str = "csv"
 
     def __post_init__(self):
-        # a non-finite value is reported once, as such: its range checks are skipped
-        nonfinite = []
+        # a non-finite float or a non-integer count (a bool among them) is
+        # reported once, as such: its range checks are skipped
+        nonfinite, nonint = [], []
         for f in fields(self):
             kind, value = _field_type(f), getattr(self, f.name)
             if kind in ("float", "tuple") and value is not None and not all(
                     map(math.isfinite, value if kind == "tuple" else (value,))):
                 nonfinite.append(f.name)
+            if kind == "int" and value is not None and not is_integer(value):
+                nonint.append(f.name)
+
+        def at_least(name, low):
+            return name in nonint or getattr(self, name) >= low
+
         checks = (
             ("kind", self.kind in KINDS, f"kind must be one of {KINDS}, got {self.kind!r}"),
             ("unit_cost", self.unit_cost > 0, f"unit_cost must be > 0, got {self.unit_cost!r}"),
-            ("n_miners", self.n_miners >= 2, f"n_miners must be >= 2, got {self.n_miners!r}"),
-            ("n_blocks", self.n_blocks >= 1, f"n_blocks must be >= 1, got {self.n_blocks!r}"),
-            ("n_seeds", self.n_seeds >= 1, f"n_seeds must be >= 1, got {self.n_seeds!r}"),
-            ("seed", self.seed >= 0, f"seed must be >= 0, got {self.seed!r}"),
+            ("n_miners", at_least("n_miners", 2), f"n_miners must be >= 2, got {self.n_miners!r}"),
+            ("n_blocks", at_least("n_blocks", 1), f"n_blocks must be >= 1, got {self.n_blocks!r}"),
+            ("n_seeds", at_least("n_seeds", 1), f"n_seeds must be >= 1, got {self.n_seeds!r}"),
+            ("seed", at_least("seed", 0), f"seed must be >= 0, got {self.seed!r}"),
             ("fee", self.fee is None or self.fee > 0, f"fee must be > 0, got {self.fee!r}"),
             ("fees", self.fees is None or all(f > 0 for f in self.fees), "fees must all be > 0"),
             ("edge_fraction", 0 < self.edge_fraction < 1,
@@ -172,6 +179,7 @@ class ExperimentConfig:
         errors = [message for name, ok, message in checks
                   if not ok and name not in nonfinite]
         errors += [f"{name} must be finite, got {getattr(self, name)!r}" for name in nonfinite]
+        errors += [f"{name} must be an integer, got {getattr(self, name)!r}" for name in nonint]
 
         start, stop, steps = self.resolved_grid()
         grid_given = any(v is not None for v in (self.grid_start, self.grid_stop,
@@ -183,7 +191,7 @@ class ExperimentConfig:
             else:
                 if not start < stop and not {"grid_start", "grid_stop"} & set(nonfinite):
                     errors.append(f"grid_start must be < grid_stop, got [{start!r}, {stop!r}]")
-                if steps < 2:
+                if "grid_steps" not in nonint and steps < 2:
                     errors.append(f"grid_steps must be >= 2, got {steps!r}")
         if self.kind == "solve-disc" and self.fees is None:
             errors.append("solve-disc requires a 'fees' list")
@@ -543,22 +551,51 @@ class Table(dict):
         return len(self["status"])
 
 
-# a CSV cell's text follows its Python type; floats round-trip
-_CELL_TEXT = {bool: {True: "true", False: "false"}.__getitem__, int: int.__repr__,
-              float: float.__repr__, str: str}
+# a cell's text follows its Python type; floats round-trip
+_CSV_CELL = {bool: {True: "true", False: "false"}.__getitem__, int: int.__repr__,
+             float: float.__repr__, str: str}
+_JSON_CELL = {**_CSV_CELL, str: encode_basestring_ascii}
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# csv.writer's QUOTE_MINIMAL with lineterminator "\n": a cell holding the
+# delimiter, the quote character or the line terminator is quoted
+_CSV_SPECIAL = re.compile('[,"\n]')
+
+
+def _csv_quote(texts):
+    if not _CSV_SPECIAL.search("".join(texts)):
+        return texts
+    return ['"' + t.replace('"', '""') + '"' if _CSV_SPECIAL.search(t) else t for t in texts]
+
+
+def _column_text(cells, cell_text):
+    """A column's cell texts: in one pass when its cells share a type, else cell by cell."""
+    types = set(map(type, cells))
+    if len(types) == 1:
+        return list(map(cell_text[types.pop()], cells))
+    return [cell_text[type(cell)](cell) for cell in cells]
 
 
 def render_report(columns, fmt: str) -> str:
-    """Serialize report columns to CSV or JSON text with round-trippable floats."""
+    """Serialize report columns to CSV or JSON text with round-trippable floats.
+
+    The text is built column by column and equals, byte for byte, what
+    ``csv.writer(lineterminator="\\n")`` writes of the cells' texts and what
+    ``json.dumps(rows, indent=2) + "\\n"`` writes of the row objects.
+    """
     if fmt == "json":
-        rows = [dict(zip(columns, cells)) for cells in zip(*columns.values())]
-        return json.dumps(rows, indent=2) + "\n"
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows(zip(*([_CELL_TEXT[type(cell)](cell) for cell in column]
-                           for column in columns.values())))
-    return buffer.getvalue()
+        # of the cell texts only a float's can read nan, inf or -inf: a string's is quoted
+        texts = (_column_text(cells, _JSON_CELL) for cells in columns.values())
+        rows = zip(*(map(_JSON_NONFINITE.get, t, t) for t in texts))
+        members = ",\n".join(f"    {encode_basestring_ascii(name).replace('%', '%%')}: %s"
+                              for name in columns)
+        template = f"  {{\n{members}\n  }}"
+        body = ",\n".join([template % cells for cells in rows])
+        return f"[\n{body}\n]\n" if body else "[]\n"
+    texts = (_csv_quote(_column_text(cells, _CSV_CELL)) for cells in columns.values())
+    lines = [",".join(_csv_quote(list(columns))), *map(",".join, zip(*texts))]
+    if len(columns) == 1:  # csv.writer quotes a row's one empty cell
+        lines = [line or '""' for line in lines]
+    return "\n".join(lines) + "\n"
 
 
 def run_experiment(cfg: ExperimentConfig):

@@ -17,12 +17,11 @@ chunk size, and memory does not depend on n_blocks.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GameParams, as_profile, mining_success_prob, net_profit
+from .core import GameParams, as_profile, is_integer, mining_success_prob, net_profit
 from .uniform import optimal_fees_uniform
 
 __all__ = [
@@ -34,11 +33,6 @@ __all__ = [
 ]
 
 
-def _is_integer(value) -> bool:
-    # bool is an int subclass, but True blocks or seeds are a caller's mistake
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Simulation setup: 1000 blocks by default, of params.tx_per_block transactions."""
@@ -48,9 +42,9 @@ class SimConfig:
     params: GameParams = field(default_factory=GameParams)
 
     def __post_init__(self):
-        if not _is_integer(self.n_blocks) or self.n_blocks < 1:
+        if not is_integer(self.n_blocks) or self.n_blocks < 1:
             raise ValueError(f"n_blocks must be an integer >= 1, got {self.n_blocks!r}")
-        if not _is_integer(self.seed) or self.seed < 0:
+        if not is_integer(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
 
@@ -68,16 +62,18 @@ class SimOutcome:
 
 
 _CHUNK = 1 << 16
+# on one full chunk, 25 comparison passes cost about what one sort does
+_COMPARE_UP_TO = 25
 
 
 def _count_below(draws: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     """Number of draws strictly below each threshold, as int64.
 
-    Up to log2(len(draws)) thresholds cost one comparison pass over the
+    Up to ``_COMPARE_UP_TO`` thresholds cost one comparison pass over the
     draws each; past that, one sort of the draws and a binary search per
     threshold is cheaper.  Both give the same exact counts.
     """
-    if thresholds.size <= math.log2(draws.size):
+    if thresholds.size <= _COMPARE_UP_TO:
         return np.array([np.count_nonzero(draws < t) for t in thresholds], dtype=np.int64)
     return np.searchsorted(np.sort(draws), thresholds, side="left").astype(np.int64, copy=False)
 
@@ -86,7 +82,7 @@ def _count_stream_below(seed: int, n_blocks: int, thresholds: np.ndarray) -> np.
     """``_count_below`` over the seed's n_blocks draws, one uniform in [0, 1) per block.
 
     The draws come from the seed's pinned PCG64 stream ``_CHUNK`` at a time
-    into one reused buffer, so the kernel's log2 rule applies per chunk.
+    into one reused buffer.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     buffer = np.empty(min(n_blocks, _CHUNK))
@@ -119,7 +115,7 @@ def first_miner_wins(win_probs, cfg: SimConfig, n_seeds: int) -> np.ndarray:
     cfg.seed + k when miner 0 of the profile wins with probability
     win_probs[j], i.e. the number of that seed's draws below win_probs[j].
     """
-    if not _is_integer(n_seeds) or n_seeds < 1:
+    if not is_integer(n_seeds) or n_seeds < 1:
         raise ValueError(f"n_seeds must be an integer >= 1, got {n_seeds!r}")
     thresholds = np.asarray(win_probs, dtype=float)
     wins = np.empty((thresholds.size, n_seeds), dtype=np.int64)

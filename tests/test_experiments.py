@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from edgeminer import (
     ConfigError,
@@ -21,6 +23,7 @@ from edgeminer import (
     SimConfig,
     UniformGame,
     best_response_dynamics,
+    cli,
     discriminatory,
     experiments,
     leader_delta_utility_uniform,
@@ -126,6 +129,21 @@ class TestValidateConfig:
     def test_fee_search_choices(self):
         with pytest.raises(ConfigError):
             validate_config("kind = solve-uniform\nfee_search = newton\n")
+
+    @pytest.mark.parametrize("value", [True, False, 3.0, "3"])
+    @pytest.mark.parametrize("name", ["n_blocks", "n_seeds", "seed", "n_miners", "grid_steps"])
+    def test_count_must_be_an_integer(self, name, value):
+        # bool is an int subclass, but True blocks or seeds are a caller's mistake
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(kind="fig1", **{name: value})
+        assert err.value.errors == [f"{name} must be an integer, got {value!r}"]
+        with pytest.raises(ConfigError):
+            dataclasses.replace(ExperimentConfig(kind="fig1"), **{name: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = ExperimentConfig(kind="fig1", n_blocks=np.int64(7), seed=np.uint32(2),
+                               grid_steps=np.int32(3))
+        assert (cfg.n_blocks, cfg.seed, cfg.grid().size) == (7, 2, 3)
 
     @pytest.mark.parametrize("kind", ["fig5", "fig6"])
     def test_empty_edge_fractions_rejected(self, kind, tmp_path):
@@ -787,6 +805,55 @@ class TestReportFiles:
         assert text == "x,y,status\ntrue,1,ok\nfalse,-1,ok\n"
 
 
+# the reference writers: csv.writer over each cell's text, and json.dumps
+_CELL_TEXT = {bool: {True: "true", False: "false"}.__getitem__, int: int.__repr__,
+              float: float.__repr__, str: str}
+
+
+def _reference_report(columns, fmt):
+    if fmt == "json":
+        return json.dumps(_rows(columns), indent=2) + "\n"
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(zip(*([_CELL_TEXT[type(cell)](cell) for cell in column]
+                           for column in columns.values())))
+    return buffer.getvalue()
+
+
+_TEXT = st.text(st.sampled_from(',"\n\r%{}:\\ aé\x00\u2028😀') | st.characters(), max_size=6)
+_CELLS = {
+    "float": st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324,
+                                            2.2e-308, 1e-308, 1e308, -1e308]),
+    "int": st.integers(-2**70, 2**70),
+    "bool": st.booleans(),
+    "str": _TEXT,
+}
+
+
+@st.composite
+def _tables(draw):
+    """Columns of equal length; a column draws its cells from one to four cell types."""
+    n_rows = draw(st.sampled_from([0, 1]) | st.integers(0, 6))
+    columns = {}
+    for name in draw(st.lists(_TEXT, min_size=1, max_size=5, unique=True)):
+        kinds = draw(st.lists(st.sampled_from(sorted(_CELLS)), min_size=1, max_size=4))
+        columns[name] = draw(st.lists(st.one_of(*(_CELLS[k] for k in kinds)),
+                                      min_size=n_rows, max_size=n_rows))
+    return columns
+
+
+class TestRenderReport:
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(columns=_tables())
+    @example(columns={"status": []})
+    @example(columns={"": [""]})
+    @example(columns={"a,b": ['say "hi"\n', "x\ry"], "n": [1, True]})
+    def test_equals_the_reference_writers(self, fmt, columns):
+        assert render_report(columns, fmt) == _reference_report(columns, fmt)
+
+
 class TestTrends:
     def test_fig1_monotone_columns(self, tmp_path):
         table, _, _ = _run("fig1", tmp_path, grid_steps=20, n_seeds=5)
@@ -1081,3 +1148,57 @@ class TestCli:
         out = tmp_path / "f.csv"
         assert main(["fig", "--grid-steps", "4", "2", "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 5
+
+
+class TestParserReuse:
+    """main keeps one parser per process: no call may see another call's flags."""
+
+    def test_built_once_and_build_parser_stays_a_factory(self, monkeypatch, tmp_path):
+        built = []
+
+        def counting_build():
+            built.append(build_parser())
+            return built[-1]
+
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        for _ in range(3):
+            assert main(["solve-uniform", "--out", str(tmp_path / "u.csv")]) == 0
+        assert len(built) == 1
+        assert build_parser() is not build_parser()
+
+    def test_flag_reads_its_default_in_the_next_call(self, monkeypatch, tmp_path):
+        with_fee, after, fresh = (tmp_path / f"{n}.csv" for n in ("with_fee", "after", "fresh"))
+        assert main(["solve-uniform", "--fee", "3", "--seed", "4", "--out", str(with_fee)]) == 0
+        assert main(["solve-uniform", "--out", str(after)]) == 0
+        monkeypatch.setattr(cli, "_parser", None)
+        assert main(["solve-uniform", "--out", str(fresh)]) == 0
+        assert after.read_bytes() == fresh.read_bytes() != with_fee.read_bytes()
+        row = next(csv.DictReader(io.StringIO(after.read_text())))
+        assert row["fee"] == row["optimal_fee"] != "3.0"
+
+    @pytest.mark.parametrize("bad", [["fig", "2", "--nope", "1"], ["fig", "7"], ["bogus"],
+                                     ["fig", "2", "--grid-steps"], ["fig"]])
+    def test_good_call_after_an_argparse_error(self, bad, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+        first = capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(bad)
+        assert capsys.readouterr().err == first
+        out = tmp_path / "f.csv"
+        assert main(["fig", "--grid-steps", "4", "2", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 5
+
+    def test_help_after_other_calls(self, tmp_path, capsys):
+        assert main(["fig", "2", "--grid-steps", "3", "--out", str(tmp_path / "f.csv")]) == 0
+        with pytest.raises(SystemExit):
+            main(["fig", "8"])
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        fresh = build_parser()
+        fresh.usage = fresh.format_usage()[7:]
+        assert capsys.readouterr().out == fresh.format_help()

@@ -54,12 +54,10 @@ def _assert_matches_per_block(powers, cfg):
     assert outcome.n_blocks == cfg.n_blocks
 
 
-def _miner_counts(n_blocks):
-    # the kernel makes one comparison pass per threshold up to log2 of a
-    # chunk's length, min(n_blocks, _CHUNK), and sorts the chunk past that:
-    # straddle the switch
-    switch = math.floor(math.log2(min(n_blocks, simulate._CHUNK)))
-    return sorted({1, 3, *(m for m in (switch - 1, switch, switch + 1) if m >= 1)})
+# the kernel makes one comparison pass per threshold up to _COMPARE_UP_TO
+# thresholds and sorts the chunk past that: straddle the switch
+SWITCH = simulate._COMPARE_UP_TO
+MINER_COUNTS = [1, 3, SWITCH - 1, SWITCH, SWITCH + 1]
 
 
 class TestAgainstPerBlockReference:
@@ -67,14 +65,14 @@ class TestAgainstPerBlockReference:
     @pytest.mark.parametrize("n_blocks", [1, 2, 137, 65_536, 200_000])
     def test_miner_counts_around_the_switch(self, n_blocks, rate):
         rng = np.random.default_rng(n_blocks)
-        for m in _miner_counts(n_blocks):
+        for m in MINER_COUNTS:
             for seed in (0, 31):
                 cfg = _sim(seed=seed, n_blocks=n_blocks, poisson_rate=rate)
                 _assert_matches_per_block(rng.uniform(0.5, 20.0, m), cfg)
 
     @pytest.mark.parametrize("n_blocks", [1, 2, 137, 65_536, 200_000])
     def test_zero_power_miners(self, n_blocks):
-        for m in _miner_counts(n_blocks):
+        for m in MINER_COUNTS:
             powers = np.zeros(m + 2)
             powers[1::2] = np.arange(1.0, powers[1::2].size + 1)
             _assert_matches_per_block(powers, _sim(seed=5, n_blocks=n_blocks))
@@ -115,9 +113,9 @@ CHUNK_EDGES = [1, simulate._CHUNK - 1, simulate._CHUNK, simulate._CHUNK + 1,
 
 
 class TestChunkedStream:
-    # up to 16 thresholds: comparison passes over each full chunk; 17 or more: a sort
+    # up to SWITCH thresholds: comparison passes over each chunk; more: a sort
     @pytest.mark.parametrize("n_blocks", CHUNK_EDGES)
-    @pytest.mark.parametrize("n_miners", [1, 3, 16, 17, 40])
+    @pytest.mark.parametrize("n_miners", [1, 3, SWITCH, SWITCH + 1, 40])
     def test_simulate_mining_equals_one_shot(self, n_blocks, n_miners):
         powers = np.random.default_rng(n_miners).uniform(0.5, 20.0, n_miners)
         cfg = _sim(seed=n_blocks % 1009, n_blocks=n_blocks)
@@ -128,7 +126,7 @@ class TestChunkedStream:
         assert outcome.orphans == n_blocks - below[-1]
 
     @pytest.mark.parametrize("n_blocks", CHUNK_EDGES)
-    @pytest.mark.parametrize("n_thresholds", [1, 16, 17, 50])
+    @pytest.mark.parametrize("n_thresholds", [1, SWITCH, SWITCH + 1, 50])
     def test_first_miner_wins_equals_one_shot(self, n_blocks, n_thresholds):
         # unsorted, with a tie and both ends of [0, 1]
         thresholds = np.concatenate(([0.5, 1.0, 0.0, 0.5],
@@ -154,9 +152,9 @@ class TestChunkedStream:
 
 
 class TestCountBelow:
-    # five draws: up to 2 thresholds by comparison passes, 3 or more by a sort
     DRAWS = np.array([0.5, 0.0, 0.25, 0.75, 0.25])
 
+    @pytest.mark.parametrize("switch", [SWITCH, 0], ids=["compare", "sort"])
     @pytest.mark.parametrize("thresholds, expected", [
         ([0.25], [1]),
         ([0.25, 0.5], [1, 3]),
@@ -164,10 +162,24 @@ class TestCountBelow:
         ([1.0, 0.75, 0.25, 0.0, 0.3], [5, 4, 1, 0, 3]),
         ([], []),
     ])
-    def test_ties_count_as_not_below(self, thresholds, expected):
+    def test_ties_count_as_not_below(self, thresholds, expected, switch, monkeypatch):
+        monkeypatch.setattr(simulate, "_COMPARE_UP_TO", switch)
         counts = simulate._count_below(self.DRAWS, np.array(thresholds, dtype=float))
         assert counts.dtype == np.int64
         assert counts.tolist() == expected
+
+    @pytest.mark.parametrize("n_thresholds", range(17, SWITCH + 1))
+    def test_paths_agree_on_a_full_chunk(self, n_thresholds, monkeypatch):
+        # the counts between log2(_CHUNK) = 16 and the switch; unsorted, with
+        # a tie and both ends of [0, 1]
+        draws = np.random.Generator(np.random.PCG64(n_thresholds)).random(simulate._CHUNK)
+        thresholds = np.concatenate(([draws[0], 1.0, 0.0], np.random.default_rng(
+            n_thresholds).uniform(0.0, 1.0, n_thresholds - 3)))
+        compared = simulate._count_below(draws, thresholds)
+        monkeypatch.setattr(simulate, "_COMPARE_UP_TO", 0)
+        by_sort = simulate._count_below(draws, thresholds)
+        assert compared.tolist() == by_sort.tolist()
+        assert compared.tolist() == [np.count_nonzero(draws < t) for t in thresholds]
 
 
 class TestSimulateMining:
