@@ -182,7 +182,8 @@ def optimal_fees_discriminatory(n_miners: int, unit_cost: float, params: GamePar
         raise ValueError(f"unit_cost must be finite and > 0, got {unit_cost!r}")
     a = leader_reward_scale(params)
     lo, hi = fee_bracket(params)
-    symmetric = min(max(a * (n_miners - 1) ** 2 / n_miners ** 2, lo), hi)
+    # (M-1)/M first: a * (M-1)**2 overflows when a is near the float maximum
+    symmetric = min(max(a * ((n_miners - 1) / n_miners) ** 2, lo), hi)
     fees = np.full(n_miners, hi if objective == "simplified" else symmetric)
     share = 1.0 - (n_miners - 1) / (fees * np.sum(1.0 / fees))
     terms = a * share if objective == "simplified" else a * share - fees

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ConvergenceError, PowerProfile
+from .core import ConvergenceError, DegenerateProfileError, PowerProfile
 from .discriminatory import best_responses
 
 __all__ = [
@@ -114,12 +114,16 @@ def best_response_dynamics(game, start, tol: float = 1e-9, max_iters: int = 10_0
     """Iterate simultaneous best responses of all miners to a fixed point.
 
     ``game`` needs ``cost_coefficients`` and ``n_miners`` (a
-    DiscriminatoryGame works).  Updates are damped simultaneous sweeps,
-    x <- (1-lam)x + lam*BR(x); the undamped sweep oscillates without
-    converging once there are four or more miners, and damping keeps every
-    iterate strictly positive.  Fixed points are unchanged by damping.
-    Converged means the best-response residual max|BR(x) - x| < tol, so the
-    returned profile is a fixed point to within tol.
+    DiscriminatoryGame works).  Each sweep evaluates the best responses
+    BR(x) once, as the step BR(x) - x, and uses it twice: the sweep has
+    converged when max|BR(x) - x| < tol, so the returned profile is a fixed
+    point to within tol; otherwise it takes the damped step
+    x <- x + lam*(BR(x) - x).  The undamped sweep (damping 1) oscillates
+    without converging once there are four or more miners; damping leaves
+    the fixed points unchanged.  Iterates stay >= 0 for lam <= 1, since
+    BR(x) >= 0 makes the rounded step no less than -x, and > 0 for lam < 1.
+    A sweep that reaches the all-zero profile raises DegenerateProfileError:
+    zero is a fixed point of the clamped map but no equilibrium.
     """
     x = np.asarray(start, dtype=float).copy()
     if isinstance(start, PowerProfile):
@@ -135,14 +139,23 @@ def best_response_dynamics(game, start, tol: float = 1e-9, max_iters: int = 10_0
 
     prev = x.copy()
     for _ in range(max_iters):
-        response = best_responses(x.sum() - x, c)
-        if np.max(np.abs(response - x)) < tol:
+        total = x.sum()
+        if total == 0:
+            raise DegenerateProfileError(
+                "best-response dynamics reached the all-zero profile, where every "
+                "best response is undefined")
+        step = best_responses(total - x, c)
+        step -= x
+        # exactly max|step| < tol, NaN included, without an abs temporary
+        if step.max() < tol and step.min() > -tol:
             return PowerProfile(x)
-        prev = x
-        x = (1.0 - lam) * x + lam * response
+        step *= lam
+        prev, x = x, x + step
 
+    residual = np.max(np.abs(best_responses(x.sum() - x, c) - x))
     raise ConvergenceError(
-        f"best-response dynamics did not reach residual {tol:g} in {max_iters} sweeps",
+        f"best-response dynamics did not reach residual {tol:g} in {max_iters} sweeps "
+        f"(residual at last iterate {residual:.2g})",
         last=x, prev=prev)
 
 

@@ -377,12 +377,12 @@ def _no_coordinate_moves(fees, a, objective, lo, hi):
 class TestOptimalFees:
     @pytest.mark.parametrize("m", range(2, 41))
     def test_output_bits_pinned(self, m):
-        # the symmetric point a(M-1)^2/M^2 bit for bit, its summed profit,
+        # the symmetric point a((M-1)/M)^2 bit for bit, its summed profit,
         # and the golden-section best response of every coordinate
         params = GameParams()
         a = leader_reward_scale(params)
         fees, profit = optimal_fees_discriminatory(m, 0.005, params)
-        np.testing.assert_array_equal(fees, np.full(m, a * (m - 1) ** 2 / m ** 2))
+        np.testing.assert_array_equal(fees, np.full(m, a * ((m - 1) / m) ** 2))
         assert profit == math.fsum(_per_miner_terms(fees, a, "full"))
         _no_coordinate_moves(fees, a, "full", *fee_bracket(params))
 
@@ -402,10 +402,20 @@ class TestOptimalFees:
         lo, hi = fee_bracket(params)
         for m in range(2, 41):
             fees, profit = optimal_fees_discriminatory(m, 1.0, params, objective)
-            expected = {"lo": lo, "hi": hi, None: a * (m - 1) ** 2 / m ** 2}[end]
+            expected = {"lo": lo, "hi": hi, None: a * ((m - 1) / m) ** 2}[end]
             np.testing.assert_array_equal(fees, np.full(m, expected))
             assert profit == math.fsum(_per_miner_terms(fees, a, objective))
             _no_coordinate_moves(fees, a, objective, lo, hi)
+
+    def test_reward_near_float_max_stays_finite(self):
+        # a * (M-1)^2 overflows here; the symmetric point a((M-1)/M)^2 does not
+        params = GameParams(fixed_reward=1e306)
+        a = leader_reward_scale(params)
+        fees, profit = optimal_fees_discriminatory(40, 0.005, params)
+        np.testing.assert_allclose(fees, (39 / 40) ** 2 * a, rtol=1e-15)
+        assert math.isfinite(profit)
+        assert profit == math.fsum(_per_miner_terms(fees, a, "full"))
+        assert profit == pytest.approx(a - 40 * fees[0], rel=1e-12)
 
     def test_first_order_condition(self):
         # d/dp_i of miner i's term with the others at p: a(M-1)s/(1+p s)^2 - 1,

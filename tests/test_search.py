@@ -1,13 +1,20 @@
 """Fee hill-climb, best-response dynamics and the search oracles."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgeminer import (
     ConvergenceError,
+    DegenerateProfileError,
     DiscriminatoryGame,
+    GameParams,
     SearchConfig,
     best_response_dynamics,
+    best_responses,
     golden_section_max,
     grid_argmax,
     multiplicative_fee_search,
@@ -90,6 +97,38 @@ class TestMultiplicativeFeeSearch:
         assert trace_a.fees.tolist() == trace_b.fees.tolist()
 
 
+def _reference_brd(game, start, tol=1e-9, max_iters=10_000, damping=None):
+    """Damped BRD as (1 - lam) x + lam BR(x), residual by np.max(np.abs(.)): the oracle."""
+    x = np.asarray(start, dtype=float).copy()
+    c = np.asarray(game.cost_coefficients, dtype=float)
+    lam = min(0.5, 2.0 / c.size) if damping is None else damping
+    prev = x.copy()
+    for _ in range(max_iters):
+        response = best_responses(x.sum() - x, c)
+        if np.max(np.abs(response - x)) < tol:
+            return x
+        prev = x
+        x = (1.0 - lam) * x + lam * response
+    raise ConvergenceError("reference loop ran out of sweeps", last=x, prev=prev)
+
+
+def _residual(game, x):
+    return float(np.max(np.abs(best_responses(x.sum() - x, game.cost_coefficients) - x)))
+
+
+def _outcome(run):
+    try:
+        return run(), None
+    except (ConvergenceError, DegenerateProfileError) as exc:
+        return None, exc
+
+
+# 2-12 miners with fees spread over 1-10, so that some miners drop out
+_brd_cases = st.integers(2, 12).flatmap(lambda m: st.tuples(
+    st.lists(st.floats(1.0, 10.0), min_size=m, max_size=m),
+    st.lists(st.floats(0.01, 10.0), min_size=m, max_size=m)))
+
+
 class TestBestResponseDynamics:
     def _game(self, fees):
         return DiscriminatoryGame(np.asarray(fees, float), 1.0, zero_delay_params())
@@ -130,6 +169,52 @@ class TestBestResponseDynamics:
     def test_nonpositive_start_rejected(self):
         with pytest.raises(ValueError):
             best_response_dynamics(self._game([4, 4]), [0.0, 1.0])
+
+    def test_all_zero_profile_is_not_an_equilibrium(self):
+        # both others exceed 1/c_i, so the undamped sweep maps the start to 0,
+        # a fixed point of the clamped map; the closed form is [0.988, 1.235]
+        game = DiscriminatoryGame([4, 5], 1.0, GameParams(poisson_rate=0))
+        assert np.all(nash_equilibrium_closed_form(game).powers > 0.9)
+        with pytest.raises(DegenerateProfileError, match="all-zero profile"):
+            best_response_dynamics(game, [5, 5], damping=1.0)
+
+    def test_bench_large_input_fails_and_reports_its_residual(self):
+        # the bench's brd-M1000 input, a kept failure there: if it ever
+        # converges, that bench operation's fault predicate must change with it
+        fees = 10.0 * (1.0 + 0.0004 * np.linspace(-1.0, 1.0, 1000))
+        game = DiscriminatoryGame(fees, 0.005)
+        with pytest.raises(ConvergenceError) as err:
+            best_response_dynamics(game, np.ones(1000))
+        found = re.fullmatch(r"best-response dynamics did not reach residual 1e-09 in 10000 "
+                             r"sweeps \(residual at last iterate (\S+)\)", str(err.value))
+        assert found is not None, str(err.value)
+        residual = _residual(game, err.value.last)
+        assert residual >= 1e-9
+        assert found.group(1) == f"{residual:.2g}"
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(_brd_cases, st.sampled_from([None, 0.3, 1.0]), st.sampled_from([1, 50, 10_000]))
+    def test_matches_reference_loop(self, case, damping, max_iters):
+        fees, start = case
+        game = self._game(fees)
+        tol = 1e-9
+        ref, ref_err = _outcome(lambda: _reference_brd(game, start, tol, max_iters, damping))
+        new, new_err = _outcome(lambda: best_response_dynamics(game, start, tol, max_iters,
+                                                               damping))
+        if ref is not None and not np.any(ref):
+            assert isinstance(new_err, DegenerateProfileError)
+            return
+        assert (new is None) == (ref is None)
+        if ref is not None:
+            np.testing.assert_allclose(new.powers, ref, rtol=0, atol=1e-12 * np.max(ref))
+            assert _residual(game, new.powers) < tol
+            assert new.powers.sum() > 0
+            return
+        assert isinstance(ref_err, ConvergenceError) and isinstance(new_err, ConvergenceError)
+        for x in (new_err.last, new_err.prev):
+            assert np.all(np.isfinite(x)) and np.all(x >= 0)
+            if damping != 1.0:
+                assert np.all(x > 0)
 
 
 class TestGridArgmax:
