@@ -29,14 +29,11 @@ print("\n== leader profit at this fee ==")
 print(f"  full (fee charged):   {leader_delta_utility_uniform(game, 'full'):+.4f}")
 print(f"  simplified (no fee):  {leader_delta_utility_uniform(game, 'simplified'):+.4f}")
 
-print("\n== stage I: optimal fee ==")
-for objective in ("full", "simplified"):
-    fee, profit = optimal_fee_uniform(50.0, 0.005, params, objective=objective)
-    note = "(monotone objective runs to the bracket top)" if objective == "simplified" else ""
-    print(f"  {objective:10s}: fee {fee:8.4f}  profit {profit:+.4f} {note}")
+print("\n== stage I: the fee maximizing the full profit ==")
+best_fee, best_profit = optimal_fee_uniform(50.0, 0.005, params)
+print(f"  fee {best_fee:8.4f}  profit {best_profit:+.4f}")
 
 print("\n== at the optimal fee ==")
-best_fee, _ = optimal_fee_uniform(50.0, 0.005, params)
 best = UniformGame(50.0, best_fee, 0.005, params)
 supplied = best_response_uniform(best)
 print(f"  fee {best_fee:.4f}: devices supply {supplied:.2f}, "

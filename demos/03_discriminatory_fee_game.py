@@ -51,7 +51,7 @@ for i in range(2):
 
 print("\n== stage I: symmetric fixed point of the per-fee terms (full objective) ==")
 for m in (2, 3, 5):
-    fees, profit = optimal_fees_discriminatory(m, 1.0, params, objective="full")
+    fees, profit = optimal_fees_discriminatory(m, 1.0, params)
     print(f"  M={m}: fees {np.round(fees, 4)} = a(M-1)^2/M^2, summed profit {profit:+.4f}")
 print("  (with more miners the per-fee competition bids fees up and the")
 print("   total shrinks; the sum over recruited miners is reported as-is)")

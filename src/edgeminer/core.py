@@ -108,7 +108,7 @@ class GameParams:
 
         It underflows to 0 for large exponents (poisson_rate 100 with
         mobile_tx_load 10).  The simulator then records every block as an
-        orphan, and the simplified objective rejects a zero discount.
+        orphan, and no fee buys device power.
         """
         if tx_load < 0:
             raise ValueError(f"tx_load must be >= 0, got {tx_load!r}")

@@ -165,17 +165,14 @@ def leader_delta_utility_discriminatory(game: DiscriminatoryGame, i: int,
     return float(leader_deltas(game, allocation, objective, fee_basis)[i])
 
 
-def optimal_fees_discriminatory(n_miners: int, unit_cost: float, params: GameParams,
-                                objective: str = "full"):
-    """Stage I: the symmetric fixed point of the per-miner profit terms.
+def optimal_fees_discriminatory(n_miners: int, unit_cost: float, params: GameParams):
+    """Stage I: the symmetric fixed point of the per-miner full profit terms.
 
-    Miner i's term a * (1 - (M-1)/(p_i * sum_j 1/p_j)) [- p_i] is concave in
-    p_i.  Under "full", with the other fees at p, it peaks at p_i = p exactly
-    when p = a(M-1)^2/M^2, a point that stays fixed when clipped to
-    fee_bracket(params); under "simplified" it rises with p_i, so every
-    fee is the bracket top.  Returns (fee vector, summed profit).
+    Miner i's term a * (1 - (M-1)/(p_i * sum_j 1/p_j)) - p_i is concave in
+    p_i.  With the other fees at p it peaks at p_i = p exactly when
+    p = a(M-1)^2/M^2, a point that stays fixed when clipped to
+    fee_bracket(params).  Returns (fee vector, summed profit).
     """
-    check_objective(objective)
     if n_miners < 2:
         raise ValueError("need at least two miners")
     if not (math.isfinite(unit_cost) and unit_cost > 0):
@@ -184,7 +181,6 @@ def optimal_fees_discriminatory(n_miners: int, unit_cost: float, params: GamePar
     lo, hi = fee_bracket(params)
     # (M-1)/M first: a * (M-1)**2 overflows when a is near the float maximum
     symmetric = min(max(a * ((n_miners - 1) / n_miners) ** 2, lo), hi)
-    fees = np.full(n_miners, hi if objective == "simplified" else symmetric)
+    fees = np.full(n_miners, symmetric)
     share = 1.0 - (n_miners - 1) / (fees * np.sum(1.0 / fees))
-    terms = a * share if objective == "simplified" else a * share - fees
-    return fees, math.fsum(terms)
+    return fees, math.fsum(a * share - fees)

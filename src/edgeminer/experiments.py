@@ -78,15 +78,6 @@ DEFAULT_GRIDS = {
     "compare-mdg": (10.0, 200.0, 20),
 }
 
-# full keeps the fee cost (finite stage-I optimum); the simplified objective
-# is monotone in the fee, which suits the induced-power profit curves
-DEFAULT_OBJECTIVES = {
-    "fig2": "full", "fig3": "simplified", "fig4": "simplified",
-    "fig5": "full", "fig6": "full", "compare-mdg": "full",
-    "solve-uniform": "full", "solve-disc": "full",
-}
-
-
 FEE_SEARCHES = ("golden", "hillclimb")
 FORMATS = ("csv", "json")
 
@@ -165,6 +156,11 @@ class ExperimentConfig:
              f"mdg_delay_mult must be >= 1, got {self.mdg_delay_mult!r}"),
             ("objective", self.objective is None or self.objective in OBJECTIVES,
              f"objective must be one of {OBJECTIVES}, got {self.objective!r}"),
+            # stage I maximizes the full profit: simplified rises with the fee
+            ("objective", self.objective != "simplified" or self.kind not in (
+                "fig2", "fig6", "compare-mdg", "solve-uniform"),
+             "objective 'simplified' applies to fig3 and fig4 only; "
+             f"stage I of {self.kind} maximizes the full profit"),
             ("fee_basis", self.fee_basis in FEE_BASES,
              f"fee_basis must be one of {FEE_BASES}, got {self.fee_basis!r}"),
             ("fee_search", self.fee_search in FEE_SEARCHES,
@@ -214,7 +210,8 @@ class ExperimentConfig:
         return np.linspace(start, stop, steps)
 
     def resolved_objective(self) -> str:
-        return self.objective or DEFAULT_OBJECTIVES.get(self.kind, "full")
+        """The objective of fig3/fig4's money columns, simplified unless set."""
+        return self.objective or ("simplified" if self.kind in ("fig3", "fig4") else "full")
 
 
 def _float_list(text: str) -> tuple:
@@ -346,7 +343,7 @@ def _rows_fig2(cfg: ExperimentConfig):
     rewards = cfg.grid().tolist()
     points = [replace(cfg.params, fixed_reward=r) for r in rewards]
     fees, profits = optimal_fees_uniform(np.full(len(points), cfg.edge_power), cfg.unit_cost,
-                                         points, objective=cfg.resolved_objective())
+                                         points)
     return {"fixed_reward": rewards, "optimal_fee": fees.tolist(),
             "leader_profit": profits.tolist(), "status": ["ok"] * len(rewards)}
 
@@ -427,25 +424,24 @@ def _rows_mdg(cfg: ExperimentConfig):
     grid = cfg.grid()
     columns = {"edge_fraction": [f for f in fractions for _ in grid]} if fig6 else {}
     for fraction in fractions:
-        sweep = emg_vs_mdg_sweep(grid, fraction, cfg.params, cfg.unit_cost,
-                                 cfg.mdg_delay_mult, objective=cfg.resolved_objective())
+        sweep = emg_vs_mdg_sweep(grid, fraction, cfg.params, cfg.unit_cost, cfg.mdg_delay_mult)
         for name, values in sweep.items():
             columns.setdefault(name, []).extend(values)
     columns["status"] = ["ok"] * (len(fractions) * grid.size)
     return columns
 
 
-def _optimize_fee(cfg: ExperimentConfig, objective: str):
-    """Stage I in closed form ("golden"), or hill-climbed over the same objective and bracket."""
+def _optimize_fee(cfg: ExperimentConfig):
+    """Stage I in closed form ("golden"), or hill-climbed over the same profit and bracket."""
     if cfg.fee_search == "golden":
-        return optimal_fee_uniform(cfg.edge_power, cfg.unit_cost, cfg.params, objective)
-    discount, a, lo, hi = stage1_setup(cfg.params, objective)
+        return optimal_fee_uniform(cfg.edge_power, cfg.unit_cost, cfg.params)
+    discount, a, lo, hi = stage1_setup(cfg.params)
 
     def profit_fn(fee):
         if not lo <= fee <= hi:
             return -math.inf
         return float(leader_profits_uniform(fee, cfg.edge_power, cfg.unit_cost, discount, a,
-                                            objective))
+                                            "full"))
 
     # below X*u/d (inf at d == 0) the pool stays out and the profit -fee falls with the fee
     threshold = cfg.edge_power * cfg.unit_cost / discount if discount > 0 else math.inf
@@ -462,8 +458,7 @@ def _optimize_fee(cfg: ExperimentConfig, objective: str):
 
 def _rows_solve_uniform(cfg: ExperimentConfig):
     params = cfg.params
-    objective = cfg.resolved_objective()
-    optimal_fee, optimal_profit = _optimize_fee(cfg, objective)
+    optimal_fee, optimal_profit = _optimize_fee(cfg)
     fee = cfg.fee if cfg.fee is not None else optimal_fee
     game = UniformGame(cfg.edge_power, fee, cfg.unit_cost, params)
     response = best_response_uniform(game)
@@ -477,7 +472,7 @@ def _rows_solve_uniform(cfg: ExperimentConfig):
             values["leader_profit_simplified"] = leader_delta_utility_uniform(game, "simplified")
     for name, value in values.items():
         reject_nonfinite_profits([cfg.edge_power], [fee], [value], name)
-    # the simplified objective divides by kappa; undefined at kappa == 0
+    # the simplified profit divides by kappa; undefined at kappa == 0
     values.setdefault("leader_profit_simplified", math.nan)
     certificate = uniqueness_certificate_uniform(game)
     return {

@@ -125,8 +125,7 @@ def first_miner_wins(win_probs, cfg: SimConfig, n_seeds: int) -> np.ndarray:
 
 
 def emg_vs_mdg_sweep(total_power_grid, edge_fraction: float, params: GameParams,
-                     unit_cost: float, mdg_delay_multiplier: float = 1.5,
-                     objective: str = "full") -> dict:
+                     unit_cost: float, mdg_delay_multiplier: float = 1.5) -> dict:
     """Profit comparison at equal total power, one column entry per grid point.
 
     The edge scheme contributes edge_fraction of the total power itself and
@@ -145,7 +144,7 @@ def emg_vs_mdg_sweep(total_power_grid, edge_fraction: float, params: GameParams,
     if mdg_delay_multiplier < 1:
         raise ValueError("mdg_delay_multiplier must be >= 1")
     edge_power = edge_fraction * totals
-    fee_emg, _ = optimal_fees_uniform(edge_power, unit_cost, params, objective=objective)
+    fee_emg, _ = optimal_fees_uniform(edge_power, unit_cost, params)
     device_power = totals - edge_power
     with np.errstate(over="ignore", divide="ignore"):
         fee_mdg = fee_emg * totals / device_power

@@ -125,26 +125,16 @@ def leader_profits_uniform(fees, edge_powers, unit_cost, discount, a, objective:
     return a * y_star / (edge_powers + y_star) - fees
 
 
-def optimal_fee_uniform(edge_power: float, unit_cost: float, params: GameParams,
-                        objective: str = "full"):
+def optimal_fee_uniform(edge_power: float, unit_cost: float, params: GameParams):
     """Stage I for one instance: optimal_fees_uniform on [edge_power], as floats."""
-    fees, profits = optimal_fees_uniform([edge_power], unit_cost, params, objective)
+    fees, profits = optimal_fees_uniform([edge_power], unit_cost, params)
     return float(fees[0]), float(profits[0])
 
 
-def stage1_setup(params: GameParams, objective: str):
-    """(d, a, lo, hi): device discount, reward scale and fee_bracket of one instance.
-
-    The simplified objective divides by kappa = fee * d, which grows with
-    the fee, so a floor with kappa == 0 (d underflows at a large
-    poisson_rate) is rejected for the whole bracket.
-    """
-    d = params.delay_discount(params.mobile_tx_load)
+def stage1_setup(params: GameParams):
+    """(d, a, lo, hi): device discount, reward scale and fee_bracket of one instance."""
     lo, hi = fee_bracket(params)
-    if objective == "simplified" and lo * d == 0:
-        raise ValueError("the simplified objective needs fee * delay discount > 0, "
-                         f"but the device-load delay discount is {d:g}")
-    return d, leader_reward_scale(params), lo, hi
+    return params.delay_discount(params.mobile_tx_load), leader_reward_scale(params), lo, hi
 
 
 def reject_nonfinite_profits(edge, fees, profits, quantity: str = "stage-I profit") -> None:
@@ -156,24 +146,22 @@ def reject_nonfinite_profits(edge, fees, profits, quantity: str = "stage-I profi
                          f"{float(edge[k])!r}, fee {float(fees[k])!r}): {float(profits[k])!r}")
 
 
-def optimal_fees_uniform(edge_powers, unit_cost: float, params, objective: str = "full"):
-    """Stage I in closed form: the fee maximizing the leader's profit, per instance.
+def optimal_fees_uniform(edge_powers, unit_cost: float, params):
+    """Stage I in closed form: the fee maximizing the leader's full profit, per instance.
 
     The bracket is fee_bracket(params): [participation_floor, 100*a].
-    Under "full" the pool stays out while fee * d <= X * unit_cost (d the
-    device-load discount), and the profit is -fee; above that it is
-    a*(1 - sqrt(X*unit_cost/(fee*d))) - fee, concave with its peak at
-    p* = (a/2 * sqrt(X*unit_cost/d))^(2/3).  So the optimum is p* clipped to
-    the bracket, unless the floor earns strictly more.  Under "simplified"
-    the profit rises with the fee and the optimum is the bracket top.
+    The leader pays the fee, so while fee * d <= X * unit_cost (d the
+    device-load discount) the pool stays out and the profit is -fee; above
+    that it is a*(1 - sqrt(X*unit_cost/(fee*d))) - fee, concave with its
+    peak at p* = (a/2 * sqrt(X*unit_cost/d))^(2/3).  So the optimum is p*
+    clipped to the bracket, unless the floor earns strictly more.
 
     ``edge_powers`` is a 1-D array, ``params`` one GameParams shared by every
     instance or a sequence with one per instance.
-    The profit is ``leader_profits_uniform``, and a profit that is not
-    finite raises ValueError (reject_nonfinite_profits).  Returns (fees,
-    profits) arrays.
+    The profit is ``leader_profits_uniform`` under "full", and a profit that
+    is not finite raises ValueError (reject_nonfinite_profits).  Returns
+    (fees, profits) arrays.
     """
-    check_objective(objective)
     edge = np.asarray(edge_powers, dtype=float)
     if edge.ndim != 1:
         raise ValueError(f"edge_powers must be 1-D, got shape {edge.shape}")
@@ -183,31 +171,28 @@ def optimal_fees_uniform(edge_powers, unit_cost: float, params, objective: str =
     if not (math.isfinite(unit_cost) and unit_cost > 0):
         raise ValueError(f"unit_cost must be finite and > 0, got {unit_cost!r}")
     if isinstance(params, GameParams):
-        discount, a, lo, hi = stage1_setup(params, objective)
+        discount, a, lo, hi = stage1_setup(params)
         lo, hi = np.full(edge.size, lo), np.full(edge.size, hi)
     else:
         if len(params) != edge.size:
             raise ValueError(f"{len(params)} GameParams for {edge.size} edge powers")
-        discount, a, lo, hi = np.array([stage1_setup(p, objective) for p in params],
+        discount, a, lo, hi = np.array([stage1_setup(p) for p in params],
                                        dtype=float).reshape(-1, 4).T
 
     def profits(fees):
-        return leader_profits_uniform(fees, edge, unit_cost, discount, a, objective)
+        return leader_profits_uniform(fees, edge, unit_cost, discount, a, "full")
 
     # overflow gives inf or nan, as Python floats do, and the check below rejects it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if objective == "simplified":
-            fees, profit = hi, profits(hi)
-        else:
-            peak = (a / 2.0 * np.sqrt(edge * unit_cost / discount)) ** (2.0 / 3.0)
-            # a == 0 makes peak 0 or 0*inf = nan, and every fee earns -fee:
-            # fmax takes the floor over nan
-            peak = np.fmin(np.fmax(peak, lo), hi)
-            at_peak, at_floor = profits(peak), profits(lo)
-            # where fee * d <= X * u the pool stays out and the peak earns
-            # -peak <= -lo; saying so also covers a profit that overflows there
-            floor_wins = (peak * discount <= edge * unit_cost) | (at_floor > at_peak)
-            fees = np.where(floor_wins, lo, peak)
-            profit = np.where(floor_wins, at_floor, at_peak)
+        peak = (a / 2.0 * np.sqrt(edge * unit_cost / discount)) ** (2.0 / 3.0)
+        # a == 0 makes peak 0 or 0*inf = nan, and every fee earns -fee:
+        # fmax takes the floor over nan
+        peak = np.fmin(np.fmax(peak, lo), hi)
+        at_peak, at_floor = profits(peak), profits(lo)
+        # where fee * d <= X * u the pool stays out and the peak earns
+        # -peak <= -lo; saying so also covers a profit that overflows there
+        floor_wins = (peak * discount <= edge * unit_cost) | (at_floor > at_peak)
+        fees = np.where(floor_wins, lo, peak)
+        profit = np.where(floor_wins, at_floor, at_peak)
     reject_nonfinite_profits(edge, fees, profit)
     return fees, profit

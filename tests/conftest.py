@@ -66,17 +66,17 @@ def random_feasible_disc_games(n, seed=0, m_range=(2, 10)):
     return games
 
 
-def assert_stage1_optimum(fee, profit, edge_power, unit_cost, params, objective="full"):
+def assert_stage1_optimum(fee, profit, edge_power, unit_cost, params):
     """A uniform stage-I (fee, profit) against the scalar golden-section oracle.
 
-    The profit is the leader's profit at the fee, bit for bit (None: not
+    The profit is the leader's full profit at the fee, bit for bit (None: not
     reported), and at least the oracle's (rel_tol 1e-12) less
     1e-12 * max(1, |oracle|); where the oracle lands on a bracket end, the
     fee is that end exactly.
     """
     def profit_at(p):
         return leader_delta_utility_uniform(UniformGame(edge_power, p, unit_cost, params),
-                                            objective)
+                                            "full")
 
     lo, hi = fee_bracket(params)
     oracle_fee, oracle_profit = golden_section_max(profit_at, lo, hi, rel_tol=1e-12)

@@ -345,13 +345,13 @@ class TestPerMinerViews:
                     leader_deltas(game, allocation, objective, basis))
 
 
-def _per_miner_terms(fees, a, objective):
-    """Each miner's profit term a * (1 - (M-1)/(p_i * sum_j 1/p_j)) [- p_i]."""
+def _per_miner_terms(fees, a):
+    """Each miner's full profit term a * (1 - (M-1)/(p_i * sum_j 1/p_j)) - p_i."""
     share = 1.0 - (fees.size - 1) / (fees * np.sum(1.0 / fees))
-    return a * share if objective == "simplified" else a * share - fees
+    return a * share - fees
 
 
-def _no_coordinate_moves(fees, a, objective, lo, hi):
+def _no_coordinate_moves(fees, a, lo, hi):
     """Per-coordinate golden-section best response from ``fees``, others fixed.
 
     A golden section compares objective values, so on a smooth interior
@@ -365,7 +365,7 @@ def _no_coordinate_moves(fees, a, objective, lo, hi):
 
         def term(p_i):
             share = 1.0 - (fees.size - 1) / (p_i * (1.0 / p_i + others))
-            return a * share if objective == "simplified" else a * share - p_i
+            return a * share - p_i
 
         best, value = golden_section_max(term, lo, hi, rel_tol=1e-12)
         here = term(float(fees[i]))
@@ -383,29 +383,29 @@ class TestOptimalFees:
         a = leader_reward_scale(params)
         fees, profit = optimal_fees_discriminatory(m, 0.005, params)
         np.testing.assert_array_equal(fees, np.full(m, a * ((m - 1) / m) ** 2))
-        assert profit == math.fsum(_per_miner_terms(fees, a, "full"))
-        _no_coordinate_moves(fees, a, "full", *fee_bracket(params))
+        assert profit == math.fsum(_per_miner_terms(fees, a))
+        _no_coordinate_moves(fees, a, *fee_bracket(params))
 
-    # (params, objective, which end or None for the interior point); the
+    # (params, the bracket end or None for the interior point); the
     # symmetric point a(M-1)^2/M^2 stays below the top 100a
     cases = {
-        "floor-clamp": (zero_delay_params(min_consumption=25.0), "full", "lo"),
-        "simplified": (zero_delay_params(), "simplified", "hi"),
-        "no-reward": (zero_delay_params(fixed_reward=0.0), "full", "lo"),
-        "interior": (zero_delay_params(min_consumption=1e-3), "full", None),
+        "floor-clamp": (zero_delay_params(min_consumption=25.0), "lo"),
+        "no-reward": (zero_delay_params(fixed_reward=0.0), "lo"),
+        "interior": (zero_delay_params(min_consumption=1e-3), None),
+        "interior-large-reward": (zero_delay_params(fixed_reward=1e4), None),
     }
 
     @pytest.mark.parametrize("case", sorted(cases))
     def test_no_coordinate_moves_from_closed_form(self, case):
-        params, objective, end = self.cases[case]
+        params, end = self.cases[case]
         a = leader_reward_scale(params)
         lo, hi = fee_bracket(params)
         for m in range(2, 41):
-            fees, profit = optimal_fees_discriminatory(m, 1.0, params, objective)
-            expected = {"lo": lo, "hi": hi, None: a * ((m - 1) / m) ** 2}[end]
+            fees, profit = optimal_fees_discriminatory(m, 1.0, params)
+            expected = {"lo": lo, None: a * ((m - 1) / m) ** 2}[end]
             np.testing.assert_array_equal(fees, np.full(m, expected))
-            assert profit == math.fsum(_per_miner_terms(fees, a, objective))
-            _no_coordinate_moves(fees, a, objective, lo, hi)
+            assert profit == math.fsum(_per_miner_terms(fees, a))
+            _no_coordinate_moves(fees, a, lo, hi)
 
     def test_reward_near_float_max_stays_finite(self):
         # a * (M-1)^2 overflows here; the symmetric point a((M-1)/M)^2 does not
@@ -414,7 +414,7 @@ class TestOptimalFees:
         fees, profit = optimal_fees_discriminatory(40, 0.005, params)
         np.testing.assert_allclose(fees, (39 / 40) ** 2 * a, rtol=1e-15)
         assert math.isfinite(profit)
-        assert profit == math.fsum(_per_miner_terms(fees, a, "full"))
+        assert profit == math.fsum(_per_miner_terms(fees, a))
         assert profit == pytest.approx(a - 40 * fees[0], rel=1e-12)
 
     def test_first_order_condition(self):
@@ -437,8 +437,6 @@ class TestOptimalFees:
 
     def test_invalid_inputs_raise(self):
         params = GameParams()
-        with pytest.raises(ValueError, match="objective"):
-            optimal_fees_discriminatory(3, 0.005, params, objective="nope")
         with pytest.raises(ValueError, match="two miners"):
             optimal_fees_discriminatory(1, 0.005, params)
         for unit_cost in (0.0, math.nan, math.inf):
@@ -448,23 +446,16 @@ class TestOptimalFees:
             # a participation floor above the top 100a = 1086
             optimal_fees_discriminatory(3, 0.005, GameParams(min_consumption=1e4))
 
-    def test_simplified_runs_to_bracket_top(self):
-        # the default top, 100a with a = 10
-        fees, _ = optimal_fees_discriminatory(3, 1.0, zero_delay_params(),
-                                              objective="simplified")
-        np.testing.assert_allclose(fees, 1000.0)
-
     def test_full_symmetric_fixed_point(self):
         # analytic per-miner stationary fee is a*(M-1)^2/M^2
-        fees, profit = optimal_fees_discriminatory(2, 1.0, zero_delay_params(),
-                                                   objective="full")
+        fees, profit = optimal_fees_discriminatory(2, 1.0, zero_delay_params())
         np.testing.assert_allclose(fees, 2.5, atol=1e-6)
         a = 10.0
         assert profit == pytest.approx(a - 5.0, abs=1e-6)
 
     def test_full_matches_grid_nash_oracle(self):
         params = zero_delay_params()
-        fees, _ = optimal_fees_discriminatory(2, 1.0, params, objective="full")
+        fees, _ = optimal_fees_discriminatory(2, 1.0, params)
         a = leader_reward_scale(params)
         grid = np.arange(0.1, 10.0 + 1e-9, 1e-2)
 
@@ -481,18 +472,17 @@ class TestOptimalFees:
 
     def test_larger_symmetric_cases(self):
         for m in (3, 5, 10):
-            fees, _ = optimal_fees_discriminatory(m, 1.0, zero_delay_params(),
-                                                  objective="full")
+            fees, _ = optimal_fees_discriminatory(m, 1.0, zero_delay_params())
             expected = 10.0 * (m - 1) ** 2 / m ** 2
             np.testing.assert_allclose(fees, expected, atol=1e-5)
 
     def test_no_reward_prefers_minimal_fees(self):
         params = zero_delay_params(fixed_reward=0.0, tx_reward=0.0, min_consumption=0.3)
-        fees, _ = optimal_fees_discriminatory(2, 1.0, params, objective="full")
+        fees, _ = optimal_fees_discriminatory(2, 1.0, params)
         np.testing.assert_allclose(fees, 0.3, atol=1e-9)
 
     def test_participation_floor(self):
         # a floor above the symmetric point a(M-1)^2/M^2 = 2.5 binds
         params = zero_delay_params(min_consumption=5.0)
-        fees, _ = optimal_fees_discriminatory(2, 1.0, params, objective="full")
+        fees, _ = optimal_fees_discriminatory(2, 1.0, params)
         np.testing.assert_array_equal(fees, [5.0, 5.0])

@@ -2,6 +2,8 @@
 
 import csv
 import dataclasses
+import hashlib
+import inspect
 import io
 import json
 import math
@@ -157,7 +159,7 @@ class TestValidateConfig:
 
 # valid non-default raw values for the settings whose default gives no hint
 _RAW_VALUES = {
-    "fee": "2.5", "fees": "4, 8", "objective": "simplified", "fee_basis": "per_power",
+    "fee": "2.5", "fees": "4, 8", "objective": "full", "fee_basis": "per_power",
     "fee_search": "hillclimb", "grid_start": "2.5", "grid_stop": "20", "grid_steps": "3",
     "edge_fractions": "0.2,0.7", "powers": "1,2", "out": "x.json", "format": "json",
 }
@@ -603,13 +605,12 @@ class TestStage1Sweeps:
     def _check_rows(cfg, rows):
         # per grid point: the fee against the scalar golden-section oracle, and
         # every other cell from that fee through the per-point functions
-        objective = cfg.resolved_objective()
         expected = []
         if cfg.kind == "fig2":
             for r, row in zip(cfg.grid(), rows):
                 params = dataclasses.replace(cfg.params, fixed_reward=float(r))
                 assert_stage1_optimum(row["optimal_fee"], row["leader_profit"],
-                                      cfg.edge_power, cfg.unit_cost, params, objective)
+                                      cfg.edge_power, cfg.unit_cost, params)
                 expected.append({"fixed_reward": float(r), "optimal_fee": row["optimal_fee"],
                                  "leader_profit": row["leader_profit"], "status": "ok"})
             return expected
@@ -622,7 +623,7 @@ class TestStage1Sweeps:
             edge_power = fraction * total
             device_power = total - edge_power
             fee_emg = row["fee_emg"]
-            assert_stage1_optimum(fee_emg, None, edge_power, cfg.unit_cost, params, objective)
+            assert_stage1_optimum(fee_emg, None, edge_power, cfg.unit_cost, params)
             fee_mdg = fee_emg * total / device_power
             profit_emg = _net_profit(params, fee_emg)
             profit_mdg = _net_profit(params, fee_mdg, cfg.mdg_delay_mult)
@@ -635,14 +636,17 @@ class TestStage1Sweeps:
         return expected
 
     @pytest.mark.parametrize("settings", [{}, {"min_consumption": 0.0},
-                                          {"min_consumption": 5.0}, {"poisson_rate": 0.0}],
-                             ids=["default", "floor-0", "floor-5", "no-delay"])
-    @pytest.mark.parametrize("objective", OBJECTIVES)
+                                          {"min_consumption": 5.0}, {"poisson_rate": 0.0},
+                                          {"poisson_rate": 100.0}, {"tx_reward": 0.0},
+                                          {"unit_cost": 50.0}],
+                             ids=["default", "floor-0", "floor-5", "no-delay",
+                                  "zero-discount", "no-tx-reward", "high-cost"])
     @pytest.mark.parametrize("steps", [2, 7, 400])
     @pytest.mark.parametrize("kind", ["fig2", "fig6", "compare-mdg"])
-    def test_rows_equal_per_point_search(self, kind, steps, objective, settings):
-        # min_consumption 5 lies above the interior optimum: the floor endpoint wins
-        cfg = build_config({"kind": kind, "grid_steps": steps, "objective": objective,
+    def test_rows_equal_per_point_search(self, kind, steps, settings):
+        # min_consumption 5 lies above the interior optimum: the floor endpoint wins;
+        # a zero delay discount or a unit cost of 50 keeps the pool out, so the floor wins
+        cfg = build_config({"kind": kind, "grid_steps": steps,
                             "edge_fractions": (0.01, 0.99), "edge_fraction": 0.99,
                             **settings})
         rows = _rows(experiments._BUILDERS[kind](cfg))
@@ -661,33 +665,19 @@ class TestStage1Sweeps:
             if name.split(".")[0] == "edgeminer" and getattr(
                     module, "golden_section_max", None) is original:
                 monkeypatch.setattr(module, "golden_section_max", no_search)
-        for objective in OBJECTIVES:
-            for kind, steps in (("fig6", 400), ("compare-mdg", 200), ("fig2", 200)):
-                table, _, _ = _run(kind, tmp_path, grid_steps=steps, objective=objective)
-                assert len(table) == steps * (3 if kind == "fig6" else 1)
-            _run("solve-uniform", tmp_path, fee_search="golden", objective=objective)
-
-    @pytest.mark.parametrize("kind", ["fig2", "fig6", "compare-mdg", "solve-uniform"])
-    def test_zero_discount_simplified_is_a_config_error(self, kind, tmp_path, capsys):
-        # exp(-1000) == 0: the sweeps fail as the single solve does, in one line
-        argv = ["fig", kind[3:]] if kind.startswith("fig") else [kind]
-        code = main(argv + ["--objective", "simplified", "--poisson-rate", "100",
-                            "--out", str(tmp_path / "report.csv")])
-        assert code == 2
-        assert capsys.readouterr().err.splitlines() == [
-            "config error: the simplified objective needs fee * delay discount > 0, "
-            "but the device-load delay discount is 0"]
-        assert not (tmp_path / "report.csv").exists()
+        for kind, steps in (("fig6", 400), ("compare-mdg", 200), ("fig2", 200)):
+            table, _, _ = _run(kind, tmp_path, grid_steps=steps)
+            assert len(table) == steps * (3 if kind == "fig6" else 1)
+        _run("solve-uniform", tmp_path, fee_search="golden")
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("search", ["golden", "hillclimb"])
     def test_zero_discount_solve_uniform(self, search, fmt, tmp_path, capsys):
-        # exp(-1000) == 0: the full objective is well defined, with no device
+        # exp(-1000) == 0: the full profit is well defined, with no device
         # joining; only the simplified profit column is undefined
         out = tmp_path / f"report.{fmt}"
-        argv = ["solve-uniform", "--fee-search", search, "--poisson-rate", "100",
-                "--format", fmt, "--out", str(out)]
-        assert main(argv + ["--objective", "full"]) == 0
+        assert main(["solve-uniform", "--fee-search", search, "--poisson-rate", "100",
+                     "--format", fmt, "--out", str(out)]) == 0
         assert capsys.readouterr().err == ""
         text = out.read_text()
         row = json.loads(text)[0] if fmt == "json" else next(csv.DictReader(io.StringIO(text)))
@@ -695,12 +685,6 @@ class TestStage1Sweeps:
         assert float(row["best_response_power"]) == 0.0
         assert float(row["leader_profit_full"]) == -float(row["fee"])
         assert row["status"] == "ok"
-        out.unlink()
-        assert main(argv + ["--objective", "simplified"]) == 2
-        assert capsys.readouterr().err.splitlines() == [
-            "config error: the simplified objective needs fee * delay discount > 0, "
-            "but the device-load delay discount is 0"]
-        assert not out.exists()
 
     @pytest.mark.parametrize("argv, instance", [
         (["fig", "2", "--grid-stop", "1e306"], 1),
@@ -749,6 +733,83 @@ class TestStage1Sweeps:
             "config error: leader_profit_simplified is not finite at instance 0 "
             "(edge power 50.0, fee 0.1): -inf"]
         assert not out.exists()
+
+
+class TestObjectiveSetting:
+    """Stage I maximizes the full profit; only fig3/fig4's money columns read the objective."""
+
+    STAGE1_KINDS = {"fig2": ["fig", "2"], "fig6": ["fig", "6"],
+                    "compare-mdg": ["compare-mdg"], "solve-uniform": ["solve-uniform"]}
+    # the kinds that ignore the setting, at small sizes
+    OTHER_KINDS = {"solve-disc": ["solve-disc", "--fees", "4,5,6"],
+                   "fig1": ["fig", "1", "--grid-steps", "5", "--n-seeds", "2"],
+                   "fig5": ["fig", "5"], "simulate": ["simulate"]}
+    # sha256 of fig3/fig4 at their defaults under --objective full, which has no golden file
+    FULL_SHA256 = {
+        "fig3": "35f4df394f5fd34c7efa1d3afcaacfb8b64f0156e1687610ec700012e90253b8",
+        "fig4": "d407808e60d565d1cd28139b7a8f6a6af05afaaaa7f6a7a6e9daf4cd2f78aa39",
+    }
+
+    @staticmethod
+    def _argv(argv, objective, how, tmp_path):
+        """argv with the objective set by flag or by config file, or left unset (None)."""
+        if objective is None:
+            return list(argv)
+        if how == "flag":
+            return [*argv, "--objective", objective]
+        config = tmp_path / "objective.cfg"
+        config.write_text(f"objective = {objective}\n")
+        return [*argv, "--config", str(config)]
+
+    def test_stage1_takes_no_objective(self):
+        for fn in (experiments.optimal_fee_uniform, experiments.optimal_fees_uniform,
+                   experiments.stage1_setup, discriminatory.optimal_fees_discriminatory,
+                   experiments.emg_vs_mdg_sweep, experiments._optimize_fee):
+            assert "objective" not in inspect.signature(fn).parameters, fn.__name__
+        assert not hasattr(experiments, "DEFAULT_OBJECTIVES")
+
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    @pytest.mark.parametrize("kind", STAGE1_KINDS)
+    def test_simplified_on_a_stage1_kind_is_a_config_error(self, kind, how, tmp_path,
+                                                            capsys):
+        out = tmp_path / "report.csv"
+        argv = self._argv(self.STAGE1_KINDS[kind], "simplified", how, tmp_path)
+        assert main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "config error: objective 'simplified' applies to fig3 and fig4 only; "
+            f"stage I of {kind} maximizes the full profit"]
+        assert not out.exists()
+        # the full objective, set or not, is the one stage I maximizes
+        for objective in (None, "full"):
+            assert main([*self._argv(self.STAGE1_KINDS[kind], objective, how, tmp_path),
+                         "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    @pytest.mark.parametrize("kind", ["fig3", "fig4"])
+    def test_power_sweeps_keep_their_bytes(self, kind, how, tmp_path):
+        written = {}
+        for objective in (None, "simplified", "full"):
+            out = tmp_path / f"{objective}.csv"
+            argv = self._argv(["fig", kind[3:]], objective, how, tmp_path)
+            assert main([*argv, "--out", str(out)]) == 0
+            written[objective] = out.read_bytes()
+        golden = (GOLDEN / f"{kind}.csv").read_bytes()
+        assert written[None] == written["simplified"] == golden
+        assert hashlib.sha256(written["full"]).hexdigest() == self.FULL_SHA256[kind]
+
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    @pytest.mark.parametrize("kind", OTHER_KINDS)
+    def test_other_kinds_accept_and_ignore_the_setting(self, kind, how, tmp_path):
+        written = {}
+        for objective in (None, "simplified", "full"):
+            out = tmp_path / f"{objective}.csv"
+            argv = self._argv(self.OTHER_KINDS[kind], objective, how, tmp_path)
+            assert main([*argv, "--out", str(out)]) == 0
+            written[objective] = out.read_bytes()
+        assert written["simplified"] == written["full"] == written[None]
 
 
 class TestReportFiles:
@@ -893,20 +954,20 @@ class TestTrends:
 
     # the climb starts at SearchConfig's 1.0, raised to the participation
     # threshold X*u/d (1.105 at edge power 200: below it the pool stays out
-    # and the profit -fee falls with the fee, so under full a start at 1.0
-    # walks down to the floor) and clamped into the bracket (top 0.452 at
-    # reward 0.005: under simplified a start at 1.0 scores -inf and stays)
+    # and the profit -fee falls with the fee, so a start at 1.0 walks down
+    # to the floor) and clamped into the bracket (top 0.452 at reward 0.005)
     @pytest.mark.parametrize("settings", [{}, {"edge_power": 200.0},
-                                          {"fixed_reward": 0.005, "tx_reward": 0.0}],
-                             ids=["default", "raised-to-threshold", "clamped-to-top"])
-    @pytest.mark.parametrize("objective", OBJECTIVES)
-    def test_hillclimb_lands_on_the_closed_form(self, objective, settings, tmp_path):
-        # both routes maximize one objective over one bracket; under
-        # simplified that is the bracket top, which the climb must not pass
-        closed, _, _ = _run("solve-uniform", tmp_path, objective=objective,
-                            out=str(tmp_path / "g.csv"), **settings)
+                                          {"fixed_reward": 0.005, "tx_reward": 0.0},
+                                          {"min_consumption": 0.0}, {"poisson_rate": 0.0},
+                                          {"unit_cost": 0.05}],
+                             ids=["default", "raised-to-threshold", "clamped-to-top",
+                                  "floor-0", "no-delay", "high-cost"])
+    def test_hillclimb_lands_on_the_closed_form(self, settings, tmp_path):
+        # both routes maximize the full profit over one bracket
+        closed, _, _ = _run("solve-uniform", tmp_path, out=str(tmp_path / "g.csv"),
+                            **settings)
         climbed, _, _ = _run("solve-uniform", tmp_path, fee_search="hillclimb",
-                             objective=objective, out=str(tmp_path / "h.csv"), **settings)
+                             out=str(tmp_path / "h.csv"), **settings)
         assert climbed["optimal_fee"][0] == pytest.approx(closed["optimal_fee"][0], rel=1e-5)
         assert climbed["optimal_profit"][0] <= closed["optimal_profit"][0]
 

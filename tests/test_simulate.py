@@ -366,19 +366,17 @@ class TestSweep:
         with pytest.raises(ValueError, match="edge_power must be finite and > 0"):
             emg_vs_mdg_sweep([50.0, math.inf], 0.5, GameParams(), 0.01)
 
-    @pytest.mark.parametrize("objective", ["full", "simplified"])
-    def test_overflowing_mdg_fee_rejected(self, objective):
-        # at a total of 1e306, X*u/d is far above the bracket top: under "full"
-        # no fee recruits the pool, the fee is the floor and the row is finite;
-        # under "simplified" the fee is 100a and fee_emg * total overflows
+    def test_overflowing_mdg_fee_rejected(self):
+        # at a total of 1e306, X*u/d is far above the bracket top: no fee
+        # recruits the pool, the fee is the floor and the row is finite; a
+        # floor of 1e300 with 1e-9 of the total on devices makes fee_emg *
+        # total / device_power overflow
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            if objective == "full":
-                columns = emg_vs_mdg_sweep([50.0, 1e306], 0.5, GameParams(), 0.01,
-                                           objective=objective)
-                assert columns["fee_emg"][1] == 0.1
-                assert all(math.isfinite(v) for values in columns.values() for v in values)
-                return
+            columns = emg_vs_mdg_sweep([50.0, 1e306], 0.5, GameParams(), 0.01)
+            assert columns["fee_emg"][1] == 0.1
+            assert all(math.isfinite(v) for values in columns.values() for v in values)
+            params = GameParams(fixed_reward=1e306, min_consumption=1e300)
+            assert emg_vs_mdg_sweep([1.0], 0.5, params, 1e307)["fee_mdg"] == [2e300]
             with pytest.raises(ValueError, match="fees must be finite and >= 0"):
-                emg_vs_mdg_sweep([50.0, 1e306], 0.5, GameParams(), 0.01,
-                                 objective=objective)
+                emg_vs_mdg_sweep([1.0], 1.0 - 1e-9, params, 1e307)

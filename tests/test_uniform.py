@@ -177,13 +177,13 @@ class TestLeaderObjective:
 
 class TestOptimalFee:
     def test_analytic_optimum(self):
-        fee, profit = optimal_fee_uniform(1.0, 1.0, zero_delay_params(), objective="full")
+        fee, profit = optimal_fee_uniform(1.0, 1.0, zero_delay_params())
         assert fee == pytest.approx(P_OPT_ANALYTIC, abs=1e-6)
         assert profit == pytest.approx(PROFIT_AT_OPT, abs=1e-9)
 
     def test_interior_stationarity(self):
         params = zero_delay_params()
-        fee, profit = optimal_fee_uniform(1.0, 1.0, params, objective="full")
+        fee, profit = optimal_fee_uniform(1.0, 1.0, params)
         for delta in (1e-3, -1e-3):
             game = UniformGame(1.0, fee * (1.0 + delta), 1.0, params)
             assert profit >= leader_delta_utility_uniform(game, "full")
@@ -193,20 +193,15 @@ class TestOptimalFee:
         params = GameParams(fixed_reward=9.0, tx_reward=3.0, poisson_rate=0.01,
                             delay_factor=1.0, mobile_tx_load=10, min_consumption=0.1)
         edge_power, unit_cost = 5.0, 0.05
-        fee, _ = optimal_fee_uniform(edge_power, unit_cost, params, objective="full")
+        fee, _ = optimal_fee_uniform(edge_power, unit_cost, params)
         a = 12.0 * params.delay_discount(10)
         growth = 1.0 / params.delay_discount(10)
         residual = 0.5 * a * math.sqrt(edge_power * unit_cost * growth) * fee ** -1.5
         assert residual == pytest.approx(1.0, abs=1e-6)
 
-    def test_simplified_runs_to_bracket_top(self):
-        # the default top, 100a with a = 10
-        fee, _ = optimal_fee_uniform(1.0, 1.0, zero_delay_params(), objective="simplified")
-        assert fee == 1000.0
-
     def test_no_reward_prefers_cheapest_fee(self):
         params = zero_delay_params(fixed_reward=0.0, tx_reward=0.0, min_consumption=0.5)
-        fee, profit = optimal_fee_uniform(1.0, 1.0, params, objective="full")
+        fee, profit = optimal_fee_uniform(1.0, 1.0, params)
         assert fee == 0.5
         assert profit <= 0.0
 
@@ -218,7 +213,7 @@ class TestOptimalFee:
     def test_participation_floor_applies(self):
         # a floor above p* = 2.924 binds
         params = zero_delay_params(min_consumption=5.0)
-        fee, _ = optimal_fee_uniform(1.0, 1.0, params, objective="full")
+        fee, _ = optimal_fee_uniform(1.0, 1.0, params)
         assert fee == 5.0
 
 
@@ -240,7 +235,7 @@ class TestScalarViews:
                                 mobile_tx_load=int(rng.integers(1, 20)),
                                 min_consumption=float(rng.uniform(0.0, 1.0)))
             edge, cost = 10.0 ** rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-3.0, 0.0)
-            d, _, lo, hi = uniform.stage1_setup(params, "simplified")
+            d, _, lo, hi = uniform.stage1_setup(params)
             pool_out = edge * cost / d * float(rng.uniform(0.1, 1.0))
             for fee in (float(rng.uniform(lo, hi)), lo, hi, pool_out):
                 out.append((edge, fee, cost, params))
@@ -303,14 +298,14 @@ _log_uniform = lambda lo, hi: st.floats(lo, hi).map(lambda e: 10.0 ** e)  # noqa
 
 @st.composite
 def _stage1_instances(draw):
-    """(regime, edge power, unit cost, params, objective), one regime each.
+    """(regime, edge power, unit cost, params), one regime each.
 
     large-reward puts p* in a bracket 100a wide, with a up to 1e22; floor
     puts min_consumption above p*; pool-out has X*u/d >= a/2, where
     p* <= X*u/d and no fee recruits the pool.
     """
     regime = draw(st.sampled_from(["interior", "large-reward", "floor", "pool-out",
-                                   "no-reward", "zero-discount", "simplified"]))
+                                   "no-reward", "zero-discount"]))
     edge, cost = draw(_log_uniform(-3.0, 2.0)), draw(_log_uniform(-3.0, 0.0))
     values = {"fixed_reward": draw(st.floats(0.5, 100.0)),
               "tx_reward": draw(st.floats(0.0, 5.0)),
@@ -329,8 +324,7 @@ def _stage1_instances(draw):
     if regime == "floor":
         star, factor = _p_star(edge, cost, params), draw(st.floats(1.5, 10.0))
         params = replace(params, min_consumption=star * factor)
-    objective = "simplified" if regime == "simplified" else "full"
-    return regime, edge, cost, params, objective
+    return regime, edge, cost, params
 
 
 class TestClosedFormStage1:
@@ -339,16 +333,14 @@ class TestClosedFormStage1:
     @settings(max_examples=400, derandomize=True, deadline=None)
     @given(_stage1_instances())
     def test_no_fee_beats_the_closed_form(self, instance):
-        regime, edge, cost, params, objective = instance
-        fee, profit = optimal_fee_uniform(edge, cost, params, objective)
-        assert_stage1_optimum(fee, profit, edge, cost, params, objective)
+        regime, edge, cost, params = instance
+        fee, profit = optimal_fee_uniform(edge, cost, params)
+        assert_stage1_optimum(fee, profit, edge, cost, params)
         lo, hi = fee_bracket(params)
         if regime in ("pool-out", "no-reward", "zero-discount"):
             assert (fee, profit) == (lo, -lo)
         elif regime == "floor":
             assert fee == lo
-        elif regime == "simplified":
-            assert fee == hi
 
     def test_large_reward_to_1e_12(self):
         # the search stopped at 1e-9 of a 100a-wide bracket, 4e-4 off p* here
@@ -369,27 +361,28 @@ class TestOptimalFeesUniform:
 
     EDGE = np.array([1e-3, 0.7, 5.0, 50.0, 333.3, 1e4])
 
-    @pytest.mark.parametrize("objective", ["full", "simplified"])
     @pytest.mark.parametrize("settings", [{}, {"min_consumption": 0.0},
                                           {"min_consumption": 5.0}, {"poisson_rate": 0.0},
-                                          {"fixed_reward": 0.0, "tx_reward": 0.0}],
-                             ids=["default", "floor-0", "floor-5", "no-delay", "no-reward"])
-    def test_shared_params_equal_scalar_loop(self, settings, objective):
+                                          {"fixed_reward": 0.0, "tx_reward": 0.0},
+                                          {"mobile_tx_load": 50, "delay_factor": 2.0},
+                                          {"fixed_reward": 1e4}],
+                             ids=["default", "floor-0", "floor-5", "no-delay", "no-reward",
+                                  "heavy-load", "large-reward"])
+    def test_shared_params_equal_scalar_loop(self, settings):
         params = GameParams(**settings)
-        fees, profits = optimal_fees_uniform(self.EDGE, 0.005, params, objective)
+        fees, profits = optimal_fees_uniform(self.EDGE, 0.005, params)
         for k, edge_power in enumerate(self.EDGE):
-            assert_stage1_optimum(fees[k], profits[k], edge_power, 0.005, params, objective)
+            assert_stage1_optimum(fees[k], profits[k], edge_power, 0.005, params)
 
-    @pytest.mark.parametrize("objective", ["full", "simplified"])
-    def test_params_per_instance_and_bracket(self, objective):
+    @pytest.mark.parametrize("unit_cost", [0.02, 0.1, 0.5])
+    def test_params_per_instance_and_bracket(self, unit_cost):
         # each instance's bracket is its own params' [floor, 100a]
         points = [GameParams(fixed_reward=r, mobile_tx_load=3 + k, min_consumption=0.5 * k)
                   for k, r in enumerate([0.5, 3.0, 10.0, 40.0, 90.0, 200.0])]
-        fees, profits = optimal_fees_uniform(self.EDGE, 0.02, points, objective)
+        fees, profits = optimal_fees_uniform(self.EDGE, unit_cost, points)
         for k, (edge_power, params) in enumerate(zip(self.EDGE, points)):
-            assert_stage1_optimum(fees[k], profits[k], edge_power, 0.02, params, objective)
-            assert (fees[k], profits[k]) == optimal_fee_uniform(edge_power, 0.02, params,
-                                                                objective)
+            assert_stage1_optimum(fees[k], profits[k], edge_power, unit_cost, params)
+            assert (fees[k], profits[k]) == optimal_fee_uniform(edge_power, unit_cost, params)
 
     def test_empty(self):
         fees, profits = optimal_fees_uniform([], 0.005, [])
@@ -417,66 +410,43 @@ class TestOptimalFeesUniform:
         with pytest.raises(ValueError):
             optimal_fees_uniform([1.0, 2.0], 0.005, [GameParams()])
 
-    def test_zero_discount_simplified_rejected_by_both_paths(self):
-        # exp(-1000) underflows: kappa = fee * discount is 0 and the simplified
-        # objective would divide by it
-        params = GameParams(poisson_rate=100.0)
-        assert params.delay_discount(params.mobile_tx_load) == 0.0
-        message = r"simplified objective needs fee \* delay discount > 0"
-        with pytest.raises(ValueError, match=message):
-            optimal_fee_uniform(50.0, 0.005, params, "simplified")
-        points = [GameParams()] * (self.EDGE.size - 1) + [params]
-        with pytest.raises(ValueError, match=message):
-            optimal_fees_uniform(self.EDGE, 0.005, points, "simplified")
-        with pytest.raises(ValueError, match=message):
-            optimal_fees_uniform(self.EDGE, 0.005, params, "simplified")
-
     def test_zero_discount_full_equals_scalar_loop(self):
         # kappa = 0 only keeps the pool out: profit is -fee, best at the floor
         params = GameParams(poisson_rate=100.0)
-        fees, profits = optimal_fees_uniform(self.EDGE, 0.005, params, "full")
+        assert params.delay_discount(params.mobile_tx_load) == 0.0
+        fees, profits = optimal_fees_uniform(self.EDGE, 0.005, params)
         for k, edge_power in enumerate(self.EDGE):
             assert_stage1_optimum(fees[k], profits[k], edge_power, 0.005, params)
         assert np.all(fees == 0.1) and np.all(profits == -0.1)
 
-    @pytest.mark.parametrize("objective", ["full", "simplified"])
-    def test_overflowing_midpoint_rejected_by_both_paths(self, objective):
-        # a reward of 1e306: the full fee p* ~ 1e204 is right, but a * Y* in the
-        # profit overflows and is rejected; the simplified fee, 100a, stays finite
+    def test_overflowing_midpoint_rejected_by_both_paths(self):
+        # a reward of 1e306: the fee p* ~ 1e204 is right, but a * Y* in the
+        # profit overflows and is rejected
         params = GameParams(fixed_reward=1e306)
         a, d = leader_reward_scale(params), params.delay_discount(params.mobile_tx_load)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            if objective == "simplified":
-                fees, profits = optimal_fees_uniform(self.EDGE, 0.005, params, objective)
-                assert np.all(fees == 100.0 * a) and np.all(np.isfinite(profits))
-                assert optimal_fee_uniform(50.0, 0.005, params, objective) == (
-                    fees[3], profits[3])
-                return
             with pytest.raises(ValueError, match=r"instance 0 \(edge power 50.0, fee "
                                                  r"\S+\): inf") as error:
-                optimal_fee_uniform(50.0, 0.005, params, objective)
+                optimal_fee_uniform(50.0, 0.005, params)
             with pytest.raises(ValueError, match="not finite at instance 0 "):
-                optimal_fees_uniform(self.EDGE, 0.005, params, objective)
+                optimal_fees_uniform(self.EDGE, 0.005, params)
         fee = float(re.search(r"fee (\S+)\)", str(error.value)).group(1))
         assert 0.5 * a * math.sqrt(50.0 * 0.005 / d) * fee ** -1.5 == pytest.approx(
             1.0, rel=1e-12)
 
-    @pytest.mark.parametrize("objective", ["full", "simplified"])
     @pytest.mark.parametrize("edge_power, unit_cost", [(1e300, 1e-300), (1e300, 1e300),
-                                                       (1e-300, 1e300), (1e300, 0.005)])
-    def test_overflow_is_silent_and_equals_scalar(self, edge_power, unit_cost, objective):
+                                                       (1e-300, 1e300), (1e300, 0.005),
+                                                       (1e-300, 1e-300), (1e-300, 0.005)])
+    def test_overflow_is_silent_and_equals_scalar(self, edge_power, unit_cost):
         # Python floats overflow to inf (and inf/inf to nan) without a warning,
         # and so do the arrays; a profit that ends up not finite is rejected
         params = GameParams()
-        nonfinite = {("full", 1e300, 1e-300): "nan", ("simplified", 1e300, 1e300): "-inf"}
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            reason = nonfinite.get((objective, edge_power, unit_cost))
-            if reason is not None:
-                with pytest.raises(ValueError, match=f"not finite at instance 0 .*: {reason}$"):
-                    optimal_fees_uniform([edge_power], unit_cost, params, objective)
+            if (edge_power, unit_cost) == (1e300, 1e-300):
+                with pytest.raises(ValueError, match="not finite at instance 0 .*: nan$"):
+                    optimal_fees_uniform([edge_power], unit_cost, params)
                 return
-            fees, profits = optimal_fees_uniform([edge_power], unit_cost, params, objective)
-            assert_stage1_optimum(fees[0], profits[0], edge_power, unit_cost, params,
-                                  objective)
+            fees, profits = optimal_fees_uniform([edge_power], unit_cost, params)
+            assert_stage1_optimum(fees[0], profits[0], edge_power, unit_cost, params)
