@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ConvergenceError, DegenerateProfileError, PowerProfile
+from .core import ConvergenceError, DegenerateProfileError, PowerProfile, is_integer
 from .discriminatory import best_responses
 
 __all__ = [
@@ -114,20 +114,31 @@ def best_response_dynamics(game, start, tol: float = 1e-9, max_iters: int = 10_0
     """Iterate simultaneous best responses of all miners to a fixed point.
 
     ``game`` needs ``cost_coefficients`` and ``n_miners`` (a
-    DiscriminatoryGame works).  Each sweep evaluates the best responses
-    BR(x) once, as the step BR(x) - x, and uses it twice: the sweep has
-    converged when max|BR(x) - x| < tol, so the returned profile is a fixed
-    point to within tol; otherwise it takes the damped step
-    x <- x + lam*(BR(x) - x).  The undamped sweep (damping 1) oscillates
-    without converging once there are four or more miners; damping leaves
-    the fixed points unchanged.  Iterates stay >= 0 for lam <= 1, since
-    BR(x) >= 0 makes the rounded step no less than -x, and > 0 for lam < 1.
-    A sweep that reaches the all-zero profile raises DegenerateProfileError:
-    zero is a fixed point of the clamped map but no equilibrium.
+    DiscriminatoryGame works); ``start`` is a PowerProfile or an array of
+    powers, copied.  Each sweep evaluates the best responses BR(x) once, as
+    the step BR(x) - x, and uses it twice: the sweep has converged when
+    max|BR(x) - x| < tol, so the returned profile is a fixed point to within
+    tol; otherwise it takes the damped step x <- x + lam*(BR(x) - x).  The
+    undamped sweep (damping 1) oscillates without converging once there are
+    four or more miners; damping leaves the fixed points unchanged.
+    Iterates stay >= 0 for lam <= 1, since BR(x) >= 0 makes the rounded step
+    no less than -x, and > 0 for lam < 1.  A sweep that reaches the all-zero
+    profile raises DegenerateProfileError: zero is a fixed point of the
+    clamped map but no equilibrium.
+
+    A sweep runs in place, in two buffers made once per call, and allocates
+    no array: the others' totals go into the previous iterate's buffer, the
+    best responses and then the step into the second, and the next iterate
+    into the first, which swaps with x.  The max/min test runs only once a
+    tracked miner's step lies inside (-tol, tol), since until then
+    max|step| >= tol already; a failed test tracks the miner with the
+    largest |step|.  The iterates are those of the plain loop, bit for bit.
     """
-    x = np.asarray(start, dtype=float).copy()
-    if isinstance(start, PowerProfile):
-        x = start.powers.copy()
+    if isinstance(tol, bool) or not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
+    if not is_integer(max_iters) or max_iters < 1:
+        raise ValueError(f"max_iters must be an integer >= 1, got {max_iters!r}")
+    x = np.array(start.powers if isinstance(start, PowerProfile) else start, dtype=float)
     c = np.asarray(game.cost_coefficients, dtype=float)
     if x.shape != c.shape:
         raise ValueError(f"start has {x.size} entries, game has {c.size} miners")
@@ -137,20 +148,38 @@ def best_response_dynamics(game, start, tol: float = 1e-9, max_iters: int = 10_0
     if not 0 < lam <= 1:
         raise ValueError("damping must lie in (0, 1]")
 
-    prev = x.copy()
+    # prev holds the others' totals during a sweep and the last iterate after
+    # it.  Every ufunc operand is an array (total 0-d, zeros and lams full),
+    # since a scalar one costs a conversion per call; a ufunc's third
+    # argument is its output.
+    prev, step = np.empty_like(x), np.empty_like(x)
+    total, zeros, lams = np.empty(()), np.zeros_like(x), np.full_like(x, lam)
+    add, subtract, divide, sqrt, maximum, multiply = (
+        np.add, np.subtract, np.divide, np.sqrt, np.maximum, np.multiply)
+    add_reduce = np.add.reduce
+    j = 0
     for _ in range(max_iters):
-        total = x.sum()
-        if total == 0:
+        add_reduce(x, out=total)  # x.sum()
+        if total[()] == 0:
             raise DegenerateProfileError(
                 "best-response dynamics reached the all-zero profile, where every "
                 "best response is undefined")
-        step = best_responses(total - x, c)
-        step -= x
-        # exactly max|step| < tol, NaN included, without an abs temporary
-        if step.max() < tol and step.min() > -tol:
-            return PowerProfile(x)
-        step *= lam
-        prev, x = x, x + step
+        # step = best_responses(x.sum() - x, c) - x, operation for operation
+        subtract(total, x, prev)
+        divide(prev, c, step)
+        sqrt(step, step)
+        subtract(step, prev, step)
+        maximum(step, zeros, out=step)
+        subtract(step, x, step)
+        # exactly max|step| < tol, NaN included, without an abs temporary;
+        # |step[j]| >= tol (or NaN) already fails it
+        if -tol < step[j] < tol:
+            if step.max() < tol and step.min() > -tol:
+                return PowerProfile(x)
+            j = int(np.abs(step).argmax())
+        multiply(step, lams, step)
+        add(x, step, prev)
+        x, prev = prev, x
 
     residual = np.max(np.abs(best_responses(x.sum() - x, c) - x))
     raise ConvergenceError(

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import GameParams, as_profile, is_integer, mining_success_prob, net_profit
-from .uniform import optimal_fees_uniform
+from .uniform import optimal_fees_uniform, reject_nonfinite_profits
 
 __all__ = [
     "SimConfig",
@@ -134,7 +134,9 @@ def emg_vs_mdg_sweep(total_power_grid, edge_fraction: float, params: GameParams,
     own share goes un-fee'd.  Entries are ordered by total power.  One
     closed-form stage-I call (optimal_fees_uniform) prices the whole grid.
     Returns column name -> list of floats; an empty grid gives the same
-    names with empty lists.
+    names with empty lists.  A baseline fee fee_emg * total / device_power
+    that overflows raises ValueError naming its instance
+    (reject_nonfinite_profits).
     """
     if not 0 < edge_fraction < 1:
         raise ValueError(f"edge_fraction must lie in (0, 1), got {edge_fraction!r}")
@@ -148,8 +150,7 @@ def emg_vs_mdg_sweep(total_power_grid, edge_fraction: float, params: GameParams,
     device_power = totals - edge_power
     with np.errstate(over="ignore", divide="ignore"):
         fee_mdg = fee_emg * totals / device_power
-    if not np.all(np.isfinite(fee_mdg)):
-        raise ValueError("fees must be finite and >= 0")
+    reject_nonfinite_profits(edge_power, fee_emg, fee_mdg, "fee_mdg")
     profit_emg = net_profit(params, fee_emg)
     profit_mdg = net_profit(params, fee_mdg, mdg_delay_multiplier)
     return {

@@ -705,6 +705,19 @@ class TestStage1Sweeps:
             f"config error: stage-I profit is not finite at instance {instance} ")
         assert not out.exists()
 
+    def test_overflowing_mdg_fee_is_a_config_error(self, tmp_path, capsys):
+        # fee_emg is the finite floor 1e300; fee_emg * total / device_power
+        # overflows at both grid points, and the first one is named
+        out = tmp_path / "report.csv"
+        assert main(["compare-mdg", "--edge-fraction", "0.999999999", "--min-consumption",
+                     "1e300", "--fixed-reward", "1e306", "--unit-cost", "1e307",
+                     "--grid-start", "1", "--grid-stop", "2", "--grid-steps", "2",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: fee_mdg is not finite at instance 0 "
+            "(edge power 0.999999999, fee 1e+300): inf"]
+        assert not out.exists()
+
     def test_nonfinite_explicit_fee_solve_is_a_config_error(self, tmp_path, capsys):
         # sqrt(kappa X / u) overflows at this fee: no ok row with an inf
         # response or a nan profit, one error line, no warning and no report

@@ -12,6 +12,7 @@ from edgeminer import (
     DegenerateProfileError,
     DiscriminatoryGame,
     GameParams,
+    PowerProfile,
     SearchConfig,
     best_response_dynamics,
     best_responses,
@@ -110,6 +111,58 @@ def _reference_brd(game, start, tol=1e-9, max_iters=10_000, damping=None):
         prev = x
         x = (1.0 - lam) * x + lam * response
     raise ConvergenceError("reference loop ran out of sweeps", last=x, prev=prev)
+
+
+def _head_brd(game, start, tol: float = 1e-9, max_iters: int = 10_000,
+              damping: float | None = None) -> PowerProfile:
+    """The plain allocating loop, word for word: best_response_dynamics matches it bit for bit."""
+    x = np.asarray(start, dtype=float).copy()
+    if isinstance(start, PowerProfile):
+        x = start.powers.copy()
+    c = np.asarray(game.cost_coefficients, dtype=float)
+    if x.shape != c.shape:
+        raise ValueError(f"start has {x.size} entries, game has {c.size} miners")
+    if not np.all(np.isfinite(x)) or np.any(x <= 0):
+        raise ValueError("start profile must be strictly positive")
+    lam = min(0.5, 2.0 / c.size) if damping is None else damping
+    if not 0 < lam <= 1:
+        raise ValueError("damping must lie in (0, 1]")
+
+    prev = x.copy()
+    for _ in range(max_iters):
+        total = x.sum()
+        if total == 0:
+            raise DegenerateProfileError(
+                "best-response dynamics reached the all-zero profile, where every "
+                "best response is undefined")
+        step = best_responses(total - x, c)
+        step -= x
+        # exactly max|step| < tol, NaN included, without an abs temporary
+        if step.max() < tol and step.min() > -tol:
+            return PowerProfile(x)
+        step *= lam
+        prev, x = x, x + step
+
+    residual = np.max(np.abs(best_responses(x.sum() - x, c) - x))
+    raise ConvergenceError(
+        f"best-response dynamics did not reach residual {tol:g} in {max_iters} sweeps "
+        f"(residual at last iterate {residual:.2g})",
+        last=x, prev=prev)
+
+
+def _assert_same_run(game, start, **kwargs):
+    """The in-place sweep ends as _head_brd does, with bit-identical arrays; returns its outcome."""
+    head, head_err = _outcome(lambda: _head_brd(game, start, **kwargs))
+    new, new_err = _outcome(lambda: best_response_dynamics(game, start, **kwargs))
+    assert type(new_err) is type(head_err)
+    if head is not None:
+        assert np.array_equal(new.powers, head.powers)
+    else:
+        assert str(new_err) == str(head_err)
+    if isinstance(head_err, ConvergenceError):
+        assert np.array_equal(new_err.last, head_err.last)
+        assert np.array_equal(new_err.prev, head_err.prev)
+    return new, new_err
 
 
 def _residual(game, x):
@@ -215,6 +268,69 @@ class TestBestResponseDynamics:
             assert np.all(np.isfinite(x)) and np.all(x >= 0)
             if damping != 1.0:
                 assert np.all(x > 0)
+
+    def test_profile_start_equals_array_start_and_is_not_aliased(self):
+        game = self._game([4, 8])
+        start = PowerProfile(np.array([1.0, 1.0]))
+        from_profile = best_response_dynamics(game, start)
+        assert np.array_equal(from_profile.powers, best_response_dynamics(game, [1.0, 1.0]).powers)
+        assert not np.shares_memory(from_profile.powers, start.powers)
+        assert np.array_equal(start.powers, [1.0, 1.0])
+        with pytest.raises(ConvergenceError) as err:
+            best_response_dynamics(game, start, max_iters=1)
+        for x in (err.value.last, err.value.prev):
+            assert not np.shares_memory(x, start.powers)
+        assert np.array_equal(err.value.prev, [1.0, 1.0])
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, 0.0, True],
+                             ids=["nan", "inf", "negative", "zero", "bool"])
+    def test_invalid_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="^tol must be a finite number > 0"):
+            best_response_dynamics(self._game([4, 8]), [1.0, 1.0], tol=tol)
+
+    @pytest.mark.parametrize("max_iters", [0, -1, 2.0, True, "10"],
+                             ids=["zero", "negative", "float", "bool", "str"])
+    def test_invalid_max_iters_rejected(self, max_iters):
+        with pytest.raises(ValueError, match="^max_iters must be an integer >= 1"):
+            best_response_dynamics(self._game([4, 8]), [1.0, 1.0], max_iters=max_iters)
+
+    def test_numpy_integer_max_iters_accepted(self):
+        result = best_response_dynamics(self._game([4, 8]), [1.0, 1.0], max_iters=np.int64(500))
+        np.testing.assert_allclose(result.powers, [8 / 9, 16 / 9], atol=1e-6)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(_brd_cases, st.sampled_from([None, 0.3, 1.0]), st.sampled_from([1, 50, 10_000]))
+    def test_bit_identical_to_allocating_loop(self, case, damping, max_iters):
+        fees, start = case
+        _assert_same_run(self._game(fees), start, max_iters=max_iters, damping=damping)
+
+    def test_bench_large_input_bit_identical(self):
+        fees = 10.0 * (1.0 + 0.0004 * np.linspace(-1.0, 1.0, 1000))
+        _, err = _assert_same_run(DiscriminatoryGame(fees, 0.005), np.ones(1000))
+        assert isinstance(err, ConvergenceError)
+
+    def test_near_equal_game_bit_identical(self):
+        # 100 miners with fees within 0.4% of each other, as in the bench
+        rng = np.random.default_rng(5)
+        game = DiscriminatoryGame(10.0 * (1.0 + 0.004 * rng.uniform(-1.0, 1.0, 100)), 0.005)
+        result, err = _assert_same_run(game, rng.uniform(0.5, 2.0, 100))
+        assert err is None
+        np.testing.assert_allclose(result.powers, nash_equilibrium_closed_form(game).powers,
+                                   rtol=1e-6)
+
+    def test_all_zero_profile_error_identical(self):
+        game = DiscriminatoryGame([4, 5], 1.0, GameParams(poisson_rate=0))
+        _, err = _assert_same_run(game, [5, 5], damping=1.0)
+        assert isinstance(err, DegenerateProfileError)
+
+    def test_dispersed_game_bit_identical(self):
+        # fees spread over 1-30: the costliest miners sit at the clamp at 0
+        game = self._game(np.geomspace(1.0, 30.0, 12))
+        closed = nash_equilibrium_closed_form(game).powers
+        assert np.count_nonzero(closed == 0) >= 3
+        result, err = _assert_same_run(game, np.ones(12))
+        assert err is None
+        assert np.all(result.powers[closed == 0] < 1e-6)
 
 
 class TestGridArgmax:

@@ -378,5 +378,6 @@ class TestSweep:
             assert all(math.isfinite(v) for values in columns.values() for v in values)
             params = GameParams(fixed_reward=1e306, min_consumption=1e300)
             assert emg_vs_mdg_sweep([1.0], 0.5, params, 1e307)["fee_mdg"] == [2e300]
-            with pytest.raises(ValueError, match="fees must be finite and >= 0"):
+            with pytest.raises(ValueError, match=r"^fee_mdg is not finite at instance 0 "
+                               r"\(edge power 0\.999999999, fee 1e\+300\): inf$"):
                 emg_vs_mdg_sweep([1.0], 1.0 - 1e-9, params, 1e307)
