@@ -26,6 +26,7 @@ __all__ = [
     "mining_success_prob",
     "net_profit",
     "participation_floor",
+    "stage1_setup",
 ]
 
 
@@ -193,16 +194,32 @@ def participation_floor(params: GameParams) -> float:
 
 
 def fee_bracket(params: GameParams):
-    """Stage-I fee bracket (lo, hi): [participation_floor, 100*a].
+    """Stage-I fee bracket (lo, hi) of one instance, as floats: see stage1_setup."""
+    return stage1_setup(params)[2:]
 
-    a is the leader reward scale; with no reward (a == 0) the top is
-    10 * floor.  Fees below the floor are refused.
+
+def stage1_setup(params: GameParams, fixed_reward=None):
+    """(d, a, lo, hi): device discount, reward scale a = (r + tx_reward) * d, fee bracket.
+
+    The bracket is [participation_floor, 100a], or [floor, 10 * floor] where a == 0.
+    A 1-D ``fixed_reward`` array stands in for r, making a and hi arrays; else all four
+    are floats.  A reward GameParams rejects, or an empty or non-finite bracket, raises
+    ConfigError for the first bad instance.
     """
-    lo = participation_floor(params)
-    a = leader_reward_scale(params)
-    hi = 100.0 * a if a > 0 else 10.0 * lo
-    if not (math.isfinite(lo) and math.isfinite(hi) and 0 < lo < hi):
-        raise ConfigError(
-            f"fee bracket must satisfy 0 < lo < hi after the participation floor "
-            f"{lo:g}; got [{lo:g}, {hi:g}]")
-    return lo, hi
+    lo, d = participation_floor(params), params.delay_discount(params.mobile_tx_load)
+    r = params.fixed_reward
+    if fixed_reward is not None:
+        r = np.asarray(fixed_reward, dtype=float)
+        bad = ~(np.isfinite(r) & (r >= 0))
+        if bad.any():  # GameParams raises its own error for the first bad reward
+            GameParams(fixed_reward=float(r[bad][0]))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan, as with Python floats
+        a = (r + params.tx_reward) * d
+        hi = np.where(a > 0, 100.0 * a, 10.0 * lo)
+    ok = np.isfinite(hi) & (hi > lo)
+    if not ok.all():
+        k = int(np.argmin(ok))
+        where = "" if fixed_reward is None else f" at instance {k} (fixed reward {float(r[k])!r})"
+        raise ConfigError(f"fee bracket must satisfy 0 < lo < hi after the participation floor "
+                          f"{lo:g}; got [{lo:g}, {float(hi.flat[k]):g}]{where}")
+    return (d, float(a), lo, float(hi)) if fixed_reward is None else (d, a, lo, hi)

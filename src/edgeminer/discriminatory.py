@@ -19,8 +19,8 @@ from .core import (
     as_profile,
     check_objective,
     device_discount,
-    fee_bracket,
     leader_reward_scale,
+    stage1_setup,
 )
 
 __all__ = [
@@ -171,14 +171,13 @@ def optimal_fees_discriminatory(n_miners: int, unit_cost: float, params: GamePar
     Miner i's term a * (1 - (M-1)/(p_i * sum_j 1/p_j)) - p_i is concave in
     p_i.  With the other fees at p it peaks at p_i = p exactly when
     p = a(M-1)^2/M^2, a point that stays fixed when clipped to
-    fee_bracket(params).  Returns (fee vector, summed profit).
+    the bracket of stage1_setup(params).  Returns (fee vector, summed profit).
     """
     if n_miners < 2:
         raise ValueError("need at least two miners")
     if not (math.isfinite(unit_cost) and unit_cost > 0):
         raise ValueError(f"unit_cost must be finite and > 0, got {unit_cost!r}")
-    a = leader_reward_scale(params)
-    lo, hi = fee_bracket(params)
+    _, a, lo, hi = stage1_setup(params)
     # (M-1)/M first: a * (M-1)**2 overflows when a is near the float maximum
     symmetric = min(max(a * ((n_miners - 1) / n_miners) ** 2, lo), hi)
     fees = np.full(n_miners, symmetric)

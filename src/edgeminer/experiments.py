@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -25,6 +25,7 @@ from .core import (
     leader_reward_scale,
     mining_success_prob,
     net_profit,
+    stage1_setup,
 )
 from .search import SearchConfig, multiplicative_fee_search
 from .discriminatory import (
@@ -50,7 +51,6 @@ from .uniform import (
     optimal_fee_uniform,
     optimal_fees_uniform,
     reject_nonfinite_profits,
-    stage1_setup,
     uniqueness_certificate_uniform,
 )
 
@@ -80,11 +80,6 @@ DEFAULT_GRIDS = {
 
 FEE_SEARCHES = ("golden", "hillclimb")
 FORMATS = ("csv", "json")
-
-
-def _field_type(f) -> str:
-    """A dataclass field's annotation without "| None": float, int, str or tuple."""
-    return f.type.split(" |")[0]
 
 
 @dataclass(frozen=True)
@@ -127,53 +122,54 @@ class ExperimentConfig:
         # a non-finite float or a non-integer count (a bool among them) is
         # reported once, as such: its range checks are skipped
         nonfinite, nonint = [], []
-        for f in fields(self):
-            kind, value = _field_type(f), getattr(self, f.name)
-            if kind in ("float", "tuple") and value is not None and not all(
-                    map(math.isfinite, value if kind == "tuple" else (value,))):
-                nonfinite.append(f.name)
-            if kind == "int" and value is not None and not is_integer(value):
-                nonint.append(f.name)
+        for name, parse in SETTINGS.items():
+            value = getattr(self, name, None)  # None for a GameParams setting, checked there
+            if parse in (float, _float_list) and value is not None and not all(
+                    map(math.isfinite, value if parse is _float_list else (value,))):
+                nonfinite.append(name)
+            if parse is int and value is not None and not is_integer(value):
+                nonint.append(name)
 
         def at_least(name, low):
             return name in nonint or getattr(self, name) >= low
 
         checks = (
-            ("kind", self.kind in KINDS, f"kind must be one of {KINDS}, got {self.kind!r}"),
-            ("unit_cost", self.unit_cost > 0, f"unit_cost must be > 0, got {self.unit_cost!r}"),
-            ("n_miners", at_least("n_miners", 2), f"n_miners must be >= 2, got {self.n_miners!r}"),
-            ("n_blocks", at_least("n_blocks", 1), f"n_blocks must be >= 1, got {self.n_blocks!r}"),
-            ("n_seeds", at_least("n_seeds", 1), f"n_seeds must be >= 1, got {self.n_seeds!r}"),
-            ("seed", at_least("seed", 0), f"seed must be >= 0, got {self.seed!r}"),
-            ("fee", self.fee is None or self.fee > 0, f"fee must be > 0, got {self.fee!r}"),
+            ("kind", self.kind in KINDS, "kind must be one of {KINDS}, got {self.kind!r}"),
+            ("unit_cost", self.unit_cost > 0, "unit_cost must be > 0, got {self.unit_cost!r}"),
+            ("n_miners", at_least("n_miners", 2), "n_miners must be >= 2, got {self.n_miners!r}"),
+            ("n_blocks", at_least("n_blocks", 1), "n_blocks must be >= 1, got {self.n_blocks!r}"),
+            ("n_seeds", at_least("n_seeds", 1), "n_seeds must be >= 1, got {self.n_seeds!r}"),
+            ("seed", at_least("seed", 0), "seed must be >= 0, got {self.seed!r}"),
+            ("fee", self.fee is None or self.fee > 0, "fee must be > 0, got {self.fee!r}"),
             ("fees", self.fees is None or all(f > 0 for f in self.fees), "fees must all be > 0"),
             ("edge_fraction", 0 < self.edge_fraction < 1,
-             f"edge_fraction must lie in (0, 1), got {self.edge_fraction!r}"),
+             "edge_fraction must lie in (0, 1), got {self.edge_fraction!r}"),
             ("edge_fractions", all(0 < f < 1 for f in self.edge_fractions),
              "edge_fractions must all lie in (0, 1)"),
             ("edge_fractions", len(self.edge_fractions) > 0, "edge_fractions must not be empty"),
             ("mdg_delay_mult", self.mdg_delay_mult >= 1,
-             f"mdg_delay_mult must be >= 1, got {self.mdg_delay_mult!r}"),
+             "mdg_delay_mult must be >= 1, got {self.mdg_delay_mult!r}"),
             ("objective", self.objective is None or self.objective in OBJECTIVES,
-             f"objective must be one of {OBJECTIVES}, got {self.objective!r}"),
+             "objective must be one of {OBJECTIVES}, got {self.objective!r}"),
             # stage I maximizes the full profit: simplified rises with the fee
             ("objective", self.objective != "simplified" or self.kind not in (
                 "fig2", "fig6", "compare-mdg", "solve-uniform"),
              "objective 'simplified' applies to fig3 and fig4 only; "
-             f"stage I of {self.kind} maximizes the full profit"),
+             "stage I of {self.kind} maximizes the full profit"),
             ("fee_basis", self.fee_basis in FEE_BASES,
-             f"fee_basis must be one of {FEE_BASES}, got {self.fee_basis!r}"),
+             "fee_basis must be one of {FEE_BASES}, got {self.fee_basis!r}"),
             ("fee_search", self.fee_search in FEE_SEARCHES,
-             f"fee_search must be one of {FEE_SEARCHES}, got {self.fee_search!r}"),
+             "fee_search must be one of {FEE_SEARCHES}, got {self.fee_search!r}"),
             ("format", self.format in FORMATS,
-             f"format must be one of {FORMATS}, got {self.format!r}"),
-            ("edge_power", self.edge_power > 0,
-             f"edge_power must be > 0, got {self.edge_power!r}"),
+             "format must be one of {FORMATS}, got {self.format!r}"),
+            ("edge_power", self.edge_power > 0, "edge_power must be > 0, got {self.edge_power!r}"),
             ("device_power", self.device_power > 0,
-             f"device_power must be > 0, got {self.device_power!r}"),
+             "device_power must be > 0, got {self.device_power!r}"),
         )
-        errors = [message for name, ok, message in checks
-                  if not ok and name not in nonfinite]
+        # a message is a template, formatted only when its check fails
+        errors = [message.format(self=self, KINDS=KINDS, OBJECTIVES=OBJECTIVES,
+                                 FEE_BASES=FEE_BASES, FEE_SEARCHES=FEE_SEARCHES, FORMATS=FORMATS)
+                  for name, ok, message in checks if not ok and name not in nonfinite]
         errors += [f"{name} must be finite, got {getattr(self, name)!r}" for name in nonfinite]
         errors += [f"{name} must be an integer, got {getattr(self, name)!r}" for name in nonint]
 
@@ -225,7 +221,7 @@ def _float_list(text: str) -> tuple:
 _PARSERS = {"float": float, "int": int, "str": str, "tuple": _float_list}
 
 # every config key with its value parser; each is a field of one of the two dataclasses
-SETTINGS = {f.name: _PARSERS[_field_type(f)]
+SETTINGS = {f.name: _PARSERS[f.type.split(" |")[0]]
             for cls in (GameParams, ExperimentConfig) for f in fields(cls)
             if f.name != "params"}
 _PARAM_NAMES = frozenset(f.name for f in fields(GameParams))
@@ -339,13 +335,11 @@ def _rows_fig1(cfg: ExperimentConfig):
 
 
 def _rows_fig2(cfg: ExperimentConfig):
-    """Stage-I optimal fee against the fixed block reward."""
-    rewards = cfg.grid().tolist()
-    points = [replace(cfg.params, fixed_reward=r) for r in rewards]
-    fees, profits = optimal_fees_uniform(np.full(len(points), cfg.edge_power), cfg.unit_cost,
-                                         points)
-    return {"fixed_reward": rewards, "optimal_fee": fees.tolist(),
-            "leader_profit": profits.tolist(), "status": ["ok"] * len(rewards)}
+    """Stage-I optimal fee against the fixed block reward, one broadcast over the grid."""
+    rewards = cfg.grid()
+    fees, profits = optimal_fees_uniform([cfg.edge_power], cfg.unit_cost, cfg.params, rewards)
+    return {"fixed_reward": rewards.tolist(), "optimal_fee": fees.tolist(),
+            "leader_profit": profits.tolist(), "status": ["ok"] * rewards.size}
 
 
 def _rows_power_sweep(cfg: ExperimentConfig):

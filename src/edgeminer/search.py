@@ -43,8 +43,8 @@ class SearchConfig:
             raise ValueError("step_factor must lie strictly inside (0, 1)")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
             raise ValueError("tolerance must be a finite number > 0")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        if not is_integer(self.max_iters) or self.max_iters < 1:
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
 
 
 @dataclass(frozen=True)
@@ -145,8 +145,8 @@ def best_response_dynamics(game, start, tol: float = 1e-9, max_iters: int = 10_0
     if not np.all(np.isfinite(x)) or np.any(x <= 0):
         raise ValueError("start profile must be strictly positive")
     lam = min(0.5, 2.0 / c.size) if damping is None else damping
-    if not 0 < lam <= 1:
-        raise ValueError("damping must lie in (0, 1]")
+    if isinstance(lam, bool) or not 0 < lam <= 1:
+        raise ValueError(f"damping must be a number in (0, 1], got {lam!r}")
 
     # prev holds the others' totals during a sweep and the last iterate after
     # it.  Every ufunc operand is an array (total 0-d, zeros and lams full),
@@ -194,10 +194,10 @@ def grid_argmax(f, lo: float, hi: float, step: float):
     Ties break toward the smallest grid point.  Tries a vectorized call
     first and falls back to per-point evaluation.
     """
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    if step <= 0:
-        raise ValueError("step must be > 0")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"need finite lo < hi, got [{lo}, {hi}]")
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"step must be finite and > 0, got {step!r}")
     n = int(math.floor((hi - lo) / step + 1e-9))
     xs = lo + step * np.arange(n + 1)
     try:
@@ -217,10 +217,10 @@ def golden_section_max(f, lo: float, hi: float, rel_tol: float = 1e-9):
     returns the best of the final midpoint and the original endpoints, so
     monotone objectives land exactly on a boundary.
     """
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    if rel_tol <= 0:
-        raise ValueError("rel_tol must be > 0")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"need finite lo < hi, got [{lo}, {hi}]")
+    if isinstance(rel_tol, bool) or not (math.isfinite(rel_tol) and rel_tol > 0):
+        raise ValueError(f"rel_tol must be finite and > 0, got {rel_tol!r}")
     a, b = float(lo), float(hi)
     width = b - a
     c = b - _INV_PHI * (b - a)

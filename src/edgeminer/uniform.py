@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GameParams, check_objective, fee_bracket, leader_reward_scale
+from .core import GameParams, check_objective, leader_reward_scale, stage1_setup
 
 __all__ = [
     "UniformCertificate",
@@ -24,7 +24,6 @@ __all__ = [
     "optimal_fee_uniform",
     "optimal_fees_uniform",
     "reject_nonfinite_profits",
-    "stage1_setup",
     "uniqueness_certificate_uniform",
 ]
 
@@ -131,12 +130,6 @@ def optimal_fee_uniform(edge_power: float, unit_cost: float, params: GameParams)
     return float(fees[0]), float(profits[0])
 
 
-def stage1_setup(params: GameParams):
-    """(d, a, lo, hi): device discount, reward scale and fee_bracket of one instance."""
-    lo, hi = fee_bracket(params)
-    return params.delay_discount(params.mobile_tx_load), leader_reward_scale(params), lo, hi
-
-
 def reject_nonfinite_profits(edge, fees, profits, quantity: str = "stage-I profit") -> None:
     """Raise ValueError naming the first instance whose profit (or quantity) is not finite."""
     bad = ~np.isfinite(profits)
@@ -146,21 +139,21 @@ def reject_nonfinite_profits(edge, fees, profits, quantity: str = "stage-I profi
                          f"{float(edge[k])!r}, fee {float(fees[k])!r}): {float(profits[k])!r}")
 
 
-def optimal_fees_uniform(edge_powers, unit_cost: float, params):
+def optimal_fees_uniform(edge_powers, unit_cost: float, params: GameParams,
+                         fixed_reward=None):
     """Stage I in closed form: the fee maximizing the leader's full profit, per instance.
 
-    The bracket is fee_bracket(params): [participation_floor, 100*a].
-    The leader pays the fee, so while fee * d <= X * unit_cost (d the
-    device-load discount) the pool stays out and the profit is -fee; above
-    that it is a*(1 - sqrt(X*unit_cost/(fee*d))) - fee, concave with its
-    peak at p* = (a/2 * sqrt(X*unit_cost/d))^(2/3).  So the optimum is p*
-    clipped to the bracket, unless the floor earns strictly more.
+    The bracket [lo, hi] is stage1_setup's.  The leader pays the fee, so
+    while fee * d <= X * unit_cost (d the device-load discount) the pool
+    stays out and the profit is -fee; above that it is
+    a*(1 - sqrt(X*unit_cost/(fee*d))) - fee, concave with its peak at
+    p* = (a/2 * sqrt(X*unit_cost/d))^(2/3).  So the optimum is p* clipped to
+    the bracket, unless the floor earns strictly more.
 
-    ``edge_powers`` is a 1-D array, ``params`` one GameParams shared by every
-    instance or a sequence with one per instance.
-    The profit is ``leader_profits_uniform`` under "full", and a profit that
-    is not finite raises ValueError (reject_nonfinite_profits).  Returns
-    (fees, profits) arrays.
+    ``edge_powers`` and ``fixed_reward``, a 1-D array standing in for
+    params.fixed_reward if given, broadcast: one instance per element.  The
+    profit is ``leader_profits_uniform`` under "full"; one that is not finite
+    raises ValueError (reject_nonfinite_profits).  Returns (fees, profits).
     """
     edge = np.asarray(edge_powers, dtype=float)
     if edge.ndim != 1:
@@ -170,14 +163,9 @@ def optimal_fees_uniform(edge_powers, unit_cost: float, params):
         raise ValueError(f"edge_power must be finite and > 0, got {float(edge[bad][0])!r}")
     if not (math.isfinite(unit_cost) and unit_cost > 0):
         raise ValueError(f"unit_cost must be finite and > 0, got {unit_cost!r}")
-    if isinstance(params, GameParams):
-        discount, a, lo, hi = stage1_setup(params)
-        lo, hi = np.full(edge.size, lo), np.full(edge.size, hi)
-    else:
-        if len(params) != edge.size:
-            raise ValueError(f"{len(params)} GameParams for {edge.size} edge powers")
-        discount, a, lo, hi = np.array([stage1_setup(p) for p in params],
-                                       dtype=float).reshape(-1, 4).T
+    if fixed_reward is not None:
+        edge, fixed_reward = np.broadcast_arrays(edge, np.asarray(fixed_reward, dtype=float))
+    discount, a, lo, hi = stage1_setup(params, fixed_reward)
 
     def profits(fees):
         return leader_profits_uniform(fees, edge, unit_cost, discount, a, "full")

@@ -201,6 +201,34 @@ class TestSchema:
         with pytest.raises(ConfigError):
             ExperimentConfig()  # no kind
 
+    def test_every_check_message_text(self):
+        # the messages are formatted only when their check fails; these are their texts
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(kind="bogus", unit_cost=-1.0, n_miners=1, n_blocks=0, n_seeds=0,
+                             seed=-1, fee=-2.0, fees=(1.0, -1.0), edge_fraction=1.5,
+                             edge_fractions=(0.5, 2.0), mdg_delay_mult=0.5, objective="bogus",
+                             fee_basis="x", fee_search="y", format="xml", edge_power=-3.0,
+                             device_power=0.0, grid_start=1.0, grid_stop=2.0, grid_steps=3)
+        assert err.value.errors == [
+            "kind must be one of ('fig1', 'fig2', 'fig3', 'fig4', 'fig5', 'fig6', "
+            "'solve-uniform', 'solve-disc', 'simulate', 'compare-mdg'), got 'bogus'",
+            "unit_cost must be > 0, got -1.0", "n_miners must be >= 2, got 1",
+            "n_blocks must be >= 1, got 0", "n_seeds must be >= 1, got 0",
+            "seed must be >= 0, got -1", "fee must be > 0, got -2.0", "fees must all be > 0",
+            "edge_fraction must lie in (0, 1), got 1.5", "edge_fractions must all lie in (0, 1)",
+            "mdg_delay_mult must be >= 1, got 0.5",
+            "objective must be one of ('full', 'simplified'), got 'bogus'",
+            "fee_basis must be one of ('lump', 'per_power'), got 'x'",
+            "fee_search must be one of ('golden', 'hillclimb'), got 'y'",
+            "format must be one of ('csv', 'json'), got 'xml'",
+            "edge_power must be > 0, got -3.0", "device_power must be > 0, got 0.0"]
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(kind="fig6", edge_fractions=(), objective="simplified")
+        assert err.value.errors == [
+            "edge_fractions must not be empty",
+            "objective 'simplified' applies to fig3 and fig4 only; "
+            "stage I of fig6 maximizes the full profit"]
+
 
 class TestNonFiniteSettings:
     # every float and float-list field; three run on the figure where an infinite
@@ -703,6 +731,24 @@ class TestStage1Sweeps:
         assert len(err) == 1
         assert err[0].startswith(
             f"config error: stage-I profit is not finite at instance {instance} ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, line", [
+        (["--grid-start", "-5", "--grid-stop", "5", "--grid-steps", "3"],
+         "fixed_reward must be >= 0, got -5.0"),
+        (["--grid-start", "0", "--grid-stop", "1e-3", "--grid-steps", "3",
+          "--min-consumption", "1", "--tx-reward", "0"],
+         "fee bracket must satisfy 0 < lo < hi after the participation floor 1; "
+         "got [1, 0.0452419] at instance 1 (fixed reward 0.0005)"),
+        (["--grid-stop", "1e306"],
+         "stage-I profit is not finite at instance 1 (edge power 50.0, "
+         "fee 2.8665056559963514e+202): inf"),
+    ], ids=["negative-reward", "empty-bracket", "profit-overflow"])
+    def test_fig2_names_the_first_bad_reward(self, argv, line, tmp_path, capsys):
+        # the rewards are one array, and the error is the first bad grid point's
+        out = tmp_path / "report.csv"
+        assert main(["fig", "2", *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"config error: {line}"]
         assert not out.exists()
 
     def test_overflowing_mdg_fee_is_a_config_error(self, tmp_path, capsys):

@@ -52,6 +52,15 @@ class TestSearchConfig:
         with pytest.raises(ValueError, match=f"^{name} must"):
             SearchConfig(**{name: value})
 
+    @pytest.mark.parametrize("max_iters", [True, False, 2.5, 10.0, 0, -3],
+                             ids=["true", "false", "fraction", "float", "zero", "negative"])
+    def test_invalid_max_iters_rejected(self, max_iters):
+        with pytest.raises(ValueError, match="^max_iters must be an integer >= 1, got "):
+            SearchConfig(max_iters=max_iters)
+
+    def test_numpy_integer_max_iters_accepted(self):
+        assert SearchConfig(max_iters=np.int64(7)).max_iters == 7
+
 
 class TestMultiplicativeFeeSearch:
     def test_converges_to_analytic_optimum(self):
@@ -294,6 +303,13 @@ class TestBestResponseDynamics:
         with pytest.raises(ValueError, match="^max_iters must be an integer >= 1"):
             best_response_dynamics(self._game([4, 8]), [1.0, 1.0], max_iters=max_iters)
 
+    @pytest.mark.parametrize("damping", [True, False, 0.0, 1.5, float("nan")],
+                             ids=["true", "false", "zero", "above-one", "nan"])
+    def test_invalid_damping_rejected(self, damping):
+        # True would run as lam = 1, the undamped sweep
+        with pytest.raises(ValueError, match="^damping must be a number in"):
+            best_response_dynamics(self._game([4, 8]), [1.0, 1.0], damping=damping)
+
     def test_numpy_integer_max_iters_accepted(self):
         result = best_response_dynamics(self._game([4, 8]), [1.0, 1.0], max_iters=np.int64(500))
         np.testing.assert_allclose(result.powers, [8 / 9, 16 / 9], atol=1e-6)
@@ -361,6 +377,20 @@ class TestGridArgmax:
         with pytest.raises(ValueError):
             grid_argmax(lambda x: x, 2.0, 1.0, 0.1)
 
+    @pytest.mark.parametrize("step", [float("inf"), float("nan"), 0.0, -0.1],
+                             ids=["inf", "nan", "zero", "negative"])
+    def test_invalid_step_rejected(self, step):
+        # step inf used to return (nan, nan), from lo + inf * 0
+        with pytest.raises(ValueError, match="^step must be finite and > 0"):
+            grid_argmax(lambda x: -(x - 0.9) ** 2, 0.0, 1.0, step)
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, float("inf")), (float("-inf"), 1.0),
+                                        (float("nan"), 1.0)], ids=["hi-inf", "lo-inf", "lo-nan"])
+    def test_nonfinite_interval_rejected(self, lo, hi):
+        # an infinite end used to raise OverflowError from the grid size
+        with pytest.raises(ValueError, match="^need finite lo < hi"):
+            grid_argmax(lambda x: -(x - 0.9) ** 2, lo, hi, 0.1)
+
 
 class TestGoldenSectionMax:
     def test_analytic_optimum(self):
@@ -389,3 +419,18 @@ class TestGoldenSectionMax:
     def test_invalid_interval_rejected(self):
         with pytest.raises(ValueError):
             golden_section_max(lambda x: x, 1.0, 1.0)
+
+    @pytest.mark.parametrize("rel_tol", [float("nan"), float("inf"), True, 0.0, -1e-9],
+                             ids=["nan", "inf", "bool", "zero", "negative"])
+    def test_invalid_rel_tol_rejected(self, rel_tol):
+        # nan, inf and True used to skip the search and return the top, (1.0, -0.01)
+        with pytest.raises(ValueError, match="^rel_tol must be finite and > 0"):
+            golden_section_max(lambda x: -(x - 0.9) ** 2, 0.0, 1.0, rel_tol=rel_tol)
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, float("inf")), (float("-inf"), 1.0),
+                                        (float("nan"), 1.0), (0.0, float("nan"))],
+                             ids=["hi-inf", "lo-inf", "lo-nan", "hi-nan"])
+    def test_nonfinite_bracket_rejected(self, lo, hi):
+        # hi = inf used to return lo, (0.0, -0.81), without a search
+        with pytest.raises(ValueError, match="^need finite lo < hi"):
+            golden_section_max(lambda x: -(x - 0.9) ** 2, lo, hi)

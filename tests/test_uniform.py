@@ -26,6 +26,8 @@ from edgeminer import (
 )
 
 from edgeminer.core import fee_bracket
+from edgeminer.discriminatory import optimal_fees_discriminatory
+from edgeminer.experiments import _BUILDERS, FEE_SEARCHES, build_config
 
 from conftest import assert_stage1_optimum, random_uniform_games, zero_delay_params
 
@@ -376,16 +378,22 @@ class TestOptimalFeesUniform:
 
     @pytest.mark.parametrize("unit_cost", [0.02, 0.1, 0.5])
     def test_params_per_instance_and_bracket(self, unit_cost):
-        # each instance's bracket is its own params' [floor, 100a]
-        points = [GameParams(fixed_reward=r, mobile_tx_load=3 + k, min_consumption=0.5 * k)
-                  for k, r in enumerate([0.5, 3.0, 10.0, 40.0, 90.0, 200.0])]
-        fees, profits = optimal_fees_uniform(self.EDGE, unit_cost, points)
-        for k, (edge_power, params) in enumerate(zip(self.EDGE, points)):
-            assert_stage1_optimum(fees[k], profits[k], edge_power, unit_cost, params)
-            assert (fees[k], profits[k]) == optimal_fee_uniform(edge_power, unit_cost, params)
+        # each instance's bracket is [floor, 100a] at its own fixed reward
+        params = GameParams(mobile_tx_load=5, min_consumption=1.5)
+        rewards = np.array([0.0, 0.5, 3.0, 10.0, 90.0, 200.0])
+        fees, profits = optimal_fees_uniform(self.EDGE, unit_cost, params, rewards)
+        for k, (edge_power, reward) in enumerate(zip(self.EDGE, rewards)):
+            point = replace(params, fixed_reward=float(reward))
+            assert_stage1_optimum(fees[k], profits[k], edge_power, unit_cost, point)
+            assert (fees[k], profits[k]) == optimal_fee_uniform(edge_power, unit_cost, point)
+        # one edge power broadcasts against every reward
+        one_edge = optimal_fees_uniform([50.0], unit_cost, params, rewards)
+        assert [column.tolist() for column in one_edge] == [
+            list(column) for column in zip(*(optimal_fee_uniform(
+                50.0, unit_cost, replace(params, fixed_reward=float(r))) for r in rewards))]
 
     def test_empty(self):
-        fees, profits = optimal_fees_uniform([], 0.005, [])
+        fees, profits = optimal_fees_uniform([], 0.005, GameParams(), [])
         assert fees.size == profits.size == 0
 
     @pytest.mark.parametrize("edge_power, unit_cost, message", [
@@ -407,8 +415,11 @@ class TestOptimalFeesUniform:
             optimal_fee_uniform(math.nan, 0.005, GameParams())
 
     def test_params_count_must_match(self):
-        with pytest.raises(ValueError):
-            optimal_fees_uniform([1.0, 2.0], 0.005, [GameParams()])
+        # rewards and edge powers broadcast against each other, or fail to
+        with pytest.raises(ValueError, match="broadcast"):
+            optimal_fees_uniform([1.0, 2.0], 0.005, GameParams(), [1.0, 2.0, 3.0])
+        with pytest.raises(AttributeError):
+            optimal_fees_uniform([1.0], 0.005, [GameParams()])
 
     def test_zero_discount_full_equals_scalar_loop(self):
         # kappa = 0 only keeps the pool out: profit is -fee, best at the floor
@@ -450,3 +461,110 @@ class TestOptimalFeesUniform:
                 return
             fees, profits = optimal_fees_uniform([edge_power], unit_cost, params)
             assert_stage1_optimum(fees[0], profits[0], edge_power, unit_cost, params)
+
+
+def _head_fig2(edge_power, unit_cost, params, rewards):
+    """fig2's route before the reward broadcast: one GameParams per reward, then scalar stage I.
+
+    Every reward is validated first, then every bracket, then each point's
+    stage I, as that route did.  Returns (fees, profits) lists, or the error
+    as (class, message, first bad instance or None).
+    """
+    try:
+        points = [replace(params, fixed_reward=r) for r in rewards]
+    except ConfigError as exc:
+        return type(exc), str(exc), None
+    for k, point in enumerate(points):
+        try:
+            fee_bracket(point)
+        except ConfigError as exc:
+            return type(exc), str(exc), k
+    fees, profits = [], []
+    for k, point in enumerate(points):
+        try:
+            fee, profit = optimal_fee_uniform(edge_power, unit_cost, point)
+        except ValueError as exc:
+            return type(exc), str(exc), k
+        fees.append(fee)
+        profits.append(profit)
+    return fees, profits
+
+
+@st.composite
+def _reward_grids(draw):
+    """(edge power, unit cost, params, rewards): rewards with 0, -0, subnormals, 1e+-300.
+
+    One reward in three grids is replaced by a negative or non-finite one.
+    """
+    valid = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308]),
+                      _log_uniform(-300.0, 300.0), st.floats(0.0, 1e3))
+    rewards = draw(st.lists(valid, max_size=12))
+    if rewards and draw(st.integers(0, 2)) == 0:
+        bad = draw(st.one_of(_log_uniform(-300.0, 300.0).map(lambda r: -r),
+                             st.sampled_from([math.nan, math.inf, -math.inf])))
+        rewards[draw(st.integers(0, len(rewards) - 1))] = bad
+    params = GameParams(tx_reward=draw(st.sampled_from([0.0, 2.0, 1e300])),
+                        poisson_rate=draw(st.sampled_from([0.0, 0.01, 100.0])),
+                        mobile_tx_load=draw(st.integers(1, 50)),
+                        min_consumption=draw(st.sampled_from([0.0, 0.1, 5.0, 1e3, 1e300])))
+    return draw(_log_uniform(-300.0, 300.0)), draw(_log_uniform(-300.0, 300.0)), params, rewards
+
+
+class TestRewardBroadcast:
+    """Stage I over a reward array equals fig2's per-point route, bit for bit."""
+
+    @settings(max_examples=500, derandomize=True, deadline=None)
+    @given(_reward_grids())
+    def test_equals_the_per_point_route(self, instance):
+        edge_power, unit_cost, params, rewards = instance
+        head = _head_fig2(edge_power, unit_cost, params, rewards)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                fees, profits = optimal_fees_uniform([edge_power], unit_cost, params,
+                                                     np.array(rewards))
+            except ValueError as exc:
+                error = exc
+            else:
+                error = None
+        if len(head) == 2:
+            assert error is None and fees.shape == profits.shape == (len(rewards),)
+            cells = fees.tolist() + profits.tolist()
+            assert all(type(cell) is float for cell in cells)
+            assert [c.hex() for c in cells] == [c.hex() for c in head[0] + head[1]]
+            return
+        cls, message, k = head
+        if message.startswith("fee bracket"):
+            message += f" at instance {k} (fixed reward {rewards[k]!r})"
+        elif k is not None:
+            message = message.replace("at instance 0 ", f"at instance {k} ", 1)
+        assert type(error) is cls
+        assert str(error) == message
+
+    def test_every_branch_is_drawn(self):
+        # the property above sees results, and each kind of error, often
+        seen = set()
+
+        @settings(max_examples=500, derandomize=True, deadline=None)
+        @given(_reward_grids())
+        def record(instance):
+            head = _head_fig2(*instance)
+            seen.add("ok" if len(head) == 2 else head[1].split(" ", 2)[1])
+
+        record()
+        assert seen == {"ok", "must", "bracket", "profit"}, seen
+
+    def test_scalar_callers_get_plain_floats(self):
+        params = GameParams()
+        assert all(type(v) is float for v in uniform.stage1_setup(params))
+        assert all(type(v) is float for v in fee_bracket(params))
+        assert all(type(v) is float for v in optimal_fee_uniform(50.0, 0.005, params))
+        d, a, lo, hi = uniform.stage1_setup(params, np.array([1.0, 2.0]))
+        assert type(d) is type(lo) is float and a.shape == hi.shape == (2,)
+        fees, total = optimal_fees_discriminatory(3, 0.005, params)
+        assert type(total) is float and type(fees.tolist()[0]) is float
+        # a report cell's text is looked up by its exact type
+        for search in FEE_SEARCHES:
+            table = _BUILDERS["solve-uniform"](build_config({"kind": "solve-uniform",
+                                                             "fee_search": search}))
+            assert {type(cells[0]) for cells in table.values()} == {bool, float, str}
