@@ -13,9 +13,11 @@ import argparse
 import sys
 
 from .core import ConfigError, ConvergenceError
-from .experiments import SETTINGS, build_config, parse_config_text, run_experiment
+from .experiments import KINDS, SETTINGS, build_config, parse_config_text, run_experiment
 
-COMMANDS = ("fig", "solve-uniform", "solve-disc", "simulate", "compare-mdg")
+# a kind is a command, or "fig" and a figure number
+COMMANDS = tuple(dict.fromkeys(kind.rstrip("0123456789") for kind in KINDS))
+FIGURES = tuple(int(kind[3:]) for kind in KINDS if kind.startswith("fig"))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -34,7 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "and solve-disc solve one instance; simulate runs the seeded "
                              "mining simulation; compare-mdg compares the edge scheme "
                              "with the delayed baseline")
-    parser.add_argument("number", nargs="?", type=int, choices=range(1, 7), metavar="N",
+    parser.add_argument("number", nargs="?", type=int, choices=FIGURES, metavar="N",
                         help="figure number 1..6, for fig only")
     parser.add_argument("--config", metavar="FILE", help="flat key = value config file")
     for key in SETTINGS:

@@ -207,9 +207,8 @@ def stage1_setup(params: GameParams, fixed_reward=None):
     ConfigError for the first bad instance.
     """
     lo, d = participation_floor(params), params.delay_discount(params.mobile_tx_load)
-    r = params.fixed_reward
+    r = params.fixed_reward if fixed_reward is None else np.asarray(fixed_reward, dtype=float)
     if fixed_reward is not None:
-        r = np.asarray(fixed_reward, dtype=float)
         bad = ~(np.isfinite(r) & (r >= 0))
         if bad.any():  # GameParams raises its own error for the first bad reward
             GameParams(fixed_reward=float(r[bad][0]))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import namedtuple
 from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii
 
@@ -58,6 +59,7 @@ __all__ = [
     "ExperimentConfig",
     "FEE_SEARCHES",
     "FORMATS",
+    "KIND_TABLE",
     "KINDS",
     "SETTINGS",
     "Table",
@@ -67,16 +69,6 @@ __all__ = [
     "run_experiment",
     "validate_config",
 ]
-
-DEFAULT_GRIDS = {
-    "fig1": (1.0, 100.0, 100),
-    "fig2": (1.0, 50.0, 50),
-    "fig3": (0.0, 100.0, 101),
-    "fig4": (0.0, 100.0, 101),
-    "fig5": (10.0, 200.0, 20),
-    "fig6": (10.0, 200.0, 20),
-    "compare-mdg": (10.0, 200.0, 20),
-}
 
 FEE_SEARCHES = ("golden", "hillclimb")
 FORMATS = ("csv", "json")
@@ -91,7 +83,8 @@ class ExperimentConfig:
     ``kind`` and ``params``, plus each GameParams field, into a
     ``--kebab-case`` flag (see SETTINGS).  Construction, including through
     ``dataclasses.replace``, validates every field and raises one
-    ConfigError that lists all violations.
+    ConfigError that lists all violations, a setting the kind does not read
+    (KIND_TABLE) among them unless it holds its default.
     """
 
     kind: str = ""
@@ -151,11 +144,6 @@ class ExperimentConfig:
              "mdg_delay_mult must be >= 1, got {self.mdg_delay_mult!r}"),
             ("objective", self.objective is None or self.objective in OBJECTIVES,
              "objective must be one of {OBJECTIVES}, got {self.objective!r}"),
-            # stage I maximizes the full profit: simplified rises with the fee
-            ("objective", self.objective != "simplified" or self.kind not in (
-                "fig2", "fig6", "compare-mdg", "solve-uniform"),
-             "objective 'simplified' applies to fig3 and fig4 only; "
-             "stage I of {self.kind} maximizes the full profit"),
             ("fee_basis", self.fee_basis in FEE_BASES,
              "fee_basis must be one of {FEE_BASES}, got {self.fee_basis!r}"),
             ("fee_search", self.fee_search in FEE_SEARCHES,
@@ -165,6 +153,8 @@ class ExperimentConfig:
             ("edge_power", self.edge_power > 0, "edge_power must be > 0, got {self.edge_power!r}"),
             ("device_power", self.device_power > 0,
              "device_power must be > 0, got {self.device_power!r}"),
+            ("powers", all(p >= 0 for p in self.powers) and sum(self.powers) > 0,
+             "powers must be nonnegative with a positive total"),
         )
         # a message is a template, formatted only when its check fails
         errors = [message.format(self=self, KINDS=KINDS, OBJECTIVES=OBJECTIVES,
@@ -173,41 +163,36 @@ class ExperimentConfig:
         errors += [f"{name} must be finite, got {getattr(self, name)!r}" for name in nonfinite]
         errors += [f"{name} must be an integer, got {getattr(self, name)!r}" for name in nonint]
 
-        start, stop, steps = self.resolved_grid()
-        grid_given = any(v is not None for v in (self.grid_start, self.grid_stop,
-                                                 self.grid_steps))
-        if self.kind in DEFAULT_GRIDS or grid_given:
-            if start is None or stop is None or steps is None:
-                errors.append("grid_start, grid_stop and grid_steps must be given together "
-                              f"for kind {self.kind!r} (no default grid)")
-            else:
-                if not start < stop and not {"grid_start", "grid_stop"} & set(nonfinite):
+        kind = KIND_TABLE.get(self.kind) or Kind(None, _DEFAULTS)  # an unknown kind reads all
+        values = {**vars(self.params), **vars(self)}
+        unread = ", ".join(name for name, default in _DEFAULTS.items()
+                           if name not in kind.reads and values[name] != default)
+        if unread:  # a setting the kind ignores may only hold its default
+            errors.append(f"{self.kind} does not read {unread}; it reads "
+                          + ", ".join(name for name in _DEFAULTS if name in kind.reads))
+        if kind.grid is not None:
+            start, stop, steps = self.resolved_grid()
+            if not {"grid_start", "grid_stop"} & set(nonfinite):
+                if not start < stop:
                     errors.append(f"grid_start must be < grid_stop, got [{start!r}, {stop!r}]")
-                if "grid_steps" not in nonint and steps < 2:
-                    errors.append(f"grid_steps must be >= 2, got {steps!r}")
+                elif not math.isfinite(float(stop) - float(start)):
+                    errors.append("grid_stop - grid_start must be finite, got "
+                                  f"[{start!r}, {stop!r}]")
+            if "grid_steps" not in nonint and steps < 2:
+                errors.append(f"grid_steps must be >= 2, got {steps!r}")
         if self.kind == "solve-disc" and self.fees is None:
             errors.append("solve-disc requires a 'fees' list")
-        if self.kind == "simulate" and "powers" not in nonfinite:
-            if len(self.powers) < 1 or any(p < 0 for p in self.powers) or sum(self.powers) <= 0:
-                errors.append("powers must be nonnegative with a positive total")
         if errors:
             raise ConfigError(errors)
 
     def resolved_grid(self):
         """Grid spec with missing pieces filled from the kind's default."""
-        default = DEFAULT_GRIDS.get(self.kind, (None, None, None))
-        start = self.grid_start if self.grid_start is not None else default[0]
-        stop = self.grid_stop if self.grid_stop is not None else default[1]
-        steps = self.grid_steps if self.grid_steps is not None else default[2]
-        return start, stop, steps
+        given = (self.grid_start, self.grid_stop, self.grid_steps)
+        return tuple(d if g is None else g for g, d in zip(given, KIND_TABLE[self.kind].grid))
 
     def grid(self) -> np.ndarray:
         start, stop, steps = self.resolved_grid()
         return np.linspace(start, stop, steps)
-
-    def resolved_objective(self) -> str:
-        """The objective of fig3/fig4's money columns, simplified unless set."""
-        return self.objective or ("simplified" if self.kind in ("fig3", "fig4") else "full")
 
 
 def _float_list(text: str) -> tuple:
@@ -220,11 +205,12 @@ def _float_list(text: str) -> tuple:
 # a value's parser follows from its field's annotation: "float | None" -> float
 _PARSERS = {"float": float, "int": int, "str": str, "tuple": _float_list}
 
+_FIELDS = [f for cls in (GameParams, ExperimentConfig) for f in fields(cls) if f.name != "params"]
 # every config key with its value parser; each is a field of one of the two dataclasses
-SETTINGS = {f.name: _PARSERS[f.type.split(" |")[0]]
-            for cls in (GameParams, ExperimentConfig) for f in fields(cls)
-            if f.name != "params"}
+SETTINGS = {f.name: _PARSERS[f.type.split(" |")[0]] for f in _FIELDS}
 _PARAM_NAMES = frozenset(f.name for f in fields(GameParams))
+# each setting's default, but for kind, out and format, which every kind reads
+_DEFAULTS = {f.name: f.default for f in _FIELDS if f.name not in ("kind", "out", "format")}
 
 
 def parse_config_text(text: str) -> dict:
@@ -350,7 +336,7 @@ def _rows_power_sweep(cfg: ExperimentConfig):
     earns a*D/(X+D) for their sum.  Rows with X <= 0, D < 0 or a bill that
     overflows are infeasible; any other fee_same must be finite and > 0.
     """
-    objective = cfg.resolved_objective()
+    objective = cfg.objective or "simplified"
     fig3 = cfg.kind == "fig3"
     grid = cfg.grid()
     fixed = np.full(grid.size, cfg.edge_power if fig3 else cfg.device_power)
@@ -519,14 +505,32 @@ def _rows_simulate(cfg: ExperimentConfig):
     }
 
 
-# one builder per experiment kind; KINDS is their names, in this order
-_BUILDERS = {
-    "fig1": _rows_fig1, "fig2": _rows_fig2, "fig3": _rows_power_sweep,
-    "fig4": _rows_power_sweep, "fig5": _rows_fig5, "fig6": _rows_mdg,
-    "solve-uniform": _rows_solve_uniform, "solve-disc": _rows_solve_disc,
-    "simulate": _rows_simulate, "compare-mdg": _rows_mdg,
+# the GameParams fields each piece of the model reads; a is the reward scale (r + tx) d
+_BLOCK_DISCOUNT = {"poisson_rate", "delay_factor", "tx_per_block"}
+_DEVICE_SCALE = {"poisson_rate", "delay_factor", "mobile_tx_load", "fixed_reward", "tx_reward"}
+_BRACKET = _DEVICE_SCALE | {"min_consumption"}
+_STAGE1 = _BRACKET | {"edge_power", "unit_cost"}  # stage I at one edge power
+_NET_PROFIT = _BLOCK_DISCOUNT | {"fixed_reward", "tx_reward", "edge_overhead"}
+_GRID = {"grid_start", "grid_stop", "grid_steps"}
+_MDG = _GRID | _BRACKET | _NET_PROFIT | {"unit_cost", "mdg_delay_mult"}
+_POWER_SWEEP = _GRID | _DEVICE_SCALE | {"unit_cost", "n_miners", "objective"}
+# each kind's row builder, settings read besides out and format, and default grid, if any
+Kind = namedtuple("Kind", "build reads grid", defaults=(None,))
+KIND_TABLE = {
+    "fig1": Kind(_rows_fig1, _GRID | _BLOCK_DISCOUNT | {"device_power", "seed", "n_seeds",
+                                                        "n_blocks"}, (1.0, 100.0, 100)),
+    "fig2": Kind(_rows_fig2, _GRID | _STAGE1 - {"fixed_reward"}, (1.0, 50.0, 50)),  # grid is r
+    "fig3": Kind(_rows_power_sweep, _POWER_SWEEP | {"edge_power"}, (0.0, 100.0, 101)),
+    "fig4": Kind(_rows_power_sweep, _POWER_SWEEP | {"device_power"}, (0.0, 100.0, 101)),
+    "fig5": Kind(_rows_fig5, _MDG - {"min_consumption"} | {"n_miners", "edge_fractions"},
+                 (10.0, 200.0, 20)),
+    "fig6": Kind(_rows_mdg, _MDG | {"edge_fractions"}, (10.0, 200.0, 20)),
+    "solve-uniform": Kind(_rows_solve_uniform, _STAGE1 | {"fee", "fee_search"}),
+    "solve-disc": Kind(_rows_solve_disc, _DEVICE_SCALE | {"fees", "unit_cost", "fee_basis"}),
+    "simulate": Kind(_rows_simulate, _BLOCK_DISCOUNT | {"powers", "seed", "n_blocks"}),
+    "compare-mdg": Kind(_rows_mdg, _MDG | {"edge_fraction"}, (10.0, 200.0, 20)),
 }
-KINDS = tuple(_BUILDERS)
+KINDS = tuple(KIND_TABLE)
 
 
 class Table(dict):
@@ -595,7 +599,7 @@ def run_experiment(cfg: ExperimentConfig):
     Infeasible instances become row-level markers in the ``status`` column
     rather than aborting the run.
     """
-    table = Table(_BUILDERS[cfg.kind](cfg))
+    table = Table(KIND_TABLE[cfg.kind].build(cfg))
     path = cfg.out or f"{cfg.kind}.{cfg.format}"
     text = render_report(table, cfg.format)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -1,19 +1,52 @@
-"""Shared instance generators for the test suite.
+"""Shared instance generators and settings helpers for the test suite.
 
 All randomness is seeded so every run sees the same instances.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from edgeminer import (
     DiscriminatoryGame,
+    ExperimentConfig,
     GameParams,
     UniformGame,
     golden_section_max,
     leader_delta_utility_uniform,
 )
 from edgeminer.core import fee_bracket
+from edgeminer.experiments import KIND_TABLE, KINDS
+
+# every setting's default, and valid non-default raw values for those whose default
+# gives no hint
+DEFAULTS = {f.name: f.default for cls in (GameParams, ExperimentConfig)
+            for f in dataclasses.fields(cls) if f.name != "params"}
+_RAW_VALUES = {
+    "fee": "2.5", "fees": "4, 8", "objective": "full", "fee_basis": "per_power",
+    "fee_search": "hillclimb", "grid_start": "2.5", "grid_stop": "20", "grid_steps": "3",
+    "edge_fractions": "0.2,0.7", "powers": "1,2", "out": "x.json", "format": "json",
+}
+
+
+def raw_value(name):
+    """A valid flag or config-file text for a setting, whose value is not its default."""
+    if name in _RAW_VALUES:
+        return _RAW_VALUES[name]
+    default = DEFAULTS[name]
+    return str(default + 1) if isinstance(default, int) else repr(1.5 * default)
+
+
+def reader(name):
+    """The first kind that reads a setting; fig1 for out and format, which every kind reads."""
+    return next((kind for kind in KINDS if name in KIND_TABLE[kind].reads), "fig1")
+
+
+def kind_argv(kind, fees=True):
+    """The command line that selects a kind; solve-disc's carries the fees it requires."""
+    argv = ["fig", kind[3:]] if kind.startswith("fig") else [kind]
+    return argv + ["--fees", "4,8"] if kind == "solve-disc" and fees else argv
 
 
 def zero_delay_params(**overrides) -> GameParams:

@@ -38,8 +38,8 @@ from edgeminer.core import OBJECTIVES
 from edgeminer.cli import _settings_from_args, build_parser, main
 from edgeminer.discriminatory import FEE_BASES
 from edgeminer.experiments import (
-    DEFAULT_GRIDS,
     FORMATS,
+    KIND_TABLE,
     KINDS,
     SETTINGS,
     _rows_fig1,
@@ -49,7 +49,7 @@ from edgeminer.experiments import (
     run_experiment,
 )
 
-from conftest import assert_stage1_optimum
+from conftest import assert_stage1_optimum, kind_argv, raw_value, reader
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -79,11 +79,11 @@ class TestValidateConfig:
         assert cfg.kind == "fig1"
         assert cfg.n_blocks == 1000
         assert cfg.params.tx_per_block == 10
-        assert cfg.resolved_grid() == DEFAULT_GRIDS["fig1"]
+        assert cfg.resolved_grid() == KIND_TABLE["fig1"].grid
 
     def test_comments_and_blank_lines(self):
-        cfg = validate_config("# experiment\nkind = fig2\n\nseed = 9  # rng\n")
-        assert cfg.kind == "fig2" and cfg.seed == 9
+        cfg = validate_config("# experiment\nkind = fig1\n\nseed = 9  # rng\n")
+        assert cfg.kind == "fig1" and cfg.seed == 9
 
     def test_negative_rate_names_the_key(self):
         with pytest.raises(ConfigError) as err:
@@ -136,11 +136,12 @@ class TestValidateConfig:
     @pytest.mark.parametrize("name", ["n_blocks", "n_seeds", "seed", "n_miners", "grid_steps"])
     def test_count_must_be_an_integer(self, name, value):
         # bool is an int subclass, but True blocks or seeds are a caller's mistake
+        kind = "fig5" if name == "n_miners" else "fig1"  # a kind that reads the count
         with pytest.raises(ConfigError) as err:
-            ExperimentConfig(kind="fig1", **{name: value})
+            ExperimentConfig(kind=kind, **{name: value})
         assert err.value.errors == [f"{name} must be an integer, got {value!r}"]
         with pytest.raises(ConfigError):
-            dataclasses.replace(ExperimentConfig(kind="fig1"), **{name: value})
+            dataclasses.replace(ExperimentConfig(kind=kind), **{name: value})
 
     def test_numpy_integer_counts_accepted(self):
         cfg = ExperimentConfig(kind="fig1", n_blocks=np.int64(7), seed=np.uint32(2),
@@ -157,21 +158,6 @@ class TestValidateConfig:
         assert not (tmp_path / "x.csv").exists()
 
 
-# valid non-default raw values for the settings whose default gives no hint
-_RAW_VALUES = {
-    "fee": "2.5", "fees": "4, 8", "objective": "full", "fee_basis": "per_power",
-    "fee_search": "hillclimb", "grid_start": "2.5", "grid_stop": "20", "grid_steps": "3",
-    "edge_fractions": "0.2,0.7", "powers": "1,2", "out": "x.json", "format": "json",
-}
-
-
-def _raw_value(f):
-    if f.name in _RAW_VALUES:
-        return _RAW_VALUES[f.name]
-    default = f.default
-    return str(default + 1) if isinstance(default, int) else repr(1.5 * default)
-
-
 class TestSchema:
     fields = [f for cls in (GameParams, ExperimentConfig) for f in dataclasses.fields(cls)
               if f.name not in ("kind", "params")]
@@ -181,9 +167,13 @@ class TestSchema:
 
     @pytest.mark.parametrize("f", fields, ids=lambda f: f.name)
     def test_field_is_a_config_key_and_a_flag(self, f):
-        raw = _raw_value(f)
-        from_file = validate_config(f"kind = fig2\n{f.name} = {raw}\n")
-        args = build_parser().parse_args(["fig", "2", "--" + f.name.replace("_", "-"), raw])
+        # on a kind that reads the setting
+        raw = raw_value(f.name)
+        kind = reader(f.name)
+        argv = kind_argv(kind, fees=f.name != "fees")
+        fees = "fees = 4, 8\n" if "--fees" in argv else ""
+        from_file = validate_config(f"kind = {kind}\n{fees}{f.name} = {raw}\n")
+        args = build_parser().parse_args([*argv, "--" + f.name.replace("_", "-"), raw])
         from_flag = build_config(_settings_from_args(args))
         in_params = f.name in GameParams.__dataclass_fields__
         values = [getattr(cfg.params if in_params else cfg, f.name)
@@ -191,12 +181,13 @@ class TestSchema:
         assert values[0] == values[1] == SETTINGS[f.name](raw) != f.default
 
     def test_invalid_values_rejected_on_construction_and_replace(self):
-        cfg = ExperimentConfig(kind="fig2")
+        cfg = ExperimentConfig(kind="fig6")
         with pytest.raises(ConfigError) as err:
             dataclasses.replace(cfg, mdg_delay_mult=0.5)
         assert "mdg_delay_mult" in str(err.value)
         with pytest.raises(ConfigError) as err:
-            ExperimentConfig(kind="fig2", seed=-1, format="xml", fee_basis="weird")
+            ExperimentConfig(kind="solve-disc", fees=(4.0, 5.0), unit_cost=-1.0, format="xml",
+                             fee_basis="weird")
         assert len(err.value.errors) == 3
         with pytest.raises(ConfigError):
             ExperimentConfig()  # no kind
@@ -223,20 +214,25 @@ class TestSchema:
             "format must be one of ('csv', 'json'), got 'xml'",
             "edge_power must be > 0, got -3.0", "device_power must be > 0, got 0.0"]
         with pytest.raises(ConfigError) as err:
-            ExperimentConfig(kind="fig6", edge_fractions=(), objective="simplified")
+            ExperimentConfig(kind="fig6", edge_fractions=(), objective="simplified",
+                             fee_basis="per_power", n_miners=7, grid_start=-1.7e308,
+                             grid_stop=1.7e308)
         assert err.value.errors == [
             "edge_fractions must not be empty",
-            "objective 'simplified' applies to fig3 and fig4 only; "
-            "stage I of fig6 maximizes the full profit"]
+            "fig6 does not read n_miners, objective, fee_basis; it reads fixed_reward, "
+            "tx_reward, poisson_rate, delay_factor, tx_per_block, mobile_tx_load, edge_overhead, "
+            "min_consumption, unit_cost, grid_start, grid_stop, grid_steps, edge_fractions, "
+            "mdg_delay_mult",
+            "grid_stop - grid_start must be finite, got [-1.7e+308, 1.7e+308]"]
 
 
 class TestNonFiniteSettings:
-    # every float and float-list field; three run on the figure where an infinite
-    # value used to get through validation, powers on the one kind that checks it
+    # every float and float-list field, each on a kind that reads it; three run on
+    # the figure where an infinite value used to get through validation
     fields = [f.name for cls in (ExperimentConfig, GameParams) for f in dataclasses.fields(cls)
               if f.type.split(" |")[0] in ("float", "tuple")]
     commands = {"grid_stop": ["fig", "2"], "device_power": ["fig", "4"],
-                "mdg_delay_mult": ["fig", "6"], "powers": ["simulate"]}
+                "mdg_delay_mult": ["fig", "6"]}
 
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     @pytest.mark.parametrize("name", fields)
@@ -244,7 +240,8 @@ class TestNonFiniteSettings:
         out = tmp_path / "x.csv"
         if SETTINGS[name] is not float:
             value = f"1,{value}"
-        argv = self.commands.get(name, ["fig", "2"]) + [
+        argv = self.commands.get(name) or kind_argv(reader(name), fees=name != "fees")
+        argv = argv + [
             f"--{name.replace('_', '-')}={value}", "--out", str(out)]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -261,7 +258,7 @@ class TestNonFiniteSettings:
 class TestTable:
     # a small run of every kind
     settings = {
-        **{kind: {"grid_steps": 5} for kind in DEFAULT_GRIDS},
+        **{kind: {"grid_steps": 5} for kind in KINDS if KIND_TABLE[kind].grid},
         "solve-uniform": {}, "solve-disc": {"fees": (4.0, 4.5, 5.0)},
         "simulate": {"powers": (1.0, 0.0, 2.0)},
     }
@@ -472,7 +469,7 @@ class TestPowerSweepClosedForms:
 
     @staticmethod
     def _power_sweep_oracle(cfg):
-        params, objective = cfg.params, cfg.resolved_objective()
+        params, objective = cfg.params, cfg.objective or "simplified"
         discount = params.delay_discount(params.mobile_tx_load)
         a = params.total_reward * discount
         fig3 = cfg.kind == "fig3"
@@ -541,7 +538,7 @@ class TestPowerSweepClosedForms:
         cfg = build_config({"kind": kind, "n_miners": n_miners, "objective": objective,
                             "grid_start": grid[0], "grid_stop": grid[1], "grid_steps": grid[2],
                             "mobile_tx_load": 7, "unit_cost": 0.004})
-        rows = _rows(experiments._BUILDERS[kind](cfg))
+        rows = _rows(KIND_TABLE[kind].build(cfg))
         expected = self._power_sweep_oracle(cfg)
         _assert_money_close(rows, expected, self.POWER_MONEY, rel=1e-12)
         # the same-fee columns keep the per-point arithmetic exactly
@@ -555,7 +552,7 @@ class TestPowerSweepClosedForms:
         cfg = build_config({"kind": "fig5", "n_miners": n_miners, "grid_start": grid[0],
                             "grid_stop": grid[1], "grid_steps": grid[2],
                             "edge_fractions": (0.1, 0.37, 0.9), "mdg_delay_mult": 1.7})
-        _assert_money_close(_rows(experiments._BUILDERS["fig5"](cfg)), self._fig5_oracle(cfg),
+        _assert_money_close(_rows(KIND_TABLE["fig5"].build(cfg)), self._fig5_oracle(cfg),
                             self.FIG5_MONEY, rel=1e-12)
 
     @pytest.mark.parametrize("n_miners", [2, 5, 1000])
@@ -577,9 +574,10 @@ class TestPowerSweepClosedForms:
 
         for module in (discriminatory, experiments):
             monkeypatch.setattr(module, "nash_equilibrium_closed_form", counting)
-        for kind in ("fig3", "fig4", "fig5"):
+        for kind in ("fig3", "fig4"):
             for objective in OBJECTIVES:
                 _run(kind, tmp_path, n_miners=1000, objective=objective)
+        _run("fig5", tmp_path, n_miners=1000)  # fig5 reads no objective
         assert sizes == []
 
     @pytest.mark.parametrize("fmt", FORMATS)
@@ -674,10 +672,11 @@ class TestStage1Sweeps:
     def test_rows_equal_per_point_search(self, kind, steps, settings):
         # min_consumption 5 lies above the interior optimum: the floor endpoint wins;
         # a zero delay discount or a unit cost of 50 keeps the pool out, so the floor wins
-        cfg = build_config({"kind": kind, "grid_steps": steps,
-                            "edge_fractions": (0.01, 0.99), "edge_fraction": 0.99,
+        fractions = {"fig6": {"edge_fractions": (0.01, 0.99)},
+                     "compare-mdg": {"edge_fraction": 0.99}}
+        cfg = build_config({"kind": kind, "grid_steps": steps, **fractions.get(kind, {}),
                             **settings})
-        rows = _rows(experiments._BUILDERS[kind](cfg))
+        rows = _rows(KIND_TABLE[kind].build(cfg))
         # items, in order: the column order is part of the report bytes
         expected = self._check_rows(cfg, rows)
         assert len(rows) == len(expected) == steps * (2 if kind == "fig6" else 1)
@@ -797,12 +796,12 @@ class TestStage1Sweeps:
 class TestObjectiveSetting:
     """Stage I maximizes the full profit; only fig3/fig4's money columns read the objective."""
 
-    STAGE1_KINDS = {"fig2": ["fig", "2"], "fig6": ["fig", "6"],
-                    "compare-mdg": ["compare-mdg"], "solve-uniform": ["solve-uniform"]}
-    # the kinds that ignore the setting, at small sizes
-    OTHER_KINDS = {"solve-disc": ["solve-disc", "--fees", "4,5,6"],
-                   "fig1": ["fig", "1", "--grid-steps", "5", "--n-seeds", "2"],
-                   "fig5": ["fig", "5"], "simulate": ["simulate"]}
+    # every other kind, at small sizes
+    OTHER_KINDS = {"fig1": ["fig", "1", "--grid-steps", "5", "--n-seeds", "2"],
+                   "fig2": ["fig", "2"], "fig5": ["fig", "5"], "fig6": ["fig", "6"],
+                   "solve-uniform": ["solve-uniform"],
+                   "solve-disc": ["solve-disc", "--fees", "4,5,6"], "simulate": ["simulate"],
+                   "compare-mdg": ["compare-mdg"]}
     # sha256 of fig3/fig4 at their defaults under --objective full, which has no golden file
     FULL_SHA256 = {
         "fig3": "35f4df394f5fd34c7efa1d3afcaacfb8b64f0156e1687610ec700012e90253b8",
@@ -828,22 +827,20 @@ class TestObjectiveSetting:
         assert not hasattr(experiments, "DEFAULT_OBJECTIVES")
 
     @pytest.mark.parametrize("how", ["flag", "config"])
-    @pytest.mark.parametrize("kind", STAGE1_KINDS)
-    def test_simplified_on_a_stage1_kind_is_a_config_error(self, kind, how, tmp_path,
-                                                            capsys):
+    @pytest.mark.parametrize("kind", OTHER_KINDS)
+    def test_other_kinds_reject_the_setting(self, kind, how, tmp_path, capsys):
+        # either value is one config error naming what the kind reads, and no report
         out = tmp_path / "report.csv"
-        argv = self._argv(self.STAGE1_KINDS[kind], "simplified", how, tmp_path)
-        assert main([*argv, "--out", str(out)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.splitlines() == [
-            "config error: objective 'simplified' applies to fig3 and fig4 only; "
-            f"stage I of {kind} maximizes the full profit"]
-        assert not out.exists()
-        # the full objective, set or not, is the one stage I maximizes
-        for objective in (None, "full"):
-            assert main([*self._argv(self.STAGE1_KINDS[kind], objective, how, tmp_path),
-                         "--out", str(out)]) == 0
+        reads = ", ".join(name for name in SETTINGS if name in KIND_TABLE[kind].reads)
+        for objective in OBJECTIVES:
+            argv = self._argv(self.OTHER_KINDS[kind], objective, how, tmp_path)
+            assert main([*argv, "--out", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines() == [
+                f"config error: {kind} does not read objective; it reads {reads}"]
+            assert not out.exists()
+        assert main([*self.OTHER_KINDS[kind], "--out", str(out)]) == 0
         assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("how", ["flag", "config"])
@@ -858,17 +855,6 @@ class TestObjectiveSetting:
         golden = (GOLDEN / f"{kind}.csv").read_bytes()
         assert written[None] == written["simplified"] == golden
         assert hashlib.sha256(written["full"]).hexdigest() == self.FULL_SHA256[kind]
-
-    @pytest.mark.parametrize("how", ["flag", "config"])
-    @pytest.mark.parametrize("kind", OTHER_KINDS)
-    def test_other_kinds_accept_and_ignore_the_setting(self, kind, how, tmp_path):
-        written = {}
-        for objective in (None, "simplified", "full"):
-            out = tmp_path / f"{objective}.csv"
-            argv = self._argv(self.OTHER_KINDS[kind], objective, how, tmp_path)
-            assert main([*argv, "--out", str(out)]) == 0
-            written[objective] = out.read_bytes()
-        assert written["simplified"] == written["full"] == written[None]
 
 
 class TestReportFiles:
@@ -1151,7 +1137,7 @@ class TestCli:
 
     def test_config_file_with_flag_override(self, tmp_path):
         config = tmp_path / "exp.cfg"
-        config.write_text("kind = fig2\ngrid_steps = 4\nseed = 3\n")
+        config.write_text("kind = fig2\ngrid_steps = 4\nedge_power = 40\n")
         out = tmp_path / "o.csv"
         code = main(["fig", "2", "--config", str(config),
                      "--grid-steps", "6", "--out", str(out)])
@@ -1213,7 +1199,7 @@ class TestCli:
 
     def test_every_bad_game_constant_reported(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
-        code = main(["fig", "2", "--fixed-reward", "-1", "--tx-reward", "-2",
+        code = main(["solve-uniform", "--fixed-reward", "-1", "--tx-reward", "-2",
                      "--unit-cost", "-1", "--out", str(out)])
         assert code == 2
         assert capsys.readouterr().err.splitlines() == [
@@ -1235,6 +1221,21 @@ class TestCli:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("config error: ")
         assert "overflow" in lines[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["fig", "1"], ["fig", "2"], ["fig", "3"], ["fig", "6"]])
+    def test_grid_span_past_the_float_range_is_a_config_error(self, command, tmp_path, capsys):
+        # both ends are finite, but stop - start is not: no grid point is formed
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([*command, "--grid-start=-1.7e308", "--grid-stop", "1.7e308",
+                         "--grid-steps", "5", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr() == (
+            "", "config error: grid_stop - grid_start must be finite, "
+                "got [-1.7e+308, 1.7e+308]\n")
+        assert not caught
         assert not out.exists()
 
     def test_bad_flag_value_is_a_config_error(self, tmp_path, capsys):
@@ -1289,7 +1290,8 @@ class TestParserReuse:
 
     def test_flag_reads_its_default_in_the_next_call(self, monkeypatch, tmp_path):
         with_fee, after, fresh = (tmp_path / f"{n}.csv" for n in ("with_fee", "after", "fresh"))
-        assert main(["solve-uniform", "--fee", "3", "--seed", "4", "--out", str(with_fee)]) == 0
+        assert main(["solve-uniform", "--fee", "3", "--fee-search", "hillclimb",
+                     "--out", str(with_fee)]) == 0
         assert main(["solve-uniform", "--out", str(after)]) == 0
         monkeypatch.setattr(cli, "_parser", None)
         assert main(["solve-uniform", "--out", str(fresh)]) == 0

@@ -27,7 +27,7 @@ from edgeminer import (
 
 from edgeminer.core import fee_bracket
 from edgeminer.discriminatory import optimal_fees_discriminatory
-from edgeminer.experiments import _BUILDERS, FEE_SEARCHES, build_config
+from edgeminer.experiments import FEE_SEARCHES, KIND_TABLE, build_config
 
 from conftest import assert_stage1_optimum, random_uniform_games, zero_delay_params
 
@@ -565,6 +565,6 @@ class TestRewardBroadcast:
         assert type(total) is float and type(fees.tolist()[0]) is float
         # a report cell's text is looked up by its exact type
         for search in FEE_SEARCHES:
-            table = _BUILDERS["solve-uniform"](build_config({"kind": "solve-uniform",
-                                                             "fee_search": search}))
+            table = KIND_TABLE["solve-uniform"].build(build_config({"kind": "solve-uniform",
+                                                                    "fee_search": search}))
             assert {type(cells[0]) for cells in table.values()} == {bool, float, str}
