@@ -166,7 +166,7 @@ class ExperimentConfig:
         kind = KIND_TABLE.get(self.kind) or Kind(None, _DEFAULTS)  # an unknown kind reads all
         values = {**vars(self.params), **vars(self)}
         unread = ", ".join(name for name, default in _DEFAULTS.items()
-                           if name not in kind.reads and values[name] != default)
+                           if name not in kind.reads and not _holds(values[name], default))
         if unread:  # a setting the kind ignores may only hold its default
             errors.append(f"{self.kind} does not read {unread}; it reads "
                           + ", ".join(name for name in _DEFAULTS if name in kind.reads))
@@ -193,6 +193,13 @@ class ExperimentConfig:
     def grid(self) -> np.ndarray:
         start, stop, steps = self.resolved_grid()
         return np.linspace(start, stop, steps)
+
+
+def _holds(value, default) -> bool:
+    """Whether a setting's value is its default; a list or an array compares item by item."""
+    if isinstance(value, (list, np.ndarray)):
+        return default is not None and np.array_equal(value, default)
+    return value == default
 
 
 def _float_list(text: str) -> tuple:

@@ -9,14 +9,19 @@ bit-reproducible.
 A block's uniform draw u goes to miner i when cum[i-1] <= u < cum[i], with
 cum the cumulative win probabilities, so the number of blocks won by miners
 0..i is the number of draws below cum[i].  Wins are counted that way
-(``_count_below``), never block by block, over draws streamed 65,536 at a
-time (``_count_stream_below``): chunked PCG64 gives the same doubles as one
-call and the counts are exact integers, so results do not depend on the
-chunk size, and memory does not depend on n_blocks.
+(``_count_below``), never block by block, and ``_count_streams_below``
+splits each seed's draws into units that one CPU, or two on long streams,
+claim.  PCG64 jumped ahead (``advance``) gives the same doubles as one
+call and the counts are exact integer sums, so results depend neither on
+the CPU count nor on the unit size; all workers' buffers together hold one
+chunk of 65,536 draws, so memory does not depend on n_blocks.
 """
 
 from __future__ import annotations
 
+import itertools
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,6 +69,12 @@ class SimOutcome:
 _CHUNK = 1 << 16
 # on one full chunk, 25 comparison passes cost about what one sort does
 _COMPARE_UP_TO = 25
+# one worker per 4 chunks of draws, and at most two: timed on 2 vCPUs, two
+# workers took 0.93-1.16x one worker's time on 3-4 chunks (fig1's 20 seeds x
+# 10,000 blocks among them), 0.78-0.88x on 8 and 0.54-0.60x on 46; more than
+# two workers have not been timed
+_MAX_WORKERS = 2
+_DRAWS_PER_WORKER = 4 * _CHUNK
 
 
 def _count_below(draws: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
@@ -78,20 +89,75 @@ def _count_below(draws: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     return np.searchsorted(np.sort(draws), thresholds, side="left").astype(np.int64, copy=False)
 
 
-def _count_stream_below(seed: int, n_blocks: int, thresholds: np.ndarray) -> np.ndarray:
-    """``_count_below`` over the seed's n_blocks draws, one uniform in [0, 1) per block.
+def _cpus() -> int:
+    """Number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    The draws come from the seed's pinned PCG64 stream ``_CHUNK`` at a time
-    into one reused buffer.
+
+def _count_streams_below(seeds, n_blocks: int, thresholds: np.ndarray) -> np.ndarray:
+    """``_count_below`` over each seed's n_blocks draws: row k counts seeds[k]'s stream.
+
+    Each seed's stream is cut into units of ``_CHUNK // workers`` draws.
+    There is one worker per ``_DRAWS_PER_WORKER`` draws of all the seeds, up
+    to the CPU count and ``_MAX_WORKERS``: a helper thread costs 0.05-0.4 ms
+    to start and to trade the interpreter lock with (2 vCPUs), which shorter
+    streams do not repay, and one worker runs on the caller alone.  The
+    calling thread and workers - 1 helper threads claim units from one
+    shared iterator, so a faster CPU takes more of them.  A worker makes a
+    seed's PCG64 when it first meets the seed and drops it once the seed's
+    stream is drawn, advances it to the first draw of each unit it claimed,
+    draws the unit into its one reused buffer and adds its counts to its own
+    int64 totals.  Helpers are joined before return, and the first exception
+    a worker raised is raised here.
     """
-    rng = np.random.Generator(np.random.PCG64(seed))
-    buffer = np.empty(min(n_blocks, _CHUNK))
-    counts = np.zeros(thresholds.size, dtype=np.int64)
-    for start in range(0, n_blocks, _CHUNK):
-        draws = buffer[:min(_CHUNK, n_blocks - start)]
-        rng.random(out=draws)
-        counts += _count_below(draws, thresholds)
-    return counts
+    workers = max(1, min(_cpus(), _MAX_WORKERS, len(seeds) * n_blocks // _DRAWS_PER_WORKER))
+    unit = _CHUNK // workers
+    claims = itertools.product(range(len(seeds)), range(0, n_blocks, unit))
+    claiming = threading.Lock()
+    totals, errors = [], []  # a worker stops claiming once errors is not empty
+
+    def work():
+        try:
+            counts = np.zeros((len(seeds), thresholds.size), dtype=np.int64)
+            totals.append(counts)
+            buffer = np.empty(min(unit, n_blocks))
+            rngs = [None] * len(seeds)
+            drawn = [0] * len(seeds)  # per seed, the index of its generator's next draw
+            while not errors:
+                with claiming:
+                    claim = next(claims, None)
+                if claim is None:
+                    return
+                k, first = claim
+                if rngs[k] is None:
+                    rngs[k] = np.random.Generator(np.random.PCG64(seeds[k]))
+                if first > drawn[k]:
+                    rngs[k].bit_generator.advance(first - drawn[k])
+                draws = buffer[:min(unit, n_blocks - first)]
+                rngs[k].random(out=draws)
+                drawn[k] = first + draws.size
+                if drawn[k] == n_blocks:  # no other unit of this seed is left
+                    rngs[k] = None
+                counts[k] += _count_below(draws, thresholds)
+        except Exception as error:  # re-raised on the caller
+            errors.append(error)
+
+    helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        work()
+    except BaseException as error:  # an interrupt, say: the helpers stop too
+        errors.append(error)
+        raise
+    finally:
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[0]
+    return sum(totals)
 
 
 def simulate_mining(profile, cfg: SimConfig) -> SimOutcome:
@@ -100,7 +166,7 @@ def simulate_mining(profile, cfg: SimConfig) -> SimOutcome:
     # cumsum of nonnegative terms never decreases, so below[i] counts the
     # blocks won by miners 0..i
     cum = np.cumsum(mining_success_prob(shares, cfg.params))
-    below = _count_stream_below(cfg.seed, cfg.n_blocks, cum)
+    below = _count_streams_below([cfg.seed], cfg.n_blocks, cum)[0]
     return SimOutcome(
         wins=np.diff(below, prepend=0),
         orphans=int(cfg.n_blocks - below[-1]),
@@ -118,10 +184,8 @@ def first_miner_wins(win_probs, cfg: SimConfig, n_seeds: int) -> np.ndarray:
     if not is_integer(n_seeds) or n_seeds < 1:
         raise ValueError(f"n_seeds must be an integer >= 1, got {n_seeds!r}")
     thresholds = np.asarray(win_probs, dtype=float)
-    wins = np.empty((thresholds.size, n_seeds), dtype=np.int64)
-    for k in range(n_seeds):
-        wins[:, k] = _count_stream_below(cfg.seed + k, cfg.n_blocks, thresholds)
-    return wins
+    counts = _count_streams_below(range(cfg.seed, cfg.seed + n_seeds), cfg.n_blocks, thresholds)
+    return np.ascontiguousarray(counts.T)
 
 
 def emg_vs_mdg_sweep(total_power_grid, edge_fraction: float, params: GameParams,

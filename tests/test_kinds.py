@@ -12,6 +12,7 @@ import re
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from edgeminer import ConfigError, ExperimentConfig, GameParams, cli
@@ -116,6 +117,25 @@ class TestUndeclaredSettings:
                 dataclasses.replace(ExperimentConfig(kind=kind, **base), **changes)
             assert err.value.errors == [line]
 
+    @pytest.mark.parametrize("name, value", [("powers", [1.0, 2.0]), ("fees", [4.0, 5.0])])
+    def test_an_unread_list_or_array_is_one_config_error(self, name, value):
+        for given in (np.array(value), value):
+            with pytest.raises(ConfigError) as err:
+                ExperimentConfig(kind="fig1", **{name: given})
+            assert err.value.errors == [_error_line("fig1", [name])]
+        # item by item, the default
+        ExperimentConfig(kind="fig1", powers=np.array(DEFAULTS["powers"]))
+        ExperimentConfig(kind="fig1", powers=list(DEFAULTS["powers"]))
+
+    def test_simulate_reads_a_powers_array(self, tmp_path):
+        written = []
+        for i, powers in enumerate([(1.0, 2.0, 0.5), np.array([1.0, 2.0, 0.5])]):
+            out = tmp_path / f"simulate{i}.csv"
+            run_experiment(ExperimentConfig(kind="simulate", powers=powers, n_blocks=500,
+                                            out=str(out)))
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+
     @pytest.mark.parametrize("kind", KINDS)
     def test_all_at_once_is_one_line(self, kind, tmp_path, capsys):
         config = tmp_path / "exp.cfg"
@@ -188,12 +208,12 @@ def test_bench_and_ci_flags_are_declared(line):
 
 
 def test_bench_and_ci_lines_found():
-    # the warm-up runs every kind; the CI times fig2 at scale
+    # the warm-up runs every kind; the CI times fig2 and simulate at scale
     kinds = {f"fig{line[1]}" if line[0] == "fig" else line[0] for line in BENCH_LINES}
     assert kinds == set(KINDS)
     assert ["solve-uniform", "--edge-power", None, "--unit-cost", None, "--fee-search",
             "hillclimb"] in BENCH_LINES
-    assert {tuple(line[:2]) for line in CI_LINES} == {("fig", "2")}
+    assert {tuple(line[:2]) for line in CI_LINES} == {("fig", "2"), ("simulate", "--powers")}
 
 
 def test_readme_settings_column_is_the_declaration():

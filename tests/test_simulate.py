@@ -1,7 +1,11 @@
 """Monte-Carlo mining runs and the delayed-baseline comparison."""
 
 import dataclasses
+import functools
 import math
+import os
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -55,7 +59,7 @@ def _assert_matches_per_block(powers, cfg):
 
 
 # the kernel makes one comparison pass per threshold up to _COMPARE_UP_TO
-# thresholds and sorts the chunk past that: straddle the switch
+# thresholds and sorts the unit past that: straddle the switch
 SWITCH = simulate._COMPARE_UP_TO
 MINER_COUNTS = [1, 3, SWITCH - 1, SWITCH, SWITCH + 1]
 
@@ -102,46 +106,80 @@ class TestAgainstPerBlockReference:
         _assert_matches_per_block(powers, _sim(seed=seed, n_blocks=n_blocks, poisson_rate=rate))
 
 
+@functools.lru_cache(maxsize=64)
+def _one_shot(seed, n_blocks, thresholds):
+    draws = np.random.Generator(np.random.PCG64(seed)).random(n_blocks)
+    return simulate._count_below(draws, np.asarray(thresholds, dtype=float)).tolist()
+
+
 def _one_shot_below(seed, n_blocks, thresholds):
     """Oracle: the kernel over all of a seed's draws, drawn in one call."""
-    draws = np.random.Generator(np.random.PCG64(seed)).random(n_blocks)
-    return simulate._count_below(draws, np.asarray(thresholds, dtype=float))
+    return np.array(_one_shot(seed, n_blocks, tuple(np.asarray(thresholds, dtype=float))),
+                    dtype=np.int64)
 
 
 CHUNK_EDGES = [1, simulate._CHUNK - 1, simulate._CHUNK, simulate._CHUNK + 1,
                2 * simulate._CHUNK + 1, 1_000_003]
+# unsorted, with a tie and both ends of [0, 1]
+THRESHOLDS = np.concatenate(([0.5, 1.0, 0.0, 0.5], np.random.default_rng(50).uniform(0.0, 1.0, 46)))
+
+
+def _allow_workers(monkeypatch, n):
+    """Let the kernel start one worker per full chunk of draws, up to n."""
+    monkeypatch.setattr(simulate, "_cpus", lambda: n)
+    monkeypatch.setattr(simulate, "_MAX_WORKERS", n)
+    monkeypatch.setattr(simulate, "_DRAWS_PER_WORKER", simulate._CHUNK)
+
+
+@pytest.fixture(params=[1, 2, 3, 7], ids=lambda n: f"{n}cpus")
+def cpus(request, monkeypatch):
+    """Run the kernel as if this process could use request.param CPUs, and
+    with one worker per full chunk, so that short runs split into units too."""
+    _allow_workers(monkeypatch, request.param)
+    return request.param
+
+
+def _assert_simulate_mining_equals_one_shot(powers, cfg):
+    cum = np.cumsum(mining_success_prob(PowerProfile(powers).shares(), cfg.params))
+    below = _one_shot_below(cfg.seed, cfg.n_blocks, cum)
+    outcome = simulate_mining(powers, cfg)
+    assert outcome.wins.tolist() == np.diff(below, prepend=0).tolist()
+    assert outcome.orphans == cfg.n_blocks - below[-1]
+
+
+def _assert_first_miner_wins_equals_one_shot(thresholds, cfg, n_seeds):
+    wins = first_miner_wins(thresholds, cfg, n_seeds)
+    assert wins.shape == (len(thresholds), n_seeds) and wins.flags.c_contiguous
+    for k in range(n_seeds):
+        assert wins[:, k].tolist() == _one_shot_below(cfg.seed + k, cfg.n_blocks,
+                                                      thresholds).tolist()
 
 
 class TestChunkedStream:
-    # up to SWITCH thresholds: comparison passes over each chunk; more: a sort
+    # up to SWITCH thresholds: comparison passes over each unit; more: a sort
     @pytest.mark.parametrize("n_blocks", CHUNK_EDGES)
     @pytest.mark.parametrize("n_miners", [1, 3, SWITCH, SWITCH + 1, 40])
-    def test_simulate_mining_equals_one_shot(self, n_blocks, n_miners):
+    def test_simulate_mining_equals_one_shot(self, n_blocks, n_miners, cpus):
         powers = np.random.default_rng(n_miners).uniform(0.5, 20.0, n_miners)
-        cfg = _sim(seed=n_blocks % 1009, n_blocks=n_blocks)
-        cum = np.cumsum(mining_success_prob(PowerProfile(powers).shares(), cfg.params))
-        below = _one_shot_below(cfg.seed, n_blocks, cum)
-        outcome = simulate_mining(powers, cfg)
-        assert outcome.wins.tolist() == np.diff(below, prepend=0).tolist()
-        assert outcome.orphans == n_blocks - below[-1]
+        _assert_simulate_mining_equals_one_shot(powers, _sim(seed=n_blocks % 1009,
+                                                             n_blocks=n_blocks))
 
     @pytest.mark.parametrize("n_blocks", CHUNK_EDGES)
     @pytest.mark.parametrize("n_thresholds", [1, SWITCH, SWITCH + 1, 50])
     def test_first_miner_wins_equals_one_shot(self, n_blocks, n_thresholds):
-        # unsorted, with a tie and both ends of [0, 1]
-        thresholds = np.concatenate(([0.5, 1.0, 0.0, 0.5],
-                                     np.random.default_rng(n_thresholds).uniform(0.0, 1.0, 46)))
-        thresholds = thresholds[:n_thresholds]
-        wins = first_miner_wins(thresholds, _sim(seed=9, n_blocks=n_blocks), 2)
-        for k in range(2):
-            assert wins[:, k].tolist() == _one_shot_below(9 + k, n_blocks, thresholds).tolist()
+        _assert_first_miner_wins_equals_one_shot(THRESHOLDS[:n_thresholds],
+                                                 _sim(seed=9, n_blocks=n_blocks), 2)
 
     @pytest.mark.parametrize("run", [
         lambda: simulate_mining([1.0, 2.0, 3.0], _sim(seed=3, n_blocks=3_000_000)),
         lambda: first_miner_wins(np.linspace(0.01, 0.99, 50), _sim(seed=3, n_blocks=3_000_000), 2),
-    ], ids=["simulate_mining", "first_miner_wins"])
-    def test_memory_does_not_grow_with_blocks(self, run):
-        # all 3e6 draws at once would take 22.9 MiB
+        lambda: first_miner_wins([0.5], _sim(seed=3, n_blocks=600), 5000),
+    ], ids=["simulate_mining", "first_miner_wins", "many_seeds"])
+    def test_memory_does_not_grow_with_blocks(self, run, cpus):
+        # all 3e6 draws at once would take 22.9 MiB; the workers' buffers
+        # together hold one chunk, 0.5 MiB.  A seed's generator takes about
+        # 1.6 KiB and is dropped once its stream is drawn: 5,000 kept by
+        # each worker would take 7.8 MiB
         tracemalloc.start()
         try:
             run()
@@ -149,6 +187,135 @@ class TestChunkedStream:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
+
+
+class TestWorkers:
+    """The counts do not depend on how many CPUs share a seed's units."""
+
+    @pytest.fixture(autouse=True)
+    def no_thread_left(self):
+        before = threading.active_count()
+        yield
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("n_seeds", [1, 2, 20])
+    @pytest.mark.parametrize("n_blocks", CHUNK_EDGES)
+    def test_first_miner_wins(self, n_blocks, n_seeds, cpus):
+        for n_thresholds in (4, 50):
+            _assert_first_miner_wins_equals_one_shot(THRESHOLDS[:n_thresholds],
+                                                     _sim(seed=9, n_blocks=n_blocks), n_seeds)
+
+    @pytest.mark.parametrize("n_cpus, n_seeds, n_blocks, workers", [
+        (7, 1, 1000, 1), (7, 20, 10_000, 1), (7, 1, 200_000, 1),
+        (7, 1, 8 * simulate._CHUNK - 1, 1), (7, 1, 8 * simulate._CHUNK, 2),
+        (7, 20, 26_214, 1), (7, 20, 26_215, 2), (7, 1, 3_000_000, 2),
+        (2, 1, 3_000_000, 2), (1, 1, 3_000_000, 1)])
+    def test_workers_started(self, n_cpus, n_seeds, n_blocks, workers, monkeypatch):
+        # one worker per 4 chunks of draws, up to the CPU count and 2: the
+        # bench's fig1 (20 x 10,000) and simulate-miners (200,000) calls stay
+        # on one worker, its simulate-blocks call (3e6) takes two; one worker
+        # starts no thread
+        started = []
+
+        class Counted(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(simulate, "_cpus", lambda: n_cpus)
+        monkeypatch.setattr(simulate.threading, "Thread", Counted)
+        first_miner_wins([0.5], _sim(n_blocks=n_blocks), n_seeds)
+        assert len(started) == workers - 1
+        assert not any(helper.is_alive() for helper in started)
+
+    def test_cpus_is_the_affinity(self):
+        if hasattr(os, "sched_getaffinity"):
+            assert simulate._cpus() == len(os.sched_getaffinity(0))
+        else:
+            assert simulate._cpus() == (os.cpu_count() or 1)
+
+    def test_unit_edges(self, cpus):
+        # as many workers as CPUs, units of _CHUNK // cpus draws, and runs
+        # that end one draw before, at and after a unit's end; with many
+        # seeds, streams whose last unit is short
+        unit = simulate._CHUNK // cpus
+        n_units = -(-cpus * simulate._CHUNK // unit) + 1  # a full chunk per CPU
+        for n_blocks in (n_units * unit - 1, n_units * unit, n_units * unit + 1):
+            _assert_simulate_mining_equals_one_shot([1.0, 2.0, 3.0], _sim(seed=4, n_blocks=n_blocks))
+        for n_blocks in (unit - 1, unit + 1, 3 * unit + 1):
+            n_seeds = -(-cpus * simulate._CHUNK // n_blocks)
+            _assert_first_miner_wins_equals_one_shot(THRESHOLDS, _sim(seed=4, n_blocks=n_blocks),
+                                                     n_seeds)
+
+    def test_claims_survive_a_short_switch_interval(self, monkeypatch):
+        # more workers than CPUs, switching threads every microsecond: a unit
+        # claimed twice or not at all changes some seed's counts
+        _allow_workers(monkeypatch, 7)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                _assert_first_miner_wins_equals_one_shot(THRESHOLDS[:4],
+                                                         _sim(seed=60, n_blocks=40_000), 20)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_helper_exception_reaches_the_caller(self, monkeypatch):
+        _allow_workers(monkeypatch, 2)
+        caller, helper_raised = threading.current_thread(), threading.Event()
+        count_below = simulate._count_below
+
+        def fail_on_a_helper(draws, thresholds):
+            if threading.current_thread() is not caller:
+                helper_raised.set()
+                raise RuntimeError("helper failed")
+            helper_raised.wait(10)  # the caller holds its unit until a helper has failed
+            return count_below(draws, thresholds)
+
+        monkeypatch.setattr(simulate, "_count_below", fail_on_a_helper)
+        with pytest.raises(RuntimeError, match="^helper failed$"):
+            simulate_mining([1.0, 2.0], _sim(n_blocks=2 * simulate._CHUNK))
+        assert helper_raised.is_set()
+
+    def test_caller_exception_stops_the_helpers(self, monkeypatch):
+        _allow_workers(monkeypatch, 3)
+        caller, helper_units = threading.current_thread(), []
+        count_below = simulate._count_below
+
+        def fail_on_the_caller(draws, thresholds):
+            if threading.current_thread() is caller:
+                raise KeyError("caller failed")
+            helper_units.append(draws.size)
+            return count_below(draws, thresholds)
+
+        monkeypatch.setattr(simulate, "_count_below", fail_on_the_caller)
+        with pytest.raises(KeyError, match="caller failed"):
+            first_miner_wins([0.5], _sim(n_blocks=10 * simulate._CHUNK), 20)
+        # 20 seeds x 31 units: the helpers stop at the caller's failure, on
+        # its first unit, instead of drawing the other 619
+        assert len(helper_units) < 300
+
+
+class TestPcg64Advance:
+    """The kernel relies on PCG64 jumped ahead giving the same doubles as one call."""
+
+    @pytest.mark.parametrize("seed", [0, 9, 2**32 - 1])
+    @pytest.mark.parametrize("skip, n", [(0, 1), (1, 7), (65_535, 2), (65_536, 1000),
+                                         (1_000_007, 300)])
+    def test_advance_then_draw_equals_a_slice(self, seed, skip, n):
+        whole = np.random.Generator(np.random.PCG64(seed)).random(skip + n)
+        bits = np.random.PCG64(seed)
+        bits.advance(skip)
+        assert np.random.Generator(bits).random(n).tolist() == whole[skip:].tolist()
+
+    def test_advance_is_relative_to_the_draws_made(self):
+        whole = np.random.Generator(np.random.PCG64(5)).random(100_000)
+        rng = np.random.Generator(np.random.PCG64(5))
+        rng.bit_generator.advance(10)
+        first = rng.random(20)
+        rng.bit_generator.advance(30_000 - 30)
+        assert first.tolist() == whole[10:30].tolist()
+        assert rng.random(500).tolist() == whole[30_000:30_500].tolist()
 
 
 class TestCountBelow:
@@ -168,11 +335,13 @@ class TestCountBelow:
         assert counts.dtype == np.int64
         assert counts.tolist() == expected
 
+    @pytest.mark.parametrize("n_draws", [simulate._CHUNK, 32_768, 8_192, 1_024])
     @pytest.mark.parametrize("n_thresholds", range(17, SWITCH + 1))
-    def test_paths_agree_on_a_full_chunk(self, n_thresholds, monkeypatch):
-        # the counts between log2(_CHUNK) = 16 and the switch; unsorted, with
-        # a tie and both ends of [0, 1]
-        draws = np.random.Generator(np.random.PCG64(n_thresholds)).random(simulate._CHUNK)
+    def test_paths_agree_on_a_full_chunk(self, n_draws, n_thresholds, monkeypatch):
+        # a full chunk, the unit of 2 workers and shorter units, at the counts
+        # between log2(_CHUNK) = 16 and the switch; unsorted, with a tie and
+        # both ends of [0, 1]
+        draws = np.random.Generator(np.random.PCG64(n_draws + n_thresholds)).random(n_draws)
         thresholds = np.concatenate(([draws[0], 1.0, 0.0], np.random.default_rng(
             n_thresholds).uniform(0.0, 1.0, n_thresholds - 3)))
         compared = simulate._count_below(draws, thresholds)
