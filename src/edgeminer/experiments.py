@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
+import orjson
 
 from .core import (
     OBJECTIVES,
@@ -72,6 +73,8 @@ __all__ = [
 
 FEE_SEARCHES = ("golden", "hillclimb")
 FORMATS = ("csv", "json")
+# the types a scalar float setting may hold; an isinstance on numbers.Real costs 8x as much
+_REAL = (float, int, np.floating, np.integer)
 
 
 @dataclass(frozen=True)
@@ -112,54 +115,58 @@ class ExperimentConfig:
     format: str = "csv"
 
     def __post_init__(self):
-        # a non-finite float or a non-integer count (a bool among them) is
-        # reported once, as such: its range checks are skipped
+        # a float that is not a finite number (an array among them) or a count that is
+        # not an integer (a bool among them) is reported once, as such: its range
+        # checks are skipped
         nonfinite, nonint = [], []
         for name, parse in SETTINGS.items():
             value = getattr(self, name, None)  # None for a GameParams setting, checked there
-            if parse in (float, _float_list) and value is not None and not all(
-                    map(math.isfinite, value if parse is _float_list else (value,))):
+            if value is None:
+                continue
+            if parse is float and not (isinstance(value, _REAL) and math.isfinite(value)):
                 nonfinite.append(name)
-            if parse is int and value is not None and not is_integer(value):
+            if parse is _float_list and not all(map(math.isfinite, value)):
+                nonfinite.append(name)
+            if parse is int and not is_integer(value):
                 nonint.append(name)
 
-        def at_least(name, low):
-            return name in nonint or getattr(self, name) >= low
-
+        # each check runs on its setting's value, unless that was reported above
+        reported = {*nonfinite, *nonint}
         checks = (
-            ("kind", self.kind in KINDS, "kind must be one of {KINDS}, got {self.kind!r}"),
-            ("unit_cost", self.unit_cost > 0, "unit_cost must be > 0, got {self.unit_cost!r}"),
-            ("n_miners", at_least("n_miners", 2), "n_miners must be >= 2, got {self.n_miners!r}"),
-            ("n_blocks", at_least("n_blocks", 1), "n_blocks must be >= 1, got {self.n_blocks!r}"),
-            ("n_seeds", at_least("n_seeds", 1), "n_seeds must be >= 1, got {self.n_seeds!r}"),
-            ("seed", at_least("seed", 0), "seed must be >= 0, got {self.seed!r}"),
-            ("fee", self.fee is None or self.fee > 0, "fee must be > 0, got {self.fee!r}"),
-            ("fees", self.fees is None or all(f > 0 for f in self.fees), "fees must all be > 0"),
-            ("edge_fraction", 0 < self.edge_fraction < 1,
+            ("kind", lambda v: v in KINDS, "kind must be one of {KINDS}, got {self.kind!r}"),
+            ("unit_cost", lambda v: v > 0, "unit_cost must be > 0, got {self.unit_cost!r}"),
+            ("n_miners", lambda v: v >= 2, "n_miners must be >= 2, got {self.n_miners!r}"),
+            ("n_blocks", lambda v: v >= 1, "n_blocks must be >= 1, got {self.n_blocks!r}"),
+            ("n_seeds", lambda v: v >= 1, "n_seeds must be >= 1, got {self.n_seeds!r}"),
+            ("seed", lambda v: v >= 0, "seed must be >= 0, got {self.seed!r}"),
+            ("fee", lambda v: v is None or v > 0, "fee must be > 0, got {self.fee!r}"),
+            ("fees", lambda v: v is None or all(f > 0 for f in v), "fees must all be > 0"),
+            ("edge_fraction", lambda v: 0 < v < 1,
              "edge_fraction must lie in (0, 1), got {self.edge_fraction!r}"),
-            ("edge_fractions", all(0 < f < 1 for f in self.edge_fractions),
+            ("edge_fractions", lambda v: all(0 < f < 1 for f in v),
              "edge_fractions must all lie in (0, 1)"),
-            ("edge_fractions", len(self.edge_fractions) > 0, "edge_fractions must not be empty"),
-            ("mdg_delay_mult", self.mdg_delay_mult >= 1,
+            ("edge_fractions", lambda v: len(v) > 0, "edge_fractions must not be empty"),
+            ("mdg_delay_mult", lambda v: v >= 1,
              "mdg_delay_mult must be >= 1, got {self.mdg_delay_mult!r}"),
-            ("objective", self.objective is None or self.objective in OBJECTIVES,
+            ("objective", lambda v: v is None or v in OBJECTIVES,
              "objective must be one of {OBJECTIVES}, got {self.objective!r}"),
-            ("fee_basis", self.fee_basis in FEE_BASES,
+            ("fee_basis", lambda v: v in FEE_BASES,
              "fee_basis must be one of {FEE_BASES}, got {self.fee_basis!r}"),
-            ("fee_search", self.fee_search in FEE_SEARCHES,
+            ("fee_search", lambda v: v in FEE_SEARCHES,
              "fee_search must be one of {FEE_SEARCHES}, got {self.fee_search!r}"),
-            ("format", self.format in FORMATS,
+            ("format", lambda v: v in FORMATS,
              "format must be one of {FORMATS}, got {self.format!r}"),
-            ("edge_power", self.edge_power > 0, "edge_power must be > 0, got {self.edge_power!r}"),
-            ("device_power", self.device_power > 0,
+            ("edge_power", lambda v: v > 0, "edge_power must be > 0, got {self.edge_power!r}"),
+            ("device_power", lambda v: v > 0,
              "device_power must be > 0, got {self.device_power!r}"),
-            ("powers", all(p >= 0 for p in self.powers) and sum(self.powers) > 0,
+            ("powers", lambda v: all(p >= 0 for p in v) and sum(v) > 0,
              "powers must be nonnegative with a positive total"),
         )
         # a message is a template, formatted only when its check fails
         errors = [message.format(self=self, KINDS=KINDS, OBJECTIVES=OBJECTIVES,
                                  FEE_BASES=FEE_BASES, FEE_SEARCHES=FEE_SEARCHES, FORMATS=FORMATS)
-                  for name, ok, message in checks if not ok and name not in nonfinite]
+                  for name, ok, message in checks
+                  if name not in reported and not ok(getattr(self, name))]
         errors += [f"{name} must be finite, got {getattr(self, name)!r}" for name in nonfinite]
         errors += [f"{name} must be an integer, got {getattr(self, name)!r}" for name in nonint]
 
@@ -567,12 +574,65 @@ def _csv_quote(texts):
     return ['"' + t.replace('"', '""') + '"' if _CSV_SPECIAL.search(t) else t for t in texts]
 
 
-def _column_text(cells, cell_text):
-    """A column's cell texts: in one pass when its cells share a type, else cell by cell."""
+def _small_exponent(tail):
+    """'15,...' -> '1.5e-05,...': the digits that led a 0.0000 cell, in exponent form."""
+    digits, comma, rest = tail.partition(",")
+    point = "." if len(digits) > 1 else ""
+    return f"{digits[0]}{point}{digits[1:]}e-05{comma}{rest}"
+
+
+def _float_texts(cells):
+    """``float.__repr__`` of each float in cells, from one ``orjson.dumps`` call.
+
+    orjson writes the same shortest round-trip digits as repr, and three
+    rewrites turn its spelling into repr's: an exponent gets a sign and at
+    least two digits (1e16 -> 1e+16, 1e-6 -> 1e-06), the positional
+    0.0000d... of 1e-5 <= |x| < 1e-4 becomes d....e-05, and a null (nan,
+    inf or -inf) becomes its cell's repr.
+    """
+    if not cells:
+        return []
+    text = f",{orjson.dumps(cells)[1:-1].decode()},"  # every cell between two commas
+    if "e" in text:
+        text = text.replace("e", "e+")
+        if "e+-" in text:
+            text = text.replace("e+-", "e-")
+            for digit in "6789":  # a one-digit negative exponent is -6 to -9
+                text = text.replace(f"e-{digit},", f"e-0{digit},")
+    if "0.0000" in text:
+        for sign in ("", "-"):
+            head, *tails = text.split(f",{sign}0.0000")
+            text = f",{sign}".join([head, *map(_small_exponent, tails)])
+    if "null" in text and not (math.inf in cells or -math.inf in cells):
+        text = text.replace("null", "nan")  # nan is the only non-finite cell
+    texts = text[1:-1].split(",")
+    if "null" in text:
+        texts = [float.__repr__(cell) if t == "null" else t for t, cell in zip(texts, cells)]
+    return texts
+
+
+def _column_text(cells, fmt: str):
+    """A column's cell texts in fmt.
+
+    A column of floats becomes text through _float_texts, a column of one
+    other type in one pass, and a column of mixed types cell by cell.  Only
+    a column holding a str can need CSV quoting, and only one holding a
+    non-finite float JSON's NaN and Infinity.
+    """
     types = set(map(type, cells))
-    if len(types) == 1:
-        return list(map(cell_text[types.pop()], cells))
-    return [cell_text[type(cell)](cell) for cell in cells]
+    cell_text = _JSON_CELL if fmt == "json" else _CSV_CELL
+    if types == {float}:
+        texts = _float_texts(cells)
+    elif len(types) == 1:
+        texts = list(map(cell_text[next(iter(types))], cells))
+    else:
+        texts = [cell_text[type(cell)](cell) for cell in cells]
+    if fmt == "csv":
+        return _csv_quote(texts) if str in types else texts
+    # a str's JSON text is quoted: only a float's can read nan, inf or -inf
+    if float in types and not _JSON_NONFINITE.keys().isdisjoint(texts):
+        return list(map(_JSON_NONFINITE.get, texts, texts))
+    return texts
 
 
 def render_report(columns, fmt: str) -> str:
@@ -582,16 +642,13 @@ def render_report(columns, fmt: str) -> str:
     ``csv.writer(lineterminator="\\n")`` writes of the cells' texts and what
     ``json.dumps(rows, indent=2) + "\\n"`` writes of the row objects.
     """
+    texts = (_column_text(cells, fmt) for cells in columns.values())
     if fmt == "json":
-        # of the cell texts only a float's can read nan, inf or -inf: a string's is quoted
-        texts = (_column_text(cells, _JSON_CELL) for cells in columns.values())
-        rows = zip(*(map(_JSON_NONFINITE.get, t, t) for t in texts))
         members = ",\n".join(f"    {encode_basestring_ascii(name).replace('%', '%%')}: %s"
                               for name in columns)
         template = f"  {{\n{members}\n  }}"
-        body = ",\n".join([template % cells for cells in rows])
+        body = ",\n".join([template % cells for cells in zip(*texts)])
         return f"[\n{body}\n]\n" if body else "[]\n"
-    texts = (_csv_quote(_column_text(cells, _CSV_CELL)) for cells in columns.values())
     lines = [",".join(_csv_quote(list(columns))), *map(",".join, zip(*texts))]
     if len(columns) == 1:  # csv.writer quotes a row's one empty cell
         lines = [line or '""' for line in lines]

@@ -254,6 +254,19 @@ class TestNonFiniteSettings:
         assert not caught
         assert not out.exists()
 
+    @pytest.mark.parametrize("name", [name for name in fields if SETTINGS[name] is float])
+    def test_an_array_is_one_config_error(self, name):
+        # a library caller's array for a scalar setting; the CLI always gives a float
+        value = np.array([1.0, 2.0])
+        kind = reader(name)
+        with pytest.raises(ConfigError) as err:
+            if name in GameParams.__dataclass_fields__:
+                ExperimentConfig(kind=kind, params=GameParams(**{name: value}))
+            else:
+                ExperimentConfig(kind=kind, **{name: value},
+                                 **({"fees": (4.0, 8.0)} if kind == "solve-disc" else {}))
+        assert err.value.errors == [f"{name} must be finite, got {value!r}"]
+
 
 class TestTable:
     # a small run of every kind
@@ -927,10 +940,14 @@ def _reference_report(columns, fmt):
     return buffer.getvalue()
 
 
+# values at which repr's spelling and orjson's differ, or at which either changes form:
+# the exponent's sign and width, the positional 1e-5 <= |x| < 1e-4, and 1e16
+_FLOAT_EDGES = [1e-6, 1e-5, 1.5e-05, 9.999999999999999e-05, 1e-4, 9999999999999998.0, 1e16,
+                1.7976931348623157e308, 5e-324, -0.0]
 _TEXT = st.text(st.sampled_from(',"\n\r%{}:\\ aé\x00\u2028😀') | st.characters(), max_size=6)
 _CELLS = {
-    "float": st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324,
-                                            2.2e-308, 1e-308, 1e308, -1e308]),
+    "float": st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, 2.2e-308, 1e-308,
+                                            1e308, -1e308, -1e-5, -2.5e-7, *_FLOAT_EDGES]),
     "int": st.integers(-2**70, 2**70),
     "bool": st.booleans(),
     "str": _TEXT,
@@ -958,6 +975,41 @@ class TestRenderReport:
     @example(columns={"a,b": ['say "hi"\n', "x\ry"], "n": [1, True]})
     def test_equals_the_reference_writers(self, fmt, columns):
         assert render_report(columns, fmt) == _reference_report(columns, fmt)
+
+
+class TestFloatTexts:
+    """experiments._float_texts against float.__repr__, the reference."""
+
+    @staticmethod
+    def _check(cells):
+        assert experiments._float_texts(cells) == list(map(float.__repr__, cells))
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 1000, 100_000])
+    def test_random_bit_patterns(self, size):
+        # 200,000 float64 bit patterns per size: NaN payloads, infinities and
+        # subnormals among them
+        bits = np.random.default_rng(size).integers(0, 2**64, 200_000, dtype=np.uint64)
+        cells = bits.view(np.float64).tolist()
+        for start in range(0, len(cells), size):
+            self._check(cells[start:start + size])
+
+    def test_spelling_edges(self):
+        cells = list(_FLOAT_EDGES)
+        for k in range(-1074, 1024):
+            cells.append(math.ldexp(1.0, k))
+        for k in range(-323, 309):
+            cells.append(float(f"1e{k}"))
+        cells = [x for c in cells for x in (math.nextafter(c, -math.inf), c,
+                                            math.nextafter(c, math.inf))]
+        cells += [float(2**53 + d) for d in range(-4, 5)]
+        cells += [math.nan, math.inf, -math.inf]
+        cells += [-c for c in cells]
+        self._check(cells)
+        for cell in cells:  # each alone, so no neighbour shares its rewrite
+            self._check([cell])
+
+    def test_empty_column(self):
+        self._check([])
 
 
 class TestTrends:
