@@ -51,6 +51,6 @@ for kind in ("fig5", "fig6"):
     for fraction, gap in zip(table["edge_fraction"], table["profit_gap"]):
         by_fraction.setdefault(fraction, []).append(gap)
     print(f"  {kind}: mean profit gap by edge fraction:",
-          {f: round(float(np.mean(g)), 3) for f, g in sorted(by_fraction.items())})
+          {float(f): round(float(np.mean(g)), 3) for f, g in sorted(by_fraction.items())})
 
 print(f"\nall series written under {out_dir}")

@@ -9,6 +9,7 @@ subcommand.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from collections import namedtuple
 from dataclasses import dataclass, field, fields
@@ -69,6 +70,7 @@ __all__ = [
     "render_report",
     "run_experiment",
     "validate_config",
+    "write_report",
 ]
 
 FEE_SEARCHES = ("golden", "hillclimb")
@@ -115,23 +117,27 @@ class ExperimentConfig:
     format: str = "csv"
 
     def __post_init__(self):
-        # a float that is not a finite number (an array among them) or a count that is
-        # not an integer (a bool among them) is reported once, as such: its range
-        # checks are skipped
-        nonfinite, nonint = [], []
+        # a float that is not a finite number (an array among them), a list that is
+        # not a flat list of numbers or a count that is not an integer (a bool among
+        # them) is reported once, as such: its range checks are skipped
+        nonfinite, nonlist, nonint = [], [], []
         for name, parse in SETTINGS.items():
             value = getattr(self, name, None)  # None for a GameParams setting, checked there
             if value is None:
                 continue
             if parse is float and not (isinstance(value, _REAL) and math.isfinite(value)):
                 nonfinite.append(name)
-            if parse is _float_list and not all(map(math.isfinite, value)):
-                nonfinite.append(name)
+            if parse is _float_list:
+                finite = _finite_list(value)
+                if finite is None:
+                    nonlist.append(name)
+                elif not finite:
+                    nonfinite.append(name)
             if parse is int and not is_integer(value):
                 nonint.append(name)
 
         # each check runs on its setting's value, unless that was reported above
-        reported = {*nonfinite, *nonint}
+        reported = {*nonfinite, *nonlist, *nonint}
         checks = (
             ("kind", lambda v: v in KINDS, "kind must be one of {KINDS}, got {self.kind!r}"),
             ("unit_cost", lambda v: v > 0, "unit_cost must be > 0, got {self.unit_cost!r}"),
@@ -140,7 +146,7 @@ class ExperimentConfig:
             ("n_seeds", lambda v: v >= 1, "n_seeds must be >= 1, got {self.n_seeds!r}"),
             ("seed", lambda v: v >= 0, "seed must be >= 0, got {self.seed!r}"),
             ("fee", lambda v: v is None or v > 0, "fee must be > 0, got {self.fee!r}"),
-            ("fees", lambda v: v is None or all(f > 0 for f in v), "fees must all be > 0"),
+            ("fees", lambda v: v is None or len(v) == 0 or min(v) > 0, "fees must all be > 0"),
             ("edge_fraction", lambda v: 0 < v < 1,
              "edge_fraction must lie in (0, 1), got {self.edge_fraction!r}"),
             ("edge_fractions", lambda v: all(0 < f < 1 for f in v),
@@ -159,7 +165,7 @@ class ExperimentConfig:
             ("edge_power", lambda v: v > 0, "edge_power must be > 0, got {self.edge_power!r}"),
             ("device_power", lambda v: v > 0,
              "device_power must be > 0, got {self.device_power!r}"),
-            ("powers", lambda v: all(p >= 0 for p in v) and sum(v) > 0,
+            ("powers", lambda v: len(v) > 0 and min(v) >= 0 and sum(v) > 0,
              "powers must be nonnegative with a positive total"),
         )
         # a message is a template, formatted only when its check fails
@@ -168,6 +174,7 @@ class ExperimentConfig:
                   for name, ok, message in checks
                   if name not in reported and not ok(getattr(self, name))]
         errors += [f"{name} must be finite, got {getattr(self, name)!r}" for name in nonfinite]
+        errors += [f"{name} must be a flat list of real numbers" for name in nonlist]
         errors += [f"{name} must be an integer, got {getattr(self, name)!r}" for name in nonint]
 
         kind = KIND_TABLE.get(self.kind) or Kind(None, _DEFAULTS)  # an unknown kind reads all
@@ -202,6 +209,16 @@ class ExperimentConfig:
         return np.linspace(start, stop, steps)
 
 
+def _finite_list(value) -> bool | None:
+    """Whether a list setting's items are all finite; None if it is not a flat list of reals."""
+    if getattr(value, "ndim", 1) != 1:  # a 2-d array's rows would pass math.isfinite
+        return None
+    try:
+        return all(map(math.isfinite, value))
+    except TypeError:  # not iterable, or an item that is not a real number
+        return None
+
+
 def _holds(value, default) -> bool:
     """Whether a setting's value is its default; a list or an array compares item by item."""
     if isinstance(value, (list, np.ndarray)):
@@ -210,6 +227,10 @@ def _holds(value, default) -> bool:
 
 
 def _float_list(text: str) -> tuple:
+    try:  # float() strips what str.strip() does: the loop below gives the same numbers
+        return tuple(map(float, text.split(",")))
+    except ValueError:
+        pass  # an empty or a bad item: the loop skips the one and words the other
     parts = [p.strip() for p in text.split(",") if p.strip()]
     if not parts:
         raise ValueError("expected a comma-separated list of numbers")
@@ -325,11 +346,11 @@ def _rows_fig1(cfg: ExperimentConfig):
     # frequency is monotone in the win probability by construction
     wins = first_miner_wins(model, sim, cfg.n_seeds)
     return {
-        "edge_power": grid.tolist(),
-        "device_power": [cfg.device_power] * grid.size,
-        "edge_share": share.tolist(),
-        "success_prob_model": model.tolist(),
-        "success_prob_empirical": (wins / cfg.n_blocks).mean(axis=1).tolist(),
+        "edge_power": grid,
+        "device_power": np.full(grid.size, cfg.device_power),
+        "edge_share": share,
+        "success_prob_model": model,
+        "success_prob_empirical": (wins / cfg.n_blocks).mean(axis=1),
         "status": ["ok"] * grid.size,
     }
 
@@ -338,8 +359,8 @@ def _rows_fig2(cfg: ExperimentConfig):
     """Stage-I optimal fee against the fixed block reward, one broadcast over the grid."""
     rewards = cfg.grid()
     fees, profits = optimal_fees_uniform([cfg.edge_power], cfg.unit_cost, cfg.params, rewards)
-    return {"fixed_reward": rewards.tolist(), "optimal_fee": fees.tolist(),
-            "leader_profit": profits.tolist(), "status": ["ok"] * rewards.size}
+    return {"fixed_reward": rewards, "optimal_fee": fees, "leader_profit": profits,
+            "status": ["ok"] * rewards.size}
 
 
 def _rows_power_sweep(cfg: ExperimentConfig):
@@ -373,9 +394,8 @@ def _rows_power_sweep(cfg: ExperimentConfig):
     names = ("device_power", "edge_power") if fig3 else ("edge_power", "device_power")
     money = {"fee_same": fee_same, "profit_same_fee": profit_same, "fee_bill_diff": bill,
              "profit_diff_fee": reward if objective == "simplified" else reward - bill}
-    return {names[0]: grid.tolist(), names[1]: fixed.tolist(),
-            **{name: np.where(status == "ok", column, math.nan).tolist()
-               for name, column in money.items()},
+    return {names[0]: grid, names[1]: fixed,
+            **{name: np.where(status == "ok", column, math.nan) for name, column in money.items()},
             "status": status.tolist()}
 
 
@@ -400,10 +420,9 @@ def _rows_fig5(cfg: ExperimentConfig):
     status = np.select([device <= 0, ~np.isfinite(bill_mdg)],
                        ["infeasible: device_power must be > 0",
                         "infeasible: fees must be finite and >= 0"], "ok")
-    return {"edge_fraction": fraction.tolist(), "total_power": total.tolist(),
-            "edge_power": edge.tolist(), "device_power": device.tolist(),
-            **{name: np.where(status == "ok", column, math.nan).tolist()
-               for name, column in money.items()},
+    return {"edge_fraction": fraction, "total_power": total, "edge_power": edge,
+            "device_power": device,
+            **{name: np.where(status == "ok", column, math.nan) for name, column in money.items()},
             "status": status.tolist()}
 
 
@@ -416,11 +435,10 @@ def _rows_mdg(cfg: ExperimentConfig):
     fig6 = cfg.kind == "fig6"
     fractions = cfg.edge_fractions if fig6 else (cfg.edge_fraction,)
     grid = cfg.grid()
-    columns = {"edge_fraction": [f for f in fractions for _ in grid]} if fig6 else {}
-    for fraction in fractions:
-        sweep = emg_vs_mdg_sweep(grid, fraction, cfg.params, cfg.unit_cost, cfg.mdg_delay_mult)
-        for name, values in sweep.items():
-            columns.setdefault(name, []).extend(values)
+    sweeps = [emg_vs_mdg_sweep(grid, fraction, cfg.params, cfg.unit_cost, cfg.mdg_delay_mult)
+              for fraction in fractions]
+    columns = {"edge_fraction": np.repeat(fractions, grid.size)} if fig6 else {}
+    columns.update({name: np.concatenate([sweep[name] for sweep in sweeps]) for name in sweeps[0]})
     columns["status"] = ["ok"] * (len(fractions) * grid.size)
     return columns
 
@@ -469,18 +487,18 @@ def _rows_solve_uniform(cfg: ExperimentConfig):
     # the simplified profit divides by kappa; undefined at kappa == 0
     values.setdefault("leader_profit_simplified", math.nan)
     certificate = uniqueness_certificate_uniform(game)
-    return {
-        "edge_power": [cfg.edge_power],
-        "fee": [fee],
-        "unit_cost": [cfg.unit_cost],
-        **{name: [value] for name, value in values.items()},
-        "certified_unique": [certificate.below_quarter_bound],
-        "below_quarter_bound": [certificate.below_quarter_bound],
-        "below_positivity_bound": [certificate.below_positivity_bound],
-        "optimal_fee": [optimal_fee],
-        "optimal_profit": [optimal_profit],
-        "status": ["ok"],
+    row = {
+        "edge_power": cfg.edge_power,
+        "fee": fee,
+        "unit_cost": cfg.unit_cost,
+        **values,
+        "certified_unique": certificate.below_quarter_bound,
+        "below_quarter_bound": certificate.below_quarter_bound,
+        "below_positivity_bound": certificate.below_positivity_bound,
+        "optimal_fee": optimal_fee,
+        "optimal_profit": optimal_profit,
     }
+    return {**{name: np.array([value]) for name, value in row.items()}, "status": ["ok"]}
 
 
 def _rows_solve_disc(cfg: ExperimentConfig):
@@ -489,14 +507,14 @@ def _rows_solve_disc(cfg: ExperimentConfig):
     # stays out has power, share, utility and leader_delta_simplified 0
     allocation = nash_equilibrium_closed_form(game)
     return {
-        "miner": list(range(game.n_miners)),
-        "fee": game.fees.tolist(),
-        "power": allocation.powers.tolist(),
-        "share": allocation.shares().tolist(),
-        "utility": miner_utilities(game, allocation).tolist(),
-        "certified_unique_i": uniqueness_certificate_discriminatory(game).tolist(),
-        "leader_delta_full": leader_deltas(game, allocation, "full", cfg.fee_basis).tolist(),
-        "leader_delta_simplified": leader_deltas(game, allocation, "simplified").tolist(),
+        "miner": np.arange(game.n_miners),
+        "fee": game.fees,
+        "power": allocation.powers,
+        "share": allocation.shares(),
+        "utility": miner_utilities(game, allocation),
+        "certified_unique_i": uniqueness_certificate_discriminatory(game),
+        "leader_delta_full": leader_deltas(game, allocation, "full", cfg.fee_basis),
+        "leader_delta_simplified": leader_deltas(game, allocation, "simplified"),
         "status": ["ok"] * game.n_miners,
     }
 
@@ -508,13 +526,13 @@ def _rows_simulate(cfg: ExperimentConfig):
     shares = powers / math.fsum(cfg.powers)
     # the last row is the orphaned rounds, which no miner won
     return {
-        "miner": [*range(powers.size), -1],
-        "power": [*powers.tolist(), math.nan],
-        "share": [*shares.tolist(), math.nan],
-        "win_prob_model": [*mining_success_prob(shares, cfg.params).tolist(),
-                           1.0 - cfg.params.delay_discount(cfg.params.tx_per_block)],
-        "wins": [*outcome.wins.tolist(), outcome.orphans],
-        "frequency": [*outcome.frequencies.tolist(), outcome.orphans / outcome.n_blocks],
+        "miner": np.append(np.arange(powers.size), -1),
+        "power": np.append(powers, math.nan),
+        "share": np.append(shares, math.nan),
+        "win_prob_model": np.append(mining_success_prob(shares, cfg.params),
+                                    1.0 - cfg.params.delay_discount(cfg.params.tx_per_block)),
+        "wins": np.append(outcome.wins, outcome.orphans),
+        "frequency": np.append(outcome.frequencies, outcome.orphans / outcome.n_blocks),
         "status": ["ok"] * (powers.size + 1),
     }
 
@@ -548,10 +566,11 @@ KINDS = tuple(KIND_TABLE)
 
 
 class Table(dict):
-    """A report: column name -> list of cells, ``status`` last.
+    """A report: column name -> cells, ``status`` last.
 
-    Cells are plain bool, int, float or str.  ``len()`` counts the rows,
-    not the columns.
+    A numeric or bool column is a float64, int64 or bool numpy array, a str
+    column (``status`` among them) a list of str.  ``len()`` counts the
+    rows, not the columns.
     """
 
     def __len__(self):
@@ -563,6 +582,16 @@ _CSV_CELL = {bool: {True: "true", False: "false"}.__getitem__, int: int.__repr__
              float: float.__repr__, str: str}
 _JSON_CELL = {**_CSV_CELL, str: encode_basestring_ascii}
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# a nan, inf or -inf cell's text in each format
+_NONFINITE_TEXT = {"csv": float.__repr__, "json": lambda x: _JSON_NONFINITE[float.__repr__(x)]}
+# the array dtypes whose cells orjson writes as the reports do, int.__repr__ and true/false
+_EXACT_DTYPES = (np.dtype(np.int64), np.dtype(np.bool_))
+# rows rendered at a time by write_report: writing holds the columns and one block's
+# text; 4,096 wrote fig6 at 3 x 300,000 rows fastest of the powers of two from 1,024 to
+# 65,536, in both formats
+_BLOCK_ROWS = 4096
+# what orjson writes before the digits of a float in [1e-5, 1e-4)
+_SMALL_HEAD = np.frombuffer(b"0.0000", np.uint8)
 # csv.writer's QUOTE_MINIMAL with lineterminator "\n": a cell holding the
 # delimiter, the quote character or the line terminator is quoted
 _CSV_SPECIAL = re.compile('[,"\n]')
@@ -574,56 +603,88 @@ def _csv_quote(texts):
     return ['"' + t.replace('"', '""') + '"' if _CSV_SPECIAL.search(t) else t for t in texts]
 
 
-def _small_exponent(tail):
-    """'15,...' -> '1.5e-05,...': the digits that led a 0.0000 cell, in exponent form."""
-    digits, comma, rest = tail.partition(",")
-    point = "." if len(digits) > 1 else ""
-    return f"{digits[0]}{point}{digits[1:]}e-05{comma}{rest}"
+def _dumps(cells: np.ndarray) -> str:
+    """',a,b,...,z,': orjson's texts of a C-contiguous array, each between two commas."""
+    return f",{orjson.dumps(cells, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()},"
 
 
-def _float_texts(cells):
+def _small_exponents(text: str) -> str:
+    """text, ",c1,...,cn,", with each cell orjson wrote as [-]0.0000d... in repr's d....e-05.
+
+    Those are the cells with 1e-5 <= |x| < 1e-4.  On the text's bytes, each
+    such cell loses its 0.0000 and gains a point after its first digit, if
+    more digits follow, and e-05 before its comma.
+    """
+    b = np.frombuffer(f"{text}      ".encode(), np.uint8)  # every cell's 6-byte head fits
+    commas = np.flatnonzero(b == ord(","))
+    start = commas[:-1] + 1
+    start += b[start] == ord("-")
+    small = (b[start[:, None] + np.arange(6)] == _SMALL_HEAD).all(axis=1)
+    start, end = start[small], commas[1:][small]
+    keep = np.ones(b.size, bool)
+    keep[(start[:, None] + np.arange(6)).ravel()] = False
+    shift = 6 * np.arange(start.size)  # the k-th small cell moves 6k bytes left
+    first, end = start - shift, end - shift - 6
+    point = first[end - first > 1] + 1
+    at = np.concatenate([point, np.repeat(end, 4)])
+    values = np.concatenate([np.full(point.size, ord("."), np.uint8),
+                             np.tile(np.frombuffer(b"e-05", np.uint8), end.size)])
+    return np.insert(b[keep], at, values)[:-6].tobytes().decode()
+
+
+def _float_texts(cells, nonfinite=float.__repr__):
     """``float.__repr__`` of each float in cells, from one ``orjson.dumps`` call.
 
-    orjson writes the same shortest round-trip digits as repr, and three
-    rewrites turn its spelling into repr's: an exponent gets a sign and at
-    least two digits (1e16 -> 1e+16, 1e-6 -> 1e-06), the positional
-    0.0000d... of 1e-5 <= |x| < 1e-4 becomes d....e-05, and a null (nan,
-    inf or -inf) becomes its cell's repr.
+    cells is a list of floats or a float64 array.  orjson writes the same
+    shortest round-trip digits as repr, and in repr's spelling but for two
+    cases.  An exponent gets a sign and at least two digits (1e16 -> 1e+16,
+    1e-6 -> 1e-06), by rewrites of the joined text.  The positional
+    0.0000d... of 1e-5 <= |x| < 1e-4 becomes d....e-05 (_small_exponents).
+    A null (nan, inf or -inf) becomes ``nonfinite`` of its cell, its repr
+    unless JSON's spelling is asked for.
     """
-    if not cells:
+    cells = np.ascontiguousarray(cells, dtype=np.float64)
+    if not cells.size:
         return []
-    text = f",{orjson.dumps(cells)[1:-1].decode()},"  # every cell between two commas
+    text = _dumps(cells)
     if "e" in text:
         text = text.replace("e", "e+")
         if "e+-" in text:
             text = text.replace("e+-", "e-")
             for digit in "6789":  # a one-digit negative exponent is -6 to -9
                 text = text.replace(f"e-{digit},", f"e-0{digit},")
-    if "0.0000" in text:
-        for sign in ("", "-"):
-            head, *tails = text.split(f",{sign}0.0000")
-            text = f",{sign}".join([head, *map(_small_exponent, tails)])
-    if "null" in text and not (math.inf in cells or -math.inf in cells):
-        text = text.replace("null", "nan")  # nan is the only non-finite cell
+    if ",0.0000" in text or ",-0.0000" in text:  # not 10.00001
+        text = _small_exponents(text)
     texts = text[1:-1].split(",")
-    if "null" in text:
-        texts = [float.__repr__(cell) if t == "null" else t for t, cell in zip(texts, cells)]
+    if "null" in text:  # nan, inf or -inf
+        for i in np.flatnonzero(~np.isfinite(cells)).tolist():
+            texts[i] = nonfinite(cells[i])
     return texts
 
 
 def _column_text(cells, fmt: str):
     """A column's cell texts in fmt.
 
-    A column of floats becomes text through _float_texts, a column of one
-    other type in one pass, and a column of mixed types cell by cell.  Only
-    a column holding a str can need CSV quoting, and only one holding a
-    non-finite float JSON's NaN and Infinity.
+    A float64, int64 or bool array becomes text through one orjson.dumps
+    call, respelled by _float_texts if it holds floats; an array of another
+    dtype is read as its tolist().  A list of floats goes through
+    _float_texts too, a list of one other type in one pass, and a list of
+    mixed types cell by cell.  Only a list holding a str can need CSV
+    quoting, and only a mixed list holding a float JSON's NaN and Infinity.
     """
+    if isinstance(cells, np.ndarray):
+        if not cells.size:
+            return []
+        if cells.dtype == np.float64:
+            return _float_texts(cells, _NONFINITE_TEXT[fmt])
+        if cells.dtype in _EXACT_DTYPES:
+            return _dumps(np.ascontiguousarray(cells))[1:-1].split(",")
+        cells = cells.tolist()
     types = set(map(type, cells))
-    cell_text = _JSON_CELL if fmt == "json" else _CSV_CELL
     if types == {float}:
-        texts = _float_texts(cells)
-    elif len(types) == 1:
+        return _float_texts(cells, _NONFINITE_TEXT[fmt])
+    cell_text = _JSON_CELL if fmt == "json" else _CSV_CELL
+    if len(types) == 1:
         texts = list(map(cell_text[next(iter(types))], cells))
     else:
         texts = [cell_text[type(cell)](cell) for cell in cells]
@@ -635,6 +696,12 @@ def _column_text(cells, fmt: str):
     return texts
 
 
+def _csv_header(columns) -> str:
+    """The CSV header line of columns, without its line end."""
+    line = ",".join(_csv_quote(list(columns)))
+    return '""' if len(columns.keys()) == 1 and not line else line  # as csv.writer quotes it
+
+
 def render_report(columns, fmt: str) -> str:
     """Serialize report columns to CSV or JSON text with round-trippable floats.
 
@@ -642,17 +709,67 @@ def render_report(columns, fmt: str) -> str:
     ``csv.writer(lineterminator="\\n")`` writes of the cells' texts and what
     ``json.dumps(rows, indent=2) + "\\n"`` writes of the row objects.
     """
-    texts = (_column_text(cells, fmt) for cells in columns.values())
+    texts = [_column_text(cells, fmt) for cells in columns.values()]
     if fmt == "json":
-        members = ",\n".join(f"    {encode_basestring_ascii(name).replace('%', '%%')}: %s"
-                              for name in columns)
-        template = f"  {{\n{members}\n  }}"
-        body = ",\n".join([template % cells for cells in zip(*texts)])
-        return f"[\n{body}\n]\n" if body else "[]\n"
-    lines = [",".join(_csv_quote(list(columns))), *map(",".join, zip(*texts))]
-    if len(columns) == 1:  # csv.writer quotes a row's one empty cell
+        n_rows = len(texts[0]) if texts else 0
+        if not n_rows:
+            return "[]\n"
+        # a member's lead and its cell take every 2k-th slot from their own, one slice
+        # assignment each; a row's first lead also closes the row before it
+        leads = [f"    {encode_basestring_ascii(name)}: " for name in columns]
+        stride = 2 * len(leads)
+        parts = [""] * (stride * n_rows)
+        for j, (lead, column) in enumerate(zip(leads, texts)):
+            parts[2 * j::stride] = [f",\n{lead}" if j else f"\n  }},\n  {{\n{lead}"] * n_rows
+            parts[2 * j + 1::stride] = column
+        parts[0] = f"[\n  {{\n{leads[0]}"
+        parts.append("\n  }\n]\n")
+        return "".join(parts)
+    lines = [_csv_header(columns), *map(",".join, zip(*texts))]
+    if len(columns.keys()) == 1:  # csv.writer quotes a row's one empty cell
         lines = [line or '""' for line in lines]
     return "\n".join(lines) + "\n"
+
+
+def _report_blocks(table: Table, fmt: str):
+    """The text of ``render_report(table, fmt)`` in blocks of _BLOCK_ROWS rows.
+
+    Each block is one render_report call.  A block after the first loses
+    its CSV header line or its JSON ``[`` line (replaced by the ``,`` line
+    end between row objects), and a block before the last its JSON ``]``
+    line, so the blocks join to the bytes of one render_report call over
+    every row.
+    """
+    n_rows = len(table)
+    if n_rows <= _BLOCK_ROWS:
+        yield render_report(table, fmt)
+        return
+    if fmt == "json":
+        head, join, tail = "[\n", ",\n", "\n]\n"
+    else:
+        head, join, tail = _csv_header(table) + "\n", "", ""
+    for start in range(0, n_rows, _BLOCK_ROWS):
+        stop = start + _BLOCK_ROWS
+        text = render_report({name: cells[start:stop] for name, cells in table.items()}, fmt)
+        if start:
+            text = join + text[len(head):]
+        if stop < n_rows:
+            text = text[:len(text) - len(tail)]
+        yield text
+
+
+def write_report(table: Table, fmt: str, path) -> None:
+    """Write ``render_report(table, fmt)`` to path, _BLOCK_ROWS rows at a time.
+
+    The first block is rendered before the file is opened: a report that
+    fails to render leaves no file, and a one-block report wrote 15-20 us
+    faster than when it was rendered into an open file.
+    """
+    blocks = _report_blocks(table, fmt)
+    first = next(blocks)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(first)
+        fh.writelines(blocks)
 
 
 def run_experiment(cfg: ExperimentConfig):
@@ -665,7 +782,5 @@ def run_experiment(cfg: ExperimentConfig):
     """
     table = Table(KIND_TABLE[cfg.kind].build(cfg))
     path = cfg.out or f"{cfg.kind}.{cfg.format}"
-    text = render_report(table, cfg.format)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    return table, path, len(table) - table["status"].count("ok")
+    write_report(table, cfg.format, path)
+    return table, path, len(table) - operator.countOf(table["status"], "ok")

@@ -197,8 +197,8 @@ def emg_vs_mdg_sweep(total_power_grid, edge_fraction: float, params: GameParams,
     recruits the full total at the same per-power fee rate, so the edge's
     own share goes un-fee'd.  Entries are ordered by total power.  One
     closed-form stage-I call (optimal_fees_uniform) prices the whole grid.
-    Returns column name -> list of floats; an empty grid gives the same
-    names with empty lists.  A baseline fee fee_emg * total / device_power
+    Returns column name -> float64 array; an empty grid gives the same
+    names with empty arrays.  A baseline fee fee_emg * total / device_power
     that overflows raises ValueError naming its instance
     (reject_nonfinite_profits).
     """
@@ -218,12 +218,12 @@ def emg_vs_mdg_sweep(total_power_grid, edge_fraction: float, params: GameParams,
     profit_emg = net_profit(params, fee_emg)
     profit_mdg = net_profit(params, fee_mdg, mdg_delay_multiplier)
     return {
-        "total_power": totals.tolist(),
-        "edge_power": edge_power.tolist(),
-        "device_power": device_power.tolist(),
-        "fee_emg": fee_emg.tolist(),
-        "fee_mdg": fee_mdg.tolist(),
-        "profit_emg": profit_emg.tolist(),
-        "profit_mdg": profit_mdg.tolist(),
-        "profit_gap": (profit_emg - profit_mdg).tolist(),
+        "total_power": totals,
+        "edge_power": edge_power,
+        "device_power": device_power,
+        "fee_emg": fee_emg,
+        "fee_mdg": fee_mdg,
+        "profit_emg": profit_emg,
+        "profit_mdg": profit_mdg,
+        "profit_gap": profit_emg - profit_mdg,
     }

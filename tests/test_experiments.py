@@ -9,6 +9,7 @@ import json
 import math
 import re
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -267,6 +268,21 @@ class TestNonFiniteSettings:
                                  **({"fees": (4.0, 8.0)} if kind == "solve-disc" else {}))
         assert err.value.errors == [f"{name} must be finite, got {value!r}"]
 
+    @pytest.mark.parametrize("kind, name, value", [
+        ("solve-disc", "fees", np.ones((2, 2))),
+        ("solve-disc", "fees", np.ones((2, 1))),
+        ("solve-disc", "fees", 4.0),
+        ("solve-disc", "fees", "4,5"),
+        ("simulate", "powers", ("a", "b")),
+        ("simulate", "powers", [1.0, [2.0]]),
+        ("fig5", "edge_fractions", (0.5, None)),
+    ])
+    def test_a_malformed_list_is_one_config_error(self, kind, name, value):
+        # a library caller's value for a list setting; the CLI always gives a flat list
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(kind=kind, **{name: value})
+        assert err.value.errors == [f"{name} must be a flat list of real numbers"]
+
 
 class TestTable:
     # a small run of every kind
@@ -282,8 +298,12 @@ class TestTable:
         assert list(table)[-1] == "status"
         lengths = {len(column) for column in table.values()}
         assert lengths == {len(table)} and len(table) > 0
+        # a numeric or bool column is an array of one of the three dtypes, a str column a list
         for name, column in table.items():
-            assert {type(cell) for cell in column} <= {bool, int, float, str}, name
+            if isinstance(column, np.ndarray):
+                assert column.ndim == 1 and column.dtype in (np.float64, np.int64, np.bool_), name
+            else:
+                assert type(column) is list and {type(cell) for cell in column} == {str}, name
         assert n_failed == sum(status != "ok" for status in table["status"])
 
     def test_len_counts_rows_not_columns(self, tmp_path, capsys):
@@ -312,12 +332,11 @@ class TestSimulateRows:
         table, _, n_failed = _run("simulate", tmp_path, powers=tuple(powers.tolist()),
                                   n_blocks=n_blocks, seed=3)
         rows = _rows(table)
-        assert n_failed == 0
+        assert n_failed == 0 and table["wins"].dtype == np.int64
         discount = GameParams().delay_discount(GameParams().tx_per_block)
         total = math.fsum(powers)
         assert [row["miner"] for row in rows] == [*range(1000), -1]
         for row, power in zip(rows, powers.tolist()):
-            assert type(row["wins"]) is int
             assert row["power"] == power
             assert row["share"] == power / total
             assert row["win_prob_model"] == power / total * discount
@@ -904,7 +923,7 @@ class TestReportFiles:
     def test_seed_changes_simulation_output(self, tmp_path):
         table_a, _, _ = _run("simulate", tmp_path, seed=1, out=str(tmp_path / "a.csv"))
         table_b, _, _ = _run("simulate", tmp_path, seed=2, out=str(tmp_path / "b.csv"))
-        assert table_a["wins"] != table_b["wins"]
+        assert not np.array_equal(table_a["wins"], table_b["wins"])
 
     def test_dropout_solve_disc_report_parses_as_csv(self, tmp_path):
         fees = ",".join(str(float(x)) for x in np.linspace(4.0, 8.0, 50))
@@ -977,6 +996,101 @@ class TestRenderReport:
         assert render_report(columns, fmt) == _reference_report(columns, fmt)
 
 
+# one column of a report as the builders give it: a float64, int64 or bool array, or a
+# list of str; the floats are any float64 bit pattern or a spelling edge
+_ARRAY_CELLS = {
+    np.float64: st.integers(0, 2**64 - 1).map(lambda b: float(np.uint64(b).view(np.float64)))
+    | _CELLS["float"] | st.sampled_from([1e-4 * (1 - 2**-52), -1e-4, 1e-5 * (1 + 2**-52)]),
+    np.int64: st.integers(-2**63, 2**63 - 1),
+    np.bool_: st.booleans(),
+    str: _TEXT,
+}
+
+
+@st.composite
+def _array_tables(draw):
+    n_rows = draw(st.sampled_from([0, 1]) | st.integers(0, 8))
+    columns = {}
+    for name in draw(st.lists(_TEXT, min_size=1, max_size=5, unique=True)):
+        dtype = draw(st.sampled_from(list(_ARRAY_CELLS)))
+        cells = draw(st.lists(_ARRAY_CELLS[dtype], min_size=n_rows, max_size=n_rows))
+        columns[name] = cells if dtype is str else np.array(cells, dtype=dtype)
+    return columns
+
+
+class TestRenderArrays:
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(columns=_array_tables())
+    @example(columns={"x": np.array([math.nan, -math.inf, -0.0, 5e-324, 1e-5, 1e16])})
+    @example(columns={"x": np.array([], dtype=np.int64), "status": []})
+    def test_arrays_render_as_their_cells_as_lists(self, fmt, columns):
+        lists = {name: cells.tolist() if isinstance(cells, np.ndarray) else cells
+                 for name, cells in columns.items()}
+        text = render_report(columns, fmt)
+        assert text == render_report(lists, fmt) == _reference_report(lists, fmt)
+
+    def test_a_strided_array_renders_as_its_cells(self):
+        cells = np.arange(10.0)[::3]
+        assert render_report({"x": cells}, "csv") == "x\n0.0\n3.0\n6.0\n9.0\n"
+
+    def test_another_dtype_renders_as_its_tolist(self):
+        columns = {"x": np.array([0.1, 2.5], dtype=np.float32), "n": np.array([7], np.uint8)}
+        for fmt in FORMATS:
+            assert render_report({"x": columns["x"]}, fmt) == render_report(
+                {"x": columns["x"].tolist()}, fmt)
+            assert render_report({"n": columns["n"]}, fmt) == render_report({"n": [7]}, fmt)
+
+
+class TestWriteReport:
+    @staticmethod
+    def _table(n_rows):
+        # every column type, a header that CSV quotes over two lines, and a str column
+        # that needs quoting
+        rng = np.random.default_rng(n_rows)
+        return experiments.Table({
+            "x": rng.normal(size=n_rows) * 10.0 ** rng.integers(-8, 20, n_rows),
+            'say "n",\nnow': np.arange(n_rows) - 3,
+            "flag": rng.random(n_rows) < 0.5,
+            "note": [f"{i},é" if i % 7 else "" for i in range(n_rows)],
+            "status": ["ok"] * n_rows,
+        })
+
+    block = experiments._BLOCK_ROWS
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("n_rows", [0, 1, block - 1, block, block + 1, 3 * block + 2])
+    def test_blocks_write_one_render(self, fmt, n_rows, tmp_path):
+        # the one-column table has CSV's quoted empty cells on every row
+        for table in (self._table(n_rows), experiments.Table(status=[""] * n_rows)):
+            path = tmp_path / f"report.{fmt}"
+            experiments.write_report(table, fmt, path)
+            assert path.read_text(encoding="utf-8") == render_report(table, fmt)
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_peak_memory_is_the_columns_and_a_few_blocks(self, fmt, tmp_path):
+        # fig6 at 3 x 20,000 rows is 15 blocks: rendering it whole holds every
+        # cell's text at once, the writer one block's at a time
+        cfg = build_config({"kind": "fig6", "grid_steps": 20_000, "format": fmt})
+        tracemalloc.start()
+        try:
+            table = experiments.Table(KIND_TABLE["fig6"].build(cfg))
+            held = tracemalloc.get_traced_memory()[0]  # the columns
+            tracemalloc.reset_peak()
+            experiments.write_report(table, fmt, tmp_path / f"fig6.{fmt}")
+            write_peak = tracemalloc.get_traced_memory()[1] - held
+            first = {name: cells[:experiments._BLOCK_ROWS] for name, cells in table.items()}
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            block_text = render_report(first, fmt)
+            block_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(table) >= 14 * experiments._BLOCK_ROWS
+        assert block_peak > len(block_text)
+        assert write_peak <= 3 * block_peak
+
+
 class TestFloatTexts:
     """experiments._float_texts against float.__repr__, the reference."""
 
@@ -1010,6 +1124,17 @@ class TestFloatTexts:
 
     def test_empty_column(self):
         self._check([])
+
+    @pytest.mark.parametrize("share", [0.1, 0.5, 1.0])
+    def test_small_cells_among_others(self, share):
+        # 1e-5 <= |x| < 1e-4, the cells orjson writes as 0.0000..., amid every other form
+        rng = np.random.default_rng(int(share * 10))
+        small = rng.uniform(1e-5, 1e-4, 2000) * rng.choice([-1.0, 1.0], 2000)
+        others = rng.normal(size=2000) * 10.0 ** rng.integers(-12, 20, 2000)
+        cells = np.where(rng.random(2000) < share, small, others)
+        cells[rng.integers(0, 2000, 20)] = rng.choice([1e-5, 1e-4, -1e-5, 2e-5, math.nan,
+                                                       math.inf, 0.0, -0.0], 20)
+        self._check(cells.tolist())
 
 
 class TestTrends:

@@ -485,11 +485,13 @@ class TestMdgBaseline:
 class TestSweep:
     def test_empty_grid_gives_empty_table(self):
         columns = emg_vs_mdg_sweep([40.0], 0.5, GameParams(), 0.01)
-        assert emg_vs_mdg_sweep([], 0.5, GameParams(), 0.01) == {name: [] for name in columns}
+        empty = emg_vs_mdg_sweep([], 0.5, GameParams(), 0.01)
+        assert list(empty) == list(columns)
+        assert all(column.dtype == np.float64 and column.size == 0 for column in empty.values())
 
     def test_rows_ordered_by_total_power(self):
         columns = emg_vs_mdg_sweep([120.0, 40.0, 80.0], 0.5, GameParams(), 0.01)
-        assert columns["total_power"] == [40.0, 80.0, 120.0]
+        assert columns["total_power"].tolist() == [40.0, 80.0, 120.0]
         assert {len(column) for column in columns.values()} == {3}
 
     def test_edge_scheme_wins_even_without_extra_delay(self):
