@@ -6,14 +6,14 @@ its additional profit.
 """
 
 from edgeminer import GameParams, UniformGame, aggregate_miner_utility, \
-    best_response_uniform, grid_argmax, leader_delta_utility_uniform, \
-    optimal_fee_uniform, uniqueness_certificate_uniform
+    grid_argmax, leader_delta_utility_uniform, optimal_fee_uniform, pool_responses, \
+    uniqueness_certificate_uniform
 
 params = GameParams()
 game = UniformGame(edge_power=50.0, fee=2.0, unit_cost=0.005, params=params)
 
 print("== stage II: device pool best response ==")
-y_star = best_response_uniform(game)
+y_star = pool_responses(game.kappa, game.edge_power, game.unit_cost)
 print(f"  closed form Y* = {y_star:.6f}")
 argmax, value = grid_argmax(lambda y: aggregate_miner_utility(game, y), 0.0, 400.0, 1e-3)
 print(f"  grid oracle    = {argmax:.6f} (pool utility {value:.6f})")
@@ -35,7 +35,7 @@ print(f"  fee {best_fee:8.4f}  profit {best_profit:+.4f}")
 
 print("\n== at the optimal fee ==")
 best = UniformGame(50.0, best_fee, 0.005, params)
-supplied = best_response_uniform(best)
+supplied = pool_responses(best.kappa, best.edge_power, best.unit_cost)
 print(f"  fee {best_fee:.4f}: devices supply {supplied:.2f}, "
       f"pool utility {aggregate_miner_utility(best, supplied):+.4f}")
 print(f"  leader full {leader_delta_utility_uniform(best, 'full'):+.4f}, "

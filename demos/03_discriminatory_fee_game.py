@@ -9,7 +9,7 @@ uniqueness evidence.
 import numpy as np
 
 from edgeminer import DiscriminatoryGame, GameParams, best_response_dynamics, \
-    best_response_i, leader_delta_utility_discriminatory, miner_utility_i, \
+    best_responses, leader_delta_utility_discriminatory, miner_utilities, \
     nash_equilibrium_closed_form, optimal_fees_discriminatory, \
     uniqueness_certificate_discriminatory
 
@@ -19,10 +19,12 @@ game = DiscriminatoryGame(np.array([4.0, 8.0]), unit_cost=1.0, params=params)
 print("== closed-form equilibrium, fees (4, 8) ==")
 allocation = nash_equilibrium_closed_form(game)
 print(f"  powers {allocation.powers} (exact: 8/9, 16/9), total {allocation.total:.6f}")
+others = allocation.total - allocation.powers
+responses = best_responses(others, game.cost_coefficients)
+utilities = miner_utilities(game, allocation)
 for i in range(2):
-    others = allocation.total - allocation.powers[i]
-    print(f"  miner {i}: BR({others:.4f}) = {best_response_i(game, others, i):.6f}  "
-          f"utility {miner_utility_i(game, allocation, i):+.4f}")
+    print(f"  miner {i}: BR({others[i]:.4f}) = {responses[i]:.6f}  "
+          f"utility {utilities[i]:+.4f}")
 
 print("\n== best-response dynamics from a lopsided start ==")
 reached = best_response_dynamics(game, [0.01, 5.0], tol=1e-10)

@@ -19,12 +19,10 @@ from .core import (
 )
 from .discriminatory import (
     DiscriminatoryGame,
-    best_response_i,
     best_responses,
     leader_delta_utility_discriminatory,
     leader_deltas,
     miner_utilities,
-    miner_utility_i,
     nash_equilibrium_closed_form,
     optimal_fees_discriminatory,
     share_identity,
@@ -50,10 +48,10 @@ from .uniform import (
     UniformCertificate,
     UniformGame,
     aggregate_miner_utility,
-    best_response_uniform,
     leader_delta_utility_uniform,
     optimal_fee_uniform,
     optimal_fees_uniform,
+    pool_responses,
     uniqueness_certificate_uniform,
 )
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    DegenerateProfileError,
     GameParams,
     PowerProfile,
     as_profile,
@@ -25,12 +24,10 @@ from .core import (
 
 __all__ = [
     "DiscriminatoryGame",
-    "best_response_i",
     "best_responses",
     "leader_delta_utility_discriminatory",
     "leader_deltas",
     "miner_utilities",
-    "miner_utility_i",
     "nash_equilibrium_closed_form",
     "optimal_fees_discriminatory",
     "share_identity",
@@ -81,24 +78,9 @@ def miner_utilities(game: DiscriminatoryGame, profile) -> np.ndarray:
     return game.fees * prof.shares() * discount - game.unit_cost * prof.powers
 
 
-def miner_utility_i(game: DiscriminatoryGame, profile, i: int) -> float:
-    """Utility of miner i: entry i of miner_utilities."""
-    return float(miner_utilities(game, profile)[i])
-
-
 def best_responses(others, c) -> np.ndarray:
     """Best responses to the others' totals, elementwise: sqrt(others/c) - others, clamped at 0."""
     return np.maximum(np.sqrt(others / c) - others, 0.0)
-
-
-def best_response_i(game: DiscriminatoryGame, others_sum: float, i: int) -> float:
-    """Miner i's utility-maximizing power given the others' total, clamped at 0."""
-    if not 0 <= i < game.n_miners:
-        raise IndexError(f"miner index {i} out of range")
-    if others_sum <= 0:
-        raise DegenerateProfileError(
-            "best response undefined when all other miners supply zero power")
-    return float(best_responses(others_sum, game.cost_coefficients[i]))
 
 
 def nash_equilibrium_closed_form(game: DiscriminatoryGame) -> PowerProfile:

@@ -25,6 +25,7 @@ from .core import (
     PowerProfile,
     device_discount,
     is_integer,
+    is_real,
     leader_reward_scale,
     mining_success_prob,
     net_profit,
@@ -48,11 +49,11 @@ from .simulate import (
 from .uniform import (
     UniformGame,
     aggregate_miner_utility,
-    best_response_uniform,
     leader_delta_utility_uniform,
     leader_profits_uniform,
     optimal_fee_uniform,
     optimal_fees_uniform,
+    pool_responses,
     reject_nonfinite_profits,
     uniqueness_certificate_uniform,
 )
@@ -75,8 +76,6 @@ __all__ = [
 
 FEE_SEARCHES = ("golden", "hillclimb")
 FORMATS = ("csv", "json")
-# the types a scalar float setting may hold; an isinstance on numbers.Real costs 8x as much
-_REAL = (float, int, np.floating, np.integer)
 
 
 @dataclass(frozen=True)
@@ -125,7 +124,7 @@ class ExperimentConfig:
             value = getattr(self, name, None)  # None for a GameParams setting, checked there
             if value is None:
                 continue
-            if parse is float and not (isinstance(value, _REAL) and math.isfinite(value)):
+            if parse is float and not (is_real(value) and math.isfinite(value)):
                 nonfinite.append(name)
             if parse is _float_list:
                 finite = _finite_list(value)
@@ -435,11 +434,15 @@ def _rows_mdg(cfg: ExperimentConfig):
     fig6 = cfg.kind == "fig6"
     fractions = cfg.edge_fractions if fig6 else (cfg.edge_fraction,)
     grid = cfg.grid()
-    sweeps = [emg_vs_mdg_sweep(grid, fraction, cfg.params, cfg.unit_cost, cfg.mdg_delay_mult)
-              for fraction in fractions]
+    n_rows = len(fractions) * grid.size
     columns = {"edge_fraction": np.repeat(fractions, grid.size)} if fig6 else {}
-    columns.update({name: np.concatenate([sweep[name] for sweep in sweeps]) for name in sweeps[0]})
-    columns["status"] = ["ok"] * (len(fractions) * grid.size)
+    # each fraction's sweep is copied into its rows and dropped before the next is built
+    for k, fraction in enumerate(fractions):
+        rows = slice(k * grid.size, (k + 1) * grid.size)
+        for name, cells in emg_vs_mdg_sweep(grid, fraction, cfg.params, cfg.unit_cost,
+                                            cfg.mdg_delay_mult).items():
+            columns.setdefault(name, np.empty(n_rows))[rows] = cells
+    columns["status"] = ["ok"] * n_rows
     return columns
 
 
@@ -473,10 +476,10 @@ def _rows_solve_uniform(cfg: ExperimentConfig):
     optimal_fee, optimal_profit = _optimize_fee(cfg)
     fee = cfg.fee if cfg.fee is not None else optimal_fee
     game = UniformGame(cfg.edge_power, fee, cfg.unit_cost, params)
-    response = best_response_uniform(game)
     # an explicit fee can overflow the response, a large reward the simplified
     # profit; inf and nan are rejected
     with np.errstate(over="ignore", invalid="ignore"):
+        response = pool_responses(game.kappa, game.edge_power, game.unit_cost)
         values = {"best_response_power": response,
                   "follower_utility": aggregate_miner_utility(game, response),
                   "leader_profit_full": leader_delta_utility_uniform(game, "full")}
@@ -568,24 +571,18 @@ KINDS = tuple(KIND_TABLE)
 class Table(dict):
     """A report: column name -> cells, ``status`` last.
 
-    A numeric or bool column is a float64, int64 or bool numpy array, a str
-    column (``status`` among them) a list of str.  ``len()`` counts the
-    rows, not the columns.
+    A numeric or bool column is a 1-d numpy array of any int, float or bool
+    dtype, a str column (``status`` among them) a list of str.  ``len()``
+    counts the rows, not the columns.
     """
 
     def __len__(self):
         return len(self["status"])
 
 
-# a cell's text follows its Python type; floats round-trip
-_CSV_CELL = {bool: {True: "true", False: "false"}.__getitem__, int: int.__repr__,
-             float: float.__repr__, str: str}
-_JSON_CELL = {**_CSV_CELL, str: encode_basestring_ascii}
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 # a nan, inf or -inf cell's text in each format
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _NONFINITE_TEXT = {"csv": float.__repr__, "json": lambda x: _JSON_NONFINITE[float.__repr__(x)]}
-# the array dtypes whose cells orjson writes as the reports do, int.__repr__ and true/false
-_EXACT_DTYPES = (np.dtype(np.int64), np.dtype(np.bool_))
 # rows rendered at a time by write_report: writing holds the columns and one block's
 # text; 4,096 wrote fig6 at 3 x 300,000 rows fastest of the powers of two from 1,024 to
 # 65,536, in both formats
@@ -635,8 +632,8 @@ def _small_exponents(text: str) -> str:
 def _float_texts(cells, nonfinite=float.__repr__):
     """``float.__repr__`` of each float in cells, from one ``orjson.dumps`` call.
 
-    cells is a list of floats or a float64 array.  orjson writes the same
-    shortest round-trip digits as repr, and in repr's spelling but for two
+    cells is a list of floats or a float array, read as float64.  orjson writes the
+    same shortest round-trip digits as repr, and in repr's spelling but for two
     cases.  An exponent gets a sign and at least two digits (1e16 -> 1e+16,
     1e-6 -> 1e-06), by rewrites of the joined text.  The positional
     0.0000d... of 1e-5 <= |x| < 1e-4 becomes d....e-05 (_small_exponents).
@@ -663,37 +660,20 @@ def _float_texts(cells, nonfinite=float.__repr__):
 
 
 def _column_text(cells, fmt: str):
-    """A column's cell texts in fmt.
+    """A column's cell texts in fmt: a 1-d numeric or bool array, or a list of str.
 
-    A float64, int64 or bool array becomes text through one orjson.dumps
-    call, respelled by _float_texts if it holds floats; an array of another
-    dtype is read as its tolist().  A list of floats goes through
-    _float_texts too, a list of one other type in one pass, and a list of
-    mixed types cell by cell.  Only a list holding a str can need CSV
-    quoting, and only a mixed list holding a float JSON's NaN and Infinity.
+    A float array goes through _float_texts, a bool one and an int one cast to int64
+    (uint64 if unsigned) through one orjson.dumps call.  A list of str is CSV-quoted
+    or JSON-escaped; a cell that is not a str raises TypeError.
     """
-    if isinstance(cells, np.ndarray):
-        if not cells.size:
-            return []
-        if cells.dtype == np.float64:
-            return _float_texts(cells, _NONFINITE_TEXT[fmt])
-        if cells.dtype in _EXACT_DTYPES:
-            return _dumps(np.ascontiguousarray(cells))[1:-1].split(",")
-        cells = cells.tolist()
-    types = set(map(type, cells))
-    if types == {float}:
+    if isinstance(cells, list):
+        return _csv_quote(cells) if fmt == "csv" else list(map(encode_basestring_ascii, cells))
+    if not cells.size:
+        return []
+    if cells.dtype.kind == "f":
         return _float_texts(cells, _NONFINITE_TEXT[fmt])
-    cell_text = _JSON_CELL if fmt == "json" else _CSV_CELL
-    if len(types) == 1:
-        texts = list(map(cell_text[next(iter(types))], cells))
-    else:
-        texts = [cell_text[type(cell)](cell) for cell in cells]
-    if fmt == "csv":
-        return _csv_quote(texts) if str in types else texts
-    # a str's JSON text is quoted: only a float's can read nan, inf or -inf
-    if float in types and not _JSON_NONFINITE.keys().isdisjoint(texts):
-        return list(map(_JSON_NONFINITE.get, texts, texts))
-    return texts
+    dtype = {"b": np.bool_, "u": np.uint64}.get(cells.dtype.kind, np.int64)
+    return _dumps(np.ascontiguousarray(cells, dtype=dtype))[1:-1].split(",")
 
 
 def _csv_header(columns) -> str:

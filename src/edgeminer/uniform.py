@@ -12,17 +12,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GameParams, check_objective, leader_reward_scale, stage1_setup
+from .core import GameParams, check_objective, is_real, leader_reward_scale, stage1_setup
 
 __all__ = [
     "UniformCertificate",
     "UniformGame",
     "aggregate_miner_utility",
-    "best_response_uniform",
     "leader_delta_utility_uniform",
     "leader_profits_uniform",
     "optimal_fee_uniform",
     "optimal_fees_uniform",
+    "pool_responses",
     "reject_nonfinite_profits",
     "uniqueness_certificate_uniform",
 ]
@@ -39,8 +39,7 @@ class UniformGame:
     def __post_init__(self):
         for name in ("edge_power", "fee", "unit_cost"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float, np.floating))
-                    and math.isfinite(value) and value > 0):
+            if not (is_real(value) and math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
     @property
@@ -58,19 +57,12 @@ def aggregate_miner_utility(game: UniformGame, total_power) -> float:
     return float(out) if out.ndim == 0 else out
 
 
-def _pool_response(kappa, edge_powers, unit_cost):
-    """The pool's best response, elementwise: sqrt(kappa*X/unit_cost) - X, clamped at 0."""
-    return np.maximum(0.0, np.sqrt(kappa * edge_powers / unit_cost) - edge_powers)
+def pool_responses(kappa, edge_powers, unit_cost):
+    """The pool's best responses, elementwise: sqrt(kappa*X/unit_cost) - X, clamped at 0.
 
-
-def best_response_uniform(game: UniformGame) -> float:
-    """Device-pool power maximizing the aggregate utility, clamped at 0.
-
-    The interior stationary point sqrt(kappa*X/unit_cost) - X is the unique
-    maximizer by concavity; a negative value means staying out is optimal.
+    By concavity the stationary point is the unique maximizer; below 0 the pool stays out.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan, as with Python floats
-        return float(_pool_response(game.kappa, game.edge_power, game.unit_cost))
+    return np.maximum(0.0, np.sqrt(kappa * edge_powers / unit_cost) - edge_powers)
 
 
 @dataclass(frozen=True)
@@ -120,7 +112,7 @@ def leader_profits_uniform(fees, edge_powers, unit_cost, discount, a, objective:
     kappa = fees * discount
     if objective == "simplified":
         return a * (1.0 - np.sqrt(edge_powers * unit_cost / kappa))
-    y_star = _pool_response(kappa, edge_powers, unit_cost)
+    y_star = pool_responses(kappa, edge_powers, unit_cost)
     return a * y_star / (edge_powers + y_star) - fees
 
 

@@ -18,16 +18,16 @@ from edgeminer import (
     UniformGame,
     aggregate_miner_utility,
     best_response_dynamics,
-    best_response_i,
-    best_response_uniform,
+    best_responses,
     golden_section_max,
     grid_argmax,
     leader_delta_utility_discriminatory,
     leader_delta_utility_uniform,
-    miner_utility_i,
+    miner_utilities,
     multiplicative_fee_search,
     nash_equilibrium_closed_form,
     optimal_fee_uniform,
+    pool_responses,
     simulate_mining,
     uniqueness_certificate_uniform,
 )
@@ -61,7 +61,8 @@ def test_criterion_1_best_response_oracle_equivalence():
             upper = game.kappa / game.unit_cost  # utility negative beyond this
             argmax, _ = grid_argmax(lambda y: aggregate_miner_utility(game, y),
                                     0.0, upper + 1.0, 1e-4)
-            assert abs(best_response_uniform(game) - argmax) <= 1e-3
+            response = pool_responses(game.kappa, game.edge_power, game.unit_cost)
+            assert abs(response - argmax) <= 1e-3
         assert time.perf_counter() - started < 10.0
 
 
@@ -72,8 +73,8 @@ def test_criterion_2_discriminatory_fixed_point_and_dynamics():
         for game in random_feasible_disc_games(100, seed=404, m_range=(2, 10)):
             x = nash_equilibrium_closed_form(game).powers
             total = math.fsum(x)
-            for i in range(game.n_miners):
-                assert abs(best_response_i(game, total - x[i], i) - x[i]) <= 1e-9
+            responses = best_responses(total - x, game.cost_coefficients)
+            assert np.all(np.abs(responses - x) <= 1e-9)
             start = x * rng.uniform(0.2, 3.0, x.size)
             reached = best_response_dynamics(game, start, tol=1e-8).powers
             np.testing.assert_allclose(reached, x, atol=1e-6)
@@ -115,7 +116,7 @@ def test_criterion_4_concavity_suites():
 
             def utility(value):
                 profile = np.concatenate([[value], others])
-                return miner_utility_i(game, profile, 0)
+                return miner_utilities(game, profile)[0]
 
             second = utility(x + h) - 2.0 * utility(x) + utility(max(x - h, 1e-9))
             assert second <= 1e-12

@@ -10,8 +10,10 @@ from edgeminer import (
     ConfigError,
     DegenerateProfileError,
     DiscriminatoryGame,
+    ExperimentConfig,
     GameParams,
     PowerProfile,
+    UniformGame,
     miner_utilities,
     mining_success_prob,
     net_profit,
@@ -181,3 +183,27 @@ class TestGameParams:
         assert err.value.errors == ["fixed_reward must be >= 0, got -1.0",
                                     "poisson_rate must be finite, got nan",
                                     "tx_per_block must be an integer >= 1, got 0"]
+
+
+class TestRealSettings:
+    """GameParams, UniformGame and ExperimentConfig read a real setting the same way."""
+
+    @pytest.mark.parametrize("real", [np.int64, np.int32])
+    def test_numpy_integers_accepted(self, real):
+        assert GameParams(fixed_reward=real(5)).total_reward == 7.0
+        game = UniformGame(real(50), real(2), 0.005)
+        assert game.kappa == UniformGame(50.0, 2.0, 0.005).kappa
+        cfg = ExperimentConfig(kind="solve-uniform", edge_power=real(50), unit_cost=real(1))
+        assert (cfg.edge_power, cfg.unit_cost) == (50, 1)
+
+    @pytest.mark.parametrize("value", [np.array([1.0, 2.0]), "5"])
+    def test_an_array_or_a_str_is_one_error(self, value):
+        with pytest.raises(ConfigError) as err:
+            GameParams(fixed_reward=value)
+        assert err.value.errors == [f"fixed_reward must be finite, got {value!r}"]
+        with pytest.raises(ValueError) as err:
+            UniformGame(value, 2.0, 0.005)
+        assert str(err.value) == f"edge_power must be finite and > 0, got {value!r}"
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(kind="solve-uniform", edge_power=value)
+        assert err.value.errors == [f"edge_power must be finite, got {value!r}"]

@@ -13,7 +13,6 @@ from edgeminer import (
     DiscriminatoryGame,
     GameParams,
     best_response_dynamics,
-    best_response_i,
     best_responses,
     golden_section_max,
     grid_argmax,
@@ -21,7 +20,6 @@ from edgeminer import (
     leader_deltas,
     leader_reward_scale,
     miner_utilities,
-    miner_utility_i,
     nash_equilibrium_closed_form,
     optimal_fees_discriminatory,
     share_identity,
@@ -40,56 +38,52 @@ def _game(fees, unit_cost=1.0, **params):
 
 class TestMinerUtility:
     def test_zero_power_zero_utility(self):
-        assert miner_utility_i(_game([4, 4]), [0.0, 1.0], 0) == 0.0
+        assert miner_utilities(_game([4, 4]), [0.0, 1.0])[0] == 0.0
 
     def test_matches_uniform_case(self):
-        assert miner_utility_i(_game([4, 4]), [1.0, 1.0], 0) == 1.0
+        assert miner_utilities(_game([4, 4]), [1.0, 1.0])[0] == 1.0
 
     def test_equilibrium_point_value(self):
         game = _game([4, 8])
-        value = miner_utility_i(game, [8 / 9, 16 / 9], 1)
+        value = miner_utilities(game, [8 / 9, 16 / 9])[1]
         assert value == pytest.approx(32 / 9, rel=1e-12)
 
     def test_degenerate_profile_rejected(self):
         with pytest.raises(DegenerateProfileError):
-            miner_utility_i(_game([4, 4]), [0.0, 0.0], 0)
+            miner_utilities(_game([4, 4]), [0.0, 0.0])
 
 
 class TestBestResponse:
     def test_known_point(self):
         game = _game([4, 8])
-        assert best_response_i(game, 16 / 9, 0) == pytest.approx(8 / 9, rel=1e-12)
+        assert best_responses(16 / 9, game.cost_coefficients[0]) == pytest.approx(8 / 9, rel=1e-12)
 
     def test_matches_grid_search(self):
         game = _game([4, 8])
         others = 16 / 9
 
         def utility(x):
-            return miner_utility_i(game, [x, others], 0)
+            return miner_utilities(game, [x, others])[0]
 
         argmax, _ = grid_argmax(utility, 0.0, 5.0, 1e-4)
-        assert abs(best_response_i(game, others, 0) - argmax) <= 1e-3
+        assert abs(best_responses(others, game.cost_coefficients[0]) - argmax) <= 1e-3
 
     def test_root_of_the_formula(self):
         game = _game([4, 8])
         # others_sum equal to fee/unit_cost zeroes the response exactly
-        assert best_response_i(game, 4.0, 0) == 0.0
+        assert best_responses(4.0, game.cost_coefficients[0]) == 0.0
 
     def test_clamped_beyond_threshold(self):
         game = _game([4, 8])
-        assert best_response_i(game, 6.0, 0) == 0.0
-
-    def test_zero_others_rejected(self):
-        with pytest.raises(DegenerateProfileError):
-            best_response_i(_game([4, 4]), 0.0, 0)
+        assert best_responses(6.0, game.cost_coefficients[0]) == 0.0
 
     def test_concavity_in_own_power(self):
         game = _game([5, 3, 4])
         h = 0.05
         for x in np.linspace(0.1, 4.0, 50):
-            second = (miner_utility_i(game, [x + h, 1.0, 2.0], 0)
-                      - 2.0 * miner_utility_i(game, [x, 1.0, 2.0], 0)
-                      + miner_utility_i(game, [x - h, 1.0, 2.0], 0))
+            second = (miner_utilities(game, [x + h, 1.0, 2.0])[0]
+                      - 2.0 * miner_utilities(game, [x, 1.0, 2.0])[0]
+                      + miner_utilities(game, [x - h, 1.0, 2.0])[0])
             assert second <= 1e-12
 
 
@@ -149,9 +143,8 @@ class TestClosedForm:
         for game in random_feasible_disc_games(100, seed=17):
             x = nash_equilibrium_closed_form(game).powers
             total = math.fsum(x)
-            for i in range(game.n_miners):
-                response = best_response_i(game, total - x[i], i)
-                assert abs(response - x[i]) <= 1e-9
+            responses = best_responses(total - x, game.cost_coefficients)
+            assert np.all(np.abs(responses - x) <= 1e-9)
 
     def test_derivation_chain(self):
         for game in random_feasible_disc_games(50, seed=23):
@@ -314,7 +307,7 @@ class TestSolveDiscriminatory:
 
 
 class TestPerMinerViews:
-    """Each per-miner scalar function is entry i of its elementwise form, bit for bit."""
+    """leader_delta_utility_discriminatory is entry i of leader_deltas, bit for bit."""
 
     FEES = {f"seeded-M{m}": np.random.default_rng(m).uniform(4.0, 8.0, m)
             for m in (2, 10, 1000)}
@@ -329,14 +322,7 @@ class TestPerMinerViews:
         fees = self.FEES[name]
         game = DiscriminatoryGame(fees, 0.005, GameParams())
         allocation = nash_equilibrium_closed_form(game)
-        profile = np.random.default_rng(7).uniform(0.5, 2.0, fees.size)
         miners = range(fees.size)
-        for powers in (allocation, profile):
-            self._same_bits([miner_utility_i(game, powers, i) for i in miners],
-                            miner_utilities(game, powers))
-        others = profile.sum() - profile
-        self._same_bits([best_response_i(game, float(others[i]), i) for i in miners],
-                        best_responses(others, game.cost_coefficients))
         for objective in OBJECTIVES:
             for basis in FEE_BASES:
                 self._same_bits(

@@ -939,7 +939,8 @@ class TestReportFiles:
         assert all(float(line[2]) > 0 for line in lines[37:])
 
     def test_render_report_formats_booleans(self):
-        text = render_report({"x": [True, False], "y": [1, -1], "status": ["ok", "ok"]}, "csv")
+        columns = {"x": np.array([True, False]), "y": np.array([1, -1]), "status": ["ok", "ok"]}
+        text = render_report(columns, "csv")
         assert text == "x,y,status\ntrue,1,ok\nfalse,-1,ok\n"
 
 
@@ -964,43 +965,13 @@ def _reference_report(columns, fmt):
 _FLOAT_EDGES = [1e-6, 1e-5, 1.5e-05, 9.999999999999999e-05, 1e-4, 9999999999999998.0, 1e16,
                 1.7976931348623157e308, 5e-324, -0.0]
 _TEXT = st.text(st.sampled_from(',"\n\r%{}:\\ aé\x00\u2028😀') | st.characters(), max_size=6)
-_CELLS = {
-    "float": st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, 2.2e-308, 1e-308,
-                                            1e308, -1e308, -1e-5, -2.5e-7, *_FLOAT_EDGES]),
-    "int": st.integers(-2**70, 2**70),
-    "bool": st.booleans(),
-    "str": _TEXT,
-}
-
-
-@st.composite
-def _tables(draw):
-    """Columns of equal length; a column draws its cells from one to four cell types."""
-    n_rows = draw(st.sampled_from([0, 1]) | st.integers(0, 6))
-    columns = {}
-    for name in draw(st.lists(_TEXT, min_size=1, max_size=5, unique=True)):
-        kinds = draw(st.lists(st.sampled_from(sorted(_CELLS)), min_size=1, max_size=4))
-        columns[name] = draw(st.lists(st.one_of(*(_CELLS[k] for k in kinds)),
-                                      min_size=n_rows, max_size=n_rows))
-    return columns
-
-
-class TestRenderReport:
-    @pytest.mark.parametrize("fmt", FORMATS)
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(columns=_tables())
-    @example(columns={"status": []})
-    @example(columns={"": [""]})
-    @example(columns={"a,b": ['say "hi"\n', "x\ry"], "n": [1, True]})
-    def test_equals_the_reference_writers(self, fmt, columns):
-        assert render_report(columns, fmt) == _reference_report(columns, fmt)
-
-
 # one column of a report as the builders give it: a float64, int64 or bool array, or a
 # list of str; the floats are any float64 bit pattern or a spelling edge
 _ARRAY_CELLS = {
     np.float64: st.integers(0, 2**64 - 1).map(lambda b: float(np.uint64(b).view(np.float64)))
-    | _CELLS["float"] | st.sampled_from([1e-4 * (1 - 2**-52), -1e-4, 1e-5 * (1 + 2**-52)]),
+    | st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, 2.2e-308, 1e-308, 1e308,
+                                     -1e308, -1e-5, -2.5e-7, *_FLOAT_EDGES])
+    | st.sampled_from([1e-4 * (1 - 2**-52), -1e-4, 1e-5 * (1 + 2**-52)]),
     np.int64: st.integers(-2**63, 2**63 - 1),
     np.bool_: st.booleans(),
     str: _TEXT,
@@ -1024,22 +995,38 @@ class TestRenderArrays:
     @given(columns=_array_tables())
     @example(columns={"x": np.array([math.nan, -math.inf, -0.0, 5e-324, 1e-5, 1e16])})
     @example(columns={"x": np.array([], dtype=np.int64), "status": []})
+    @example(columns={"status": []})
+    @example(columns={"": [""]})
+    @example(columns={"a,b": ['say "hi"\n', "x\ry"], "n": np.array([1, -1]),
+                      "t": np.array([True, False])})
     def test_arrays_render_as_their_cells_as_lists(self, fmt, columns):
         lists = {name: cells.tolist() if isinstance(cells, np.ndarray) else cells
                  for name, cells in columns.items()}
-        text = render_report(columns, fmt)
-        assert text == render_report(lists, fmt) == _reference_report(lists, fmt)
+        assert render_report(columns, fmt) == _reference_report(lists, fmt)
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("cells", [[1.0], [1], [True], ["ok", None]])
+    def test_a_list_holding_a_non_str_is_rejected(self, fmt, cells):
+        with pytest.raises(TypeError):
+            render_report({"x": cells}, fmt)
 
     def test_a_strided_array_renders_as_its_cells(self):
         cells = np.arange(10.0)[::3]
         assert render_report({"x": cells}, "csv") == "x\n0.0\n3.0\n6.0\n9.0\n"
 
     def test_another_dtype_renders_as_its_tolist(self):
-        columns = {"x": np.array([0.1, 2.5], dtype=np.float32), "n": np.array([7], np.uint8)}
+        # a float32 array renders as its float64 cast, an int one as its int64 cast
+        x = np.array([0.1, 2.5, math.nan, -math.inf], dtype=np.float32)
+        n = np.array([7, 0, 255], np.uint8)
+        swapped = np.array([1, -2], ">i8")  # orjson would read its bytes as native
+        wide = np.array([2**64 - 1, 0], np.uint64)  # past int64: written as its tolist()
         for fmt in FORMATS:
-            assert render_report({"x": columns["x"]}, fmt) == render_report(
-                {"x": columns["x"].tolist()}, fmt)
-            assert render_report({"n": columns["n"]}, fmt) == render_report({"n": [7]}, fmt)
+            assert render_report({"x": x}, fmt) == render_report({"x": x.astype(np.float64)}, fmt)
+            for cells in (n, swapped):
+                assert render_report({"n": cells}, fmt) == render_report(
+                    {"n": cells.astype(np.int64)}, fmt)
+            assert render_report({"n": wide}, fmt) == _reference_report({"n": wide.tolist()},
+                                                                        fmt)
 
 
 class TestWriteReport:
@@ -1089,6 +1076,20 @@ class TestWriteReport:
         assert len(table) >= 14 * experiments._BLOCK_ROWS
         assert block_peak > len(block_text)
         assert write_peak <= 3 * block_peak
+
+    def test_fig6_build_holds_the_columns_and_one_sweep(self):
+        # fig6 at 3 x 20,000 rows: each fraction's sweep of 8 float columns is copied
+        # into the report's columns before the next is built, not kept for one concatenate
+        cfg = build_config({"kind": "fig6", "grid_steps": 20_000})
+        tracemalloc.start()
+        try:
+            table = KIND_TABLE["fig6"].build(cfg)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        sweep = 8 * 20_000 * 8
+        assert len(table["status"]) == 3 * 20_000
+        assert held > 3 * sweep and peak < held + 2 * sweep
 
 
 class TestFloatTexts:

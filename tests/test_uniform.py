@@ -15,12 +15,12 @@ from edgeminer import (
     GameParams,
     UniformGame,
     aggregate_miner_utility,
-    best_response_uniform,
     grid_argmax,
     leader_delta_utility_uniform,
     leader_reward_scale,
     optimal_fee_uniform,
     optimal_fees_uniform,
+    pool_responses,
     uniform,
     uniqueness_certificate_uniform,
 )
@@ -40,6 +40,11 @@ def _game(edge_power=1.0, fee=4.0, unit_cost=1.0, **params):
     return UniformGame(edge_power, fee, unit_cost, zero_delay_params(**params))
 
 
+def _response(game):
+    """The pool's best response at game's fee, from the elementwise kernel."""
+    return pool_responses(game.kappa, game.edge_power, game.unit_cost)
+
+
 class TestAggregateUtility:
     def test_zero_power_zero_utility(self):
         assert aggregate_miner_utility(_game(), 0.0) == 0.0
@@ -57,33 +62,33 @@ class TestAggregateUtility:
 
 class TestBestResponse:
     def test_interior_maximum(self):
-        assert best_response_uniform(_game()) == pytest.approx(1.0, abs=1e-12)
+        assert _response(_game()) == pytest.approx(1.0, abs=1e-12)
 
     def test_root_of_the_formula(self):
         # kappa/unit_cost equals the edge power, so the interior point is 0
-        assert best_response_uniform(_game(fee=1.0, edge_power=1.0)) == 0.0
+        assert _response(_game(fee=1.0, edge_power=1.0)) == 0.0
 
     def test_clamped_to_zero(self):
         game = _game(fee=1.0, edge_power=2.0)
         # marginal utility at the origin is kappa/X - unit_cost = -0.5
-        assert best_response_uniform(game) == 0.0
+        assert _response(game) == 0.0
 
     def test_matches_grid_search(self):
         game = _game()
         argmax, _ = grid_argmax(lambda y: aggregate_miner_utility(game, y),
                                 0.0, 10.0, 1e-4)
-        assert abs(best_response_uniform(game) - argmax) <= 1e-3
+        assert abs(_response(game) - argmax) <= 1e-3
 
     def test_oracle_agreement_random_instances(self):
         for game in random_uniform_games(25, seed=42):
             hi = game.kappa / game.unit_cost  # utility is negative beyond this
             argmax, _ = grid_argmax(lambda y: aggregate_miner_utility(game, y),
                                     0.0, hi + 1.0, 1e-4)
-            assert abs(best_response_uniform(game) - argmax) <= 1e-3
+            assert abs(_response(game) - argmax) <= 1e-3
 
     def test_first_derivative_vanishes_interior(self):
         game = _game()
-        y_star = best_response_uniform(game)
+        y_star = _response(game)
         h = 1e-5
         derivative = (aggregate_miner_utility(game, y_star + h)
                       - aggregate_miner_utility(game, y_star - h)) / (2 * h)
@@ -160,7 +165,7 @@ class TestLeaderObjective:
 
     def test_full_pays_fee_on_nonparticipation(self):
         game = _game(fee=1.0, edge_power=2.0)
-        assert best_response_uniform(game) == 0.0
+        assert _response(game) == 0.0
         assert leader_delta_utility_uniform(game, "full") == pytest.approx(-1.0)
 
     def test_unknown_objective_rejected(self):
@@ -220,7 +225,7 @@ class TestOptimalFee:
 
 
 class TestScalarViews:
-    """The scalar calls are float views of the elementwise forms, bit for bit."""
+    """The scalar call and one-game kernel calls equal the elementwise forms, bit for bit."""
 
     @staticmethod
     def _instances():
@@ -255,17 +260,18 @@ class TestScalarViews:
         a = np.array([leader_reward_scale(g.params) for g in games])
         assert any(p * dd <= x * u for x, p, u, dd in zip(edge, fee, cost, d))  # pool out
         profits = uniform.leader_profits_uniform(fee, edge, cost, d, a, objective)
-        responses = uniform._pool_response(fee * d, edge, cost)
+        responses = pool_responses(fee * d, edge, cost)
         assert np.all(np.isfinite(profits)) and np.all(np.isfinite(responses))
         assert [leader_delta_utility_uniform(g, objective) for g in games] == profits.tolist()
-        assert [best_response_uniform(g) for g in games] == responses.tolist()
+        assert [_response(g) for g in games] == responses.tolist()
 
     def test_overflow_gives_inf_or_nan_without_a_warning(self):
         # sqrt(kappa*X/u) overflows, as a Python float would: no RuntimeWarning
         game = UniformGame(1e300, 1.0, 1e-300, GameParams())
+        with np.errstate(over="ignore"):
+            assert _response(game) == math.inf
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert best_response_uniform(game) == math.inf
             assert math.isnan(leader_delta_utility_uniform(game, "full"))
 
 
@@ -273,7 +279,7 @@ class TestSolveUniform:
     def test_result_fields_consistent(self):
         # X = 0.5, kappa = 4, unit cost 1, a = 10: interior Y* = sqrt(2) - 1/2
         game = _game(edge_power=0.5)
-        y_star = best_response_uniform(game)
+        y_star = _response(game)
         assert y_star == pytest.approx(math.sqrt(2.0) - 0.5)
         assert uniqueness_certificate_uniform(game).below_quarter_bound
         simplified = leader_delta_utility_uniform(game, "simplified")
@@ -285,8 +291,8 @@ class TestSolveUniform:
         # from the equilibrium reproduces it exactly
         game = _game(edge_power=0.5)
         assert uniqueness_certificate_uniform(game).below_quarter_bound
-        first = best_response_uniform(game)
-        assert best_response_uniform(game) == first
+        first = _response(game)
+        assert _response(game) == first
 
 
 def _p_star(edge_power, unit_cost, params):
