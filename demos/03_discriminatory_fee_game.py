@@ -46,10 +46,10 @@ print(f"  miners {np.flatnonzero(powers == 0).tolist()} supply 0; "
       f"{np.allclose(best_response_dynamics(dispersed, np.ones(10)).powers, powers)}")
 
 print("\n== leader profit per recruited miner ==")
+full = leader_delta_utility_discriminatory(game, allocation, "full")
+simple = leader_delta_utility_discriminatory(game, allocation, "simplified")
 for i in range(2):
-    full = leader_delta_utility_discriminatory(game, i, "full")
-    simple = leader_delta_utility_discriminatory(game, i, "simplified")
-    print(f"  miner {i}: full {full:+.4f}  simplified {simple:+.4f}")
+    print(f"  miner {i}: full {full[i]:+.4f}  simplified {simple[i]:+.4f}")
 
 print("\n== stage I: symmetric fixed point of the per-fee terms (full objective) ==")
 for m in (2, 3, 5):

@@ -21,7 +21,6 @@ from .discriminatory import (
     DiscriminatoryGame,
     best_responses,
     leader_delta_utility_discriminatory,
-    leader_deltas,
     miner_utilities,
     nash_equilibrium_closed_form,
     optimal_fees_discriminatory,
@@ -45,8 +44,6 @@ from .simulate import (
     simulate_mining,
 )
 from .uniform import (
-    UniformCertificate,
-    UniformGame,
     aggregate_miner_utility,
     leader_delta_utility_uniform,
     optimal_fee_uniform,

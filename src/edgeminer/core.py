@@ -21,7 +21,6 @@ __all__ = [
     "as_profile",
     "check_objective",
     "device_discount",
-    "fee_bracket",
     "leader_reward_scale",
     "mining_success_prob",
     "net_profit",
@@ -196,11 +195,6 @@ def check_objective(objective: str):
 def participation_floor(params: GameParams) -> float:
     """Lowest fee devices accept: max(min_consumption, 1e-6)."""
     return max(params.min_consumption, 1e-6)
-
-
-def fee_bracket(params: GameParams):
-    """Stage-I fee bracket (lo, hi) of one instance, as floats: see stage1_setup."""
-    return stage1_setup(params)[2:]
 
 
 def stage1_setup(params: GameParams, fixed_reward=None):

@@ -26,7 +26,6 @@ __all__ = [
     "DiscriminatoryGame",
     "best_responses",
     "leader_delta_utility_discriminatory",
-    "leader_deltas",
     "miner_utilities",
     "nash_equilibrium_closed_form",
     "optimal_fees_discriminatory",
@@ -120,8 +119,9 @@ def uniqueness_certificate_discriminatory(game: DiscriminatoryGame) -> np.ndarra
     return 2.0 * (game.n_miners - 1) / game.fees < math.fsum(1.0 / game.fees)
 
 
-def leader_deltas(game: DiscriminatoryGame, allocation: PowerProfile,
-                  objective: str = "full", fee_basis: str = "lump") -> np.ndarray:
+def leader_delta_utility_discriminatory(game: DiscriminatoryGame, allocation: PowerProfile,
+                                        objective: str = "full",
+                                        fee_basis: str = "lump") -> np.ndarray:
     """Leader's additional profit from recruiting each miner, elementwise.
 
     "simplified" is a * the share identity (0 for a miner that stays out).
@@ -135,16 +135,6 @@ def leader_deltas(game: DiscriminatoryGame, allocation: PowerProfile,
         return a * share_identity(game, allocation)
     fee_cost = game.fees * allocation.powers if fee_basis == "per_power" else game.fees
     return a * allocation.shares() - fee_cost
-
-
-def leader_delta_utility_discriminatory(game: DiscriminatoryGame, i: int,
-                                        objective: str = "full",
-                                        fee_basis: str = "lump") -> float:
-    """Leader's additional profit from recruiting miner i: leader_deltas at the Nash point."""
-    if not 0 <= i < game.n_miners:
-        raise IndexError(f"miner index {i} out of range")
-    allocation = nash_equilibrium_closed_form(game)
-    return float(leader_deltas(game, allocation, objective, fee_basis)[i])
 
 
 def optimal_fees_discriminatory(n_miners: int, unit_cost: float, params: GameParams):

@@ -35,7 +35,7 @@ from .search import SearchConfig, multiplicative_fee_search
 from .discriminatory import (
     FEE_BASES,
     DiscriminatoryGame,
-    leader_deltas,
+    leader_delta_utility_discriminatory,
     miner_utilities,
     nash_equilibrium_closed_form,
     uniqueness_certificate_discriminatory,
@@ -47,10 +47,8 @@ from .simulate import (
     simulate_mining,
 )
 from .uniform import (
-    UniformGame,
     aggregate_miner_utility,
     leader_delta_utility_uniform,
-    leader_profits_uniform,
     optimal_fee_uniform,
     optimal_fees_uniform,
     pool_responses,
@@ -99,7 +97,7 @@ class ExperimentConfig:
     fee: float | None = None
     fees: tuple | None = None
     n_miners: int = 5
-    objective: str | None = None
+    objective: str = "simplified"
     fee_basis: str = "lump"
     fee_search: str = "golden"
     grid_start: float | None = None
@@ -153,7 +151,7 @@ class ExperimentConfig:
             ("edge_fractions", lambda v: len(v) > 0, "edge_fractions must not be empty"),
             ("mdg_delay_mult", lambda v: v >= 1,
              "mdg_delay_mult must be >= 1, got {self.mdg_delay_mult!r}"),
-            ("objective", lambda v: v is None or v in OBJECTIVES,
+            ("objective", lambda v: v in OBJECTIVES,
              "objective must be one of {OBJECTIVES}, got {self.objective!r}"),
             ("fee_basis", lambda v: v in FEE_BASES,
              "fee_basis must be one of {FEE_BASES}, got {self.fee_basis!r}"),
@@ -370,7 +368,6 @@ def _rows_power_sweep(cfg: ExperimentConfig):
     earns a*D/(X+D) for their sum.  Rows with X <= 0, D < 0 or a bill that
     overflows are infeasible; any other fee_same must be finite and > 0.
     """
-    objective = cfg.objective or "simplified"
     fig3 = cfg.kind == "fig3"
     grid = cfg.grid()
     fixed = np.full(grid.size, cfg.edge_power if fig3 else cfg.device_power)
@@ -382,8 +379,8 @@ def _rows_power_sweep(cfg: ExperimentConfig):
         bad = (edge > 0) & (device >= 0) & ~(np.isfinite(fee_same) & (fee_same > 0))
         if bad.any():
             raise ValueError(f"fee must be finite and > 0, got {float(fee_same[bad][0])!r}")
-        profit_same = leader_profits_uniform(fee_same, edge, cfg.unit_cost, discount, a,
-                                             objective)
+        profit_same = leader_delta_utility_uniform(fee_same, edge, cfg.unit_cost, discount, a,
+                                                   cfg.objective)
         bill = _matched_bill(device, cfg.n_miners, cfg.unit_cost, cfg.params)
         reward = a * device / (edge + device)
     status = np.select([edge <= 0, device < 0, ~np.isfinite(bill)],
@@ -392,7 +389,7 @@ def _rows_power_sweep(cfg: ExperimentConfig):
                         "infeasible: all fees must be finite and > 0"], "ok")
     names = ("device_power", "edge_power") if fig3 else ("edge_power", "device_power")
     money = {"fee_same": fee_same, "profit_same_fee": profit_same, "fee_bill_diff": bill,
-             "profit_diff_fee": reward if objective == "simplified" else reward - bill}
+             "profit_diff_fee": reward if cfg.objective == "simplified" else reward - bill}
     return {names[0]: grid, names[1]: fixed,
             **{name: np.where(status == "ok", column, math.nan) for name, column in money.items()},
             "status": status.tolist()}
@@ -455,8 +452,8 @@ def _optimize_fee(cfg: ExperimentConfig):
     def profit_fn(fee):
         if not lo <= fee <= hi:
             return -math.inf
-        return float(leader_profits_uniform(fee, cfg.edge_power, cfg.unit_cost, discount, a,
-                                            "full"))
+        return float(leader_delta_utility_uniform(fee, cfg.edge_power, cfg.unit_cost, discount,
+                                                  a, "full"))
 
     # below X*u/d (inf at d == 0) the pool stays out and the profit -fee falls with the fee
     threshold = cfg.edge_power * cfg.unit_cost / discount if discount > 0 else math.inf
@@ -472,32 +469,35 @@ def _optimize_fee(cfg: ExperimentConfig):
 
 
 def _rows_solve_uniform(cfg: ExperimentConfig):
-    params = cfg.params
+    params, edge, cost = cfg.params, cfg.edge_power, cfg.unit_cost
     optimal_fee, optimal_profit = _optimize_fee(cfg)
     fee = cfg.fee if cfg.fee is not None else optimal_fee
-    game = UniformGame(cfg.edge_power, fee, cfg.unit_cost, params)
+    discount = params.delay_discount(params.mobile_tx_load)
+    kappa, a = fee * discount, leader_reward_scale(params)
     # an explicit fee can overflow the response, a large reward the simplified
     # profit; inf and nan are rejected
     with np.errstate(over="ignore", invalid="ignore"):
-        response = pool_responses(game.kappa, game.edge_power, game.unit_cost)
+        response = pool_responses(kappa, edge, cost)
         values = {"best_response_power": response,
-                  "follower_utility": aggregate_miner_utility(game, response),
-                  "leader_profit_full": leader_delta_utility_uniform(game, "full")}
-        if game.kappa > 0:
-            values["leader_profit_simplified"] = leader_delta_utility_uniform(game, "simplified")
+                  "follower_utility": aggregate_miner_utility(kappa, edge, cost, response),
+                  "leader_profit_full": leader_delta_utility_uniform(fee, edge, cost, discount,
+                                                                     a, "full")}
+        if kappa > 0:
+            values["leader_profit_simplified"] = leader_delta_utility_uniform(
+                fee, edge, cost, discount, a, "simplified")
     for name, value in values.items():
-        reject_nonfinite_profits([cfg.edge_power], [fee], [value], name)
+        reject_nonfinite_profits([edge], [fee], [value], name)
     # the simplified profit divides by kappa; undefined at kappa == 0
     values.setdefault("leader_profit_simplified", math.nan)
-    certificate = uniqueness_certificate_uniform(game)
+    below_quarter, below_positivity = uniqueness_certificate_uniform(kappa, edge, cost)
     row = {
-        "edge_power": cfg.edge_power,
+        "edge_power": edge,
         "fee": fee,
-        "unit_cost": cfg.unit_cost,
+        "unit_cost": cost,
         **values,
-        "certified_unique": certificate.below_quarter_bound,
-        "below_quarter_bound": certificate.below_quarter_bound,
-        "below_positivity_bound": certificate.below_positivity_bound,
+        "certified_unique": below_quarter,
+        "below_quarter_bound": below_quarter,
+        "below_positivity_bound": below_positivity,
         "optimal_fee": optimal_fee,
         "optimal_profit": optimal_profit,
     }
@@ -516,8 +516,10 @@ def _rows_solve_disc(cfg: ExperimentConfig):
         "share": allocation.shares(),
         "utility": miner_utilities(game, allocation),
         "certified_unique_i": uniqueness_certificate_discriminatory(game),
-        "leader_delta_full": leader_deltas(game, allocation, "full", cfg.fee_basis),
-        "leader_delta_simplified": leader_deltas(game, allocation, "simplified"),
+        "leader_delta_full": leader_delta_utility_discriminatory(game, allocation, "full",
+                                                                 cfg.fee_basis),
+        "leader_delta_simplified": leader_delta_utility_discriminatory(game, allocation,
+                                                                       "simplified"),
         "status": ["ok"] * game.n_miners,
     }
 

@@ -8,18 +8,14 @@ stages are closed forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GameParams, check_objective, is_real, leader_reward_scale, stage1_setup
+from .core import GameParams, check_objective, stage1_setup
 
 __all__ = [
-    "UniformCertificate",
-    "UniformGame",
     "aggregate_miner_utility",
     "leader_delta_utility_uniform",
-    "leader_profits_uniform",
     "optimal_fee_uniform",
     "optimal_fees_uniform",
     "pool_responses",
@@ -27,34 +23,15 @@ __all__ = [
     "uniqueness_certificate_uniform",
 ]
 
-@dataclass(frozen=True)
-class UniformGame:
-    """One uniform-fee instance: edge power, announced fee, device unit cost."""
 
-    edge_power: float
-    fee: float
-    unit_cost: float
-    params: GameParams = field(default_factory=GameParams)
+def aggregate_miner_utility(kappa, edge_powers, unit_cost, pool_power):
+    """Pool utility at device power Y, elementwise: kappa*Y/(X+Y) - unit_cost*Y.
 
-    def __post_init__(self):
-        for name in ("edge_power", "fee", "unit_cost"):
-            value = getattr(self, name)
-            if not (is_real(value) and math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-
-    @property
-    def kappa(self) -> float:
-        """Effective reward coefficient: fee discounted by the device load."""
-        return self.fee * self.params.delay_discount(self.params.mobile_tx_load)
-
-
-def aggregate_miner_utility(game: UniformGame, total_power) -> float:
-    """Pool utility at device power Y: kappa*Y/(X+Y) - unit_cost*Y."""
-    y = np.asarray(total_power, dtype=float)
-    if np.any(y < 0):
+    kappa is the fee discounted by the device load.
+    """
+    if np.any(np.asarray(pool_power) < 0):
         raise ValueError("device power must be >= 0")
-    out = game.kappa * y / (game.edge_power + y) - game.unit_cost * y
-    return float(out) if out.ndim == 0 else out
+    return kappa * pool_power / (edge_powers + pool_power) - unit_cost * pool_power
 
 
 def pool_responses(kappa, edge_powers, unit_cost):
@@ -65,50 +42,24 @@ def pool_responses(kappa, edge_powers, unit_cost):
     return np.maximum(0.0, np.sqrt(kappa * edge_powers / unit_cost) - edge_powers)
 
 
-@dataclass(frozen=True)
-class UniformCertificate:
-    """Uniqueness certificate for the aggregate response map.
+def uniqueness_certificate_uniform(kappa, edge_powers, unit_cost):
+    """(below_quarter_bound, below_positivity_bound), elementwise.
 
-    ``below_quarter_bound`` certifies: kappa / 4*unit_cost is the binding
-    threshold of the monotonicity argument; ``positivity_bound`` (kappa /
-    unit_cost) is the looser positivity threshold, reported alongside.
+    Edge power below kappa/(4*unit_cost) certifies uniqueness: the binding
+    threshold of the monotonicity argument.  kappa/unit_cost is the looser
+    positivity threshold, reported alongside.
     """
-
-    quarter_bound: float
-    positivity_bound: float
-    below_quarter_bound: bool
-    below_positivity_bound: bool
+    return edge_powers < kappa / (4.0 * unit_cost), edge_powers < kappa / unit_cost
 
 
-def uniqueness_certificate_uniform(game: UniformGame) -> UniformCertificate:
-    """Certify uniqueness: edge power below kappa/(4*unit_cost)."""
-    quarter = game.kappa / (4.0 * game.unit_cost)
-    positivity = game.kappa / game.unit_cost
-    return UniformCertificate(
-        quarter_bound=quarter,
-        positivity_bound=positivity,
-        below_quarter_bound=game.edge_power < quarter,
-        below_positivity_bound=game.edge_power < positivity,
-    )
+def leader_delta_utility_uniform(fees, edge_powers, unit_cost, discount, a, objective: str):
+    """Leader's additional profit from recruiting, at the pool's response, elementwise.
 
-
-def leader_delta_utility_uniform(game: UniformGame, objective: str = "full") -> float:
-    """Leader's additional profit from recruiting, at the followers' response.
-
-    "full" charges the fee: a*Y*/(X+Y*) - fee, with Y* the best response
-    (so a non-participating pool still costs the announced fee).
-    "simplified" drops the fee term: a*(1 - sqrt(X*unit_cost/kappa)).
-    The one-game float view of leader_profits_uniform.
+    kappa = fee * discount.  "full" charges the fee: a*Y*/(X+Y*) - fee, with
+    Y* the best response (so a non-participating pool still costs the
+    announced fee).  "simplified" drops the fee term: a*(1 - sqrt(X*unit_cost/kappa)).
     """
     check_objective(objective)
-    d = game.params.delay_discount(game.params.mobile_tx_load)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return float(leader_profits_uniform(game.fee, game.edge_power, game.unit_cost, d,
-                                            leader_reward_scale(game.params), objective))
-
-
-def leader_profits_uniform(fees, edge_powers, unit_cost, discount, a, objective: str):
-    """leader_delta_utility_uniform, one game per element: the only implementation of it."""
     kappa = fees * discount
     if objective == "simplified":
         return a * (1.0 - np.sqrt(edge_powers * unit_cost / kappa))
@@ -144,7 +95,7 @@ def optimal_fees_uniform(edge_powers, unit_cost: float, params: GameParams,
 
     ``edge_powers`` and ``fixed_reward``, a 1-D array standing in for
     params.fixed_reward if given, broadcast: one instance per element.  The
-    profit is ``leader_profits_uniform`` under "full"; one that is not finite
+    profit is ``leader_delta_utility_uniform`` under "full"; one that is not finite
     raises ValueError (reject_nonfinite_profits).  Returns (fees, profits).
     """
     edge = np.asarray(edge_powers, dtype=float)
@@ -160,7 +111,7 @@ def optimal_fees_uniform(edge_powers, unit_cost: float, params: GameParams,
     discount, a, lo, hi = stage1_setup(params, fixed_reward)
 
     def profits(fees):
-        return leader_profits_uniform(fees, edge, unit_cost, discount, a, "full")
+        return leader_delta_utility_uniform(fees, edge, unit_cost, discount, a, "full")
 
     # overflow gives inf or nan, as Python floats do, and the check below rejects it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

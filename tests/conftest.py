@@ -4,6 +4,7 @@ All randomness is seeded so every run sees the same instances.
 """
 
 import dataclasses
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -12,11 +13,14 @@ from edgeminer import (
     DiscriminatoryGame,
     ExperimentConfig,
     GameParams,
-    UniformGame,
+    aggregate_miner_utility,
     golden_section_max,
     leader_delta_utility_uniform,
+    leader_reward_scale,
+    pool_responses,
+    uniqueness_certificate_uniform,
 )
-from edgeminer.core import fee_bracket
+from edgeminer.core import stage1_setup
 from edgeminer.experiments import KIND_TABLE, KINDS
 
 # every setting's default, and valid non-default raw values for those whose default
@@ -58,6 +62,39 @@ def zero_delay_params(**overrides) -> GameParams:
     return GameParams(**defaults)
 
 
+class UniformInstance(NamedTuple):
+    """One uniform-fee game, as the scalar arguments of the uniform kernels."""
+
+    edge_power: float
+    fee: float
+    unit_cost: float
+    params: GameParams = GameParams()
+
+    @property
+    def discount(self):
+        return self.params.delay_discount(self.params.mobile_tx_load)
+
+    @property
+    def kappa(self):
+        """The fee discounted by the device load."""
+        return self.fee * self.discount
+
+    def utility(self, pool_power):
+        return aggregate_miner_utility(self.kappa, self.edge_power, self.unit_cost, pool_power)
+
+    def response(self):
+        return pool_responses(self.kappa, self.edge_power, self.unit_cost)
+
+    def leader(self, objective):
+        return leader_delta_utility_uniform(self.fee, self.edge_power, self.unit_cost,
+                                            self.discount, leader_reward_scale(self.params),
+                                            objective)
+
+    def certificate(self):
+        """(below_quarter_bound, below_positivity_bound)."""
+        return uniqueness_certificate_uniform(self.kappa, self.edge_power, self.unit_cost)
+
+
 def random_uniform_games(n, seed=0):
     """Valid uniform-fee instances with bounded kappa/unit_cost (fast oracles)."""
     rng = np.random.default_rng(seed)
@@ -71,7 +108,7 @@ def random_uniform_games(n, seed=0):
             tx_per_block=int(rng.integers(1, 20)),
             mobile_tx_load=int(rng.integers(1, 20)),
         )
-        games.append(UniformGame(
+        games.append(UniformInstance(
             edge_power=float(rng.uniform(0.05, 2.0)),
             fee=float(rng.uniform(0.5, 5.0)),
             unit_cost=float(rng.uniform(0.5, 2.0)),
@@ -108,10 +145,11 @@ def assert_stage1_optimum(fee, profit, edge_power, unit_cost, params):
     fee is that end exactly.
     """
     def profit_at(p):
-        return leader_delta_utility_uniform(UniformGame(edge_power, p, unit_cost, params),
-                                            "full")
+        # overflow gives inf or nan, as Python floats do
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return float(UniformInstance(edge_power, p, unit_cost, params).leader("full"))
 
-    lo, hi = fee_bracket(params)
+    lo, hi = stage1_setup(params)[2:]
     oracle_fee, oracle_profit = golden_section_max(profit_at, lo, hi, rel_tol=1e-12)
     assert lo <= fee <= hi
     if profit is None:

@@ -15,25 +15,25 @@ from edgeminer import (
     GameParams,
     SearchConfig,
     SimConfig,
-    UniformGame,
-    aggregate_miner_utility,
     best_response_dynamics,
     best_responses,
     golden_section_max,
     grid_argmax,
     leader_delta_utility_discriminatory,
-    leader_delta_utility_uniform,
     miner_utilities,
     multiplicative_fee_search,
     nash_equilibrium_closed_form,
     optimal_fee_uniform,
-    pool_responses,
     simulate_mining,
-    uniqueness_certificate_uniform,
 )
 from edgeminer.experiments import build_config, run_experiment
 
-from conftest import random_feasible_disc_games, random_uniform_games, zero_delay_params
+from conftest import (
+    UniformInstance,
+    random_feasible_disc_games,
+    random_uniform_games,
+    zero_delay_params,
+)
 
 P_OPT_ANALYTIC = 2.924017738212866  # 5^(2/3), frozen from a 30-digit evaluation
 
@@ -59,10 +59,8 @@ def test_criterion_1_best_response_oracle_equivalence():
         started = time.perf_counter()
         for game in random_uniform_games(200, seed=2024):
             upper = game.kappa / game.unit_cost  # utility negative beyond this
-            argmax, _ = grid_argmax(lambda y: aggregate_miner_utility(game, y),
-                                    0.0, upper + 1.0, 1e-4)
-            response = pool_responses(game.kappa, game.edge_power, game.unit_cost)
-            assert abs(response - argmax) <= 1e-3
+            argmax, _ = grid_argmax(game.utility, 0.0, upper + 1.0, 1e-4)
+            assert abs(game.response() - argmax) <= 1e-3
         assert time.perf_counter() - started < 10.0
 
 
@@ -101,9 +99,7 @@ def test_criterion_4_concavity_suites():
             game = games[rng.integers(len(games))]
             y = float(rng.uniform(0.05, 3.0 * game.kappa / game.unit_cost))
             h = 0.01 * (1.0 + y)
-            second = (aggregate_miner_utility(game, y + h)
-                      - 2.0 * aggregate_miner_utility(game, y)
-                      + aggregate_miner_utility(game, max(y - h, 0.0)))
+            second = game.utility(y + h) - 2.0 * game.utility(y) + game.utility(max(y - h, 0.0))
             assert second <= 1e-12
 
         # per-miner utility, concave in own power
@@ -128,8 +124,7 @@ def test_criterion_4_concavity_suites():
             h = 0.01 * (1.0 + fee)
 
             def leader(value):
-                probe = UniformGame(game.edge_power, value, game.unit_cost, game.params)
-                return leader_delta_utility_uniform(probe, "simplified")
+                return game._replace(fee=value).leader("simplified")
 
             assert leader(fee + h) - leader(fee) > 0.0
             assert leader(fee + h) - 2.0 * leader(fee) + leader(fee - h) < 0.0
@@ -148,7 +143,9 @@ def test_criterion_4_concavity_suites():
                 return DiscriminatoryGame(fees, game.unit_cost, game.params)
 
             def leader_i(value):
-                return leader_delta_utility_discriminatory(probe(value), 0, "simplified")
+                game_i = probe(value)
+                return leader_delta_utility_discriminatory(
+                    game_i, nash_equilibrium_closed_form(game_i), "simplified")[0]
 
             if nash_equilibrium_closed_form(probe(fee - h)).powers[0] == 0.0:
                 assert leader_i(fee - h) == 0.0
@@ -168,11 +165,11 @@ def test_criterion_5_standard_function_axioms():
 
         checked = 0
         for game in random_uniform_games(80, seed=6):
-            cert = uniqueness_certificate_uniform(game)
-            if not cert.below_quarter_bound:
+            if not game.certificate()[0]:
                 continue
             checked += 1
-            xs = np.sort(rng.uniform(1e-6, cert.quarter_bound * 0.999, 10))
+            quarter_bound = game.kappa / (4.0 * game.unit_cost)
+            xs = np.sort(rng.uniform(1e-6, quarter_bound * 0.999, 10))
             values = [response(game, x) for x in xs]
             assert all(v > 0.0 for v in values)
             assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
@@ -182,7 +179,7 @@ def test_criterion_5_standard_function_axioms():
         assert checked >= 10  # the certified region is not empty in the sample
 
         # counterexample search outside the certified region: positivity fails
-        game = UniformGame(1.0, 4.0, 1.0, zero_delay_params())
+        game = UniformInstance(1.0, 4.0, 1.0, zero_delay_params())
         violating = [x for x in np.linspace(4.0, 12.0, 50) if response(game, x) < 0.0]
         assert violating, "expected a positivity violation beyond kappa/unit_cost"
         x = violating[0]

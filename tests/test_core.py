@@ -13,7 +13,6 @@ from edgeminer import (
     ExperimentConfig,
     GameParams,
     PowerProfile,
-    UniformGame,
     miner_utilities,
     mining_success_prob,
     net_profit,
@@ -186,13 +185,11 @@ class TestGameParams:
 
 
 class TestRealSettings:
-    """GameParams, UniformGame and ExperimentConfig read a real setting the same way."""
+    """GameParams and ExperimentConfig read a real setting the same way."""
 
     @pytest.mark.parametrize("real", [np.int64, np.int32])
     def test_numpy_integers_accepted(self, real):
         assert GameParams(fixed_reward=real(5)).total_reward == 7.0
-        game = UniformGame(real(50), real(2), 0.005)
-        assert game.kappa == UniformGame(50.0, 2.0, 0.005).kappa
         cfg = ExperimentConfig(kind="solve-uniform", edge_power=real(50), unit_cost=real(1))
         assert (cfg.edge_power, cfg.unit_cost) == (50, 1)
 
@@ -201,9 +198,6 @@ class TestRealSettings:
         with pytest.raises(ConfigError) as err:
             GameParams(fixed_reward=value)
         assert err.value.errors == [f"fixed_reward must be finite, got {value!r}"]
-        with pytest.raises(ValueError) as err:
-            UniformGame(value, 2.0, 0.005)
-        assert str(err.value) == f"edge_power must be finite and > 0, got {value!r}"
         with pytest.raises(ConfigError) as err:
             ExperimentConfig(kind="solve-uniform", edge_power=value)
         assert err.value.errors == [f"edge_power must be finite, got {value!r}"]

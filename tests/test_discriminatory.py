@@ -17,7 +17,6 @@ from edgeminer import (
     golden_section_max,
     grid_argmax,
     leader_delta_utility_discriminatory,
-    leader_deltas,
     leader_reward_scale,
     miner_utilities,
     nash_equilibrium_closed_form,
@@ -25,8 +24,7 @@ from edgeminer import (
     share_identity,
     uniqueness_certificate_discriminatory,
 )
-from edgeminer.core import OBJECTIVES, fee_bracket
-from edgeminer.discriminatory import FEE_BASES
+from edgeminer.core import stage1_setup
 
 from conftest import random_feasible_disc_games, zero_delay_params
 
@@ -34,6 +32,12 @@ from conftest import random_feasible_disc_games, zero_delay_params
 def _game(fees, unit_cost=1.0, **params):
     return DiscriminatoryGame(np.asarray(fees, dtype=float), unit_cost,
                               zero_delay_params(**params))
+
+
+def _deltas(game, objective, fee_basis="lump"):
+    """Every miner's leader term at the game's Nash point."""
+    return leader_delta_utility_discriminatory(game, nash_equilibrium_closed_form(game),
+                                               objective, fee_basis)
 
 
 class TestMinerUtility:
@@ -240,17 +244,15 @@ class TestUniquenessCertificate:
 
 class TestLeaderDelta:
     def test_simplified_value(self):
-        game = _game([4, 8])
-        assert leader_delta_utility_discriminatory(game, 0, "simplified") == pytest.approx(10 / 3)
+        assert _deltas(_game([4, 8]), "simplified")[0] == pytest.approx(10 / 3)
 
     def test_full_value(self):
-        game = _game([4, 8])
-        assert leader_delta_utility_discriminatory(game, 0, "full") == pytest.approx(-2 / 3)
+        assert _deltas(_game([4, 8]), "full")[0] == pytest.approx(-2 / 3)
 
     def test_symmetric_share(self):
         game = _game([6, 6, 6])
         a = leader_reward_scale(game.params)
-        assert leader_delta_utility_discriminatory(game, 0, "simplified") == pytest.approx(a / 3)
+        np.testing.assert_allclose(_deltas(game, "simplified"), a / 3)
 
     def test_share_identity(self):
         for game in random_feasible_disc_games(60, seed=31):
@@ -264,18 +266,17 @@ class TestLeaderDelta:
     def test_per_power_fee_basis(self):
         game = _game([4, 8])
         allocation = nash_equilibrium_closed_form(game)
-        lump = leader_delta_utility_discriminatory(game, 0, "full", "lump")
-        per_power = leader_delta_utility_discriminatory(game, 0, "full", "per_power")
-        assert per_power == pytest.approx(lump + 4.0 - 4.0 * allocation.powers[0])
+        lump = _deltas(game, "full", "lump")
+        per_power = _deltas(game, "full", "per_power")
+        np.testing.assert_allclose(per_power, lump + game.fees * (1.0 - allocation.powers))
 
     def test_simplified_monotone_concave_in_own_fee(self):
         # against fees 5 and 7, miner 0 is active once 2/p < 1/p + 1/5 + 1/7,
         # i.e. p > 35/12; below that it stays out and its term is 0
         params = zero_delay_params()
         fees = np.linspace(1.0, 20.0, 150)
-        values = np.array([leader_delta_utility_discriminatory(
-            DiscriminatoryGame(np.array([p, 5.0, 7.0]), 1.0, params), 0, "simplified")
-            for p in fees])
+        values = np.array([_deltas(DiscriminatoryGame(np.array([p, 5.0, 7.0]), 1.0, params),
+                                   "simplified")[0] for p in fees])
         active = fees > 35 / 12
         assert np.all(values[~active] == 0.0) and np.all(values[active] > 0.0)
         first = np.diff(values[active])
@@ -285,50 +286,31 @@ class TestLeaderDelta:
     def test_inactive_miner_terms(self):
         game = _game([1, 10, 10])  # miner 0 stays out
         a = leader_reward_scale(game.params)
-        assert leader_delta_utility_discriminatory(game, 0, "simplified") == 0.0
-        assert leader_delta_utility_discriminatory(game, 0, "full") == -1.0
-        assert leader_delta_utility_discriminatory(game, 0, "full", "per_power") == 0.0
+        simplified = _deltas(game, "simplified")
+        assert simplified[0] == 0.0
+        assert _deltas(game, "full")[0] == -1.0
+        assert _deltas(game, "full", "per_power")[0] == 0.0
         # the two active miners split the pool: 1 - 1/(10 * (1/10 + 1/10)) = 1/2
-        for i in (1, 2):
-            assert leader_delta_utility_discriminatory(game, i, "simplified") == pytest.approx(
-                a / 2, rel=1e-12)
+        np.testing.assert_allclose(simplified[1:], a / 2, rtol=1e-12)
+
+    def test_bad_objective_or_fee_basis_rejected(self):
+        game = _game([4, 8])
+        allocation = nash_equilibrium_closed_form(game)
+        with pytest.raises(ValueError, match="objective must be one of"):
+            leader_delta_utility_discriminatory(game, allocation, "other")
+        with pytest.raises(ValueError, match="fee_basis must be one of"):
+            leader_delta_utility_discriminatory(game, allocation, "full", "other")
 
 
 class TestSolveDiscriminatory:
     def test_totals_match_per_miner_sums(self):
         game = _game([4, 8])
         a = leader_reward_scale(game.params)
-        full = math.fsum(leader_delta_utility_discriminatory(game, i, "full") for i in range(2))
-        simplified = math.fsum(leader_delta_utility_discriminatory(game, i, "simplified")
-                               for i in range(2))
+        full = math.fsum(_deltas(game, "full").tolist())
+        simplified = math.fsum(_deltas(game, "simplified").tolist())
         assert full == pytest.approx(a - 12.0)
         assert simplified == pytest.approx(a)
         np.testing.assert_allclose(nash_equilibrium_closed_form(game).powers, [8 / 9, 16 / 9])
-
-
-class TestPerMinerViews:
-    """leader_delta_utility_discriminatory is entry i of leader_deltas, bit for bit."""
-
-    FEES = {f"seeded-M{m}": np.random.default_rng(m).uniform(4.0, 8.0, m)
-            for m in (2, 10, 1000)}
-    FEES["dropout"] = np.array([4.0, 5.0, 6.0, 7.0, 8.0, 4.0, 5.0, 6.0, 7.0, 8.0])
-
-    @staticmethod
-    def _same_bits(views, elementwise):
-        assert np.array(views).tobytes() == np.asarray(elementwise).tobytes()
-
-    @pytest.mark.parametrize("name", FEES)
-    def test_views_equal_elementwise_forms(self, name):
-        fees = self.FEES[name]
-        game = DiscriminatoryGame(fees, 0.005, GameParams())
-        allocation = nash_equilibrium_closed_form(game)
-        miners = range(fees.size)
-        for objective in OBJECTIVES:
-            for basis in FEE_BASES:
-                self._same_bits(
-                    [leader_delta_utility_discriminatory(game, i, objective, basis)
-                     for i in miners],
-                    leader_deltas(game, allocation, objective, basis))
 
 
 def _per_miner_terms(fees, a):
@@ -370,7 +352,7 @@ class TestOptimalFees:
         fees, profit = optimal_fees_discriminatory(m, 0.005, params)
         np.testing.assert_array_equal(fees, np.full(m, a * ((m - 1) / m) ** 2))
         assert profit == math.fsum(_per_miner_terms(fees, a))
-        _no_coordinate_moves(fees, a, *fee_bracket(params))
+        _no_coordinate_moves(fees, a, *stage1_setup(params)[2:])
 
     # (params, the bracket end or None for the interior point); the
     # symmetric point a(M-1)^2/M^2 stays below the top 100a
@@ -385,7 +367,7 @@ class TestOptimalFees:
     def test_no_coordinate_moves_from_closed_form(self, case):
         params, end = self.cases[case]
         a = leader_reward_scale(params)
-        lo, hi = fee_bracket(params)
+        lo, hi = stage1_setup(params)[2:]
         for m in range(2, 41):
             fees, profit = optimal_fees_discriminatory(m, 1.0, params)
             expected = {"lo": lo, None: a * ((m - 1) / m) ** 2}[end]
@@ -408,7 +390,7 @@ class TestOptimalFees:
         # s = (M-1)/p; zero inside the bracket, <= 0 on the floor, >= 0 on top
         for params in (zero_delay_params(), zero_delay_params(min_consumption=9.0)):
             a = leader_reward_scale(params)
-            lo, hi = fee_bracket(params)
+            lo, hi = stage1_setup(params)[2:]
             for m in range(2, 41):
                 fees, _ = optimal_fees_discriminatory(m, 1.0, params)
                 p = float(fees[0])

@@ -24,15 +24,16 @@ from edgeminer import (
     ExperimentConfig,
     GameParams,
     SimConfig,
-    UniformGame,
     best_response_dynamics,
     cli,
     discriminatory,
     experiments,
     leader_delta_utility_uniform,
+    leader_reward_scale,
     nash_equilibrium_closed_form,
     search,
     simulate_mining,
+    uniform,
     validate_config,
 )
 from edgeminer.core import OBJECTIVES
@@ -215,7 +216,7 @@ class TestSchema:
             "format must be one of ('csv', 'json'), got 'xml'",
             "edge_power must be > 0, got -3.0", "device_power must be > 0, got 0.0"]
         with pytest.raises(ConfigError) as err:
-            ExperimentConfig(kind="fig6", edge_fractions=(), objective="simplified",
+            ExperimentConfig(kind="fig6", edge_fractions=(), objective="full",
                              fee_basis="per_power", n_miners=7, grid_start=-1.7e308,
                              grid_stop=1.7e308)
         assert err.value.errors == [
@@ -457,6 +458,65 @@ class TestSolveDiscOneSolve:
         assert sizes == [50]
 
 
+class TestTracedNames:
+    """The benchmark's tracer wraps functions by name, so the product path must call them.
+
+    A refactor that bypasses one of these names would read 0 in the traced
+    per-layer metrics; here it fails instead.
+    """
+
+    @staticmethod
+    def _wrap(monkeypatch, module, name, wrapper):
+        """Replace module.name under every name bound to it in the package, as the tracer does."""
+        original = getattr(module, name)
+        wrapped = wrapper(original)
+        for key, mod in list(sys.modules.items()):
+            if key == "edgeminer" or key.startswith("edgeminer."):
+                for attr, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, attr, wrapped)
+
+    @pytest.mark.parametrize("search", ["golden", "hillclimb"])
+    def test_solve_uniform_calls_the_uniform_kernel(self, search, monkeypatch, tmp_path):
+        calls, open_stage1 = [], [0]  # per kernel call, whether a stage-I solve is open
+
+        def counted(fn):
+            def call(*args, **kwargs):
+                calls.append(open_stage1[0] > 0)
+                return fn(*args, **kwargs)
+            return call
+
+        def stage1(fn):
+            def call(*args, **kwargs):
+                open_stage1[0] += 1
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    open_stage1[0] -= 1
+            return call
+
+        self._wrap(monkeypatch, uniform, "leader_delta_utility_uniform", counted)
+        self._wrap(monkeypatch, uniform, "optimal_fee_uniform", stage1)
+        _run("solve-uniform", tmp_path, fee_search=search)
+        # golden: the peak and the floor inside optimal_fee_uniform; hill-climb: its
+        # probes outside it; then the row's full and simplified profits
+        assert calls.count(True) == (2 if search == "golden" else 0)
+        assert calls.count(False) >= 2 and calls[-2:] == [False, False]
+
+    def test_solve_disc_calls_the_discriminatory_kernel(self, monkeypatch, tmp_path):
+        objectives = []
+
+        def counted(fn):
+            def call(game, allocation, objective="full", fee_basis="lump"):
+                objectives.append(objective)
+                return fn(game, allocation, objective, fee_basis)
+            return call
+
+        self._wrap(monkeypatch, discriminatory, "leader_delta_utility_discriminatory", counted)
+        _run("solve-disc", tmp_path, fees=(4.0, 8.0))
+        assert objectives == ["full", "simplified"]
+
+
 class TestMatchedFees:
     def test_every_miner_active_up_to_two_thousand(self):
         # the spread min(0.2, 0.5/M) is below 1/(2M-3), so no miner drops out
@@ -501,7 +561,7 @@ class TestPowerSweepClosedForms:
 
     @staticmethod
     def _power_sweep_oracle(cfg):
-        params, objective = cfg.params, cfg.objective or "simplified"
+        params, objective = cfg.params, cfg.objective
         discount = params.delay_discount(params.mobile_tx_load)
         a = params.total_reward * discount
         fig3 = cfg.kind == "fig3"
@@ -518,8 +578,8 @@ class TestPowerSweepClosedForms:
                              "status": f"infeasible: {what} must be > 0"})
                 continue
             fee_same = cfg.unit_cost * (edge + device) ** 2 / (edge * discount)
-            profit_same = leader_delta_utility_uniform(
-                UniformGame(edge, fee_same, cfg.unit_cost, params), objective)
+            profit_same = leader_delta_utility_uniform(fee_same, edge, cfg.unit_cost, discount,
+                                                       leader_reward_scale(params), objective)
             bill = reward = 0.0
             if device > 0:
                 fees = matched_heterogeneous_fees(device, cfg.n_miners, cfg.unit_cost, params)
@@ -861,19 +921,24 @@ class TestObjectiveSetting:
     @pytest.mark.parametrize("how", ["flag", "config"])
     @pytest.mark.parametrize("kind", OTHER_KINDS)
     def test_other_kinds_reject_the_setting(self, kind, how, tmp_path, capsys):
-        # either value is one config error naming what the kind reads, and no report
+        # "full" is one config error naming what the kind reads, and no report
         out = tmp_path / "report.csv"
         reads = ", ".join(name for name in SETTINGS if name in KIND_TABLE[kind].reads)
-        for objective in OBJECTIVES:
+        argv = self._argv(self.OTHER_KINDS[kind], "full", how, tmp_path)
+        assert main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"config error: {kind} does not read objective; it reads {reads}"]
+        assert not out.exists()
+        # "simplified" is the default, which a kind that does not read it accepts
+        written = []
+        for objective in (None, "simplified"):
             argv = self._argv(self.OTHER_KINDS[kind], objective, how, tmp_path)
-            assert main([*argv, "--out", str(out)]) == 2
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err.splitlines() == [
-                f"config error: {kind} does not read objective; it reads {reads}"]
-            assert not out.exists()
-        assert main([*self.OTHER_KINDS[kind], "--out", str(out)]) == 0
-        assert capsys.readouterr().err == ""
+            assert main([*argv, "--out", str(out)]) == 0
+            assert capsys.readouterr().err == ""
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
 
     @pytest.mark.parametrize("how", ["flag", "config"])
     @pytest.mark.parametrize("kind", ["fig3", "fig4"])

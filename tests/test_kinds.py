@@ -231,3 +231,18 @@ def test_readme_settings_column_is_the_declaration():
     assert list(declared) == list(KINDS)
     for kind, names in declared.items():
         assert names == [name for name in SETTINGS if name in KIND_TABLE[kind].reads], kind
+
+
+def test_readme_columns_column_is_the_header(tmp_path):
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = text.split("### Experiment kinds and their columns", 1)[1].split("\n\n", 2)[1]
+    header, _, *rows = table.splitlines()
+    assert header.split("|")[3].strip() == "columns"
+    documented = {row.split("|")[1].strip(): row.split("|")[3].strip() for row in rows}
+    assert list(documented) == list(KINDS)
+    for kind, cell in documented.items():
+        out = tmp_path / f"{kind}.csv"
+        steps = ["--grid-steps", "2"] if KIND_TABLE[kind].grid else []
+        assert main([*kind_argv(kind), *steps, "--out", str(out)]) == 0
+        written = out.read_text(encoding="utf-8").splitlines()[0]
+        assert cell == f"`{written.replace(',', ', ')}`", kind

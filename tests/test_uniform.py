@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from edgeminer import (
     ConfigError,
     GameParams,
-    UniformGame,
     aggregate_miner_utility,
+    cli,
     grid_argmax,
     leader_delta_utility_uniform,
     leader_reward_scale,
@@ -25,11 +25,16 @@ from edgeminer import (
     uniqueness_certificate_uniform,
 )
 
-from edgeminer.core import fee_bracket
+from edgeminer.core import stage1_setup
 from edgeminer.discriminatory import optimal_fees_discriminatory
 from edgeminer.experiments import FEE_SEARCHES, KIND_TABLE, build_config
 
-from conftest import assert_stage1_optimum, random_uniform_games, zero_delay_params
+from conftest import (
+    UniformInstance,
+    assert_stage1_optimum,
+    random_uniform_games,
+    zero_delay_params,
+)
 
 # analytic stage-I optimum of 10*(1 - P^-1/2) - P, frozen via 30-digit eval
 P_OPT_ANALYTIC = 2.924017738212866
@@ -37,92 +42,83 @@ PROFIT_AT_OPT = 1.227946785361402
 
 
 def _game(edge_power=1.0, fee=4.0, unit_cost=1.0, **params):
-    return UniformGame(edge_power, fee, unit_cost, zero_delay_params(**params))
-
-
-def _response(game):
-    """The pool's best response at game's fee, from the elementwise kernel."""
-    return pool_responses(game.kappa, game.edge_power, game.unit_cost)
+    return UniformInstance(edge_power, fee, unit_cost, zero_delay_params(**params))
 
 
 class TestAggregateUtility:
     def test_zero_power_zero_utility(self):
-        assert aggregate_miner_utility(_game(), 0.0) == 0.0
+        assert _game().utility(0.0) == 0.0
 
     def test_balanced_point(self):
-        assert aggregate_miner_utility(_game(), 1.0) == 1.0
+        assert _game().utility(1.0) == 1.0
 
     def test_overprovisioned_point(self):
-        assert aggregate_miner_utility(_game(), 3.0) == 0.0
+        assert _game().utility(3.0) == 0.0
 
     def test_negative_power_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate_miner_utility(_game(), -0.5)
+        with pytest.raises(ValueError, match="device power must be >= 0"):
+            _game().utility(-0.5)
+        with pytest.raises(ValueError, match="device power must be >= 0"):
+            aggregate_miner_utility(4.0, 1.0, 1.0, np.array([1.0, -0.5]))
 
 
 class TestBestResponse:
     def test_interior_maximum(self):
-        assert _response(_game()) == pytest.approx(1.0, abs=1e-12)
+        assert _game().response() == pytest.approx(1.0, abs=1e-12)
 
     def test_root_of_the_formula(self):
         # kappa/unit_cost equals the edge power, so the interior point is 0
-        assert _response(_game(fee=1.0, edge_power=1.0)) == 0.0
+        assert _game(fee=1.0, edge_power=1.0).response() == 0.0
 
     def test_clamped_to_zero(self):
         game = _game(fee=1.0, edge_power=2.0)
         # marginal utility at the origin is kappa/X - unit_cost = -0.5
-        assert _response(game) == 0.0
+        assert game.response() == 0.0
 
     def test_matches_grid_search(self):
         game = _game()
-        argmax, _ = grid_argmax(lambda y: aggregate_miner_utility(game, y),
-                                0.0, 10.0, 1e-4)
-        assert abs(_response(game) - argmax) <= 1e-3
+        argmax, _ = grid_argmax(game.utility, 0.0, 10.0, 1e-4)
+        assert abs(game.response() - argmax) <= 1e-3
 
     def test_oracle_agreement_random_instances(self):
         for game in random_uniform_games(25, seed=42):
             hi = game.kappa / game.unit_cost  # utility is negative beyond this
-            argmax, _ = grid_argmax(lambda y: aggregate_miner_utility(game, y),
-                                    0.0, hi + 1.0, 1e-4)
-            assert abs(_response(game) - argmax) <= 1e-3
+            argmax, _ = grid_argmax(game.utility, 0.0, hi + 1.0, 1e-4)
+            assert abs(game.response() - argmax) <= 1e-3
 
     def test_first_derivative_vanishes_interior(self):
         game = _game()
-        y_star = _response(game)
+        y_star = game.response()
         h = 1e-5
-        derivative = (aggregate_miner_utility(game, y_star + h)
-                      - aggregate_miner_utility(game, y_star - h)) / (2 * h)
+        derivative = (game.utility(y_star + h) - game.utility(y_star - h)) / (2 * h)
         assert abs(derivative) < 1e-6
 
     def test_concavity_sampled(self):
         game = _game(fee=5.0, edge_power=0.8)
         h = 0.05
         for y in np.linspace(h, 8.0, 60):
-            second = (aggregate_miner_utility(game, y + h)
-                      - 2.0 * aggregate_miner_utility(game, y)
-                      + aggregate_miner_utility(game, y - h))
+            second = game.utility(y + h) - 2.0 * game.utility(y) + game.utility(y - h)
             assert second <= 1e-12
 
 
 class TestUniquenessCertificate:
+    """kappa 4 and unit cost 1: the quarter bound is 1, the positivity bound 4."""
+
     def test_certified_instance(self):
-        cert = uniqueness_certificate_uniform(_game(edge_power=0.5))
-        assert cert.below_quarter_bound and cert.below_positivity_bound
-        assert cert.quarter_bound == pytest.approx(1.0)
+        assert _game(edge_power=0.5).certificate() == (True, True)
+        assert _game(edge_power=math.nextafter(1.0, 0.0)).certificate() == (True, True)
 
     def test_uncertified_instance(self):
-        cert = uniqueness_certificate_uniform(_game(edge_power=1.5))
-        assert not cert.below_quarter_bound
-        assert cert.below_positivity_bound  # 1.5 < 4 still holds
+        assert _game(edge_power=1.0).certificate() == (False, True)
+        assert _game(edge_power=1.5).certificate() == (False, True)  # 1.5 < 4 still holds
 
     def test_tiny_edge_power_always_certified(self):
-        assert uniqueness_certificate_uniform(_game(edge_power=1e-9)).below_quarter_bound
+        assert _game(edge_power=1e-9).certificate()[0]
 
     def test_detail_reports_both_bounds(self):
-        cert = uniqueness_certificate_uniform(_game(edge_power=5.0))
-        assert not cert.below_quarter_bound
-        assert not cert.below_positivity_bound
-        assert cert.positivity_bound == pytest.approx(4.0)
+        assert _game(edge_power=math.nextafter(4.0, 0.0)).certificate() == (False, True)
+        assert _game(edge_power=4.0).certificate() == (False, False)
+        assert _game(edge_power=5.0).certificate() == (False, False)
 
 
 class TestStandardFunctionAxioms:
@@ -153,30 +149,28 @@ class TestStandardFunctionAxioms:
 
 class TestLeaderObjective:
     def test_simplified_value(self):
-        assert leader_delta_utility_uniform(_game(), "simplified") == pytest.approx(5.0)
+        assert _game().leader("simplified") == pytest.approx(5.0)
 
     def test_full_value(self):
-        assert leader_delta_utility_uniform(_game(), "full") == pytest.approx(1.0)
+        assert _game().leader("full") == pytest.approx(1.0)
 
     def test_simplified_zero_at_boundary(self):
         # edge_power * unit_cost == kappa makes the sqrt term equal to 1
         game = _game(edge_power=4.0)
-        assert leader_delta_utility_uniform(game, "simplified") == pytest.approx(0.0)
+        assert game.leader("simplified") == pytest.approx(0.0)
 
     def test_full_pays_fee_on_nonparticipation(self):
         game = _game(fee=1.0, edge_power=2.0)
-        assert _response(game) == 0.0
-        assert leader_delta_utility_uniform(game, "full") == pytest.approx(-1.0)
+        assert game.response() == 0.0
+        assert game.leader("full") == pytest.approx(-1.0)
 
     def test_unknown_objective_rejected(self):
-        with pytest.raises(ValueError):
-            leader_delta_utility_uniform(_game(), "other")
+        with pytest.raises(ValueError, match="objective must be one of"):
+            leader_delta_utility_uniform(4.0, 1.0, 1.0, 1.0, 10.0, "other")
 
     def test_simplified_monotone_concave_in_fee(self):
-        params = zero_delay_params()
         fees = np.linspace(0.5, 30.0, 200)
-        values = [leader_delta_utility_uniform(UniformGame(1.0, p, 1.0, params),
-                                               "simplified") for p in fees]
+        values = _game(fee=fees).leader("simplified")
         first = np.diff(values)
         assert np.all(first > 0.0)
         assert np.all(np.diff(first) < 0.0)
@@ -192,8 +186,8 @@ class TestOptimalFee:
         params = zero_delay_params()
         fee, profit = optimal_fee_uniform(1.0, 1.0, params)
         for delta in (1e-3, -1e-3):
-            game = UniformGame(1.0, fee * (1.0 + delta), 1.0, params)
-            assert profit >= leader_delta_utility_uniform(game, "full")
+            game = UniformInstance(1.0, fee * (1.0 + delta), 1.0, params)
+            assert profit >= game.leader("full")
 
     def test_interior_optimum_satisfies_stationarity_identity(self):
         # (a/2) * sqrt(X * unit_cost * e^(rate*delay*load)) * fee^(-3/2) == 1
@@ -225,7 +219,7 @@ class TestOptimalFee:
 
 
 class TestScalarViews:
-    """The scalar call and one-game kernel calls equal the elementwise forms, bit for bit."""
+    """One-game kernel calls on Python floats equal the elementwise calls, bit for bit."""
 
     @staticmethod
     def _instances():
@@ -254,45 +248,55 @@ class TestScalarViews:
     @pytest.mark.parametrize("objective", ["full", "simplified"])
     def test_scalar_calls_equal_the_elementwise_forms(self, objective):
         instances = self._instances()
-        games = [UniformGame(*instance) for instance in instances]
+        games = [UniformInstance(*instance) for instance in instances]
         edge, fee, cost = (np.array(column) for column in list(zip(*instances))[:3])
-        d = np.array([g.params.delay_discount(g.params.mobile_tx_load) for g in games])
+        d = np.array([g.discount for g in games])
         a = np.array([leader_reward_scale(g.params) for g in games])
         assert any(p * dd <= x * u for x, p, u, dd in zip(edge, fee, cost, d))  # pool out
-        profits = uniform.leader_profits_uniform(fee, edge, cost, d, a, objective)
+        profits = leader_delta_utility_uniform(fee, edge, cost, d, a, objective)
         responses = pool_responses(fee * d, edge, cost)
+        utilities = aggregate_miner_utility(fee * d, edge, cost, responses)
+        quarter, positivity = uniqueness_certificate_uniform(fee * d, edge, cost)
         assert np.all(np.isfinite(profits)) and np.all(np.isfinite(responses))
-        assert [leader_delta_utility_uniform(g, objective) for g in games] == profits.tolist()
-        assert [_response(g) for g in games] == responses.tolist()
+        assert [g.leader(objective) for g in games] == profits.tolist()
+        assert [g.response() for g in games] == responses.tolist()
+        assert [g.utility(g.response()) for g in games] == utilities.tolist()
+        assert [g.certificate() for g in games] == list(zip(quarter.tolist(),
+                                                            positivity.tolist()))
 
-    def test_overflow_gives_inf_or_nan_without_a_warning(self):
-        # sqrt(kappa*X/u) overflows, as a Python float would: no RuntimeWarning
-        game = UniformGame(1e300, 1.0, 1e-300, GameParams())
-        with np.errstate(over="ignore"):
-            assert _response(game) == math.inf
+    def test_overflow_gives_inf_or_nan_without_a_warning(self, tmp_path, capsys):
+        # sqrt(kappa*X/u) overflows, as a Python float would, and inf/inf is nan
+        game = UniformInstance(1e300, 1.0, 1e-300, GameParams())
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert game.response() == math.inf
+            assert math.isnan(game.leader("full"))
+        # solve-uniform rejects what overflows, with no RuntimeWarning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert math.isnan(leader_delta_utility_uniform(game, "full"))
+            assert cli.main(["solve-uniform", "--edge-power", "1e10", "--fee", "1e308",
+                             "--out", str(tmp_path / "r.csv")]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: best_response_power is not finite at instance 0")
 
 
 class TestSolveUniform:
     def test_result_fields_consistent(self):
         # X = 0.5, kappa = 4, unit cost 1, a = 10: interior Y* = sqrt(2) - 1/2
         game = _game(edge_power=0.5)
-        y_star = _response(game)
+        y_star = game.response()
         assert y_star == pytest.approx(math.sqrt(2.0) - 0.5)
-        assert uniqueness_certificate_uniform(game).below_quarter_bound
-        simplified = leader_delta_utility_uniform(game, "simplified")
+        assert game.certificate()[0]
+        simplified = game.leader("simplified")
         assert simplified == pytest.approx(10.0 * y_star / (0.5 + y_star))
-        assert leader_delta_utility_uniform(game, "full") == pytest.approx(simplified - 4.0)
+        assert game.leader("full") == pytest.approx(simplified - 4.0)
 
     def test_repeated_response_is_constant_when_certified(self):
         # aggregate response depends only on the edge power, so re-solving
         # from the equilibrium reproduces it exactly
         game = _game(edge_power=0.5)
-        assert uniqueness_certificate_uniform(game).below_quarter_bound
-        first = _response(game)
-        assert _response(game) == first
+        assert game.certificate()[0]
+        first = game.response()
+        assert game.response() == first
 
 
 def _p_star(edge_power, unit_cost, params):
@@ -344,7 +348,7 @@ class TestClosedFormStage1:
         regime, edge, cost, params = instance
         fee, profit = optimal_fee_uniform(edge, cost, params)
         assert_stage1_optimum(fee, profit, edge, cost, params)
-        lo, hi = fee_bracket(params)
+        lo, hi = stage1_setup(params)[2:]
         if regime in ("pool-out", "no-reward", "zero-discount"):
             assert (fee, profit) == (lo, -lo)
         elif regime == "floor":
@@ -482,7 +486,7 @@ def _head_fig2(edge_power, unit_cost, params, rewards):
         return type(exc), str(exc), None
     for k, point in enumerate(points):
         try:
-            fee_bracket(point)
+            stage1_setup(point)
         except ConfigError as exc:
             return type(exc), str(exc), k
     fees, profits = [], []
@@ -563,7 +567,6 @@ class TestRewardBroadcast:
     def test_scalar_callers_get_plain_floats(self):
         params = GameParams()
         assert all(type(v) is float for v in uniform.stage1_setup(params))
-        assert all(type(v) is float for v in fee_bracket(params))
         assert all(type(v) is float for v in optimal_fee_uniform(50.0, 0.005, params))
         d, a, lo, hi = uniform.stage1_setup(params, np.array([1.0, 2.0]))
         assert type(d) is type(lo) is float and a.shape == hi.shape == (2,)
