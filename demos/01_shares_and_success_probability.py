@@ -1,7 +1,7 @@
 """Power shares and the delay-discounted chance of mining a block.
 
 The probability that a miner wins a round is its share of the pool's
-computing power, shrunk by e^(-rate * delay * tx) for propagation and
+computing power, shrunk by e^(-rate * tx) for propagation and
 verification latency.
 """
 
@@ -12,7 +12,7 @@ import numpy as np
 from edgeminer import DiscriminatoryGame, GameParams, PowerProfile, miner_utilities, \
     mining_success_prob, net_profit
 
-params = GameParams()  # rate 0.01, delay 1.0, 10 tx per block
+params = GameParams()  # penalty 0.01 per transaction, 10 tx per block
 
 print("== shares ==")
 profile = PowerProfile(np.array([30.0, 50.0, 20.0]))

@@ -1,6 +1,6 @@
 """Seeded Monte-Carlo mining: per-block categorical draws with orphan rounds.
 
-Each block is won by miner i with probability share_i * e^(-rate*delay*tx);
+Each block is won by miner i with probability share_i * e^(-rate*tx);
 the leftover mass is an orphaned round.  Everything is reproducible from
 the seed (numpy PCG64).
 """

@@ -7,7 +7,7 @@ frozen and safe to share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -74,14 +74,13 @@ class GameParams:
     ``tx_per_block`` is the transaction load on the block-reward side,
     ``mobile_tx_load`` the verification load seen by recruited devices.
     The model keeps them independent; by default they are equal.
-    Zero ``poisson_rate`` or ``delay_factor`` is allowed and means no
-    propagation penalty (discount factor 1).  Invalid fields raise one ConfigError.
+    ``poisson_rate`` is the propagation penalty per transaction (the paper's rate
+    times the per-transaction delay); 0 means none.  Invalid fields raise one ConfigError.
     """
 
     fixed_reward: float = 10.0
     tx_reward: float = 2.0
     poisson_rate: float = 0.01
-    delay_factor: float = 1.0
     tx_per_block: int = 10
     mobile_tx_load: int = 10
     edge_overhead: float = 0.5
@@ -89,17 +88,16 @@ class GameParams:
 
     def __post_init__(self):
         errors = []
-        for name in ("fixed_reward", "tx_reward", "poisson_rate", "delay_factor",
-                     "edge_overhead", "min_consumption"):
-            value = getattr(self, name)
-            if not (is_real(value) and math.isfinite(value)):
+        # a stable sort: the float fields, then the int fields, each in declaration order
+        for f in sorted(fields(self), key=lambda f: f.type == "int"):
+            name, value = f.name, getattr(self, f.name)
+            if f.type == "int":
+                if not is_integer(value) or value < 1:
+                    errors.append(f"{name} must be an integer >= 1, got {value!r}")
+            elif not (is_real(value) and math.isfinite(value)):
                 errors.append(f"{name} must be finite, got {value!r}")
             elif value < 0:
                 errors.append(f"{name} must be >= 0, got {value!r}")
-        for name in ("tx_per_block", "mobile_tx_load"):
-            value = getattr(self, name)
-            if not is_integer(value) or value < 1:
-                errors.append(f"{name} must be an integer >= 1, got {value!r}")
         if errors:
             raise ConfigError(errors)
 
@@ -109,7 +107,7 @@ class GameParams:
         return self.fixed_reward + self.tx_reward
 
     def delay_discount(self, tx_load) -> float:
-        """Propagation discount e^(-rate * delay * tx_load), in [0, 1].
+        """Propagation discount e^(-poisson_rate * tx_load), in [0, 1].
 
         It underflows to 0 for large exponents (poisson_rate 100 with
         mobile_tx_load 10).  The simulator then records every block as an
@@ -117,7 +115,7 @@ class GameParams:
         """
         if tx_load < 0:
             raise ValueError(f"tx_load must be >= 0, got {tx_load!r}")
-        return math.exp(-self.poisson_rate * self.delay_factor * tx_load)
+        return math.exp(-self.poisson_rate * tx_load)
 
 
 @dataclass(frozen=True)
@@ -159,7 +157,7 @@ def as_profile(profile) -> PowerProfile:
 def mining_success_prob(share, params: GameParams):
     """Probability that a miner with the given power share mines a block.
 
-    share * e^(-rate * delay * tx_per_block), elementwise; shares outside
+    share * e^(-poisson_rate * tx_per_block), elementwise; shares outside
     [0, 1] are rejected.
     """
     shares = np.asarray(share, dtype=float)
@@ -169,7 +167,7 @@ def mining_success_prob(share, params: GameParams):
 
 
 def net_profit(params: GameParams, bill, delay_multiplier=1):
-    """Leader's net profit, elementwise: total_reward * e^(-rate*delay*tx*m) - bill - overhead."""
+    """Leader's net profit, elementwise: total_reward * e^(-rate * tx * m) - bill - overhead."""
     reward = params.total_reward * params.delay_discount(params.tx_per_block * delay_multiplier)
     return reward - bill - params.edge_overhead
 

@@ -33,9 +33,6 @@ __all__ = [
     "uniqueness_certificate_discriminatory",
 ]
 
-FEE_BASES = ("lump", "per_power")
-
-
 @dataclass(frozen=True)
 class DiscriminatoryGame:
     """Per-miner fee vector (length >= 2), shared unit cost, shared params.
@@ -89,10 +86,16 @@ def nash_equilibrium_closed_form(game: DiscriminatoryGame) -> PowerProfile:
     miners, k >= 2 the largest count with (k-1) * c_(k) < sum_{j<=k} c_j.
     Active miners supply T - c_i * T^2 with T = (k-1) / sum_active c, the
     rest 0; with every miner active these are the interior formula's steps.
+    Where c_(1) + c_(2) rounds to c_(2), no k >= 2 fits, and this raises ValueError.
     """
     c = game.cost_coefficients
     ordered = np.sort(c)
     fits = np.arange(c.size) * ordered < np.cumsum(ordered)  # (k-1) c_(k) < S_k
+    if not fits[1]:  # the cheapest miners have the highest fees
+        first, second = np.sort(game.fees)[:-3:-1].tolist()
+        raise ValueError(f"fees {first!r} and {second!r} of the two cheapest miners: their cost "
+                         f"ratio {ordered[0] / ordered[1]:.3g} is below float resolution, so "
+                         "only one miner would be active")
     active = c <= ordered[np.flatnonzero(fits)[-1]]
     total = int(np.count_nonzero(active) - 1) / math.fsum(c[active].tolist())
     if not math.isfinite(total):
@@ -120,21 +123,17 @@ def uniqueness_certificate_discriminatory(game: DiscriminatoryGame) -> np.ndarra
 
 
 def leader_delta_utility_discriminatory(game: DiscriminatoryGame, allocation: PowerProfile,
-                                        objective: str = "full",
-                                        fee_basis: str = "lump") -> np.ndarray:
+                                        objective: str = "full") -> np.ndarray:
     """Leader's additional profit from recruiting each miner, elementwise.
 
     "simplified" is a * the share identity (0 for a miner that stays out).
-    "full" is a * share - fee: lump basis charges p_i, per_power p_i * x_i.
+    "full" is a * share - fee: the leader pays miner i its fee p_i.
     """
     check_objective(objective)
-    if fee_basis not in FEE_BASES:
-        raise ValueError(f"fee_basis must be one of {FEE_BASES}, got {fee_basis!r}")
     a = leader_reward_scale(game.params)
     if objective == "simplified":
         return a * share_identity(game, allocation)
-    fee_cost = game.fees * allocation.powers if fee_basis == "per_power" else game.fees
-    return a * allocation.shares() - fee_cost
+    return a * allocation.shares() - game.fees
 
 
 def optimal_fees_discriminatory(n_miners: int, unit_cost: float, params: GameParams):

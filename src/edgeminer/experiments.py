@@ -33,7 +33,6 @@ from .core import (
 )
 from .search import SearchConfig, multiplicative_fee_search
 from .discriminatory import (
-    FEE_BASES,
     DiscriminatoryGame,
     leader_delta_utility_discriminatory,
     miner_utilities,
@@ -98,7 +97,6 @@ class ExperimentConfig:
     fees: tuple | None = None
     n_miners: int = 5
     objective: str = "simplified"
-    fee_basis: str = "lump"
     fee_search: str = "golden"
     grid_start: float | None = None
     grid_stop: float | None = None
@@ -153,8 +151,6 @@ class ExperimentConfig:
              "mdg_delay_mult must be >= 1, got {self.mdg_delay_mult!r}"),
             ("objective", lambda v: v in OBJECTIVES,
              "objective must be one of {OBJECTIVES}, got {self.objective!r}"),
-            ("fee_basis", lambda v: v in FEE_BASES,
-             "fee_basis must be one of {FEE_BASES}, got {self.fee_basis!r}"),
             ("fee_search", lambda v: v in FEE_SEARCHES,
              "fee_search must be one of {FEE_SEARCHES}, got {self.fee_search!r}"),
             ("format", lambda v: v in FORMATS,
@@ -167,7 +163,7 @@ class ExperimentConfig:
         )
         # a message is a template, formatted only when its check fails
         errors = [message.format(self=self, KINDS=KINDS, OBJECTIVES=OBJECTIVES,
-                                 FEE_BASES=FEE_BASES, FEE_SEARCHES=FEE_SEARCHES, FORMATS=FORMATS)
+                                 FEE_SEARCHES=FEE_SEARCHES, FORMATS=FORMATS)
                   for name, ok, message in checks
                   if name not in reported and not ok(getattr(self, name))]
         errors += [f"{name} must be finite, got {getattr(self, name)!r}" for name in nonfinite]
@@ -516,8 +512,7 @@ def _rows_solve_disc(cfg: ExperimentConfig):
         "share": allocation.shares(),
         "utility": miner_utilities(game, allocation),
         "certified_unique_i": uniqueness_certificate_discriminatory(game),
-        "leader_delta_full": leader_delta_utility_discriminatory(game, allocation, "full",
-                                                                 cfg.fee_basis),
+        "leader_delta_full": leader_delta_utility_discriminatory(game, allocation, "full"),
         "leader_delta_simplified": leader_delta_utility_discriminatory(game, allocation,
                                                                        "simplified"),
         "status": ["ok"] * game.n_miners,
@@ -543,8 +538,8 @@ def _rows_simulate(cfg: ExperimentConfig):
 
 
 # the GameParams fields each piece of the model reads; a is the reward scale (r + tx) d
-_BLOCK_DISCOUNT = {"poisson_rate", "delay_factor", "tx_per_block"}
-_DEVICE_SCALE = {"poisson_rate", "delay_factor", "mobile_tx_load", "fixed_reward", "tx_reward"}
+_BLOCK_DISCOUNT = {"poisson_rate", "tx_per_block"}
+_DEVICE_SCALE = {"poisson_rate", "mobile_tx_load", "fixed_reward", "tx_reward"}
 _BRACKET = _DEVICE_SCALE | {"min_consumption"}
 _STAGE1 = _BRACKET | {"edge_power", "unit_cost"}  # stage I at one edge power
 _NET_PROFIT = _BLOCK_DISCOUNT | {"fixed_reward", "tx_reward", "edge_overhead"}
@@ -563,7 +558,7 @@ KIND_TABLE = {
                  (10.0, 200.0, 20)),
     "fig6": Kind(_rows_mdg, _MDG | {"edge_fractions"}, (10.0, 200.0, 20)),
     "solve-uniform": Kind(_rows_solve_uniform, _STAGE1 | {"fee", "fee_search"}),
-    "solve-disc": Kind(_rows_solve_disc, _DEVICE_SCALE | {"fees", "unit_cost", "fee_basis"}),
+    "solve-disc": Kind(_rows_solve_disc, _DEVICE_SCALE | {"fees", "unit_cost"}),
     "simulate": Kind(_rows_simulate, _BLOCK_DISCOUNT | {"powers", "seed", "n_blocks"}),
     "compare-mdg": Kind(_rows_mdg, _MDG | {"edge_fraction"}, (10.0, 200.0, 20)),
 }

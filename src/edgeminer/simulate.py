@@ -1,7 +1,7 @@
 """Monte-Carlo block mining and the delayed-baseline profit comparison.
 
 Each simulated block is one categorical draw: miner i wins with probability
-share_i * e^(-rate*delay*tx), and the residual 1 - e^(-rate*delay*tx) is an
+share_i * e^(-rate*tx), and the residual 1 - e^(-rate*tx) is an
 orphaned round with no winner, so per-miner win probabilities match the
 model exactly.  The PRNG is pinned to numpy's PCG64 so seeded runs are
 bit-reproducible.

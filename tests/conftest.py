@@ -28,7 +28,7 @@ from edgeminer.experiments import KIND_TABLE, KINDS
 DEFAULTS = {f.name: f.default for cls in (GameParams, ExperimentConfig)
             for f in dataclasses.fields(cls) if f.name != "params"}
 _RAW_VALUES = {
-    "fee": "2.5", "fees": "4, 8", "objective": "full", "fee_basis": "per_power",
+    "fee": "2.5", "fees": "4, 8", "objective": "full",
     "fee_search": "hillclimb", "grid_start": "2.5", "grid_stop": "20", "grid_steps": "3",
     "edge_fractions": "0.2,0.7", "powers": "1,2", "out": "x.json", "format": "json",
 }
@@ -56,8 +56,8 @@ def kind_argv(kind, fees=True):
 def zero_delay_params(**overrides) -> GameParams:
     """Params with no propagation penalty, so discounts are exactly 1."""
     defaults = dict(fixed_reward=10.0, tx_reward=0.0, poisson_rate=0.0,
-                    delay_factor=1.0, tx_per_block=10, mobile_tx_load=10,
-                    edge_overhead=0.0, min_consumption=0.1)
+                    tx_per_block=10, mobile_tx_load=10, edge_overhead=0.0,
+                    min_consumption=0.1)
     defaults.update(overrides)
     return GameParams(**defaults)
 
@@ -103,8 +103,8 @@ def random_uniform_games(n, seed=0):
         params = GameParams(
             fixed_reward=float(rng.uniform(1.0, 20.0)),
             tx_reward=float(rng.uniform(0.0, 5.0)),
-            poisson_rate=float(rng.uniform(0.0, 0.02)),
-            delay_factor=float(rng.uniform(0.5, 2.0)),
+            # the penalty per transaction: a rate times a per-transaction delay
+            poisson_rate=float(rng.uniform(0.0, 0.02)) * float(rng.uniform(0.5, 2.0)),
             tx_per_block=int(rng.integers(1, 20)),
             mobile_tx_load=int(rng.integers(1, 20)),
         )
@@ -128,8 +128,7 @@ def random_feasible_disc_games(n, seed=0, m_range=(2, 10)):
         if (m - 1) * inv.max() >= inv.sum():
             continue  # dispersed fees: some miner would stay out
         params = GameParams(
-            poisson_rate=float(rng.uniform(0.0, 0.02)),
-            delay_factor=float(rng.uniform(0.5, 2.0)),
+            poisson_rate=float(rng.uniform(0.0, 0.02)) * float(rng.uniform(0.5, 2.0)),
             mobile_tx_load=int(rng.integers(1, 20)),
         )
         games.append(DiscriminatoryGame(fees, float(rng.uniform(0.2, 2.0)), params))

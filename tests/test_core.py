@@ -81,7 +81,7 @@ class TestMiningSuccessProb:
         assert mining_success_prob(0.0, GameParams(tx_per_block=7)) == 0.0
 
     def test_discounted_half_share(self):
-        params = GameParams(poisson_rate=0.01, delay_factor=1.0, tx_per_block=10)
+        params = GameParams(poisson_rate=0.01, tx_per_block=10)
         # 0.5 * e^(-0.1), frozen from a 30-digit evaluation
         assert mining_success_prob(0.5, params) == pytest.approx(
             0.4524187090179798, rel=1e-12)
@@ -125,8 +125,8 @@ class TestEdgeUtility:
         assert net_profit(params, 3.0 + 3.0) == -1.0
 
     def test_discounted_case(self):
-        params = GameParams(fixed_reward=5.0, tx_reward=5.0, poisson_rate=0.1,
-                            delay_factor=0.5, tx_per_block=10, edge_overhead=1.0)
+        params = GameParams(fixed_reward=5.0, tx_reward=5.0, poisson_rate=0.05,
+                            tx_per_block=10, edge_overhead=1.0)
         # 10*e^(-0.5) - 2, frozen from a 30-digit evaluation
         assert net_profit(params, 1.0) == pytest.approx(4.065306597126334, rel=1e-12)
 
@@ -139,7 +139,7 @@ class TestMinerUtility:
         assert _utility(4.0, [1.0, 1.0], 0, 1.0, zero_delay_params()) == 1.0
 
     def test_discounted_quarter_share(self):
-        params = GameParams(poisson_rate=0.01, delay_factor=1.0, mobile_tx_load=10)
+        params = GameParams(poisson_rate=0.01, mobile_tx_load=10)
         # 4*0.25*e^(-0.1) - 0.5 = e^(-0.1) - 0.5, frozen
         assert _utility(4.0, [1.0, 3.0], 0, 0.5, params) == pytest.approx(
             0.4048374180359596, rel=1e-12)

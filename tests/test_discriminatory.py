@@ -34,10 +34,10 @@ def _game(fees, unit_cost=1.0, **params):
                               zero_delay_params(**params))
 
 
-def _deltas(game, objective, fee_basis="lump"):
+def _deltas(game, objective):
     """Every miner's leader term at the game's Nash point."""
     return leader_delta_utility_discriminatory(game, nash_equilibrium_closed_form(game),
-                                               objective, fee_basis)
+                                               objective)
 
 
 class TestMinerUtility:
@@ -263,13 +263,6 @@ class TestLeaderDelta:
             np.testing.assert_allclose(identity, expected, rtol=0, atol=1e-12)
             np.testing.assert_allclose(allocation.shares(), identity, rtol=0, atol=1e-9)
 
-    def test_per_power_fee_basis(self):
-        game = _game([4, 8])
-        allocation = nash_equilibrium_closed_form(game)
-        lump = _deltas(game, "full", "lump")
-        per_power = _deltas(game, "full", "per_power")
-        np.testing.assert_allclose(per_power, lump + game.fees * (1.0 - allocation.powers))
-
     def test_simplified_monotone_concave_in_own_fee(self):
         # against fees 5 and 7, miner 0 is active once 2/p < 1/p + 1/5 + 1/7,
         # i.e. p > 35/12; below that it stays out and its term is 0
@@ -289,17 +282,14 @@ class TestLeaderDelta:
         simplified = _deltas(game, "simplified")
         assert simplified[0] == 0.0
         assert _deltas(game, "full")[0] == -1.0
-        assert _deltas(game, "full", "per_power")[0] == 0.0
         # the two active miners split the pool: 1 - 1/(10 * (1/10 + 1/10)) = 1/2
         np.testing.assert_allclose(simplified[1:], a / 2, rtol=1e-12)
 
-    def test_bad_objective_or_fee_basis_rejected(self):
+    def test_bad_objective_rejected(self):
         game = _game([4, 8])
         allocation = nash_equilibrium_closed_form(game)
         with pytest.raises(ValueError, match="objective must be one of"):
             leader_delta_utility_discriminatory(game, allocation, "other")
-        with pytest.raises(ValueError, match="fee_basis must be one of"):
-            leader_delta_utility_discriminatory(game, allocation, "full", "other")
 
 
 class TestSolveDiscriminatory:

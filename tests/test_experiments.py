@@ -38,7 +38,6 @@ from edgeminer import (
 )
 from edgeminer.core import OBJECTIVES
 from edgeminer.cli import _settings_from_args, build_parser, main
-from edgeminer.discriminatory import FEE_BASES
 from edgeminer.experiments import (
     FORMATS,
     KIND_TABLE,
@@ -58,8 +57,7 @@ GOLDEN = Path(__file__).parent / "golden"
 
 def _net_profit(params, bill, delay_multiplier=1):
     """The leader's net profit written out: discounted block reward - bill - overhead."""
-    exponent = -params.poisson_rate * params.delay_factor * (params.tx_per_block
-                                                            * delay_multiplier)
+    exponent = -params.poisson_rate * (params.tx_per_block * delay_multiplier)
     return params.total_reward * math.exp(exponent) - bill - params.edge_overhead
 
 
@@ -188,8 +186,7 @@ class TestSchema:
             dataclasses.replace(cfg, mdg_delay_mult=0.5)
         assert "mdg_delay_mult" in str(err.value)
         with pytest.raises(ConfigError) as err:
-            ExperimentConfig(kind="solve-disc", fees=(4.0, 5.0), unit_cost=-1.0, format="xml",
-                             fee_basis="weird")
+            ExperimentConfig(kind="solve-disc", fees=(4.0, -5.0), unit_cost=-1.0, format="xml")
         assert len(err.value.errors) == 3
         with pytest.raises(ConfigError):
             ExperimentConfig()  # no kind
@@ -200,7 +197,7 @@ class TestSchema:
             ExperimentConfig(kind="bogus", unit_cost=-1.0, n_miners=1, n_blocks=0, n_seeds=0,
                              seed=-1, fee=-2.0, fees=(1.0, -1.0), edge_fraction=1.5,
                              edge_fractions=(0.5, 2.0), mdg_delay_mult=0.5, objective="bogus",
-                             fee_basis="x", fee_search="y", format="xml", edge_power=-3.0,
+                             fee_search="y", format="xml", edge_power=-3.0,
                              device_power=0.0, grid_start=1.0, grid_stop=2.0, grid_steps=3)
         assert err.value.errors == [
             "kind must be one of ('fig1', 'fig2', 'fig3', 'fig4', 'fig5', 'fig6', "
@@ -211,18 +208,16 @@ class TestSchema:
             "edge_fraction must lie in (0, 1), got 1.5", "edge_fractions must all lie in (0, 1)",
             "mdg_delay_mult must be >= 1, got 0.5",
             "objective must be one of ('full', 'simplified'), got 'bogus'",
-            "fee_basis must be one of ('lump', 'per_power'), got 'x'",
             "fee_search must be one of ('golden', 'hillclimb'), got 'y'",
             "format must be one of ('csv', 'json'), got 'xml'",
             "edge_power must be > 0, got -3.0", "device_power must be > 0, got 0.0"]
         with pytest.raises(ConfigError) as err:
-            ExperimentConfig(kind="fig6", edge_fractions=(), objective="full",
-                             fee_basis="per_power", n_miners=7, grid_start=-1.7e308,
-                             grid_stop=1.7e308)
+            ExperimentConfig(kind="fig6", edge_fractions=(), objective="full", n_miners=7,
+                             grid_start=-1.7e308, grid_stop=1.7e308)
         assert err.value.errors == [
             "edge_fractions must not be empty",
-            "fig6 does not read n_miners, objective, fee_basis; it reads fixed_reward, "
-            "tx_reward, poisson_rate, delay_factor, tx_per_block, mobile_tx_load, edge_overhead, "
+            "fig6 does not read n_miners, objective; it reads fixed_reward, "
+            "tx_reward, poisson_rate, tx_per_block, mobile_tx_load, edge_overhead, "
             "min_consumption, unit_cost, grid_start, grid_stop, grid_steps, edge_fractions, "
             "mdg_delay_mult",
             "grid_stop - grid_start must be finite, got [-1.7e+308, 1.7e+308]"]
@@ -405,44 +400,41 @@ class TestSolveDiscOneSolve:
         return tuple(10.0 * (1.0 + (0.4 / n) * rng.uniform(-1.0, 1.0, n)))
 
     @staticmethod
-    def _check_rows(rows, game, allocation, basis):
+    def _check_rows(rows, game, allocation):
         # each cell against the model's formula written out at the Nash allocation
         params, fees, powers = game.params, game.fees, allocation.powers
         shares = allocation.shares()
-        discount = math.exp(-params.poisson_rate * params.delay_factor * params.mobile_tx_load)
+        discount = math.exp(-params.poisson_rate * params.mobile_tx_load)
         a = params.total_reward * discount
         active = powers > 0
         inv_sum = math.fsum((1.0 / fees)[active])
         assert len(rows) == game.n_miners
         for i, row in enumerate(rows):
-            fee_cost = fees[i] * powers[i] if basis == "per_power" else fees[i]
             identity = 1.0 - (np.count_nonzero(active) - 1) / (fees[i] * inv_sum)
             assert row["power"] == powers[i]
             assert row["share"] == shares[i]
             assert row["utility"] == fees[i] * shares[i] * discount - game.unit_cost * powers[i]
-            assert row["leader_delta_full"] == a * shares[i] - fee_cost
+            assert row["leader_delta_full"] == a * shares[i] - fees[i]
             assert row["leader_delta_simplified"] == (a * identity if active[i] else 0.0)
 
-    @pytest.mark.parametrize("basis", FEE_BASES)
     @pytest.mark.parametrize("n", [2, 7, 300])
-    def test_rows_equal_per_miner_functions(self, n, basis, tmp_path):
+    def test_rows_equal_per_miner_functions(self, n, tmp_path):
         params = GameParams(mobile_tx_load=7, poisson_rate=0.02)
-        table, _, _ = _run("solve-disc", tmp_path, fees=self._fees(n), fee_basis=basis,
-                           unit_cost=0.004, mobile_tx_load=7, poisson_rate=0.02)
+        table, _, _ = _run("solve-disc", tmp_path, fees=self._fees(n), unit_cost=0.004,
+                           mobile_tx_load=7, poisson_rate=0.02)
         rows = _rows(table)
         game = DiscriminatoryGame(np.asarray(self._fees(n)), 0.004, params)
         allocation = nash_equilibrium_closed_form(game)
         assert len(rows) == n
-        self._check_rows(rows, game, allocation, basis)
+        self._check_rows(rows, game, allocation)
 
-    @pytest.mark.parametrize("basis", FEE_BASES)
-    def test_dropout_rows_equal_per_miner_functions(self, basis, tmp_path):
+    def test_dropout_rows_equal_per_miner_functions(self, tmp_path):
         fees = tuple(np.linspace(4.0, 8.0, 50).tolist())
-        table, _, n_failed = _run("solve-disc", tmp_path, fees=fees, fee_basis=basis)
+        table, _, n_failed = _run("solve-disc", tmp_path, fees=fees)
         game = DiscriminatoryGame(np.asarray(fees), 0.005, GameParams())
         allocation = nash_equilibrium_closed_form(game)
         assert n_failed == 0 and np.count_nonzero(allocation.powers) == 14
-        self._check_rows(_rows(table), game, allocation, basis)
+        self._check_rows(_rows(table), game, allocation)
 
     def test_one_nash_solve(self, monkeypatch, tmp_path):
         sizes = []
@@ -507,9 +499,9 @@ class TestTracedNames:
         objectives = []
 
         def counted(fn):
-            def call(game, allocation, objective="full", fee_basis="lump"):
+            def call(game, allocation, objective="full"):
                 objectives.append(objective)
-                return fn(game, allocation, objective, fee_basis)
+                return fn(game, allocation, objective)
             return call
 
         self._wrap(monkeypatch, discriminatory, "leader_delta_utility_discriminatory", counted)
@@ -1003,6 +995,15 @@ class TestReportFiles:
             assert [line[2], line[3], line[4], line[7]] == ["0.0"] * 4
         assert all(float(line[2]) > 0 for line in lines[37:])
 
+    def test_one_active_miner_is_a_config_error(self, tmp_path, capsys):
+        # c_(1) + c_(2) rounds to c_(2): no two miners fit, and nothing is written
+        out = tmp_path / "d.csv"
+        assert main(["solve-disc", "--fees", "4,1e17", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: fees 1e+17 and 4.0 of the two cheapest miners: their cost ratio "
+            "4e-17 is below float resolution, so only one miner would be active\n")
+        assert not out.exists()
+
     def test_render_report_formats_booleans(self):
         columns = {"x": np.array([True, False]), "y": np.array([1, -1]), "status": ["ok", "ok"]}
         text = render_report(columns, "csv")
@@ -1427,6 +1428,21 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["solve-uniform", "--" + name.replace("_", "-"), "1"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("name", ["delay_factor", "fee_basis"])
+    def test_folded_settings_are_gone(self, name, tmp_path, capsys):
+        # poisson_rate is the penalty per transaction, and the leader pays each miner its fee
+        config = tmp_path / "exp.cfg"
+        config.write_text(f"{name} = 1\n")
+        assert main(["solve-disc", "--fees", "4,8", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == f"config error: line 1: unknown key {name!r}\n"
+        with pytest.raises(SystemExit) as exc:
+            main(["solve-disc", "--fees", "4,8", "--" + name.replace("_", "-"), "1"])
+        assert exc.value.code == 2
+        with pytest.raises(TypeError):
+            GameParams(**{name: 1.0})
+        with pytest.raises(TypeError):
+            ExperimentConfig(kind="solve-disc", fees=(4.0, 8.0), **{name: 1.0})
 
     def test_help_lists_one_flag_per_setting(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -233,6 +233,16 @@ def test_readme_settings_column_is_the_declaration():
         assert names == [name for name in SETTINGS if name in KIND_TABLE[kind].reads], kind
 
 
+def test_readme_defaults_table_is_declared():
+    # every GameParams field has a row, and every backticked name is a setting
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Default parameters")[1]
+    table = next(block for block in section.split("\n\n") if block.startswith("| name |"))
+    names = [name for row in table.splitlines()[2:]
+             for name in re.findall(r"`(\w+)`", row.split("|")[1])]
+    assert set(names) <= set(SETTINGS)
+    assert {f.name for f in dataclasses.fields(GameParams)} <= set(names)
+
+
 def test_readme_columns_column_is_the_header(tmp_path):
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     table = text.split("### Experiment kinds and their columns", 1)[1].split("\n\n", 2)[1]

@@ -467,7 +467,7 @@ class TestMdgBaseline:
 
     def test_doubled_delay_value(self):
         params = GameParams(fixed_reward=8.0, tx_reward=2.0, poisson_rate=0.01,
-                            delay_factor=1.0, tx_per_block=10, edge_overhead=0.0)
+                            tx_per_block=10, edge_overhead=0.0)
         # 10*e^(-0.2) - 2, frozen from a 30-digit evaluation
         assert net_profit(params, 2.0, 2.0) == pytest.approx(
             6.187307530779819, rel=1e-12)

@@ -190,9 +190,9 @@ class TestOptimalFee:
             assert profit >= game.leader("full")
 
     def test_interior_optimum_satisfies_stationarity_identity(self):
-        # (a/2) * sqrt(X * unit_cost * e^(rate*delay*load)) * fee^(-3/2) == 1
+        # (a/2) * sqrt(X * unit_cost * e^(rate*load)) * fee^(-3/2) == 1
         params = GameParams(fixed_reward=9.0, tx_reward=3.0, poisson_rate=0.01,
-                            delay_factor=1.0, mobile_tx_load=10, min_consumption=0.1)
+                            mobile_tx_load=10, min_consumption=0.1)
         edge_power, unit_cost = 5.0, 0.05
         fee, _ = optimal_fee_uniform(edge_power, unit_cost, params)
         a = 12.0 * params.delay_discount(10)
@@ -376,7 +376,7 @@ class TestOptimalFeesUniform:
     @pytest.mark.parametrize("settings", [{}, {"min_consumption": 0.0},
                                           {"min_consumption": 5.0}, {"poisson_rate": 0.0},
                                           {"fixed_reward": 0.0, "tx_reward": 0.0},
-                                          {"mobile_tx_load": 50, "delay_factor": 2.0},
+                                          {"mobile_tx_load": 50, "poisson_rate": 0.02},
                                           {"fixed_reward": 1e4}],
                              ids=["default", "floor-0", "floor-5", "no-delay", "no-reward",
                                   "heavy-load", "large-reward"])
