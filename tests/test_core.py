@@ -1,7 +1,7 @@
 """Primitive formulas: shares, success probability, raw utilities."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -175,6 +175,22 @@ class TestGameParams:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError, match="fixed_reward must be finite"):
             GameParams(fixed_reward=float("inf"))
+
+    def test_delay_discount_is_one_exponential(self):
+        # poisson_rate is the penalty per transaction: a doubled delay is a doubled rate
+        assert GameParams(poisson_rate=0.02).delay_discount(50) == math.exp(-0.02 * 50)
+        assert GameParams(poisson_rate=0.02).delay_discount(50) == GameParams().delay_discount(100)
+
+    @pytest.mark.parametrize("field", fields(GameParams), ids=lambda f: f.name)
+    def test_each_field_checked_by_its_annotation(self, field):
+        # a setting is declared once, by its field: floats must be >= 0, ints >= 1
+        if field.type == "int":
+            value, message = 0, f"{field.name} must be an integer >= 1, got 0"
+        else:
+            value, message = -1.0, f"{field.name} must be >= 0, got -1.0"
+        with pytest.raises(ConfigError) as err:
+            GameParams(**{field.name: value})
+        assert err.value.errors == [message]
 
     def test_every_violation_listed(self):
         with pytest.raises(ConfigError) as err:

@@ -1,6 +1,7 @@
 """Per-miner fee game: closed forms at both stages, certificates, leader terms."""
 
 import math
+import re
 import types
 
 import numpy as np
@@ -126,6 +127,18 @@ class TestClosedForm:
         # the smallest subnormal unit cost makes c 0, which no active set fits
         with pytest.raises(ValueError, match="round to 0"):
             DiscriminatoryGame(np.array([4.0, 5.0]), 5e-324, GameParams())
+
+    @pytest.mark.parametrize("fees, named", [
+        ([4.0, 1e17], "fees 1e+17 and 4.0"),
+        ([1e17, 4.0], "fees 1e+17 and 4.0"),
+        ([4.0, 1e18, 1e35], "fees 1e+35 and 1e+18"),
+    ], ids=["sorted", "reversed", "three-miners"])
+    def test_one_active_miner_names_the_two_cheapest(self, fees, named):
+        # c_(1) + c_(2) rounds to c_(2): no k >= 2 fits, whatever the order of the fees
+        game = DiscriminatoryGame(np.array(fees), 0.005, GameParams())
+        with pytest.raises(ValueError, match="^" + re.escape(named) + " of the two cheapest "
+                           "miners: their cost ratio .* is below float resolution"):
+            nash_equilibrium_closed_form(game)
 
     def test_overflowing_total_rejected(self):
         # c is subnormal, so (k-1)/sum(c) passes the float range
@@ -284,6 +297,20 @@ class TestLeaderDelta:
         assert _deltas(game, "full")[0] == -1.0
         # the two active miners split the pool: 1 - 1/(10 * (1/10 + 1/10)) = 1/2
         np.testing.assert_allclose(simplified[1:], a / 2, rtol=1e-12)
+
+    def test_full_is_reward_share_minus_fee(self):
+        # the leader pays each miner its fee, active or not
+        game = _game([1, 10, 10])
+        allocation = nash_equilibrium_closed_form(game)
+        a = leader_reward_scale(game.params)
+        np.testing.assert_array_equal(leader_delta_utility_discriminatory(game, allocation),
+                                      a * allocation.shares() - game.fees)
+
+    def test_no_fee_basis_argument(self):
+        game = _game([4, 8])
+        allocation = nash_equilibrium_closed_form(game)
+        with pytest.raises(TypeError):
+            leader_delta_utility_discriminatory(game, allocation, "full", fee_basis="lump")
 
     def test_bad_objective_rejected(self):
         game = _game([4, 8])
