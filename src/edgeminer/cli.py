@@ -90,7 +90,7 @@ def main(argv=None) -> int:
         for message in exc.errors:
             print(f"config error: {message}", file=sys.stderr)
         return 2
-    except (OSError, ValueError, OverflowError, FloatingPointError) as exc:
+    except (OSError, ValueError, OverflowError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:

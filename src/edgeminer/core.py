@@ -7,7 +7,7 @@ frozen and safe to share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import Field, dataclass, fields
 
 import numpy as np
 
@@ -38,9 +38,27 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def is_real(value) -> bool:
-    # a Python or numpy int or float; an isinstance on numbers.Real costs 8x as much
-    return isinstance(value, (float, int, np.floating, np.integer))
+def type_error(field: Field, value) -> str | None:
+    """The one error of a setting whose value does not fit its field's annotation, else None.
+
+    An ``int`` takes an integer but not a bool, a ``float`` a finite real number and a
+    ``tuple`` a flat list of finite real numbers; ``| None`` also takes None.
+    """
+    kind, _, optional = field.type.partition(" | ")
+    if value is None and optional or kind not in ("int", "float", "tuple"):
+        return None
+    if kind == "int":
+        return None if is_integer(value) else f"{field.name} must be an integer, got {value!r}"
+    if kind == "float":  # a Python or numpy int or float; numbers.Real costs 8x as much
+        finite = isinstance(value, (float, int, np.floating, np.integer)) and math.isfinite(value)
+    else:
+        try:  # a 2-d array's rows would pass math.isfinite
+            finite = all(map(math.isfinite, value)) if getattr(value, "ndim", 1) == 1 else None
+        except TypeError:  # not iterable, or an item that is not a real number
+            finite = None
+        if finite is None:
+            return f"{field.name} must be a flat list of real numbers"
+    return None if finite else f"{field.name} must be finite, got {value!r}"
 
 
 class DegenerateProfileError(ValueError):
@@ -75,7 +93,9 @@ class GameParams:
     ``mobile_tx_load`` the verification load seen by recruited devices.
     The model keeps them independent; by default they are equal.
     ``poisson_rate`` is the propagation penalty per transaction (the paper's rate
-    times the per-transaction delay); 0 means none.  Invalid fields raise one ConfigError.
+    times the per-transaction delay); 0 means none.  Each field gets its type error
+    (type_error), or else must be >= 0, or an integer >= 1 for a count; one ConfigError
+    lists every bad field, the float fields first.
     """
 
     fixed_reward: float = 10.0
@@ -88,16 +108,11 @@ class GameParams:
 
     def __post_init__(self):
         errors = []
-        # a stable sort: the float fields, then the int fields, each in declaration order
-        for f in sorted(fields(self), key=lambda f: f.type == "int"):
-            name, value = f.name, getattr(self, f.name)
-            if f.type == "int":
-                if not is_integer(value) or value < 1:
-                    errors.append(f"{name} must be an integer >= 1, got {value!r}")
-            elif not (is_real(value) and math.isfinite(value)):
-                errors.append(f"{name} must be finite, got {value!r}")
-            elif value < 0:
-                errors.append(f"{name} must be >= 0, got {value!r}")
+        for f, floor, bound in _GAME_FIELDS:
+            value = getattr(self, f.name)
+            error = type_error(f, value)
+            if error is not None or value < floor:
+                errors.append(error or f"{f.name} must be {bound}, got {value!r}")
         if errors:
             raise ConfigError(errors)
 
@@ -116,6 +131,11 @@ class GameParams:
         if tx_load < 0:
             raise ValueError(f"tx_load must be >= 0, got {tx_load!r}")
         return math.exp(-self.poisson_rate * tx_load)
+
+
+# the float fields, then the int fields, each in declaration order, with the floor of each
+_GAME_FIELDS = [(f, 1, "an integer >= 1") if f.type == "int" else (f, 0, ">= 0")
+                for f in sorted(fields(GameParams), key=lambda f: f.type == "int")]
 
 
 @dataclass(frozen=True)
@@ -138,7 +158,10 @@ class PowerProfile:
     @property
     def total(self) -> float:
         # fsum keeps the share sum within 1e-12 of 1 (and iterates a list fastest)
-        return math.fsum(self.powers.tolist())
+        try:
+            return math.fsum(self.powers.tolist())
+        except OverflowError:  # finite powers whose sum passes the float range
+            raise ValueError("powers must have a finite total, but their sum overflows") from None
 
     def shares(self) -> np.ndarray:
         total = self.total

@@ -24,12 +24,11 @@ from .core import (
     GameParams,
     PowerProfile,
     device_discount,
-    is_integer,
-    is_real,
     leader_reward_scale,
     mining_success_prob,
     net_profit,
     stage1_setup,
+    type_error,
 )
 from .search import SearchConfig, multiplicative_fee_search
 from .discriminatory import (
@@ -83,9 +82,10 @@ class ExperimentConfig:
     ``params`` is a config-file key, and the CLI turns each field but
     ``kind`` and ``params``, plus each GameParams field, into a
     ``--kebab-case`` flag (see SETTINGS).  Construction, including through
-    ``dataclasses.replace``, validates every field and raises one
-    ConfigError that lists all violations, a setting the kind does not read
-    (KIND_TABLE) among them unless it holds its default.
+    ``dataclasses.replace``, checks each setting in one pass, in _RULES' order: its
+    type error (core.type_error), or else each of its rules that fails.  The
+    cross-setting checks follow: a setting the kind does not read (KIND_TABLE) unless
+    it holds its default, the grid, solve-disc's fees.  One ConfigError lists all.
     """
 
     kind: str = ""
@@ -103,7 +103,7 @@ class ExperimentConfig:
     grid_steps: int | None = None
     edge_fraction: float = 0.5
     edge_fractions: tuple = (0.1, 0.5, 0.9)
-    mdg_delay_mult: float = 1.5
+    mdg_delay_mult: float = emg_vs_mdg_sweep.__defaults__[0]  # its mdg_delay_multiplier
     seed: int = SimConfig.seed
     n_seeds: int = 10
     n_blocks: int = SimConfig.n_blocks
@@ -112,63 +112,18 @@ class ExperimentConfig:
     format: str = "csv"
 
     def __post_init__(self):
-        # a float that is not a finite number (an array among them), a list that is
-        # not a flat list of numbers or a count that is not an integer (a bool among
-        # them) is reported once, as such: its range checks are skipped
-        nonfinite, nonlist, nonint = [], [], []
-        for name, parse in SETTINGS.items():
-            value = getattr(self, name, None)  # None for a GameParams setting, checked there
-            if value is None:
+        errors, mistyped = [], set()
+        for f, rules in _CHECKS:
+            value = getattr(self, f.name)
+            error = type_error(f, value)
+            if error is not None:
+                errors.append(error)
+                mistyped.add(f.name)
                 continue
-            if parse is float and not (is_real(value) and math.isfinite(value)):
-                nonfinite.append(name)
-            if parse is _float_list:
-                finite = _finite_list(value)
-                if finite is None:
-                    nonlist.append(name)
-                elif not finite:
-                    nonfinite.append(name)
-            if parse is int and not is_integer(value):
-                nonint.append(name)
-
-        # each check runs on its setting's value, unless that was reported above
-        reported = {*nonfinite, *nonlist, *nonint}
-        checks = (
-            ("kind", lambda v: v in KINDS, "kind must be one of {KINDS}, got {self.kind!r}"),
-            ("unit_cost", lambda v: v > 0, "unit_cost must be > 0, got {self.unit_cost!r}"),
-            ("n_miners", lambda v: v >= 2, "n_miners must be >= 2, got {self.n_miners!r}"),
-            ("n_blocks", lambda v: v >= 1, "n_blocks must be >= 1, got {self.n_blocks!r}"),
-            ("n_seeds", lambda v: v >= 1, "n_seeds must be >= 1, got {self.n_seeds!r}"),
-            ("seed", lambda v: v >= 0, "seed must be >= 0, got {self.seed!r}"),
-            ("fee", lambda v: v is None or v > 0, "fee must be > 0, got {self.fee!r}"),
-            ("fees", lambda v: v is None or len(v) == 0 or min(v) > 0, "fees must all be > 0"),
-            ("edge_fraction", lambda v: 0 < v < 1,
-             "edge_fraction must lie in (0, 1), got {self.edge_fraction!r}"),
-            ("edge_fractions", lambda v: all(0 < f < 1 for f in v),
-             "edge_fractions must all lie in (0, 1)"),
-            ("edge_fractions", lambda v: len(v) > 0, "edge_fractions must not be empty"),
-            ("mdg_delay_mult", lambda v: v >= 1,
-             "mdg_delay_mult must be >= 1, got {self.mdg_delay_mult!r}"),
-            ("objective", lambda v: v in OBJECTIVES,
-             "objective must be one of {OBJECTIVES}, got {self.objective!r}"),
-            ("fee_search", lambda v: v in FEE_SEARCHES,
-             "fee_search must be one of {FEE_SEARCHES}, got {self.fee_search!r}"),
-            ("format", lambda v: v in FORMATS,
-             "format must be one of {FORMATS}, got {self.format!r}"),
-            ("edge_power", lambda v: v > 0, "edge_power must be > 0, got {self.edge_power!r}"),
-            ("device_power", lambda v: v > 0,
-             "device_power must be > 0, got {self.device_power!r}"),
-            ("powers", lambda v: len(v) > 0 and min(v) >= 0 and sum(v) > 0,
-             "powers must be nonnegative with a positive total"),
-        )
-        # a message is a template, formatted only when its check fails
-        errors = [message.format(self=self, KINDS=KINDS, OBJECTIVES=OBJECTIVES,
-                                 FEE_SEARCHES=FEE_SEARCHES, FORMATS=FORMATS)
-                  for name, ok, message in checks
-                  if name not in reported and not ok(getattr(self, name))]
-        errors += [f"{name} must be finite, got {getattr(self, name)!r}" for name in nonfinite]
-        errors += [f"{name} must be a flat list of real numbers" for name in nonlist]
-        errors += [f"{name} must be an integer, got {getattr(self, name)!r}" for name in nonint]
+            for ok, message in rules:
+                if not ok(value):  # a message is a template, formatted only when its rule fails
+                    errors.append(message.format(v=value, KINDS=KINDS, OBJECTIVES=OBJECTIVES,
+                                                 FEE_SEARCHES=FEE_SEARCHES, FORMATS=FORMATS))
 
         kind = KIND_TABLE.get(self.kind) or Kind(None, _DEFAULTS)  # an unknown kind reads all
         values = {**vars(self.params), **vars(self)}
@@ -179,13 +134,13 @@ class ExperimentConfig:
                           + ", ".join(name for name in _DEFAULTS if name in kind.reads))
         if kind.grid is not None:
             start, stop, steps = self.resolved_grid()
-            if not {"grid_start", "grid_stop"} & set(nonfinite):
+            if not {"grid_start", "grid_stop"} & mistyped:
                 if not start < stop:
                     errors.append(f"grid_start must be < grid_stop, got [{start!r}, {stop!r}]")
                 elif not math.isfinite(float(stop) - float(start)):
                     errors.append("grid_stop - grid_start must be finite, got "
                                   f"[{start!r}, {stop!r}]")
-            if "grid_steps" not in nonint and steps < 2:
+            if "grid_steps" not in mistyped and steps < 2:
                 errors.append(f"grid_steps must be >= 2, got {steps!r}")
         if self.kind == "solve-disc" and self.fees is None:
             errors.append("solve-disc requires a 'fees' list")
@@ -202,14 +157,35 @@ class ExperimentConfig:
         return np.linspace(start, stop, steps)
 
 
-def _finite_list(value) -> bool | None:
-    """Whether a list setting's items are all finite; None if it is not a flat list of reals."""
-    if getattr(value, "ndim", 1) != 1:  # a 2-d array's rows would pass math.isfinite
-        return None
-    try:
-        return all(map(math.isfinite, value))
-    except TypeError:  # not iterable, or an item that is not a real number
-        return None
+# each setting's rules, in the order they report, with the message of each; a setting
+# whose value does not fit its field's annotation (core.type_error) reports that alone
+_RULES = {
+    "kind": [(lambda v: v in KINDS, "kind must be one of {KINDS}, got {v!r}")],
+    "unit_cost": [(lambda v: v > 0, "unit_cost must be > 0, got {v!r}")],
+    "n_miners": [(lambda v: v >= 2, "n_miners must be >= 2, got {v!r}")],
+    "n_blocks": [(lambda v: v >= 1, "n_blocks must be >= 1, got {v!r}")],
+    "n_seeds": [(lambda v: v >= 1, "n_seeds must be >= 1, got {v!r}")],
+    "seed": [(lambda v: v >= 0, "seed must be >= 0, got {v!r}")],
+    "fee": [(lambda v: v is None or v > 0, "fee must be > 0, got {v!r}")],
+    "fees": [(lambda v: v is None or len(v) == 0 or min(v) > 0, "fees must all be > 0")],
+    "edge_fraction": [(lambda v: 0 < v < 1, "edge_fraction must lie in (0, 1), got {v!r}")],
+    "edge_fractions": [(lambda v: all(0 < f < 1 for f in v),
+                        "edge_fractions must all lie in (0, 1)"),
+                       (lambda v: len(v) > 0, "edge_fractions must not be empty")],
+    "mdg_delay_mult": [(lambda v: v >= 1, "mdg_delay_mult must be >= 1, got {v!r}")],
+    "objective": [(lambda v: v in OBJECTIVES,
+                   "objective must be one of {OBJECTIVES}, got {v!r}")],
+    "fee_search": [(lambda v: v in FEE_SEARCHES,
+                    "fee_search must be one of {FEE_SEARCHES}, got {v!r}")],
+    "format": [(lambda v: v in FORMATS, "format must be one of {FORMATS}, got {v!r}")],
+    "edge_power": [(lambda v: v > 0, "edge_power must be > 0, got {v!r}")],
+    "device_power": [(lambda v: v > 0, "device_power must be > 0, got {v!r}")],
+    "powers": [(lambda v: len(v) > 0 and min(v) >= 0 and sum(v) > 0,
+                "powers must be nonnegative with a positive total")],
+}
+_FIELD = {f.name: f for f in fields(ExperimentConfig) if f.name != "params"}
+# each ExperimentConfig setting with its rules, those in _RULES first and in its order
+_CHECKS = [(_FIELD[name], _RULES.get(name, ())) for name in {**_RULES, **_FIELD}]
 
 
 def _holds(value, default) -> bool:
@@ -331,8 +307,13 @@ def _rows_fig1(cfg: ExperimentConfig):
     """Edge-miner mining success probability against its computing power."""
     params = cfg.params
     grid = PowerProfile(cfg.grid()).powers  # a negative edge power is rejected before dividing
-    with np.errstate(over="raise"):  # a total power past the float range is not a share of 0
-        share = grid / (grid + cfg.device_power)
+    with np.errstate(over="ignore"):  # a total power past the float range is not a share of 0
+        total = grid + cfg.device_power
+    if np.isinf(total).any():
+        k = int(np.argmax(np.isinf(total)))
+        raise ConfigError(f"device_power {cfg.device_power!r} plus the edge power "
+                          f"{float(grid[k])!r} at grid point {k} overflows")
+    share = grid / total
     model = mining_success_prob(share, params)
     sim = SimConfig(n_blocks=cfg.n_blocks, seed=cfg.seed, params=params)
     # same seeds for every grid point: with common draws the empirical

@@ -6,6 +6,8 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+import edgeminer.core
+import edgeminer.experiments
 from edgeminer import (
     ConfigError,
     DegenerateProfileError,
@@ -17,8 +19,9 @@ from edgeminer import (
     mining_success_prob,
     net_profit,
 )
+from edgeminer.core import type_error
 
-from conftest import zero_delay_params
+from conftest import reader, zero_delay_params
 
 
 def _share(powers, i):
@@ -44,6 +47,13 @@ class TestPowerShare:
     def test_all_zero_profile_rejected(self):
         with pytest.raises(DegenerateProfileError):
             _share([0.0, 0.0, 0.0], 0)
+
+    def test_total_past_the_float_range_names_powers(self):
+        # every power is finite, but their fsum is not: a ValueError, not fsum's OverflowError
+        with pytest.raises(ValueError, match="^powers must have a finite total, but their sum "
+                                             "overflows$"):
+            _share([1e308, 1e308], 0)
+        assert PowerProfile(np.array([1e308, 7e307])).total == math.fsum([1e308, 7e307])
 
     def test_index_checked(self):
         with pytest.raises(IndexError):
@@ -199,6 +209,22 @@ class TestGameParams:
                                     "poisson_rate must be finite, got nan",
                                     "tx_per_block must be an integer >= 1, got 0"]
 
+    def test_non_integer_count_is_a_type_error(self):
+        # a count that is not an integer gets the shared type error, one below 1 the floor
+        with pytest.raises(ConfigError) as err:
+            GameParams(tx_per_block=2.5, mobile_tx_load=0)
+        assert err.value.errors == ["tx_per_block must be an integer, got 2.5",
+                                    "mobile_tx_load must be an integer >= 1, got 0"]
+
+
+# values of the wrong type for each float, int and list field of both classes; None is
+# one where the annotation does not admit it
+_WRONG = {"float": [math.nan], "int": [2.5, True], "tuple": [np.ones((2, 2))]}
+_WRONG_TYPES = [(cls, f, value) for cls in (GameParams, ExperimentConfig) for f in fields(cls)
+                if f.type.partition(" | ")[0] in _WRONG
+                for value in _WRONG[f.type.partition(" | ")[0]]
+                + ([] if f.type.endswith("| None") else [None])]
+
 
 class TestRealSettings:
     """GameParams and ExperimentConfig read a real setting the same way."""
@@ -217,3 +243,27 @@ class TestRealSettings:
         with pytest.raises(ConfigError) as err:
             ExperimentConfig(kind="solve-uniform", edge_power=value)
         assert err.value.errors == [f"edge_power must be finite, got {value!r}"]
+
+    @pytest.mark.parametrize("cls, field, value", _WRONG_TYPES, ids=[
+        f"{f.name}-{'2d' if isinstance(v, np.ndarray) else v}" for _, f, v in _WRONG_TYPES])
+    def test_one_type_error_from_the_shared_helper(self, cls, field, value, monkeypatch):
+        message = {"float": f"{field.name} must be finite, got {value!r}",
+                   "int": f"{field.name} must be an integer, got {value!r}",
+                   "tuple": f"{field.name} must be a flat list of real numbers"}
+        assert type_error(field, value) == message[field.type.partition(" | ")[0]]
+
+        # both classes report what core.type_error says, and nothing else, for the value
+        def marked(f, v):
+            error = type_error(f, v)
+            return error and "shared: " + error
+
+        monkeypatch.setattr(edgeminer.core, "type_error", marked)
+        monkeypatch.setattr(edgeminer.experiments, "type_error", marked)
+        kind = reader(field.name)
+        with pytest.raises(ConfigError) as err:
+            if cls is GameParams:
+                GameParams(**{field.name: value})
+            else:
+                fees = {"fees": (4.0, 8.0)} if kind == "solve-disc" else {}
+                ExperimentConfig(**{"kind": kind, **fees, field.name: value})
+        assert err.value.errors == ["shared: " + type_error(field, value)]

@@ -43,6 +43,7 @@ from edgeminer.experiments import (
     KIND_TABLE,
     KINDS,
     SETTINGS,
+    _RULES,
     _rows_fig1,
     build_config,
     matched_heterogeneous_fees,
@@ -190,6 +191,15 @@ class TestSchema:
         assert len(err.value.errors) == 3
         with pytest.raises(ConfigError):
             ExperimentConfig()  # no kind
+
+    def test_rule_table_is_keyed_by_setting(self):
+        # a misspelt key would drop its rules; each message names the setting it checks
+        names = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"params"}
+        assert set(_RULES) <= names
+        for name, rules in _RULES.items():
+            for _, message in rules:
+                assert message.startswith(name + " "), message
+        assert sum(map(len, _RULES.values())) == 18
 
     def test_every_check_message_text(self):
         # the messages are formatted only when their check fails; these are their texts
@@ -391,6 +401,15 @@ class TestFig1SharedDraws:
         assert main(["fig", "1", "--grid-start", "-5", "--out", str(out)]) == 2
         assert "config error: powers must be finite and >= 0" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_first_overflowing_grid_point_is_named(self):
+        # 1e308 + 7e307 is finite, 1.1e308 + 7e307 is not
+        cfg = build_config({"kind": "fig1", "grid_start": 1e308, "grid_stop": 1.7e308,
+                            "grid_steps": 8, "device_power": 7e307})
+        with pytest.raises(ConfigError) as err:
+            _rows_fig1(cfg)
+        assert err.value.errors == [
+            "device_power 7e+307 plus the edge power 1.1e+308 at grid point 1 overflows"]
 
 
 class TestSolveDiscOneSolve:
@@ -1474,12 +1493,16 @@ class TestCli:
         ["solve-disc", "--fees", "4,5", "--unit-cost", "1e-320"],
     ])
     def test_overflow_is_a_config_error(self, argv, tmp_path, capsys):
-        # the total power passes the float range: in fsum, in X + D, in (k-1)/sum(c)
+        # the total power passes the float range: in fsum, in X + D, in (k-1)/sum(c);
+        # the line names the settings that overflow, where one setting can be named
+        names = {"simulate": ["powers"], "fig": ["device_power 1e+308", "grid point 0"],
+                 "solve-disc": []}[argv[0]]
         out = tmp_path / "o.csv"
         assert main([*argv, "--out", str(out)]) == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("config error: ")
         assert "overflow" in lines[0]
+        assert all(name in lines[0] for name in names), lines[0]
         assert not out.exists()
 
     @pytest.mark.parametrize("command", [["fig", "1"], ["fig", "2"], ["fig", "3"], ["fig", "6"]])
