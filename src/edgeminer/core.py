@@ -41,8 +41,8 @@ def is_integer(value) -> bool:
 def type_error(field: Field, value) -> str | None:
     """The one error of a setting whose value does not fit its field's annotation, else None.
 
-    An ``int`` takes an integer but not a bool, a ``float`` a finite real number and a
-    ``tuple`` a flat list of finite real numbers; ``| None`` also takes None.
+    An ``int`` takes an integer, a ``float`` a finite real number and a ``tuple`` a flat
+    list of finite real numbers, none of them a bool; ``| None`` also takes None.
     """
     kind, _, optional = field.type.partition(" | ")
     if value is None and optional or kind not in ("int", "float", "tuple"):
@@ -50,13 +50,14 @@ def type_error(field: Field, value) -> str | None:
     if kind == "int":
         return None if is_integer(value) else f"{field.name} must be an integer, got {value!r}"
     if kind == "float":  # a Python or numpy int or float; numbers.Real costs 8x as much
-        finite = isinstance(value, (float, int, np.floating, np.integer)) and math.isfinite(value)
+        finite = (isinstance(value, (float, int, np.floating, np.integer))
+                  and not isinstance(value, bool) and math.isfinite(value))
     else:
         try:  # a 2-d array's rows would pass math.isfinite
             finite = all(map(math.isfinite, value)) if getattr(value, "ndim", 1) == 1 else None
         except TypeError:  # not iterable, or an item that is not a real number
             finite = None
-        if finite is None:
+        if finite is None or {bool, np.bool_}.intersection(map(type, value)):
             return f"{field.name} must be a flat list of real numbers"
     return None if finite else f"{field.name} must be finite, got {value!r}"
 

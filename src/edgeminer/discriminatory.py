@@ -55,8 +55,12 @@ class DiscriminatoryGame:
             raise ValueError(f"unit_cost must be finite and > 0, got {self.unit_cost!r}")
         with np.errstate(divide="ignore", over="ignore"):
             c = self.unit_cost / (fees * device_discount(self.params))
-        if not np.all(np.isfinite(c) & (c > 0)):
-            raise ValueError("cost coefficients u / (fee * discount) overflow or round to 0")
+        bad = ~(np.isfinite(c) & (c > 0))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"fees and unit_cost: miner {i}'s fee {float(fees[i])!r} makes "
+                             "the cost coefficient unit_cost / (fee * discount) overflow or "
+                             "round to 0")
         object.__setattr__(self, "fees", fees)
         object.__setattr__(self, "cost_coefficients", c)
 
@@ -99,7 +103,8 @@ def nash_equilibrium_closed_form(game: DiscriminatoryGame) -> PowerProfile:
     active = c <= ordered[np.flatnonzero(fits)[-1]]
     total = int(np.count_nonzero(active) - 1) / math.fsum(c[active].tolist())
     if not math.isfinite(total):
-        raise ValueError("the equilibrium total power (k-1) / sum(c) overflows")
+        raise ValueError("fees and unit_cost: the equilibrium total power (k-1) / sum(c) "
+                         f"overflows at unit_cost {game.unit_cost!r}")
     # a borderline active miner can round to -1e-16; it supplies 0
     return PowerProfile(np.where(active, np.maximum(total - c * total * total, 0.0), 0.0))
 

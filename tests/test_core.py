@@ -20,6 +20,7 @@ from edgeminer import (
     net_profit,
 )
 from edgeminer.core import type_error
+from edgeminer.experiments import build_config
 
 from conftest import reader, zero_delay_params
 
@@ -243,6 +244,18 @@ class TestRealSettings:
         with pytest.raises(ConfigError) as err:
             ExperimentConfig(kind="solve-uniform", edge_power=value)
         assert err.value.errors == [f"edge_power must be finite, got {value!r}"]
+
+    @pytest.mark.parametrize("flag", [True, False, np.True_, np.False_], ids=repr)
+    @pytest.mark.parametrize("build, message", [
+        (lambda flag: GameParams(fixed_reward=flag), "fixed_reward must be finite, got {!r}"),
+        (lambda flag: build_config({"kind": "simulate", "powers": (flag, 2.0)}),
+         "powers must be a flat list of real numbers"),
+    ], ids=["float", "tuple"])
+    def test_a_bool_is_not_a_real_number(self, build, message, flag):
+        # bool is a subclass of int, so a type check on int alone would take it as 1 or 0
+        with pytest.raises(ConfigError) as err:
+            build(flag)
+        assert err.value.errors == [message.format(flag)]
 
     @pytest.mark.parametrize("cls, field, value", _WRONG_TYPES, ids=[
         f"{f.name}-{'2d' if isinstance(v, np.ndarray) else v}" for _, f, v in _WRONG_TYPES])

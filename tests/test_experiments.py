@@ -354,22 +354,16 @@ class TestSimulateRows:
 class TestFig1SharedDraws:
     @staticmethod
     def _oracle(cfg):
-        # the per-point loop: one simulate_mining run per grid point and seed
+        # the model columns written out, one row per grid point
         params = cfg.params
         rows = []
         for x in cfg.grid():
-            freqs = []
-            for seed in range(cfg.seed, cfg.seed + cfg.n_seeds):
-                sim = SimConfig(n_blocks=cfg.n_blocks, seed=seed, params=params)
-                outcome = simulate_mining([x, cfg.device_power], sim)
-                freqs.append(outcome.wins[0] / outcome.n_blocks)
             share = x / (x + cfg.device_power)
             rows.append({
                 "edge_power": float(x),
                 "device_power": cfg.device_power,
                 "edge_share": share,
                 "success_prob_model": share * params.delay_discount(params.tx_per_block),
-                "success_prob_empirical": float(np.mean(freqs)),
                 "status": "ok",
             })
         return rows
@@ -378,11 +372,24 @@ class TestFig1SharedDraws:
                              ids=["default", "no-delay", "tx3"])
     @pytest.mark.parametrize("n_blocks", [1, 137])
     @pytest.mark.parametrize("n_seeds", [1, 3, 12])
-    def test_rows_equal_per_point_simulation(self, n_seeds, n_blocks, params):
-        cfg = build_config({"kind": "fig1", "grid_start": 0.0, "grid_stop": 60.0,
+    def test_rows_share_each_seeds_draw(self, n_seeds, n_blocks, params):
+        cfg = build_config({"kind": "fig1", "grid_start": 5.0, "grid_stop": 60.0,
                             "grid_steps": 13, "device_power": 20.0, "seed": 77,
                             "n_seeds": n_seeds, "n_blocks": n_blocks, **params})
-        assert _rows(_rows_fig1(cfg)) == self._oracle(cfg)
+        rows = _rows(_rows_fig1(cfg))
+        empirical = [row.pop("success_prob_empirical") for row in rows]
+        assert rows == self._oracle(cfg)
+        # one draw per seed over all grid points: the column never falls as
+        # the edge power rises
+        assert all(a <= b for a, b in zip(empirical, empirical[1:]))
+        # the first grid point's counts are a plain per-point simulation; the
+        # others split the same draw further and have no per-point equal
+        freqs = []
+        for seed in range(cfg.seed, cfg.seed + cfg.n_seeds):
+            sim = SimConfig(n_blocks=cfg.n_blocks, seed=seed, params=cfg.params)
+            outcome = simulate_mining([cfg.grid()[0], cfg.device_power], sim)
+            freqs.append(outcome.wins[0] / outcome.n_blocks)
+        assert empirical[0] == float(np.mean(freqs))
 
     def test_one_generator_per_seed(self, monkeypatch):
         seeds = []
@@ -1023,6 +1030,22 @@ class TestReportFiles:
             "4e-17 is below float resolution, so only one miner would be active\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, error", [
+        # 0.005 / (1e-320 * e^(-0.1)) overflows; the first such miner is named
+        (["--fees", "1e-320,4"], "miner 0's fee 1e-320 makes the cost coefficient "
+         "unit_cost / (fee * discount) overflow or round to 0"),
+        (["--fees", "4,5,1e-320,1e-321"], "miner 2's fee 1e-320 makes the cost coefficient "
+         "unit_cost / (fee * discount) overflow or round to 0"),
+        # subnormal cost coefficients: 1 / sum(c) overflows
+        (["--fees", "4,5", "--unit-cost", "1e-320"],
+         "the equilibrium total power (k-1) / sum(c) overflows at unit_cost 1e-320"),
+    ], ids=["first-fee", "third-fee", "total"])
+    def test_overflow_names_fees_and_unit_cost(self, argv, error, tmp_path, capsys):
+        out = tmp_path / "d.csv"
+        assert main(["solve-disc", *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: fees and unit_cost: {error}\n"
+        assert not out.exists()
+
     def test_render_report_formats_booleans(self):
         columns = {"x": np.array([True, False]), "y": np.array([1, -1]), "status": ["ok", "ok"]}
         text = render_report(columns, "csv")
@@ -1329,6 +1352,40 @@ class TestGolden:
         out = tmp_path / name
         run_experiment(build_config({**self.reports[stem], "format": fmt, "out": str(out)}))
         assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+    @staticmethod
+    def _binomial_chain(seed, n_blocks, probs):
+        """A multinomial draw as its chain of binomials, in the order numpy draws them.
+
+        Cell j takes Binomial(rounds left, p_j / probability left) of what
+        the cells before it left, on one PCG64(seed) generator; the last
+        cell takes the rest.
+        """
+        rng = np.random.Generator(np.random.PCG64(seed))
+        counts, left, mass = [], n_blocks, 1.0
+        for p in probs:
+            counts.append(int(rng.binomial(left, p / mass)) if left else 0)
+            left, mass = left - counts[-1], mass - p
+        return counts + [left]
+
+    def test_simulate_golden_is_the_binomial_chain(self):
+        rows = json.loads((GOLDEN / "simulate.json").read_text())
+        probs = [row["win_prob_model"] for row in rows[:-1]]
+        assert [row["wins"] for row in rows] == self._binomial_chain(3, 500, probs)
+        assert [row["frequency"] for row in rows] == [row["wins"] / 500 for row in rows]
+
+    def test_fig1_golden_is_the_binomial_chain(self):
+        # per seed, the grid points' increments of the model column split the
+        # blocks; a row counts the cells up to its own
+        rows = json.loads((GOLDEN / "fig1.json").read_text())
+        model = np.array([row["success_prob_model"] for row in rows])
+        increments = np.diff(model, prepend=0.0)
+        wins = np.array([np.cumsum(self._binomial_chain(seed, 1000, increments)[:-1])
+                         for seed in range(10)])
+        # a C-ordered (grid points x seeds) array, as first_miner_wins returns:
+        # the mean then adds each row's terms in the same order
+        empirical = (np.ascontiguousarray(wins.T) / 1000).mean(axis=1)
+        assert [row["success_prob_empirical"] for row in rows] == empirical.tolist()
 
     def test_dropout_golden_is_the_equilibrium(self):
         # miners 0, 1, 5 and 6 stay out; damped best-response dynamics from a

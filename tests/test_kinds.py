@@ -209,13 +209,15 @@ def test_bench_and_ci_flags_are_declared(line):
 
 
 def test_bench_and_ci_lines_found():
-    # the warm-up runs every kind; the CI times fig2, fig6, simulate and solve-disc at scale
+    # the warm-up runs every kind; the CI times fig1, fig2, fig6, simulate and solve-disc at
+    # scale
     kinds = {f"fig{line[1]}" if line[0] == "fig" else line[0] for line in BENCH_LINES}
     assert kinds == set(KINDS)
     assert ["solve-uniform", "--edge-power", None, "--unit-cost", None, "--fee-search",
             "hillclimb"] in BENCH_LINES
-    assert {tuple(line[:2]) for line in CI_LINES} == {("fig", "2"), ("fig", "6"),
+    assert {tuple(line[:2]) for line in CI_LINES} == {("fig", "1"), ("fig", "2"), ("fig", "6"),
                                                        ("simulate", "--powers"),
+                                                       ("simulate", "--n-blocks"),
                                                        ("solve-disc", "--config")}
 
 
