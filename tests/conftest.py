@@ -53,6 +53,23 @@ def kind_argv(kind, fees=True):
     return argv + ["--fees", "4,8"] if kind == "solve-disc" and fees else argv
 
 
+def binomial_chain(seed, n_blocks, probs):
+    """A multinomial draw as its chain of binomials, in the order numpy draws them.
+
+    Cell j takes Binomial(rounds left, p_j / probability left) of what the
+    cells before it left, on one PCG64(seed) generator; the last cell takes
+    the rest.  Rounding can put the ratio a few ulps above 1, where numpy's
+    binomial gives every round left, as a ratio of 1 does.  An empty cell
+    draws nothing.
+    """
+    rng = np.random.Generator(np.random.PCG64(seed))
+    counts, left, mass = [], n_blocks, 1.0
+    for p in probs:
+        counts.append(int(rng.binomial(left, min(p / mass, 1.0))) if left else 0)
+        left, mass = left - counts[-1], mass - p
+    return counts + [left]
+
+
 def zero_delay_params(**overrides) -> GameParams:
     """Params with no propagation penalty, so discounts are exactly 1."""
     defaults = dict(fixed_reward=10.0, tx_reward=0.0, poisson_rate=0.0,

@@ -51,7 +51,7 @@ from edgeminer.experiments import (
     run_experiment,
 )
 
-from conftest import assert_stage1_optimum, kind_argv, raw_value, reader
+from conftest import assert_stage1_optimum, binomial_chain, kind_argv, raw_value, reader
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -351,6 +351,20 @@ class TestSimulateRows:
         assert sum(row["wins"] for row in rows) == n_blocks
 
 
+    @pytest.mark.parametrize("rate", [0.0, 0.01])
+    @pytest.mark.parametrize("n_blocks", [1, 137, 10**6])
+    @pytest.mark.parametrize("powers", [(2.0,), (0.0, 3.0, 0.0, 5.0), (10.0, 0.0, 30.0, 25.0)],
+                             ids=["one", "idle-first", "golden"])
+    def test_wins_are_the_binomial_chain(self, powers, n_blocks, rate, tmp_path):
+        table, _, _ = _run("simulate", tmp_path, powers=powers, n_blocks=n_blocks,
+                           poisson_rate=rate, seed=11)
+        rows = _rows(table)
+        probs = [row["win_prob_model"] for row in rows[:-1]]
+        assert [row["wins"] for row in rows] == binomial_chain(11, n_blocks, probs)
+        assert [row["frequency"] for row in rows] == [row["wins"] / n_blocks for row in rows]
+        assert rows[-1]["win_prob_model"] == (0.0 if rate == 0.0 else 1.0 - math.exp(-10 * rate))
+
+
 class TestFig1SharedDraws:
     @staticmethod
     def _oracle(cfg):
@@ -390,6 +404,24 @@ class TestFig1SharedDraws:
             outcome = simulate_mining([cfg.grid()[0], cfg.device_power], sim)
             freqs.append(outcome.wins[0] / outcome.n_blocks)
         assert empirical[0] == float(np.mean(freqs))
+
+    @pytest.mark.parametrize("params", [{}, {"poisson_rate": 0.0}, {"tx_per_block": 3}],
+                             ids=["default", "no-delay", "tx3"])
+    @pytest.mark.parametrize("n_blocks", [1, 137])
+    @pytest.mark.parametrize("n_seeds", [1, 3, 12])
+    def test_rows_are_the_binomial_chain(self, n_seeds, n_blocks, params):
+        # every grid point, not only the first: seed k's blocks split over the
+        # increments of the model column in one chain, and a row's count is
+        # the cells up to its own
+        cfg = build_config({"kind": "fig1", "grid_start": 5.0, "grid_stop": 60.0,
+                            "grid_steps": 13, "device_power": 20.0, "seed": 77,
+                            "n_seeds": n_seeds, "n_blocks": n_blocks, **params})
+        columns = _rows_fig1(cfg)
+        increments = np.diff(columns["success_prob_model"], prepend=0.0)
+        wins = np.array([np.cumsum(binomial_chain(seed, n_blocks, increments)[:-1])
+                         for seed in range(77, 77 + n_seeds)])
+        empirical = (np.ascontiguousarray(wins.T) / n_blocks).mean(axis=1)
+        assert columns["success_prob_empirical"].tolist() == empirical.tolist()
 
     def test_one_generator_per_seed(self, monkeypatch):
         seeds = []
@@ -1353,25 +1385,10 @@ class TestGolden:
         run_experiment(build_config({**self.reports[stem], "format": fmt, "out": str(out)}))
         assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
-    @staticmethod
-    def _binomial_chain(seed, n_blocks, probs):
-        """A multinomial draw as its chain of binomials, in the order numpy draws them.
-
-        Cell j takes Binomial(rounds left, p_j / probability left) of what
-        the cells before it left, on one PCG64(seed) generator; the last
-        cell takes the rest.
-        """
-        rng = np.random.Generator(np.random.PCG64(seed))
-        counts, left, mass = [], n_blocks, 1.0
-        for p in probs:
-            counts.append(int(rng.binomial(left, p / mass)) if left else 0)
-            left, mass = left - counts[-1], mass - p
-        return counts + [left]
-
     def test_simulate_golden_is_the_binomial_chain(self):
         rows = json.loads((GOLDEN / "simulate.json").read_text())
         probs = [row["win_prob_model"] for row in rows[:-1]]
-        assert [row["wins"] for row in rows] == self._binomial_chain(3, 500, probs)
+        assert [row["wins"] for row in rows] == binomial_chain(3, 500, probs)
         assert [row["frequency"] for row in rows] == [row["wins"] / 500 for row in rows]
 
     def test_fig1_golden_is_the_binomial_chain(self):
@@ -1380,7 +1397,7 @@ class TestGolden:
         rows = json.loads((GOLDEN / "fig1.json").read_text())
         model = np.array([row["success_prob_model"] for row in rows])
         increments = np.diff(model, prepend=0.0)
-        wins = np.array([np.cumsum(self._binomial_chain(seed, 1000, increments)[:-1])
+        wins = np.array([np.cumsum(binomial_chain(seed, 1000, increments)[:-1])
                          for seed in range(10)])
         # a C-ordered (grid points x seeds) array, as first_miner_wins returns:
         # the mean then adds each row's terms in the same order

@@ -22,7 +22,7 @@ from edgeminer import (
     simulate_mining,
 )
 
-from conftest import zero_delay_params
+from conftest import binomial_chain, zero_delay_params
 
 
 def _sim(seed=0, n_blocks=1000, **params):
@@ -121,6 +121,89 @@ class TestAgainstPerBlockReference:
         # 150 examples: a false alarm in at most 150 x 1.3e-6 = 2.0e-4 of the runs
         _assert_same_distribution(powers, _sim(seed=seed, n_blocks=n_blocks, poisson_rate=rate),
                                   n_seeds=100)
+
+
+_THOUSAND = np.random.default_rng(8).uniform(1.0, 10.0, 1000)
+_THOUSAND[::7] = 0.0
+
+# one miner, an equal pair, idle miners between active ones, 40 and 1,000
+# random miners, and shares 24 orders of magnitude apart
+PROFILES = {
+    "one": [4.0],
+    "equal-pair": [0.5, 0.5],
+    "idle-between": [0.0, 1.0, 0.0, 2.0, 0.0, 3.0, 0.0],
+    "forty": np.random.default_rng(40).uniform(0.5, 20.0, 40),
+    "thousand": _THOUSAND,
+    "spread": [1e-12, 1.0, 1e12],
+}
+
+# unsorted, descending, tied, both ends of [0, 1], all equal, neighbouring
+# floats and the smallest subnormal, and 50 random probabilities
+WIN_PROBS = {
+    "one": [0.3],
+    "ascending": [0.1, 0.2, 0.7],
+    "descending": [0.9, 0.5, 0.05],
+    "ties": [0.4, 0.2, 0.4, 0.2, 0.4],
+    "ends": [1.0, 0.0, 0.5, 0.0, 1.0],
+    "all-equal": [0.25] * 6,
+    "neighbours": [0.5, np.nextafter(0.5, 0), np.nextafter(0.5, 1), 5e-324, np.nextafter(1, 0)],
+    "fifty": np.random.default_rng(50).uniform(0.0, 1.0, 50),
+}
+
+
+class TestAgainstBinomialChain:
+    """Count for count, against numpy's multinomial written out as its binomials."""
+
+    @pytest.mark.parametrize("profile", list(PROFILES))
+    @pytest.mark.parametrize("rate", [0.0, 0.01, 100.0])
+    @pytest.mark.parametrize("n_blocks", [1, 2, 137, 10**6, 10**12])
+    def test_simulate_mining(self, n_blocks, rate, profile):
+        powers = PROFILES[profile]
+        params = GameParams(poisson_rate=rate)
+        probs = mining_success_prob(PowerProfile(np.asarray(powers, dtype=float)).shares(), params)
+        for seed in (0, 977, 2**64 + 5):
+            outcome = simulate_mining(powers, SimConfig(n_blocks, seed, params))
+            assert outcome.wins.tolist() + [outcome.orphans] == binomial_chain(seed, n_blocks,
+                                                                               probs)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 2], ids=["zero", "across-2**64"])
+    @pytest.mark.parametrize("n_seeds", [1, 5])
+    @pytest.mark.parametrize("n_blocks", [1, 137, 10**6, 10**12])
+    @pytest.mark.parametrize("name", list(WIN_PROBS))
+    def test_first_miner_wins(self, name, n_blocks, n_seeds, seed):
+        # the chain over the distinct probabilities' increments: a tie's
+        # empty cell draws nothing, so ties leave the stream as it is
+        win_probs = np.asarray(WIN_PROBS[name], dtype=float)
+        wins = first_miner_wins(win_probs, _sim(seed=seed, n_blocks=n_blocks), n_seeds)
+        assert wins.shape == (win_probs.size, n_seeds) and wins.dtype == np.int64
+        assert wins.flags.c_contiguous
+        distinct = np.unique(win_probs)
+        row = np.searchsorted(distinct, win_probs)
+        for k in range(n_seeds):
+            cells = binomial_chain(seed + k, n_blocks, np.diff(distinct, prepend=0.0))
+            assert wins[:, k].tolist() == np.cumsum(cells[:-1])[row].tolist()
+
+
+class TestSeedColumns:
+    @pytest.mark.parametrize("n_blocks", [1, 137, 10**9])
+    @pytest.mark.parametrize("n_seeds", [1, 2, 7, 33])
+    def test_each_column_is_its_own_seed(self, n_seeds, n_blocks):
+        # column k reads seed cfg.seed + k alone, whatever the number of seeds
+        win_probs = WIN_PROBS["fifty"]
+        wins = first_miner_wins(win_probs, _sim(seed=20, n_blocks=n_blocks), n_seeds)
+        for k in range(n_seeds):
+            alone = first_miner_wins(win_probs, _sim(seed=20 + k, n_blocks=n_blocks), 1)
+            assert wins[:, k].tolist() == alone[:, 0].tolist()
+
+    @pytest.mark.parametrize("n_blocks", [1, 137, 10**9])
+    @pytest.mark.parametrize("name", list(WIN_PROBS))
+    def test_permuting_the_probabilities_permutes_the_rows(self, name, n_blocks):
+        win_probs = np.asarray(WIN_PROBS[name], dtype=float)
+        cfg = _sim(seed=61, n_blocks=n_blocks)
+        wins = first_miner_wins(win_probs, cfg, 4)
+        for perm_seed in range(5):
+            perm = np.random.default_rng(perm_seed).permutation(win_probs.size)
+            assert first_miner_wins(win_probs[perm], cfg, 4).tolist() == wins[perm].tolist()
 
 
 class TestMemory:
@@ -233,6 +316,17 @@ class TestFirstMinerWins:
         assert np.all(np.abs(wins.mean(axis=1) - mean) <= 6 * np.sqrt(var / 4000))
         assert np.all(np.abs(wins.var(axis=1, ddof=1) / var - 1) <= 6 * math.sqrt(2 / 3999))
 
+    @pytest.mark.parametrize("n_blocks", [1, 10**12])
+    @pytest.mark.parametrize("win_prob, share", [(0.0, 0), (-0.0, 0), (1.0, 1)],
+                             ids=["zero", "negative-zero", "one"])
+    def test_certain_rows(self, win_prob, share, n_blocks):
+        wins = first_miner_wins([win_prob], _sim(seed=4, n_blocks=n_blocks), 3)
+        assert wins.tolist() == [[share * n_blocks] * 3]
+
+    def test_no_probabilities_give_no_rows(self):
+        wins = first_miner_wins([], _sim(), 3)
+        assert wins.shape == (0, 3) and wins.dtype == np.int64
+
     @pytest.mark.parametrize("n_seeds", [0, -1, 2.0, True])
     def test_bad_seed_count_rejected(self, n_seeds):
         with pytest.raises(ValueError, match="n_seeds"):
@@ -243,10 +337,22 @@ class TestFirstMinerWins:
         with pytest.raises(ValueError, match=r"^win_probs must lie in \[0, 1\]"):
             first_miner_wins(win_probs, _sim(), 2)
 
+    @pytest.mark.parametrize("win_probs", [[math.inf], [0.5, -math.inf],
+                                           [np.nextafter(1, 2)], [-5e-324]],
+                             ids=["inf", "-inf", "above-one", "-subnormal"])
+    def test_probability_just_outside_rejected(self, win_probs):
+        with pytest.raises(ValueError, match=r"^win_probs must lie in \[0, 1\]"):
+            first_miner_wins(win_probs, _sim(), 2)
+
 
 class TestSimConfig:
     @pytest.mark.parametrize("n_blocks", [0, -3, 2.0, True, False])
     def test_bad_block_count_rejected(self, n_blocks):
+        with pytest.raises(ValueError, match="n_blocks must be an integer >= 1"):
+            SimConfig(n_blocks=n_blocks)
+
+    @pytest.mark.parametrize("n_blocks", [1.5, "10", None, np.float64(3.0)])
+    def test_non_integer_block_count_rejected(self, n_blocks):
         with pytest.raises(ValueError, match="n_blocks must be an integer >= 1"):
             SimConfig(n_blocks=n_blocks)
 
@@ -255,9 +361,21 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
             SimConfig(seed=seed)
 
+    @pytest.mark.parametrize("seed", [np.int64(-1), 1.5, "3", None])
+    def test_non_integer_or_negative_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            SimConfig(seed=seed)
+
     def test_numpy_integers_accepted(self):
         cfg = SimConfig(n_blocks=np.int64(5), seed=np.uint32(7))
         assert simulate_mining([1.0], cfg).n_blocks == 5
+
+    @pytest.mark.parametrize("n_blocks, seed", [(np.uint64(2**40), 0), (5, 2**100),
+                                                (2**63 - 1, np.int64(2**62))],
+                             ids=["uint64-blocks", "huge-seed", "int64-max-blocks"])
+    def test_extreme_integers_accepted(self, n_blocks, seed):
+        outcome = simulate_mining([1.0, 3.0], SimConfig(n_blocks=n_blocks, seed=seed))
+        assert int(outcome.wins.sum()) + outcome.orphans == outcome.n_blocks == n_blocks
 
 
 class TestEmpiricalSuccessProb:
