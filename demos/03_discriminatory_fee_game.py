@@ -9,8 +9,8 @@ uniqueness evidence.
 import numpy as np
 
 from edgeminer import DiscriminatoryGame, GameParams, best_response_dynamics, \
-    best_responses, leader_delta_utility_discriminatory, miner_utilities, \
-    nash_equilibrium_closed_form, optimal_fees_discriminatory, \
+    leader_delta_utility_discriminatory, miner_utilities, \
+    nash_equilibrium_closed_form, optimal_fees_discriminatory, pool_responses, \
     uniqueness_certificate_discriminatory
 
 params = GameParams(poisson_rate=0.0, tx_reward=0.0)  # no delay, reward scale 10
@@ -20,7 +20,7 @@ print("== closed-form equilibrium, fees (4, 8) ==")
 allocation = nash_equilibrium_closed_form(game)
 print(f"  powers {allocation.powers} (exact: 8/9, 16/9), total {allocation.total:.6f}")
 others = allocation.total - allocation.powers
-responses = best_responses(others, game.cost_coefficients)
+responses = pool_responses(1.0, others, game.cost_coefficients)  # the Tullock response
 utilities = miner_utilities(game, allocation)
 for i in range(2):
     print(f"  miner {i}: BR({others[i]:.4f}) = {responses[i]:.6f}  "

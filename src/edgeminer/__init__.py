@@ -19,7 +19,6 @@ from .core import (
 )
 from .discriminatory import (
     DiscriminatoryGame,
-    best_responses,
     leader_delta_utility_discriminatory,
     miner_utilities,
     nash_equilibrium_closed_form,
@@ -27,7 +26,7 @@ from .discriminatory import (
     share_identity,
     uniqueness_certificate_discriminatory,
 )
-from .experiments import ExperimentConfig, run_experiment, validate_config
+from .experiments import ExperimentConfig, run_experiment
 from .search import (
     SearchConfig,
     SearchTrace,

@@ -90,8 +90,8 @@ def main(argv=None) -> int:
         for message in exc.errors:
             print(f"config error: {message}", file=sys.stderr)
         return 2
-    except (OSError, ValueError, OverflowError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except (OSError, ValueError, OverflowError, MemoryError) as exc:
+        print(f"config error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:
         print(f"no result: {exc}", file=sys.stderr)

@@ -24,7 +24,6 @@ from .core import (
 
 __all__ = [
     "DiscriminatoryGame",
-    "best_responses",
     "leader_delta_utility_discriminatory",
     "miner_utilities",
     "nash_equilibrium_closed_form",
@@ -76,11 +75,6 @@ def miner_utilities(game: DiscriminatoryGame, profile) -> np.ndarray:
         raise ValueError(f"profile has {len(prof)} entries, game has {game.n_miners} miners")
     discount = game.params.delay_discount(game.params.mobile_tx_load)
     return game.fees * prof.shares() * discount - game.unit_cost * prof.powers
-
-
-def best_responses(others, c) -> np.ndarray:
-    """Best responses to the others' totals, elementwise: sqrt(others/c) - others, clamped at 0."""
-    return np.maximum(np.sqrt(others / c) - others, 0.0)
 
 
 def nash_equilibrium_closed_form(game: DiscriminatoryGame) -> PowerProfile:

@@ -39,6 +39,7 @@ from .discriminatory import (
     uniqueness_certificate_discriminatory,
 )
 from .simulate import (
+    MAX_BLOCKS,
     SimConfig,
     emg_vs_mdg_sweep,
     first_miner_wins,
@@ -66,7 +67,6 @@ __all__ = [
     "parse_config_text",
     "render_report",
     "run_experiment",
-    "validate_config",
     "write_report",
 ]
 
@@ -154,7 +154,7 @@ class ExperimentConfig:
 
     def grid(self) -> np.ndarray:
         start, stop, steps = self.resolved_grid()
-        return np.linspace(start, stop, steps)
+        return _linspace(start, stop, steps, "grid_steps")
 
 
 # each setting's rules, in the order they report, with the message of each; a setting
@@ -163,7 +163,8 @@ _RULES = {
     "kind": [(lambda v: v in KINDS, "kind must be one of {KINDS}, got {v!r}")],
     "unit_cost": [(lambda v: v > 0, "unit_cost must be > 0, got {v!r}")],
     "n_miners": [(lambda v: v >= 2, "n_miners must be >= 2, got {v!r}")],
-    "n_blocks": [(lambda v: v >= 1, "n_blocks must be >= 1, got {v!r}")],
+    "n_blocks": [(lambda v: v >= 1, "n_blocks must be >= 1, got {v!r}"),
+                 (lambda v: v <= MAX_BLOCKS, "n_blocks must be <= 2**63 - 1, got {v!r}")],
     "n_seeds": [(lambda v: v >= 1, "n_seeds must be >= 1, got {v!r}")],
     "seed": [(lambda v: v >= 0, "seed must be >= 0, got {v!r}")],
     "fee": [(lambda v: v is None or v > 0, "fee must be > 0, got {v!r}")],
@@ -269,15 +270,19 @@ def build_config(data: dict) -> ExperimentConfig:
     return cfg
 
 
-def validate_config(text: str) -> ExperimentConfig:
-    """Parse and validate a flat config file into an ExperimentConfig."""
-    return build_config(parse_config_text(text))
+def _linspace(start, stop, num: int, setting: str) -> np.ndarray:
+    """np.linspace; a count no array can hold is a ConfigError naming its setting."""
+    try:
+        return np.linspace(start, stop, num)
+    except (ValueError, MemoryError) as exc:
+        raise ConfigError(f"{setting} {num!r}: an array of that many points cannot be "
+                          f"allocated ({exc})") from None
 
 
 def _matched_base(device_power, n_miners: int, unit_cost: float, params: GameParams):
     """matched_heterogeneous_fees' base level, elementwise in device_power, and multipliers."""
     spread = min(0.2, 0.5 / n_miners)
-    multipliers = np.linspace(1.0 - spread, 1.0 + spread, n_miners)
+    multipliers = _linspace(1.0 - spread, 1.0 + spread, n_miners, "n_miners")
     discount = device_discount(params)
     inv_sum = math.fsum((1.0 / multipliers).tolist())
     return device_power * unit_cost * inv_sum / ((n_miners - 1) * discount), multipliers

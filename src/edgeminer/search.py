@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ConvergenceError, DegenerateProfileError, PowerProfile, is_integer
-from .discriminatory import best_responses
+from .uniform import pool_responses
 
 __all__ = [
     "SearchConfig",
@@ -115,8 +115,9 @@ def best_response_dynamics(game, start, tol: float = 1e-9, max_iters: int = 10_0
 
     ``game`` needs ``cost_coefficients`` and ``n_miners`` (a
     DiscriminatoryGame works); ``start`` is a PowerProfile or an array of
-    powers, copied.  Each sweep evaluates the best responses BR(x) once, as
-    the step BR(x) - x, and uses it twice: the sweep has converged when
+    powers, copied.  Each sweep evaluates the best responses to the others'
+    totals, BR(x) = pool_responses(1.0, x.sum() - x, c), once, as the step
+    BR(x) - x, and uses it twice: the sweep has converged when
     max|BR(x) - x| < tol, so the returned profile is a fixed point to within
     tol; otherwise it takes the damped step x <- x + lam*(BR(x) - x).  The
     undamped sweep (damping 1) oscillates without converging once there are
@@ -164,7 +165,7 @@ def best_response_dynamics(game, start, tol: float = 1e-9, max_iters: int = 10_0
             raise DegenerateProfileError(
                 "best-response dynamics reached the all-zero profile, where every "
                 "best response is undefined")
-        # step = best_responses(x.sum() - x, c) - x, operation for operation
+        # step = pool_responses(1.0, x.sum() - x, c) - x, bit for bit: 1.0 * others is exact
         subtract(total, x, prev)
         divide(prev, c, step)
         sqrt(step, step)
@@ -181,7 +182,7 @@ def best_response_dynamics(game, start, tol: float = 1e-9, max_iters: int = 10_0
         add(x, step, prev)
         x, prev = prev, x
 
-    residual = np.max(np.abs(best_responses(x.sum() - x, c) - x))
+    residual = np.max(np.abs(pool_responses(1.0, x.sum() - x, c) - x))
     raise ConvergenceError(
         f"best-response dynamics did not reach residual {tol:g} in {max_iters} sweeps "
         f"(residual at last iterate {residual:.2g})",

@@ -30,6 +30,10 @@ __all__ = [
 ]
 
 
+# numpy's multinomial draws an int64 count of blocks
+MAX_BLOCKS = 2**63 - 1
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Simulation setup: 1000 blocks by default, of params.tx_per_block transactions."""
@@ -39,8 +43,9 @@ class SimConfig:
     params: GameParams = field(default_factory=GameParams)
 
     def __post_init__(self):
-        if not is_integer(self.n_blocks) or self.n_blocks < 1:
-            raise ValueError(f"n_blocks must be an integer >= 1, got {self.n_blocks!r}")
+        if not is_integer(self.n_blocks) or not 1 <= self.n_blocks <= MAX_BLOCKS:
+            raise ValueError("n_blocks must be an integer >= 1 and <= 2**63 - 1, "
+                             f"got {self.n_blocks!r}")
         if not is_integer(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
@@ -85,12 +90,17 @@ def first_miner_wins(win_probs, cfg: SimConfig, n_seeds: int) -> np.ndarray:
     thresholds = np.asarray(win_probs, dtype=float)
     if not np.all((thresholds >= 0) & (thresholds <= 1)):
         raise ValueError(f"win_probs must lie in [0, 1], got {win_probs!r}")
+    try:  # before the first draw, so a count no array can hold fails at once
+        draws = np.empty((n_seeds, thresholds.size + 1), dtype=np.int64)
+        counts = np.empty((thresholds.size, n_seeds), dtype=np.int64)
+    except (ValueError, MemoryError) as exc:
+        raise ValueError(f"n_seeds {n_seeds!r}: {thresholds.size} x {n_seeds} win counts "
+                         f"cannot be allocated ({exc})") from None
     order = np.argsort(thresholds, kind="stable")
     cells = np.append(np.diff(thresholds[order], prepend=0.0), 0.0)
-    seeds = range(cfg.seed, cfg.seed + n_seeds)
-    draws = [_counts(seed, cfg.n_blocks, cells)[:-1] for seed in seeds]
-    counts = np.empty((thresholds.size, n_seeds), dtype=np.int64)
-    counts[order] = np.cumsum(draws, axis=1).T
+    for k in range(n_seeds):
+        draws[k] = _counts(cfg.seed + k, cfg.n_blocks, cells)
+    counts[order] = np.cumsum(draws, axis=1, out=draws)[:, :-1].T
     return counts
 
 

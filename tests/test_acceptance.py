@@ -16,7 +16,6 @@ from edgeminer import (
     SearchConfig,
     SimConfig,
     best_response_dynamics,
-    best_responses,
     golden_section_max,
     grid_argmax,
     leader_delta_utility_discriminatory,
@@ -24,6 +23,7 @@ from edgeminer import (
     multiplicative_fee_search,
     nash_equilibrium_closed_form,
     optimal_fee_uniform,
+    pool_responses,
     simulate_mining,
 )
 from edgeminer.experiments import build_config, run_experiment
@@ -71,7 +71,7 @@ def test_criterion_2_discriminatory_fixed_point_and_dynamics():
         for game in random_feasible_disc_games(100, seed=404, m_range=(2, 10)):
             x = nash_equilibrium_closed_form(game).powers
             total = math.fsum(x)
-            responses = best_responses(total - x, game.cost_coefficients)
+            responses = pool_responses(1.0, total - x, game.cost_coefficients)
             assert np.all(np.abs(responses - x) <= 1e-9)
             start = x * rng.uniform(0.2, 3.0, x.size)
             reached = best_response_dynamics(game, start, tol=1e-8).powers

@@ -14,7 +14,6 @@ from edgeminer import (
     DiscriminatoryGame,
     GameParams,
     best_response_dynamics,
-    best_responses,
     golden_section_max,
     grid_argmax,
     leader_delta_utility_discriminatory,
@@ -22,6 +21,7 @@ from edgeminer import (
     miner_utilities,
     nash_equilibrium_closed_form,
     optimal_fees_discriminatory,
+    pool_responses,
     share_identity,
     uniqueness_certificate_discriminatory,
 )
@@ -61,7 +61,8 @@ class TestMinerUtility:
 class TestBestResponse:
     def test_known_point(self):
         game = _game([4, 8])
-        assert best_responses(16 / 9, game.cost_coefficients[0]) == pytest.approx(8 / 9, rel=1e-12)
+        assert (pool_responses(1.0, 16 / 9, game.cost_coefficients[0])
+                == pytest.approx(8 / 9, rel=1e-12))
 
     def test_matches_grid_search(self):
         game = _game([4, 8])
@@ -71,16 +72,16 @@ class TestBestResponse:
             return miner_utilities(game, [x, others])[0]
 
         argmax, _ = grid_argmax(utility, 0.0, 5.0, 1e-4)
-        assert abs(best_responses(others, game.cost_coefficients[0]) - argmax) <= 1e-3
+        assert abs(pool_responses(1.0, others, game.cost_coefficients[0]) - argmax) <= 1e-3
 
     def test_root_of_the_formula(self):
         game = _game([4, 8])
         # others_sum equal to fee/unit_cost zeroes the response exactly
-        assert best_responses(4.0, game.cost_coefficients[0]) == 0.0
+        assert pool_responses(1.0, 4.0, game.cost_coefficients[0]) == 0.0
 
     def test_clamped_beyond_threshold(self):
         game = _game([4, 8])
-        assert best_responses(6.0, game.cost_coefficients[0]) == 0.0
+        assert pool_responses(1.0, 6.0, game.cost_coefficients[0]) == 0.0
 
     def test_concavity_in_own_power(self):
         game = _game([5, 3, 4])
@@ -160,7 +161,7 @@ class TestClosedForm:
         for game in random_feasible_disc_games(100, seed=17):
             x = nash_equilibrium_closed_form(game).powers
             total = math.fsum(x)
-            responses = best_responses(total - x, game.cost_coefficients)
+            responses = pool_responses(1.0, total - x, game.cost_coefficients)
             assert np.all(np.abs(responses - x) <= 1e-9)
 
     def test_derivation_chain(self):

@@ -34,7 +34,6 @@ from edgeminer import (
     search,
     simulate_mining,
     uniform,
-    validate_config,
 )
 from edgeminer.core import OBJECTIVES
 from edgeminer.cli import _settings_from_args, build_parser, main
@@ -47,6 +46,7 @@ from edgeminer.experiments import (
     _rows_fig1,
     build_config,
     matched_heterogeneous_fees,
+    parse_config_text,
     render_report,
     run_experiment,
 )
@@ -76,62 +76,63 @@ def _rows(columns):
 
 class TestValidateConfig:
     def test_minimal_config_gets_defaults(self):
-        cfg = validate_config("kind = fig1\n")
+        cfg = build_config(parse_config_text("kind = fig1\n"))
         assert cfg.kind == "fig1"
         assert cfg.n_blocks == 1000
         assert cfg.params.tx_per_block == 10
         assert cfg.resolved_grid() == KIND_TABLE["fig1"].grid
 
     def test_comments_and_blank_lines(self):
-        cfg = validate_config("# experiment\nkind = fig1\n\nseed = 9  # rng\n")
+        cfg = build_config(parse_config_text("# experiment\nkind = fig1\n\nseed = 9  # rng\n"))
         assert cfg.kind == "fig1" and cfg.seed == 9
 
     def test_negative_rate_names_the_key(self):
         with pytest.raises(ConfigError) as err:
-            validate_config("kind = fig1\npoisson_rate = -0.5\n")
+            build_config(parse_config_text("kind = fig1\npoisson_rate = -0.5\n"))
         assert "poisson_rate" in str(err.value)
 
     def test_unknown_key_carries_line_number(self):
         with pytest.raises(ConfigError) as err:
-            validate_config("kind = fig1\nwat = 3\n")
+            build_config(parse_config_text("kind = fig1\nwat = 3\n"))
         assert "line 2" in str(err.value) and "wat" in str(err.value)
 
     def test_bad_value_carries_line_and_key(self):
         with pytest.raises(ConfigError) as err:
-            validate_config("kind = fig1\nseed = banana\n")
+            build_config(parse_config_text("kind = fig1\nseed = banana\n"))
         assert "line 2" in str(err.value) and "seed" in str(err.value)
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError):
-            validate_config("kind = fig1\nseed = 1\nseed = 2\n")
+            build_config(parse_config_text("kind = fig1\nseed = 1\nseed = 2\n"))
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError) as err:
-            validate_config("kind = fig1\ngrid_start = 5\ngrid_stop = 5\ngrid_steps = 2\n")
+            build_config(parse_config_text(
+                "kind = fig1\ngrid_start = 5\ngrid_stop = 5\ngrid_steps = 2\n"))
         assert "grid_start" in str(err.value)
         with pytest.raises(ConfigError):
-            validate_config("kind = fig1\ngrid_steps = 1\n")
+            build_config(parse_config_text("kind = fig1\ngrid_steps = 1\n"))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
-            validate_config("kind = fig9\n")
+            build_config(parse_config_text("kind = fig9\n"))
 
     def test_fees_list_parsed(self):
-        cfg = validate_config("kind = solve-disc\nfees = 4, 8, 6\n")
+        cfg = build_config(parse_config_text("kind = solve-disc\nfees = 4, 8, 6\n"))
         assert cfg.fees == (4.0, 8.0, 6.0)
 
     def test_solve_disc_requires_fees(self):
         with pytest.raises(ConfigError):
-            validate_config("kind = solve-disc\n")
+            build_config(parse_config_text("kind = solve-disc\n"))
 
     def test_nonpositive_fixed_powers_rejected(self):
         with pytest.raises(ConfigError) as err:
-            validate_config("kind = solve-uniform\nedge_power = -5\n")
+            build_config(parse_config_text("kind = solve-uniform\nedge_power = -5\n"))
         assert "edge_power" in str(err.value)
 
     def test_fee_search_choices(self):
         with pytest.raises(ConfigError):
-            validate_config("kind = solve-uniform\nfee_search = newton\n")
+            build_config(parse_config_text("kind = solve-uniform\nfee_search = newton\n"))
 
     @pytest.mark.parametrize("value", [True, False, 3.0, "3"])
     @pytest.mark.parametrize("name", ["n_blocks", "n_seeds", "seed", "n_miners", "grid_steps"])
@@ -173,7 +174,7 @@ class TestSchema:
         kind = reader(f.name)
         argv = kind_argv(kind, fees=f.name != "fees")
         fees = "fees = 4, 8\n" if "--fees" in argv else ""
-        from_file = validate_config(f"kind = {kind}\n{fees}{f.name} = {raw}\n")
+        from_file = build_config(parse_config_text(f"kind = {kind}\n{fees}{f.name} = {raw}\n"))
         args = build_parser().parse_args([*argv, "--" + f.name.replace("_", "-"), raw])
         from_flag = build_config(_settings_from_args(args))
         in_params = f.name in GameParams.__dataclass_fields__
@@ -199,7 +200,7 @@ class TestSchema:
         for name, rules in _RULES.items():
             for _, message in rules:
                 assert message.startswith(name + " "), message
-        assert sum(map(len, _RULES.values())) == 18
+        assert sum(map(len, _RULES.values())) == 19
 
     def test_every_check_message_text(self):
         # the messages are formatted only when their check fails; these are their texts
@@ -221,6 +222,9 @@ class TestSchema:
             "fee_search must be one of ('golden', 'hillclimb'), got 'y'",
             "format must be one of ('csv', 'json'), got 'xml'",
             "edge_power must be > 0, got -3.0", "device_power must be > 0, got 0.0"]
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(kind="simulate", n_blocks=2**63)
+        assert err.value.errors == ["n_blocks must be <= 2**63 - 1, got 9223372036854775808"]
         with pytest.raises(ConfigError) as err:
             ExperimentConfig(kind="fig6", edge_fractions=(), objective="full", n_miners=7,
                              grid_start=-1.7e308, grid_stop=1.7e308)
@@ -1441,6 +1445,47 @@ class TestCli:
         assert code == 2
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("setting, argv", [
+        ("n_blocks", ["simulate", "--n-blocks", str(10**20)]),
+        ("n_blocks", ["simulate", "--n-blocks", str(2**63)]),
+        ("n_blocks", ["fig", "1", "--n-blocks", str(10**20), "--grid-steps", "2",
+                      "--n-seeds", "1"]),
+        ("n_seeds", ["fig", "1", "--n-seeds", str(10**20), "--grid-steps", "2",
+                     "--n-blocks", "10"]),
+        ("grid_steps", ["fig", "3", "--grid-steps", str(10**20)]),
+        ("n_miners", ["fig", "5", "--n-miners", str(10**20)]),
+        ("n_miners", ["fig", "3", "--n-miners", str(10**20)]),
+    ], ids=["simulate-blocks", "simulate-blocks-2**63", "fig1-blocks", "fig1-seeds",
+            "fig3-grid", "fig5-miners", "fig3-miners"])
+    def test_count_no_array_holds_names_its_setting(self, setting, argv, tmp_path, capsys):
+        # each count is past what numpy takes, so it fails before numpy allocates anything
+        out = tmp_path / "x.csv"
+        assert main([*argv, "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"config error: {setting} ")
+        assert not out.exists()
+
+    def test_largest_block_count_runs(self, tmp_path):
+        out = tmp_path / "s.csv"
+        assert main(["simulate", "--n-blocks", str(2**63 - 1), "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 4  # header + 2 miners + orphan row
+
+    @pytest.mark.parametrize("error, line", [
+        (MemoryError("Unable to allocate 74.5 GiB for an array"),
+         "Unable to allocate 74.5 GiB for an array"),
+        (MemoryError(), "MemoryError"),
+    ], ids=["numpy", "bare"])
+    def test_memory_error_is_a_config_error(self, error, line, monkeypatch, tmp_path, capsys):
+        # a builder that raises it, so the test allocates nothing
+        def out_of_memory(cfg):
+            raise error
+
+        monkeypatch.setitem(KIND_TABLE, "fig3", KIND_TABLE["fig3"]._replace(build=out_of_memory))
+        out = tmp_path / "x.csv"
+        assert main(["fig", "3", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {line}\n"
+        assert not out.exists()
 
     def test_negative_rate_rejected(self, tmp_path, capsys):
         code = main(["simulate", "--poisson-rate", "-3",

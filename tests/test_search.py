@@ -15,11 +15,11 @@ from edgeminer import (
     PowerProfile,
     SearchConfig,
     best_response_dynamics,
-    best_responses,
     golden_section_max,
     grid_argmax,
     multiplicative_fee_search,
     nash_equilibrium_closed_form,
+    pool_responses,
 )
 
 from conftest import random_feasible_disc_games, zero_delay_params
@@ -114,7 +114,7 @@ def _reference_brd(game, start, tol=1e-9, max_iters=10_000, damping=None):
     lam = min(0.5, 2.0 / c.size) if damping is None else damping
     prev = x.copy()
     for _ in range(max_iters):
-        response = best_responses(x.sum() - x, c)
+        response = pool_responses(1.0, x.sum() - x, c)
         if np.max(np.abs(response - x)) < tol:
             return x
         prev = x
@@ -144,7 +144,7 @@ def _head_brd(game, start, tol: float = 1e-9, max_iters: int = 10_000,
             raise DegenerateProfileError(
                 "best-response dynamics reached the all-zero profile, where every "
                 "best response is undefined")
-        step = best_responses(total - x, c)
+        step = pool_responses(1.0, total - x, c)
         step -= x
         # exactly max|step| < tol, NaN included, without an abs temporary
         if step.max() < tol and step.min() > -tol:
@@ -152,7 +152,7 @@ def _head_brd(game, start, tol: float = 1e-9, max_iters: int = 10_000,
         step *= lam
         prev, x = x, x + step
 
-    residual = np.max(np.abs(best_responses(x.sum() - x, c) - x))
+    residual = np.max(np.abs(pool_responses(1.0, x.sum() - x, c) - x))
     raise ConvergenceError(
         f"best-response dynamics did not reach residual {tol:g} in {max_iters} sweeps "
         f"(residual at last iterate {residual:.2g})",
@@ -175,7 +175,8 @@ def _assert_same_run(game, start, **kwargs):
 
 
 def _residual(game, x):
-    return float(np.max(np.abs(best_responses(x.sum() - x, game.cost_coefficients) - x)))
+    responses = pool_responses(1.0, x.sum() - x, game.cost_coefficients)
+    return float(np.max(np.abs(responses - x)))
 
 
 def _outcome(run):

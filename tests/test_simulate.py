@@ -332,6 +332,14 @@ class TestFirstMinerWins:
         with pytest.raises(ValueError, match="n_seeds"):
             first_miner_wins([0.5], _sim(), n_seeds)
 
+    def test_seed_count_no_array_holds_fails_before_a_draw(self, monkeypatch):
+        # 2 x 10**20 counts are past numpy's largest array, so numpy allocates nothing
+        monkeypatch.setattr(simulate, "_counts", lambda *args: pytest.fail("drew a seed"))
+        with pytest.raises(ValueError, match=r"^n_seeds 100000000000000000000: 2 x "
+                                             r"100000000000000000000 win counts cannot be "
+                                             r"allocated \("):
+            first_miner_wins([0.2, 0.7], _sim(), 10**20)
+
     @pytest.mark.parametrize("win_probs", [[0.5, -0.1], [1.5], [0.2, math.nan]])
     def test_probability_outside_the_unit_interval_rejected(self, win_probs):
         with pytest.raises(ValueError, match=r"^win_probs must lie in \[0, 1\]"):
@@ -346,7 +354,7 @@ class TestFirstMinerWins:
 
 
 class TestSimConfig:
-    @pytest.mark.parametrize("n_blocks", [0, -3, 2.0, True, False])
+    @pytest.mark.parametrize("n_blocks", [0, -3, 2.0, True, False, 2**63, np.uint64(2**63)])
     def test_bad_block_count_rejected(self, n_blocks):
         with pytest.raises(ValueError, match="n_blocks must be an integer >= 1"):
             SimConfig(n_blocks=n_blocks)
