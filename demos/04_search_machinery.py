@@ -19,7 +19,6 @@ print("== multiplicative hill-climb ==")
 cfg = SearchConfig(initial_fee=0.5, step_factor=0.1, tolerance=1e-6)
 fee, trace = multiplicative_fee_search(leader_profit, cfg)
 print(f"  found fee {fee:.6f} (analytic {P_OPT:.6f}) in {len(trace.steps)} evaluations")
-print(f"  terminal reason: {trace.terminal_reason}")
 print("  first climb, then refinement around the peak:")
 for step in trace.steps[:6]:
     mark = "accept" if step.improved else "reject"

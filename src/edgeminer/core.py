@@ -7,6 +7,7 @@ frozen and safe to share across threads.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import Field, dataclass, fields
 
 import numpy as np
@@ -24,7 +25,6 @@ __all__ = [
     "leader_reward_scale",
     "mining_success_prob",
     "net_profit",
-    "participation_floor",
     "stage1_setup",
 ]
 
@@ -95,8 +95,8 @@ class GameParams:
     The model keeps them independent; by default they are equal.
     ``poisson_rate`` is the propagation penalty per transaction (the paper's rate
     times the per-transaction delay); 0 means none.  Each field gets its type error
-    (type_error), or else must be >= 0, or an integer >= 1 for a count; one ConfigError
-    lists every bad field, the float fields first.
+    (type_error), or else must be >= 0, or an integer from 1 to sys.float_info.max for a
+    count; one ConfigError lists every bad field, the float fields first.
     """
 
     fixed_reward: float = 10.0
@@ -109,9 +109,11 @@ class GameParams:
 
     def __post_init__(self):
         errors = []
-        for f, floor, bound in _GAME_FIELDS:
+        for f, floor, ceiling, bound in _GAME_FIELDS:
             value = getattr(self, f.name)
             error = type_error(f, value)
+            if error is None and value > ceiling:
+                error = f"{f.name} must be <= {ceiling!r}, the float range, got {value!r}"
             if error is not None or value < floor:
                 errors.append(error or f"{f.name} must be {bound}, got {value!r}")
         if errors:
@@ -134,8 +136,10 @@ class GameParams:
         return math.exp(-self.poisson_rate * tx_load)
 
 
-# the float fields, then the int fields, each in declaration order, with the floor of each
-_GAME_FIELDS = [(f, 1, "an integer >= 1") if f.type == "int" else (f, 0, ">= 0")
+# the float fields, then the int fields, each in declaration order, with the floor and
+# ceiling of each: a count past the float range would overflow the delay discount
+_GAME_FIELDS = [(f, 1, sys.float_info.max, "an integer >= 1") if f.type == "int"
+                else (f, 0, math.inf, ">= 0")
                 for f in sorted(fields(GameParams), key=lambda f: f.type == "int")]
 
 
@@ -214,20 +218,16 @@ def check_objective(objective: str):
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
 
 
-def participation_floor(params: GameParams) -> float:
-    """Lowest fee devices accept: max(min_consumption, 1e-6)."""
-    return max(params.min_consumption, 1e-6)
-
-
 def stage1_setup(params: GameParams, fixed_reward=None):
     """(d, a, lo, hi): device discount, reward scale a = (r + tx_reward) * d, fee bracket.
 
-    The bracket is [participation_floor, 100a], or [floor, 10 * floor] where a == 0.
+    The bracket is [floor, 100a], or [floor, 10 * floor] where a == 0; the participation
+    floor max(min_consumption, 1e-6) is the lowest fee devices accept.
     A 1-D ``fixed_reward`` array stands in for r, making a and hi arrays; else all four
     are floats.  A reward GameParams rejects, or an empty or non-finite bracket, raises
     ConfigError for the first bad instance.
     """
-    lo, d = participation_floor(params), params.delay_discount(params.mobile_tx_load)
+    lo, d = max(params.min_consumption, 1e-6), params.delay_discount(params.mobile_tx_load)
     r = params.fixed_reward if fixed_reward is None else np.asarray(fixed_reward, dtype=float)
     if fixed_reward is not None:
         bad = ~(np.isfinite(r) & (r >= 0))

@@ -22,7 +22,6 @@ from .core import (
     OBJECTIVES,
     ConfigError,
     GameParams,
-    PowerProfile,
     device_discount,
     leader_reward_scale,
     mining_success_prob,
@@ -124,6 +123,8 @@ class ExperimentConfig:
                 if not ok(value):  # a message is a template, formatted only when its rule fails
                     errors.append(message.format(v=value, KINDS=KINDS, OBJECTIVES=OBJECTIVES,
                                                  FEE_SEARCHES=FEE_SEARCHES, FORMATS=FORMATS))
+        if not (self.out is None or isinstance(self.out, str)):  # out is last in _CHECKS
+            errors.append(f"out must be a path str, got {self.out!r}")
 
         kind = KIND_TABLE.get(self.kind) or Kind(None, _DEFAULTS)  # an unknown kind reads all
         values = {**vars(self.params), **vars(self)}
@@ -311,7 +312,10 @@ def matched_heterogeneous_fees(device_power: float, n_miners: int, unit_cost: fl
 def _rows_fig1(cfg: ExperimentConfig):
     """Edge-miner mining success probability against its computing power."""
     params = cfg.params
-    grid = PowerProfile(cfg.grid()).powers  # a negative edge power is rejected before dividing
+    grid = cfg.grid()
+    if grid[0] < 0:  # a negative edge power is no share
+        raise ConfigError(f"grid_start must be >= 0 for fig1's edge powers, "
+                          f"got {float(grid[0])!r}")
     with np.errstate(over="ignore"):  # a total power past the float range is not a share of 0
         total = grid + cfg.device_power
     if np.isinf(total).any():
@@ -413,6 +417,9 @@ def _rows_mdg(cfg: ExperimentConfig):
     fig6 = cfg.kind == "fig6"
     fractions = cfg.edge_fractions if fig6 else (cfg.edge_fraction,)
     grid = cfg.grid()
+    if grid[0] <= 0:
+        raise ConfigError(f"grid_start must be > 0 for {cfg.kind}'s total powers, "
+                          f"got {float(grid[0])!r}")
     n_rows = len(fractions) * grid.size
     columns = {"edge_fraction": np.repeat(fractions, grid.size)} if fig6 else {}
     # each fraction's sweep is copied into its rows and dropped before the next is built
@@ -704,14 +711,11 @@ def _report_blocks(table: Table, fmt: str):
     every row.
     """
     n_rows = len(table)
-    if n_rows <= _BLOCK_ROWS:
-        yield render_report(table, fmt)
-        return
     if fmt == "json":
         head, join, tail = "[\n", ",\n", "\n]\n"
     else:
         head, join, tail = _csv_header(table) + "\n", "", ""
-    for start in range(0, n_rows, _BLOCK_ROWS):
+    for start in range(0, max(n_rows, 1), _BLOCK_ROWS):  # an empty table is one block
         stop = start + _BLOCK_ROWS
         text = render_report({name: cells[start:stop] for name, cells in table.items()}, fmt)
         if start:

@@ -8,11 +8,11 @@ for the stage-I closed forms of both fee games.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .core import ConvergenceError, DegenerateProfileError, PowerProfile, is_integer
+from .core import ConvergenceError, DegenerateProfileError, PowerProfile, is_integer, type_error
 from .uniform import pool_responses
 
 __all__ = [
@@ -37,11 +37,15 @@ class SearchConfig:
     max_iters: int = 10_000
 
     def __post_init__(self):
-        if not (math.isfinite(self.initial_fee) and self.initial_fee > 0):
+        for f in fields(self)[:3]:  # the float fields
+            error = type_error(f, getattr(self, f.name))
+            if error is not None:
+                raise ValueError(error)
+        if not self.initial_fee > 0:
             raise ValueError("initial_fee must be a finite positive number")
         if not 0 < self.step_factor < 1:
             raise ValueError("step_factor must lie strictly inside (0, 1)")
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+        if not self.tolerance > 0:
             raise ValueError("tolerance must be a finite number > 0")
         if not is_integer(self.max_iters) or self.max_iters < 1:
             raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
@@ -57,15 +61,6 @@ class TraceStep:
 @dataclass(frozen=True)
 class SearchTrace:
     steps: list = field(default_factory=list)
-    terminal_reason: str = ""
-
-    @property
-    def fees(self) -> np.ndarray:
-        return np.array([s.fee for s in self.steps])
-
-    @property
-    def accepted_profits(self) -> np.ndarray:
-        return np.array([s.leader_profit for s in self.steps if s.improved])
 
 
 def multiplicative_fee_search(profit_fn, cfg: SearchConfig):
@@ -83,30 +78,25 @@ def multiplicative_fee_search(profit_fn, cfg: SearchConfig):
     best_fee = cfg.initial_fee
     best_profit = profit_fn(best_fee)
     steps = [TraceStep(best_fee, best_profit, True)]
-    evals = 1
     theta = cfg.step_factor
 
     while theta >= cfg.tolerance:
-        moved = False
         for candidate in (best_fee * (1.0 + theta), best_fee / (1.0 + theta)):
-            if evals >= cfg.max_iters:
-                trace = SearchTrace(steps, "max_iters exceeded")
+            if len(steps) >= cfg.max_iters:
                 raise ConvergenceError(
                     f"fee search did not terminate within {cfg.max_iters} evaluations "
                     f"(last fee {best_fee:.6g}); objective may be unbounded",
-                    last=best_fee, trace=trace)
+                    last=best_fee, trace=SearchTrace(steps))
             profit = profit_fn(candidate)
-            evals += 1
             improved = profit > best_profit
             steps.append(TraceStep(candidate, profit, improved))
             if improved:
                 best_fee, best_profit = candidate, profit
-                moved = True
                 break
-        if not moved:
+        else:
             theta *= 0.5
 
-    return best_fee, SearchTrace(steps, "fee step below tolerance")
+    return best_fee, SearchTrace(steps)
 
 
 def best_response_dynamics(game, start, tol: float = 1e-9, max_iters: int = 10_000,

@@ -1,6 +1,7 @@
 """Primitive formulas: shares, success probability, raw utilities."""
 
 import math
+import sys
 from dataclasses import fields, replace
 
 import numpy as np
@@ -209,6 +210,19 @@ class TestGameParams:
         assert err.value.errors == ["fixed_reward must be >= 0, got -1.0",
                                     "poisson_rate must be finite, got nan",
                                     "tx_per_block must be an integer >= 1, got 0"]
+
+    @pytest.mark.parametrize("name", ["tx_per_block", "mobile_tx_load"])
+    def test_count_past_the_float_range_rejected(self, name):
+        # the largest float's integer is a load the discount takes; a larger one would
+        # overflow it
+        top = int(sys.float_info.max)
+        assert GameParams(**{name: top}).delay_discount(top) == 0.0
+        with pytest.raises(ConfigError) as err:
+            GameParams(**{name: top + 1})
+        assert err.value.errors == [f"{name} must be <= 1.7976931348623157e+308, the float "
+                                    f"range, got {top + 1!r}"]
+        with pytest.raises(ConfigError, match=f"^{name} must be <= "):
+            GameParams(**{name: 10**400})
 
     def test_non_integer_count_is_a_type_error(self):
         # a count that is not an integer gets the shared type error, one below 1 the floor

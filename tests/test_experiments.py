@@ -150,6 +150,13 @@ class TestValidateConfig:
                                grid_steps=np.int32(3))
         assert (cfg.n_blocks, cfg.seed, cfg.grid().size) == (7, 2, 3)
 
+    @pytest.mark.parametrize("out", [7, 3.5, b"x.csv"], ids=repr)
+    def test_out_must_be_a_str(self, out):
+        # open() would take an int as a file descriptor to write to and close
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(kind="fig2", out=out)
+        assert err.value.errors == [f"out must be a path str, got {out!r}"]
+
     @pytest.mark.parametrize("kind", ["fig5", "fig6"])
     def test_empty_edge_fractions_rejected(self, kind, tmp_path):
         with pytest.raises(ConfigError) as err:
@@ -442,7 +449,8 @@ class TestFig1SharedDraws:
     def test_negative_grid_point_is_a_config_error(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         assert main(["fig", "1", "--grid-start", "-5", "--out", str(out)]) == 2
-        assert "config error: powers must be finite and >= 0" in capsys.readouterr().err
+        assert ("config error: grid_start must be >= 0 for fig1's edge powers, got -5.0"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     def test_first_overflowing_grid_point_is_named(self):
@@ -1465,6 +1473,31 @@ class TestCli:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"config error: {setting} ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("setting, argv", [
+        ("tx_per_block", ["simulate", "--tx-per-block", str(10**400)]),
+        ("mobile_tx_load", ["fig", "5", "--mobile-tx-load", "9" * 400]),
+        ("mobile_tx_load", ["solve-uniform", "--mobile-tx-load", "9" * 320]),
+        ("grid_start", ["fig", "1", "--grid-start", "-5", "--grid-steps", "2"]),
+        ("grid_start", ["fig", "6", "--grid-start", "-5"]),
+        ("grid_start", ["compare-mdg", "--grid-start", "-5"]),
+        ("grid_start", ["compare-mdg", "--grid-start", "0"]),
+    ], ids=["simulate-tx", "fig5-mobile-tx", "solve-uniform-mobile-tx", "fig1-grid",
+            "fig6-grid", "compare-mdg-grid", "compare-mdg-grid-0"])
+    def test_value_out_of_range_names_its_setting(self, setting, argv, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main([*argv, "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"config error: {setting} must be ")
+        assert not out.exists()
+
+    def test_largest_tx_load_runs(self, tmp_path):
+        # every block is an orphan: the discount e^(-0.01 * 1.8e308) is 0
+        out = tmp_path / "s.csv"
+        assert main(["simulate", "--tx-per-block", str(int(sys.float_info.max)),
+                     "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            assert list(csv.DictReader(fh))[-1]["wins"] == "1000"
 
     def test_largest_block_count_runs(self, tmp_path):
         out = tmp_path / "s.csv"

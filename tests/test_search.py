@@ -1,5 +1,6 @@
 """Fee hill-climb, best-response dynamics and the search oracles."""
 
+import hashlib
 import re
 
 import numpy as np
@@ -52,6 +53,14 @@ class TestSearchConfig:
         with pytest.raises(ValueError, match=f"^{name} must"):
             SearchConfig(**{name: value})
 
+    # a bool is not a real number and a str none at all: each gets the shared type error
+    @pytest.mark.parametrize("value", [True, False, "1"], ids=repr)
+    @pytest.mark.parametrize("name", ["initial_fee", "step_factor", "tolerance"])
+    def test_bool_or_str_rejected_by_name(self, name, value):
+        message = f"{name} must be finite, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SearchConfig(**{name: value})
+
     @pytest.mark.parametrize("max_iters", [True, False, 2.5, 10.0, 0, -3],
                              ids=["true", "false", "fraction", "float", "zero", "negative"])
     def test_invalid_max_iters_rejected(self, max_iters):
@@ -67,7 +76,6 @@ class TestMultiplicativeFeeSearch:
         cfg = SearchConfig(initial_fee=0.5, step_factor=0.1, tolerance=1e-6)
         fee, trace = multiplicative_fee_search(leader_profit, cfg)
         assert abs(fee - P_OPT_ANALYTIC) <= 1e-3
-        assert trace.terminal_reason == "fee step below tolerance"
 
     def test_monotone_objective_exhausts_budget(self):
         cfg = SearchConfig(initial_fee=1.0, max_iters=500)
@@ -89,7 +97,7 @@ class TestMultiplicativeFeeSearch:
     def test_accepted_profits_strictly_increase(self):
         cfg = SearchConfig(initial_fee=0.5, step_factor=0.1)
         _, trace = multiplicative_fee_search(leader_profit, cfg)
-        accepted = trace.accepted_profits
+        accepted = [s.leader_profit for s in trace.steps if s.improved]
         assert np.all(np.diff(accepted) > 0.0)
 
     def test_fees_increase_while_improving(self):
@@ -104,7 +112,31 @@ class TestMultiplicativeFeeSearch:
         fee_a, trace_a = multiplicative_fee_search(leader_profit, cfg)
         fee_b, trace_b = multiplicative_fee_search(leader_profit, cfg)
         assert fee_a == fee_b
-        assert trace_a.fees.tolist() == trace_b.fees.tolist()
+        assert trace_a.steps == trace_b.steps
+
+    # recorded values: solve-uniform's hill-climb is checked against the closed form,
+    # so the climb keeps its evaluation order, its steps and its message bit for bit
+    STEPS_SHA256 = "7614f211af8a9501d1cd0f7d126c97884cbec8936736b759435384da07190f73"
+
+    def test_steps_pinned(self):
+        cfg = SearchConfig(initial_fee=0.5, step_factor=0.1, tolerance=1e-6)
+        fee, trace = multiplicative_fee_search(leader_profit, cfg)
+        assert fee == 2.9240165565937897
+        steps = [(s.fee, s.leader_profit, s.improved) for s in trace.steps]
+        assert len(steps) == 71
+        assert steps[1] == (0.55, -4.033997249264841, True)
+        assert steps[-1] == (2.9240120949054123, 1.2279467853532329, False)
+        text = "\n".join(f"{fee.hex()} {profit.hex()} {improved}"
+                         for fee, profit, improved in steps)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.STEPS_SHA256
+
+    def test_budget_error_pinned(self):
+        with pytest.raises(ConvergenceError) as err:
+            multiplicative_fee_search(lambda fee: fee, SearchConfig(initial_fee=1.0, max_iters=200))
+        assert str(err.value) == ("fee search did not terminate within 200 evaluations "
+                                  "(last fee 16469.1); objective may be unbounded")
+        assert err.value.last == 16469.124585866793
+        assert len(err.value.trace.steps) == 200
 
 
 def _reference_brd(game, start, tol=1e-9, max_iters=10_000, damping=None):
